@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from ..errors import ConfigError
 from .series import RawSeries
 
 
@@ -16,11 +17,11 @@ def synth_generate(length: int, period: int, amplitudes=(1.0,),
     series is exactly ``period``-periodic.
     """
     if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+        raise ConfigError(f"length must be >= 1, got {length}")
     if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+        raise ConfigError(f"period must be >= 1, got {period}")
     if channels < 1:
-        raise ValueError(f"channels must be >= 1, got {channels}")
+        raise ConfigError(f"channels must be >= 1, got {channels}")
     rng = np.random.default_rng(seed)
     t = np.arange(length, dtype=np.float64)
     values = np.empty((length, channels))

@@ -12,7 +12,6 @@ import numpy as np
 
 from ..numerics import (
     conv1d_same_batch,
-    conv_pad_split,
     idft_matrix,
     rfft_batch,
 )
@@ -24,7 +23,7 @@ from .params import MixLinearParams
 class ForwardTrace:
     """Intermediate activations cached for the reverse pass."""
 
-    x_norm_padded: np.ndarray          # (B, L + w - 1) conv input incl. zero pad
+    x_norm: np.ndarray                 # (B, L) mean-centered conv input
     rows: np.ndarray | None = None     # (B, w, n) unpadded trend rows (baseline)
     rows_padded: np.ndarray | None = None   # (B, w, n_hat) branch input
     seg_inter_in: np.ndarray | None = None  # (B, w, seg_out, seg_in)
@@ -39,10 +38,6 @@ def _trend_rows(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
     w = config.period
     mean = x2d.mean(axis=1)
     x_norm = x2d - mean[:, None]
-
-    left, right = conv_pad_split(w)
-    x_norm_padded = np.zeros((batch, length + left + right))
-    x_norm_padded[:, left:left + length] = x_norm
     aggregated = conv1d_same_batch(x_norm, params.conv_kernel, float(params.conv_bias)) + x_norm
 
     # De-interleave into w phase subsequences of length n; positions past
@@ -51,7 +46,7 @@ def _trend_rows(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
     flat = np.zeros((batch, padded_len))
     flat[:, :length] = aggregated
     rows = np.ascontiguousarray(flat.reshape(batch, plan.n, w).transpose(0, 2, 1))
-    return rows, mean, x_norm_padded
+    return rows, mean, x_norm
 
 
 def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
@@ -107,8 +102,8 @@ def _forward_impl(x2d, params, config, plan, want_trace):
 
     batch = x2d.shape[0]
     w = config.period
-    rows, mean, x_norm_padded = _trend_rows(x2d, params, config, plan)
-    trace = ForwardTrace(x_norm_padded=x_norm_padded) if want_trace else None
+    rows, mean, x_norm = _trend_rows(x2d, params, config, plan)
+    trace = ForwardTrace(x_norm=x_norm) if want_trace else None
 
     if config.mode is Mode.SPARSE_BASELINE:
         if trace is not None:
@@ -129,6 +124,25 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     # Re-interleave: sequence[j*w + i] = row_i[j], then keep the horizon.
     sequence = out_rows.transpose(0, 2, 1).reshape(batch, plan.m * w)
     return sequence[:, :config.horizon], trace
+
+
+def affine_basis(lookback: int) -> np.ndarray:
+    """The L+1 rows [I_L; 0] whose images fix the affine map f(x) = xM + c.
+
+    For fixed parameters the forecaster is affine in its window: the mean
+    centering, the conv, de-interleave, both branches and re-interleave
+    are all linear.
+    """
+    return np.eye(lookback + 1, lookback)
+
+
+def affine_map(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, c) from the forecasts of the ``affine_basis`` rows.
+
+    c = f(0) is the image of the zero row and M[i] = f(e_i) - c.
+    """
+    offset = images[-1]
+    return images[:-1] - offset, offset
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,18 @@ adjoint picks up the Hermitian pairing weights of its coefficient matrix.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..model.config import Mode, ModelConfig, plan_shapes
-from ..model.forward import ForwardTrace, forward_batch, forward_batch_with_trace
+from ..model.forward import (
+    ForwardTrace,
+    affine_basis,
+    affine_map,
+    forward_batch,
+    forward_batch_with_trace,
+)
 from ..model.params import MixLinearParams
-from ..numerics import dft_matrix, idft_matrix
+from ..numerics import conv_pad_split, dft_matrix, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
 
@@ -40,6 +47,13 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     flattened into the batch under the channel-independent strategy.
     Gradients are averaged over every predicted scalar, matching the
     returned loss = mean((forward(x) - y)^2).
+
+    The forecaster is affine in its window, f(x) = xM + c.  A flattened
+    batch of more than L+1 rows is therefore not pushed through the graph
+    itself: the graph runs on the L+1 ``affine_basis`` rows, whose images
+    give M and c, the prediction is XM + c, and the loss gradient is
+    pulled back onto those images before the reverse pass.  Smaller
+    batches run their own rows through the graph.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -50,12 +64,28 @@ def backward(x_batch, y_batch, params: MixLinearParams,
             f"batch size mismatch: {x2d.shape[0]} inputs vs {y2d.shape[0]} targets"
         )
     plan = plan_shapes(config)
-    pred, trace = forward_batch_with_trace(x2d, params, config, plan)
+    length = config.lookback
+    mapped = x2d.shape[0] > length + 1
+    graph_rows = affine_basis(length) if mapped else x2d
+    pred, trace = forward_batch_with_trace(graph_rows, params, config, plan)
+    if mapped:
+        gain, offset = affine_map(pred)
+        pred = x2d @ gain + offset
     diff = pred - y2d
     loss = float(np.mean(diff * diff))
     grad_pred = (2.0 / diff.size) * diff
-    grads = _backprop(grad_pred, trace, params, config, plan)
+    grad_out = _pull_back_to_basis(x2d, grad_pred) if mapped else grad_pred
+    grads = _backprop(grad_out, trace, params, config, plan)
     return loss, grads
+
+
+def _pull_back_to_basis(x2d: np.ndarray, grad_pred: np.ndarray) -> np.ndarray:
+    """Adjoint of images -> X M + c, with (M, c) = affine_map(images), at fixed X."""
+    length = x2d.shape[1]
+    grad_images = np.empty((length + 1, grad_pred.shape[1]))
+    grad_images[:length] = x2d.T @ grad_pred
+    grad_images[length] = grad_pred.sum(axis=0) - x2d.sum(axis=1) @ grad_pred
+    return grad_images
 
 
 def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientSet:
@@ -87,10 +117,10 @@ def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientS
 
     # aggregated = conv(x_norm) + x_norm; only the conv path carries params
     length = config.lookback
-    x_norm_padded = trace.x_norm_padded
-    kernel_grad = np.empty(w)
-    for i in range(w):
-        kernel_grad[i] = np.sum(x_norm_padded[:, i:i + length] * grad_agg)
+    left, right = conv_pad_split(w)
+    x_norm_padded = np.pad(trace.x_norm, ((0, 0), (left, right)))
+    taps = sliding_window_view(x_norm_padded, length, axis=1)   # (B, w, L)
+    kernel_grad = np.einsum("bwl,bl->w", taps, grad_agg)
     conv_grads = {"conv_kernel": kernel_grad, "conv_bias": np.asarray(grad_agg.sum())}
     # keep checkpoint/declaration order
     ordered: GradientSet = conv_grads

@@ -57,6 +57,20 @@ class TestSynth:
         values = load_csv(synth_csv).values
         assert np.max(np.abs(values[8:] - values[:-8])) < 1e-12
 
+    @pytest.mark.parametrize("flag", ["--period", "--length", "--channels"])
+    def test_zero_size_exits_2(self, flag, tmp_path, capsys):
+        sizes = {"--period": "8", "--length": "100", "--channels": "1", flag: "0"}
+        out = tmp_path / "zero.csv"
+        argv = ["synth", "--out", str(out)]
+        for name, value in sizes.items():
+            argv += [name, value]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and flag[2:] in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_history_report(self, trained_run):

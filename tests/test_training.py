@@ -1,5 +1,7 @@
 """Gradients, Adam, and the train/evaluate loop."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,15 @@ from mixlinear.data.synth import synth_generate
 from mixlinear.data.windows import WindowSet, make_windows
 from mixlinear.errors import ConfigError, NumericError
 from mixlinear.model import (
+    Mode,
     ModelConfig,
     forward,
     forward_batch,
+    forward_batch_with_trace,
     init_params,
     plan_shapes,
 )
+from mixlinear.model.forward import affine_map
 from mixlinear.training import (
     TrainConfig,
     adam_step,
@@ -27,8 +32,13 @@ from mixlinear.training import (
     train,
     write_history,
 )
+from mixlinear.training.backward import _backprop, _pull_back_to_basis
 from oracles import loop_mae, loop_mse
 from test_model import zeroed
+
+# the package re-exports functions that shadow these module names
+backward_module = importlib.import_module("mixlinear.training.backward")
+loop_module = importlib.import_module("mixlinear.training.loop")
 
 
 class TestMseLoss:
@@ -353,3 +363,85 @@ class TestEvaluate:
                 targets.append(y[:, c])
         assert mse == pytest.approx(loop_mse(np.array(preds), np.array(targets)), rel=1e-10)
         assert mae == pytest.approx(loop_mae(np.array(preds), np.array(targets)), rel=1e-10)
+
+
+def _mode_configs(count_per_mode=4, seed=30):
+    rng = np.random.default_rng(seed)
+    return [(random_small_config(rng, modes=(mode,)), int(rng.integers(0, 2**31)))
+            for mode in Mode for _ in range(count_per_mode)]
+
+
+class TestAffineMap:
+    """evaluate and large batches in backward run through f(x) = xM + c."""
+
+    @pytest.mark.parametrize("chunk_windows", [2, 256])
+    def test_evaluate_matches_per_window_forward(self, chunk_windows):
+        for config, seed in _mode_configs():
+            params = init_params(config, seed)
+            rng = np.random.default_rng(seed)
+            values = rng.normal(size=(config.lookback + config.horizon + 6, 3))
+            ws = _window_set(values, config.lookback, config.horizon)
+            mse, mae = evaluate(params, ws, config, chunk_windows=chunk_windows)
+            errors = []
+            for k in range(ws.count):
+                x, y = ws.window(k)
+                errors.append(forward_batch(x.T, params, config).T - y)
+            errors = np.array(errors)
+            assert mse == pytest.approx(np.mean(errors ** 2), rel=1e-12, abs=0), config
+            assert mae == pytest.approx(np.mean(np.abs(errors)), rel=1e-12, abs=0), config
+
+    def test_evaluate_builds_map_in_bounded_chunks(self, monkeypatch):
+        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+        seen = []
+
+        def recording(rows, *args):
+            seen.append(rows.shape[0])
+            return forward_batch(rows, *args)
+
+        monkeypatch.setattr(loop_module, "forward_batch", recording)
+        values = np.random.default_rng(31).normal(size=(60, 2))
+        evaluate(init_params(config, 0), _window_set(values, 16, 8), config,
+                 chunk_windows=5)
+        assert seen == [5, 5, 5, 2]
+
+    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
+    def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
+                                                           monkeypatch):
+        graph_rows = []
+
+        def recording(rows, *args):
+            graph_rows.append(rows.shape[0])
+            return forward_batch_with_trace(rows, *args)
+
+        monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
+        for config, seed in _mode_configs():
+            params = init_params(config, seed)
+            plan = plan_shapes(config)
+            rng = np.random.default_rng(seed)
+            rows = config.lookback + 1 + extra_rows
+            x = rng.normal(size=(rows, config.lookback))
+            y = rng.normal(size=(rows, config.horizon))
+            loss, grads = backward(x, y, params, config)
+            assert graph_rows[-1] == min(rows, config.lookback + 1)
+
+            pred, trace = forward_batch_with_trace(x, params, config, plan)
+            diff = pred - y
+            expected = _backprop((2.0 / diff.size) * diff, trace, params, config, plan)
+            assert loss == pytest.approx(np.mean(diff ** 2), rel=1e-10, abs=0)
+            assert grads.keys() == expected.keys()
+            for name, grad in grads.items():
+                error = np.linalg.norm(grad - expected[name])
+                assert error <= 1e-10 * np.linalg.norm(expected[name]), (config, name)
+
+    def test_pull_back_is_exact_adjoint(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            rows, length, horizon = (int(v) for v in rng.integers(1, 40, size=3))
+            x = rng.normal(size=(rows, length))
+            images = rng.normal(size=(length + 1, horizon))
+            grad = rng.normal(size=(rows, horizon))
+            gain, offset = affine_map(images)
+            pred = x @ gain + offset
+            lhs = np.sum(pred * grad)
+            rhs = np.sum(images * _pull_back_to_basis(x, grad))
+            assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(pred * grad))
