@@ -22,6 +22,7 @@ from .model import (
     init_params,
     load_checkpoint,
     param_count,
+    param_shapes,
     plan_shapes,
     save_checkpoint,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "param_count",
+    "param_shapes",
     "plan_shapes",
     "save_checkpoint",
     "TrainConfig",

@@ -11,10 +11,16 @@ Exit codes: 0 success, 1 failed gradient check, 2 configuration error,
 
 import os
 
+
+def _valid_thread_count(text: str) -> bool:
+    return text.isascii() and text.isdigit() and int(text) > 0
+
+
 # Cap BLAS/OpenMP pools before numpy loads; MIXLINEAR_THREADS bounds all
-# internal parallelism.
+# internal parallelism.  main() rejects values that are not positive
+# integers.
 _threads = os.environ.get("MIXLINEAR_THREADS")
-if _threads and _threads.isdigit():
+if _threads and _valid_thread_count(_threads):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
@@ -33,9 +39,9 @@ from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evalbench.reference import reported_mse
 from .evalbench.report import write_report, write_reports_csv, write_sweep
 from .evalbench.runner import run_ablation, run_benchmark, run_lpf_sweep
-from .model.config import Mode, ModelConfig, plan_shapes
+from .model.config import Mode, ModelConfig
 from .model.params import init_params, load_checkpoint, save_checkpoint
-from .training.backward import backward, grad_check
+from .training.backward import backward, grad_check, random_small_config
 from .training.loop import TrainConfig, evaluate, write_history
 
 REQUIRED = object()
@@ -359,20 +365,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _random_small_config(rng: np.random.Generator) -> ModelConfig:
-    lookback = int(rng.integers(2, 17))
-    horizon = int(rng.integers(1, 17))
-    period = int(rng.integers(1, lookback + 1))
-    mode = Mode(list(Mode)[int(rng.integers(0, len(Mode)))])
-    probe = ModelConfig(lookback, horizon, period, lpf_cutoff=1, latent_width=1,
-                        mode=mode)
-    bins_in = plan_shapes(probe).bins_in
-    cutoff = int(rng.integers(1, bins_in + 1))
-    latent = int(rng.integers(1, cutoff + 2))
-    return ModelConfig(lookback, horizon, period, lpf_cutoff=cutoff,
-                       latent_width=latent, mode=mode)
-
-
 def cmd_gradcheck(args) -> int:
     settings = resolve_settings("gradcheck", args)
     echo_manifest("gradcheck", settings, args.config)
@@ -389,7 +381,7 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     worst_param = ""
     for _trial in range(settings["trials"]):
-        config = _random_small_config(rng)
+        config = random_small_config(rng)
         params = init_params(config, seed=int(rng.integers(0, 2**31)))
         batch = 3
         x = rng.normal(size=(batch, config.lookback))
@@ -461,6 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    threads = os.environ.get("MIXLINEAR_THREADS")
+    if threads and not _valid_thread_count(threads):
+        print(f"error: MIXLINEAR_THREADS must be a positive integer, got {threads!r}",
+              file=sys.stderr)
+        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):

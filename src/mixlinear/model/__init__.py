@@ -17,6 +17,7 @@ from .params import (
     init_params,
     load_checkpoint,
     param_count,
+    param_shapes,
     save_checkpoint,
 )
 
@@ -39,5 +40,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "param_count",
+    "param_shapes",
     "save_checkpoint",
 ]

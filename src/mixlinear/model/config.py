@@ -93,10 +93,6 @@ class ShapePlan:
 
 def plan_shapes(config: ModelConfig) -> ShapePlan:
     """Compute the derived dimensions for a valid configuration."""
-    if config.period > config.lookback:
-        raise ConfigError(
-            f"period {config.period} exceeds lookback {config.lookback}"
-        )
     n = math.ceil(config.lookback / config.period)
     m = math.ceil(config.horizon / config.period)
     # ceil(sqrt(k)) in exact integer arithmetic

@@ -1,4 +1,4 @@
-"""Learnable state: initialization, counting, and checkpoint I/O.
+"""Learnable state: shapes, initialization, counting, and checkpoint I/O.
 
 Complex weights are stored as separate real/imaginary float64 arrays so
 the whole parameter set is a flat collection of real arrays; the forward
@@ -6,7 +6,8 @@ pass assembles complex matrices on the fly.
 """
 
 import json
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,67 +76,60 @@ class MixLinearParams:
     def w_dec(self) -> np.ndarray:
         return self.w_dec_re + 1j * self.w_dec_im
 
-    def scalar_count(self) -> int:
-        return sum(arr.size for _, arr in self.named_arrays())
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every learned array ``config.mode`` has, in PARAM_NAMES order.
+
+    Complex weights appear as their real and imaginary components, so the
+    shapes cover every learned scalar exactly once.
+    """
+    plan = plan_shapes(config)
+    shapes = {"conv_kernel": (config.period,), "conv_bias": ()}
+    if config.mode is Mode.SPARSE_BASELINE:
+        shapes["w_point"] = (plan.m, plan.n)
+        return shapes
+    if config.has_time_branch:
+        shapes["w_intra"] = (plan.seg_out, plan.seg_in)
+        shapes["b_intra"] = (plan.seg_out,)
+        shapes["w_inter"] = (plan.seg_out, plan.seg_in)
+        shapes["b_inter"] = (plan.seg_out,)
+    if config.has_freq_branch:
+        latent = config.latent_width
+        shapes["w_enc_re"] = (latent, config.lpf_cutoff)
+        shapes["w_enc_im"] = (latent, config.lpf_cutoff)
+        shapes["w_dec_re"] = (plan.bins_out, latent)
+        shapes["w_dec_im"] = (plan.bins_out, latent)
+    return shapes
 
 
 def init_params(config: ModelConfig, seed: int) -> MixLinearParams:
     """Draw a fresh parameter set, deterministic in ``seed``.
 
-    Weights (and each complex component) are uniform on +/- 1/sqrt(fan_in);
-    biases start at zero.  The draw order is fixed, and the branch weights
-    are drawn for every mix-family mode so that Mix/TimeOnly/FreqOnly runs
-    with the same seed share identical values for the parts they share.
+    Weights (and each complex component) are uniform on +/- 1/sqrt(fan_in),
+    where fan_in is the last axis; biases start at zero.  Arrays are drawn
+    in PARAM_NAMES order, and every mix-family mode draws the full Mix set
+    before keeping its own arrays, so Mix/TimeOnly/FreqOnly runs with the
+    same seed share identical values for the parts they share.
     """
-    plan = plan_shapes(config)
-    check_spectral_bounds(config, plan)
+    check_spectral_bounds(config, plan_shapes(config))
+    draw = config if config.mode is Mode.SPARSE_BASELINE else replace(config, mode=Mode.MIX)
+    keep = param_shapes(config)
     rng = np.random.default_rng(seed)
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    kernel = uniform(config.period, config.period)
-    params = MixLinearParams(
-        mode=config.mode,
-        conv_kernel=kernel,
-        conv_bias=np.zeros(()),
-    )
-    if config.mode is Mode.SPARSE_BASELINE:
-        params.w_point = uniform((plan.m, plan.n), plan.n)
-        return params
-
-    w_intra = uniform((plan.seg_out, plan.seg_in), plan.seg_in)
-    w_inter = uniform((plan.seg_out, plan.seg_in), plan.seg_in)
-    w_enc_re = uniform((config.latent_width, config.lpf_cutoff), config.lpf_cutoff)
-    w_enc_im = uniform((config.latent_width, config.lpf_cutoff), config.lpf_cutoff)
-    w_dec_re = uniform((plan.bins_out, config.latent_width), config.latent_width)
-    w_dec_im = uniform((plan.bins_out, config.latent_width), config.latent_width)
-    if config.has_time_branch:
-        params.w_intra = w_intra
-        params.b_intra = np.zeros(plan.seg_out)
-        params.w_inter = w_inter
-        params.b_inter = np.zeros(plan.seg_out)
-    if config.has_freq_branch:
-        params.w_enc_re = w_enc_re
-        params.w_enc_im = w_enc_im
-        params.w_dec_re = w_dec_re
-        params.w_dec_im = w_dec_im
-    return params
+    arrays = {}
+    for name, shape in param_shapes(draw).items():
+        if name == "conv_bias" or name.startswith("b_"):
+            arr = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(shape[-1])
+            arr = rng.uniform(-bound, bound, size=shape)
+        if name in keep:
+            arrays[name] = arr
+    return MixLinearParams(mode=config.mode, **arrays)
 
 
 def param_count(config: ModelConfig) -> int:
     """Exact number of learned scalars (complex entries count twice)."""
-    plan = plan_shapes(config)
-    count = config.period + 1  # conv kernel + bias
-    if config.mode is Mode.SPARSE_BASELINE:
-        return count + plan.n * plan.m
-    if config.has_time_branch:
-        count += 2 * (plan.seg_in * plan.seg_out + plan.seg_out)
-    if config.has_freq_branch:
-        count += 2 * (config.latent_width * config.lpf_cutoff)
-        count += 2 * (plan.bins_out * config.latent_width)
-    return count
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 # ---------------------------------------------------------------------------
@@ -168,32 +162,28 @@ def _config_from_dict(data: dict) -> ModelConfig:
         raise CheckpointError(f"invalid config block in checkpoint: {exc}") from exc
 
 
+def _array_table(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
+    """Header entries for arrays stored back to back in ``shapes`` order."""
+    entries = []
+    offset = 0
+    for name, shape in shapes.items():
+        entries.append({"name": name, "shape": list(shape), "dtype": "<f8", "offset": offset})
+        offset += 8 * math.prod(shape)
+    return entries
+
+
 def save_checkpoint(path, config: ModelConfig, params: MixLinearParams) -> None:
     """Write config, shape plan, and parameter arrays to ``path``.
 
     The file is byte-deterministic for identical inputs: a sorted compact
     JSON header followed by raw ``<f8`` payloads.
     """
-    plan = plan_shapes(config)
     arrays = params.named_arrays()
-    entries = []
-    offset = 0
-    for name, arr in arrays:
-        nbytes = arr.size * 8
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": "<f8",
-                "offset": offset,
-            }
-        )
-        offset += nbytes
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": _config_to_dict(config),
-        "plan": {f.name: getattr(plan, f.name) for f in fields(plan)},
-        "arrays": entries,
+        "plan": asdict(plan_shapes(config)),
+        "arrays": _array_table({name: arr.shape for name, arr in arrays}),
     }
     blob = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays
@@ -209,6 +199,12 @@ def save_checkpoint(path, config: ModelConfig, params: MixLinearParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, ShapePlan, MixLinearParams]:
+    """Read a checkpoint, accepting only exactly what ``save_checkpoint`` writes.
+
+    The header's plan must equal the config's, its array table must list
+    ``param_shapes(config)`` back to back from offset 0, the payload must
+    end after the last array, and every value must be finite.
+    """
     data = Path(path).read_bytes()
     magic_end = data.find(b"\n")
     if magic_end < 0 or data[:magic_end] != CHECKPOINT_MAGIC:
@@ -220,56 +216,35 @@ def load_checkpoint(path) -> tuple[ModelConfig, ShapePlan, MixLinearParams]:
         header = json.loads(data[magic_end + 1:header_end])
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: bad checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: bad checkpoint header: not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')}"
         )
     config = _config_from_dict(header.get("config", {}))
     plan = plan_shapes(config)
+    if header.get("plan") != asdict(plan):
+        raise CheckpointError(f"{path}: header plan does not match the config's {plan}")
+    shapes = param_shapes(config)
+    if header.get("arrays") != _array_table(shapes):
+        raise CheckpointError(
+            f"{path}: array table does not list the {config.mode.value} parameter "
+            f"shapes {shapes} back to back from offset 0"
+        )
     blob = data[header_end + 1:]
-    params = MixLinearParams(
-        mode=config.mode,
-        conv_kernel=np.zeros(config.period),
-        conv_bias=np.zeros(()),
-    )
-    for entry in header.get("arrays", []):
-        name = entry.get("name")
-        if name not in PARAM_NAMES:
-            raise CheckpointError(f"{path}: unknown parameter {name!r}")
-        shape = tuple(entry.get("shape", []))
-        count = int(np.prod(shape)) if shape else 1
-        offset = int(entry.get("offset", -1))
-        if offset < 0 or offset + count * 8 > len(blob):
-            raise CheckpointError(f"{path}: array {name!r} overruns payload")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        setattr(params, name, arr.reshape(shape).astype(np.float64))
-    _check_shapes(config, plan, params, path)
-    return config, plan, params
-
-
-def _check_shapes(config, plan, params, path) -> None:
-    expected = {
-        "conv_kernel": (config.period,),
-        "conv_bias": (),
-    }
-    if config.mode is Mode.SPARSE_BASELINE:
-        expected["w_point"] = (plan.m, plan.n)
-    else:
-        if config.has_time_branch:
-            expected["w_intra"] = (plan.seg_out, plan.seg_in)
-            expected["b_intra"] = (plan.seg_out,)
-            expected["w_inter"] = (plan.seg_out, plan.seg_in)
-            expected["b_inter"] = (plan.seg_out,)
-        if config.has_freq_branch:
-            latent = config.latent_width
-            expected["w_enc_re"] = (latent, config.lpf_cutoff)
-            expected["w_enc_im"] = (latent, config.lpf_cutoff)
-            expected["w_dec_re"] = (plan.bins_out, latent)
-            expected["w_dec_im"] = (plan.bins_out, latent)
-    for name, shape in expected.items():
-        arr = getattr(params, name)
-        if arr is None or arr.shape != shape:
-            got = None if arr is None else arr.shape
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {got}, expected {shape}"
-            )
+    expected_bytes = 8 * param_count(config)
+    if len(blob) != expected_bytes:
+        raise CheckpointError(
+            f"{path}: payload has {len(blob)} bytes, expected {expected_bytes}"
+        )
+    values = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise CheckpointError(f"{path}: non-finite parameter values")
+    arrays = {}
+    offset = 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
+        arrays[name] = values[offset:offset + count].reshape(shape)
+        offset += count
+    return config, plan, MixLinearParams(mode=config.mode, **arrays)

@@ -1,12 +1,12 @@
-"""Real/complex linear primitives and the real-input DFT pair.
+"""The real-input DFT pair and the length-preserving convolution.
 
 Every arithmetic operation the model graph needs lives here: the
-half-spectrum DFT/inverse-DFT, real and complex affine maps, and the
-length-preserving 1-D convolution.  All public functions are pure,
-operate on float64 / complex128 numpy arrays, and validate their inputs
-(shape agreement, finiteness).  The ``*_batch`` variants skip per-call
-validation and run the same arithmetic over leading batch axes; they are
-what the forward/backward engine uses.
+half-spectrum DFT/inverse-DFT and the length-preserving 1-D
+convolution.  All public functions are pure, operate on float64 /
+complex128 numpy arrays, and validate their inputs (shape agreement,
+finiteness).  The ``*_batch`` variants skip per-call validation and run
+the same arithmetic over leading batch axes; they are what the
+forward/backward engine uses.
 
 The DFT pair is evaluated as a product with a precomputed coefficient
 matrix.  Transform lengths in this model are tiny (a few dozen bins), so
@@ -41,24 +41,6 @@ def as_complex_vector(x, name: str = "x") -> np.ndarray:
         raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_real_matrix(x, name: str = "W") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_complex_matrix(x, name: str = "W") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -138,42 +120,6 @@ def irfft(x, n: int) -> np.ndarray:
 def rfft_batch(rows: np.ndarray) -> np.ndarray:
     """rfft over the last axis of a real array; no validation."""
     return rows @ dft_matrix(rows.shape[-1]).T
-
-
-def irfft_batch(spectra: np.ndarray, n: int) -> np.ndarray:
-    """irfft over the last axis of a complex array; no validation."""
-    return (spectra @ idft_matrix(n).T).real
-
-
-# ---------------------------------------------------------------------------
-# affine maps
-
-
-def real_affine(w, x, b) -> np.ndarray:
-    """out = W @ x + b for real W (r x c), x (c,), b (r,)."""
-    wm = as_real_matrix(w)
-    xv = as_real_vector(x)
-    bv = as_real_vector(b, "b")
-    if wm.shape[1] != xv.size:
-        raise ValueError(f"W has {wm.shape[1]} columns but x has length {xv.size}")
-    if wm.shape[0] != bv.size:
-        raise ValueError(f"W has {wm.shape[0]} rows but b has length {bv.size}")
-    return wm @ xv + bv
-
-
-def complex_affine(w, z, b=None) -> np.ndarray:
-    """out = W @ z (+ b) with complex multiplication semantics."""
-    wm = as_complex_matrix(w)
-    zv = as_complex_vector(z, "z")
-    if wm.shape[1] != zv.size:
-        raise ValueError(f"W has {wm.shape[1]} columns but z has length {zv.size}")
-    out = wm @ zv
-    if b is not None:
-        bv = as_complex_vector(b, "b")
-        if bv.size != wm.shape[0]:
-            raise ValueError(f"W has {wm.shape[0]} rows but b has length {bv.size}")
-        out = out + bv
-    return out
 
 
 # ---------------------------------------------------------------------------

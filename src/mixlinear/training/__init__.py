@@ -1,17 +1,21 @@
 """Gradients, optimization, and the training/evaluation loop."""
 
 from .adam import OptimizerState, adam_step, init_adam
-from .backward import GradCheckResult, GradientSet, backward, grad_check
+from .backward import (
+    GradCheckResult,
+    GradientSet,
+    backward,
+    grad_check,
+    random_small_config,
+)
 from .loop import (
     TrainConfig,
     TrainHistory,
     batch_size_for_channels,
     evaluate,
-    read_history,
     train,
     write_history,
 )
-from .loss import mae_loss, mse_loss
 
 __all__ = [
     "OptimizerState",
@@ -21,13 +25,11 @@ __all__ = [
     "GradientSet",
     "backward",
     "grad_check",
+    "random_small_config",
     "TrainConfig",
     "TrainHistory",
     "batch_size_for_channels",
     "evaluate",
-    "read_history",
     "train",
     "write_history",
-    "mae_loss",
-    "mse_loss",
 ]

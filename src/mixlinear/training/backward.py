@@ -192,6 +192,24 @@ class GradCheckResult:
         return self.max_rel_error
 
 
+def random_small_config(rng: np.random.Generator) -> ModelConfig:
+    """A valid config of any mode with lookback and horizon at most 16.
+
+    Small enough for :func:`grad_check` to difference every parameter.
+    """
+    lookback = int(rng.integers(2, 17))
+    horizon = int(rng.integers(1, 17))
+    period = int(rng.integers(1, lookback + 1))
+    mode = list(Mode)[int(rng.integers(0, len(Mode)))]
+    probe = ModelConfig(lookback, horizon, period, lpf_cutoff=1, latent_width=1, mode=mode)
+    bins_in = plan_shapes(probe).bins_in
+    cutoff = int(rng.integers(1, bins_in + 1))
+    # latent may exceed the cutoff (the spectral encoder is allowed to expand)
+    latent = int(rng.integers(1, cutoff + 2))
+    return ModelConfig(lookback, horizon, period, lpf_cutoff=cutoff,
+                       latent_width=latent, mode=mode)
+
+
 def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig,
                step: float = 1e-5, backward_fn=None) -> GradCheckResult:
     """Compare every analytic gradient entry against central differences.

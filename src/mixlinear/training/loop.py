@@ -79,23 +79,6 @@ def write_history(history: TrainHistory, path) -> None:
             )
 
 
-def read_history(path) -> TrainHistory:
-    history = TrainHistory()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != HISTORY_HEADER:
-            raise ValueError(f"{path}: unexpected history header {header}")
-        for row in reader:
-            history.train_mse.append(float(row[1]))
-            history.val_mse.append(float(row[2]))
-            history.seconds.append(float(row[3]))
-            history.total_seconds.append(float(row[3]))
-    if history.epochs:
-        history.best_epoch = int(np.argmin(history.val_mse))
-    return history
-
-
 def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
           train_config: TrainConfig) -> tuple[MixLinearParams, TrainHistory]:
     """Fit a fresh parameter set; returns the best-validation-epoch params.

@@ -4,12 +4,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-
-from mixlinear.model.config import Mode, ModelConfig, plan_shapes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,17 +34,3 @@ def require_etth1() -> Path:
         )
     return path
 
-
-def random_small_config(rng: np.random.Generator, modes=tuple(Mode),
-                        max_lookback: int = 16, max_horizon: int = 16) -> ModelConfig:
-    lookback = int(rng.integers(2, max_lookback + 1))
-    horizon = int(rng.integers(1, max_horizon + 1))
-    period = int(rng.integers(1, lookback + 1))
-    mode = modes[int(rng.integers(0, len(modes)))]
-    probe = ModelConfig(lookback, horizon, period, lpf_cutoff=1, latent_width=1, mode=mode)
-    bins_in = plan_shapes(probe).bins_in
-    cutoff = int(rng.integers(1, bins_in + 1))
-    # latent may exceed the cutoff (the spectral encoder is allowed to expand)
-    latent = int(rng.integers(1, cutoff + 2))
-    return ModelConfig(lookback, horizon, period, lpf_cutoff=cutoff,
-                       latent_width=latent, mode=mode)

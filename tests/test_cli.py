@@ -187,6 +187,16 @@ class TestEval:
         assert rc == 2
         assert "lookback=64" in err and "90 rows" in err
 
+    def test_malformed_checkpoint_exits_2(self, synth_csv, trained_run, tmp_path,
+                                          capsys):
+        bad = tmp_path / "trailing.ckpt"
+        bad.write_bytes((trained_run / "model.ckpt").read_bytes() + bytes(16))
+        rc = main(["eval", "--checkpoint", str(bad), "--data", str(synth_csv)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "payload" in err
+        assert "Traceback" not in err
+
     def test_cross_dataset_eval_runs(self, trained_run, tmp_path, capsys):
         # checkpoint trained on one dataset evaluates on another (CI strategy
         # makes the parameter set channel-count agnostic)
@@ -295,3 +305,20 @@ class TestGradcheck:
         captured = capsys.readouterr()
         assert rc == 1
         assert "conv_kernel" in captured.err
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_invalid_value_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("MIXLINEAR_THREADS", value)
+        rc = main(["gradcheck", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == (
+            f"error: MIXLINEAR_THREADS must be a positive integer, got {value!r}\n")
+        assert captured.out == ""
+
+    def test_positive_value_runs(self, monkeypatch, capsys):
+        monkeypatch.setenv("MIXLINEAR_THREADS", "1")
+        assert main(["gradcheck", "--trials", "1"]) == 0
+        capsys.readouterr()

@@ -1,12 +1,13 @@
 """Shape planning, initialization, branches, and the forward pass."""
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_small_config
-from mixlinear.errors import ConfigError
+from mixlinear.errors import CheckpointError, ConfigError
 from mixlinear.model import (
     MixLinearParams,
     Mode,
@@ -18,10 +19,12 @@ from mixlinear.model import (
     init_params,
     load_checkpoint,
     param_count,
+    param_shapes,
     plan_shapes,
     save_checkpoint,
     time_branch,
 )
+from mixlinear.training import random_small_config
 from oracles import (
     decompose_trend_loop,
     forward_loop,
@@ -379,12 +382,13 @@ class TestParamCount:
     def test_sparse_baseline_count(self):
         assert param_count(ModelConfig(720, 720, 24, mode=Mode.SPARSE_BASELINE)) == 925
 
-    def test_count_matches_actual_scalars(self):
+    def test_init_arrays_match_param_shapes(self):
         rng = np.random.default_rng(19)
-        for _ in range(10):
-            config = random_small_config(rng)
-            params = init_params(config, 0)
-            assert params.scalar_count() == param_count(config)
+        for mode in Mode:
+            for seed in range(10):
+                config = replace(random_small_config(rng), mode=mode)
+                shapes = {n: a.shape for n, a in init_params(config, seed).named_arrays()}
+                assert list(shapes.items()) == list(param_shapes(config).items())
 
     def test_subquadratic_growth(self):
         small = param_count(ModelConfig(720, 720, 24))
@@ -422,3 +426,75 @@ class TestCheckpoint:
         save_checkpoint(path, config, params)
         _, _, loaded = load_checkpoint(path)
         assert np.array_equal(loaded.w_point, params.w_point)
+
+    # sha256 of save_checkpoint(init_params(ModelConfig(720, H, 24, mode), 0)):
+    # initialisation and the file layout must not drift between versions
+    PINNED_INIT = {
+        (96, Mode.MIX): "e265b6dd6318a0944fc35b098abdbda4f081408865f0dc62ddfe165978287c6b",
+        (96, Mode.TIME_ONLY): "8608622bac9ff1cf678043e05af309a4d80f71a90412b29499218f181a9813fd",
+        (96, Mode.FREQ_ONLY): "0eee064a715921255b80fa4880f9d511ba47d6815c539900e0e51ec022f13f43",
+        (96, Mode.SPARSE_BASELINE):
+            "07f1a09144bb376afa1074f3e3a040b7fe8a5359dc8590c89ee6954f364dfccc",
+        (720, Mode.MIX): "ed1623ece1d092ff4480b4d37b9ed998f67676162089430117ed0d0caa4ecf90",
+        (720, Mode.TIME_ONLY): "89022afdcb7c7f3ea8ae88e97e3f7bdb95ab97d80ed194e12f4b8141bd47f869",
+        (720, Mode.FREQ_ONLY): "593500cc803103a48063d3486c275fe1966fc0b82bf1baefc2089e5527c29381",
+        (720, Mode.SPARSE_BASELINE):
+            "b50de0408b6350174d3c4b060c711b1c55a43c0e8a280801ea053e722dcb3e79",
+    }
+
+    @pytest.mark.parametrize("horizon,mode", list(PINNED_INIT),
+                             ids=lambda v: getattr(v, "value", str(v)))
+    def test_init_checkpoint_hash_pinned(self, tmp_path, horizon, mode):
+        config = ModelConfig(720, horizon, 24, mode=mode)
+        path = tmp_path / "init.ckpt"
+        save_checkpoint(path, config, init_params(config, 0))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.PINNED_INIT[(horizon, mode)]
+
+
+def _trailing_bytes(header, blob):
+    return header, blob + bytes(16)
+
+
+def _nan_value(header, blob):
+    return header, np.array([np.nan]).tobytes() + blob[8:]
+
+
+def _overlapping_offset(header, blob):
+    header["arrays"][1]["offset"] = 0
+    return header, blob
+
+
+def _extra_array(header, blob):
+    header["arrays"].append(
+        {"name": "w_enc_re", "shape": [2, 5], "dtype": "<f8", "offset": len(blob)})
+    return header, blob + bytes(8 * 10)
+
+
+def _duplicated_entry(header, blob):
+    header["arrays"].append(dict(header["arrays"][-1]))
+    return header, blob
+
+
+def _plan_mismatch(header, blob):
+    header["plan"]["n"] += 1
+    return header, blob
+
+
+def _header_not_object(header, blob):
+    return list(header), blob
+
+
+@pytest.mark.parametrize("corrupt", [
+    _trailing_bytes, _nan_value, _overlapping_offset, _extra_array,
+    _duplicated_entry, _plan_mismatch, _header_not_object,
+], ids=lambda f: f.__name__.lstrip("_"))
+def test_malformed_checkpoint_rejected(tmp_path, corrupt):
+    config = ModelConfig(96, 48, 12, mode=Mode.TIME_ONLY)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, config, init_params(config, 3))
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    header, blob = corrupt(json.loads(header), blob)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

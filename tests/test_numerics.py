@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from mixlinear.numerics import (
-    complex_affine,
     conv1d_same,
     irfft,
-    real_affine,
     rfft,
     spectrum_bins,
 )
 from oracles import (
     hermitian_extend,
-    loop_complex_affine,
     loop_conv_same,
-    loop_real_affine,
     naive_irfft,
     naive_rfft,
 )
@@ -106,52 +102,6 @@ class TestIrfft:
             irfft([1 + 0j, 0j], 4)  # needs 3 bins
 
 
-class TestComplexAffine:
-    def test_identity(self):
-        w = np.eye(2, dtype=complex)
-        z = np.array([1 + 2j, 3 + 4j])
-        assert np.allclose(complex_affine(w, z), z)
-
-    def test_zero_matrix_with_bias(self):
-        w = np.zeros((1, 3), dtype=complex)
-        z = np.array([1j, 2j, 3j])
-        out = complex_affine(w, z, b=[0.5 + 0j])
-        assert np.allclose(out, [0.5 + 0j])
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        w = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        z = rng.normal(size=5) + 1j * rng.normal(size=5)
-        b = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert rel_err(complex_affine(w, z, b), loop_complex_affine(w, z, b)) < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            complex_affine(np.eye(2, dtype=complex), np.array([1j, 2j, 3j]))
-
-
-class TestRealAffine:
-    def test_identity(self):
-        x = np.array([3.0, -1.0, 2.0])
-        out = real_affine(np.eye(3), x, np.zeros(3))
-        assert np.allclose(out, x)
-
-    def test_zero_matrix_is_bias(self):
-        out = real_affine(np.zeros((1, 4)), np.ones(4), [7.0])
-        assert np.allclose(out, [7.0])
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(4)
-        w = rng.normal(size=(4, 6))
-        x = rng.normal(size=6)
-        b = rng.normal(size=4)
-        assert rel_err(real_affine(w, x, b), loop_real_affine(w, x, b)) < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            real_affine(np.zeros((2, 3)), np.zeros(3), np.zeros(3))
-
-
 class TestConv1dSame:
     def test_identity_kernel(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -188,17 +138,6 @@ def test_all_primitives_against_oracles_random_sizes():
         assert rel_err(rfft(x), naive_rfft(x)) < 1e-10
         spectrum = rng.normal(size=spectrum_bins(n)) + 1j * rng.normal(size=spectrum_bins(n))
         assert rel_err(irfft(spectrum, n), naive_irfft(list(spectrum), n)) < 1e-10
-
-        r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        w = rng.normal(size=(r, c))
-        b = rng.normal(size=r)
-        v = rng.normal(size=c)
-        assert rel_err(real_affine(w, v, b), loop_real_affine(w, v, b)) < 1e-10
-
-        wc = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
-        zc = rng.normal(size=c) + 1j * rng.normal(size=c)
-        bc = rng.normal(size=r) + 1j * rng.normal(size=r)
-        assert rel_err(complex_affine(wc, zc, bc), loop_complex_affine(wc, zc, bc)) < 1e-10
 
         width = int(rng.integers(1, n + 1))
         kernel = rng.normal(size=width)
