@@ -4,6 +4,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ConfigError
 from .split import Segment
@@ -40,11 +41,12 @@ class WindowSet:
     def batch(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """Stack windows into (b, L, C) and (b, H, C) arrays."""
         idx = np.asarray(indices, dtype=np.intp)
-        x = np.empty((idx.size, self.lookback, self.channels))
-        y = np.empty((idx.size, self.horizon, self.channels))
-        for out, k in enumerate(idx):
-            x[out], y[out] = self.window(int(k))
-        return x, y
+        bad = idx[(idx < 0) | (idx >= self.count)]
+        if bad.size:
+            raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
+        spans = sliding_window_view(self.base, self.lookback + self.horizon, axis=0)
+        block = spans[idx].transpose(0, 2, 1)                  # (b, L+H, C)
+        return block[:, :self.lookback], block[:, self.lookback:]
 
     def content_hash(self) -> str:
         """Digest of the window geometry and the underlying data."""

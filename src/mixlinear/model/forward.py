@@ -21,14 +21,20 @@ from .params import MixLinearParams
 
 @dataclass
 class ForwardTrace:
-    """Intermediate activations cached for the reverse pass."""
+    """Intermediate activations cached for the reverse pass.
+
+    P is the number of rows the branches ran on: the B*w phase rows
+    themselves, or the n+1 ``affine_basis(n)`` rows when there are more.
+    """
 
     x_norm: np.ndarray                 # (B, L) mean-centered conv input
-    rows: np.ndarray | None = None     # (B, w, n) unpadded trend rows (baseline)
-    rows_padded: np.ndarray | None = None   # (B, w, n_hat) branch input
-    seg_inter_in: np.ndarray | None = None  # (B, w, seg_out, seg_in)
-    spec_lpf: np.ndarray | None = None      # (B, w, cutoff) complex
-    latent: np.ndarray | None = None        # (B, w, latent) complex
+    rows: np.ndarray                   # (B*w, n) de-interleaved trend (phase) rows
+    branch_rows: np.ndarray            # (P, n) `rows`, or affine_basis(n)
+    gain: np.ndarray | None = None     # (n, m) phase-row map when P = n+1, else None
+    rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
+    seg_inter_in: np.ndarray | None = None  # (P, seg_out, seg_in)
+    spec_lpf: np.ndarray | None = None      # (P, cutoff) complex
+    latent: np.ndarray | None = None        # (P, latent) complex
 
 
 def _trend_rows(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
@@ -51,30 +57,47 @@ def _trend_rows(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
 
 def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
                       plan: ShapePlan, trace: ForwardTrace | None):
-    """(B, w, n_hat) -> (B, w, m) through the two segment maps."""
-    batch, w, _ = rows_padded.shape
-    segments = rows_padded.reshape(batch, w, plan.seg_in, plan.seg_in)
-    intra = segments @ params.w_intra.T + params.b_intra       # (B, w, seg_in, seg_out)
-    inter_in = np.ascontiguousarray(intra.swapaxes(-1, -2))    # (B, w, seg_out, seg_in)
+    """(P, n_hat) -> (P, m) through the two segment maps."""
+    count = rows_padded.shape[0]
+    segments = rows_padded.reshape(count, plan.seg_in, plan.seg_in)
+    intra = segments @ params.w_intra.T + params.b_intra       # (P, seg_in, seg_out)
+    inter_in = np.ascontiguousarray(intra.swapaxes(-1, -2))    # (P, seg_out, seg_in)
     if trace is not None:
         trace.seg_inter_in = inter_in
-    inter = inter_in @ params.w_inter.T + params.b_inter       # (B, w, seg_out, seg_out)
-    return inter.reshape(batch, w, plan.m_hat)[:, :, :plan.m]
+    inter = inter_in @ params.w_inter.T + params.b_inter       # (P, seg_out, seg_out)
+    return inter.reshape(count, plan.m_hat)[:, :plan.m]
 
 
 def _freq_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
                       plan: ShapePlan, config: ModelConfig,
                       trace: ForwardTrace | None):
-    """(B, w, n_hat) -> (B, w, m) through the latent spectral pipeline."""
-    spectrum = rfft_batch(rows_padded)                   # (B, w, bins_in)
-    spec_lpf = spectrum[:, :, :config.lpf_cutoff]
-    latent = spec_lpf @ params.w_enc.T                   # (B, w, latent)
-    recon = latent @ params.w_dec.T                      # (B, w, bins_out)
+    """(P, n_hat) -> (P, m) through the latent spectral pipeline."""
+    spectrum = rfft_batch(rows_padded)                   # (P, bins_in)
+    spec_lpf = spectrum[:, :config.lpf_cutoff]
+    latent = spec_lpf @ params.w_enc.T                   # (P, latent)
+    recon = latent @ params.w_dec.T                      # (P, bins_out)
     if trace is not None:
         trace.spec_lpf = spec_lpf
         trace.latent = latent
-    full = (recon @ idft_matrix(plan.m_hat).T).real      # (B, w, m_hat)
-    return full[:, :, :plan.m]
+    full = (recon @ idft_matrix(plan.m_hat).T).real      # (P, m_hat)
+    return full[:, :plan.m]
+
+
+def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
+              plan: ShapePlan, trace: ForwardTrace | None) -> np.ndarray:
+    """(P, n) phase rows -> (P, m) through the mode's branches."""
+    if config.mode is Mode.SPARSE_BASELINE:
+        return rows @ params.w_point.T
+    rows_padded = np.zeros((rows.shape[0], plan.n_hat))
+    rows_padded[:, :plan.n] = rows
+    if trace is not None:
+        trace.rows_padded = rows_padded
+    out = np.zeros((rows.shape[0], plan.m))
+    if config.has_time_branch:
+        out += _time_branch_core(rows_padded, params, plan, trace)
+    if config.has_freq_branch:
+        out += _freq_branch_core(rows_padded, params, plan, config, trace)
+    return out
 
 
 def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
@@ -103,37 +126,35 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     batch = x2d.shape[0]
     w = config.period
     rows, mean, x_norm = _trend_rows(x2d, params, config, plan)
-    trace = ForwardTrace(x_norm=x_norm) if want_trace else None
+    rows = rows.reshape(batch * w, plan.n)
 
-    if config.mode is Mode.SPARSE_BASELINE:
+    # The branches are affine in each phase row, g(r) = r @ gain + offset.
+    # Past n+1 rows, run them on the n+1 basis rows only and apply the map.
+    mapped = rows.shape[0] > plan.n + 1
+    branch_rows = affine_basis(plan.n) if mapped else rows
+    trace = ForwardTrace(x_norm, rows, branch_rows) if want_trace else None
+    out_rows = _branches(branch_rows, params, config, plan, trace)
+    if mapped:
+        gain, offset = affine_map(out_rows)
+        out_rows = rows @ gain + offset
         if trace is not None:
-            trace.rows = rows
-        out_rows = rows @ params.w_point.T                    # (B, w, m)
-    else:
-        rows_padded = np.zeros((batch, w, plan.n_hat))
-        rows_padded[:, :, :plan.n] = rows
-        if trace is not None:
-            trace.rows_padded = rows_padded
-        out_rows = np.zeros((batch, w, plan.m))
-        if config.has_time_branch:
-            out_rows += _time_branch_core(rows_padded, params, plan, trace)
-        if config.has_freq_branch:
-            out_rows += _freq_branch_core(rows_padded, params, plan, config, trace)
+            trace.gain = gain
 
-    out_rows = out_rows + mean[:, None, None]
+    out_rows = out_rows.reshape(batch, w, plan.m) + mean[:, None, None]
     # Re-interleave: sequence[j*w + i] = row_i[j], then keep the horizon.
     sequence = out_rows.transpose(0, 2, 1).reshape(batch, plan.m * w)
     return sequence[:, :config.horizon], trace
 
 
-def affine_basis(lookback: int) -> np.ndarray:
-    """The L+1 rows [I_L; 0] whose images fix the affine map f(x) = xM + c.
+def affine_basis(length: int) -> np.ndarray:
+    """The length+1 rows [I; 0] whose images fix an affine map f(x) = xM + c.
 
-    For fixed parameters the forecaster is affine in its window: the mean
-    centering, the conv, de-interleave, both branches and re-interleave
-    are all linear.
+    For fixed parameters the forecaster is affine in its window (L+1
+    rows): the mean centering, the conv, de-interleave, both branches and
+    re-interleave are all linear.  The branches alone are affine in each
+    phase row (n+1 rows).
     """
-    return np.eye(lookback + 1, lookback)
+    return np.eye(length + 1, length)
 
 
 def affine_map(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +189,9 @@ def time_branch(trend_row, params: MixLinearParams, plan: ShapePlan) -> np.ndarr
     row = np.asarray(trend_row, dtype=np.float64)
     if row.ndim != 1 or row.size != plan.n:
         raise ValueError(f"expected length-{plan.n} trend row, got shape {row.shape}")
-    padded = np.zeros((1, 1, plan.n_hat))
-    padded[0, 0, :plan.n] = row
-    return _time_branch_core(padded, params, plan, None)[0, 0]
+    padded = np.zeros((1, plan.n_hat))
+    padded[0, :plan.n] = row
+    return _time_branch_core(padded, params, plan, None)[0]
 
 
 def freq_branch(trend_row_padded, params: MixLinearParams, plan: ShapePlan,
@@ -182,7 +203,7 @@ def freq_branch(trend_row_padded, params: MixLinearParams, plan: ShapePlan,
             f"expected length-{plan.n_hat} padded trend row, got shape {row.shape}"
         )
     check_spectral_bounds(config, plan)
-    return _freq_branch_core(row[None, None, :], params, plan, config, None)[0, 0]
+    return _freq_branch_core(row[None, :], params, plan, config, None)[0]
 
 
 def forward(x, params: MixLinearParams, config: ModelConfig) -> np.ndarray:

@@ -150,14 +150,14 @@ def _config_to_dict(config: ModelConfig) -> dict:
 
 def _config_from_dict(data: dict) -> ModelConfig:
     try:
-        return ModelConfig(
-            lookback=int(data["lookback"]),
-            horizon=int(data["horizon"]),
-            period=int(data["period"]),
-            lpf_cutoff=int(data["lpf_cutoff"]),
-            latent_width=int(data["latent_width"]),
-            mode=Mode.parse(data["mode"]),
-        )
+        sizes = {key: data[key] for key in
+                 ("lookback", "horizon", "period", "lpf_cutoff", "latent_width")}
+        # exact ints only: bool is an int subclass, and floats or strings
+        # would otherwise be coerced (720.7 -> 720)
+        for key, value in sizes.items():
+            if type(value) is not int:
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+        return ModelConfig(**sizes, mode=Mode.parse(data["mode"]))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"invalid config block in checkpoint: {exc}") from exc
 
@@ -175,15 +175,25 @@ def _array_table(shapes: dict[str, tuple[int, ...]]) -> list[dict]:
 def save_checkpoint(path, config: ModelConfig, params: MixLinearParams) -> None:
     """Write config, shape plan, and parameter arrays to ``path``.
 
-    The file is byte-deterministic for identical inputs: a sorted compact
-    JSON header followed by raw ``<f8`` payloads.
+    ``params`` must hold exactly ``param_shapes(config)`` (names, order,
+    shapes); otherwise nothing is written and ``CheckpointError`` is
+    raised, since ``load_checkpoint`` would reject the file.  The file is
+    byte-deterministic for identical inputs: a sorted compact JSON header
+    followed by raw ``<f8`` payloads.
     """
     arrays = params.named_arrays()
+    shapes = param_shapes(config)
+    found = [(name, arr.shape) for name, arr in arrays]
+    if found != list(shapes.items()):
+        raise CheckpointError(
+            f"{path}: parameters {found} do not match the {config.mode.value} "
+            f"parameter shapes {shapes}"
+        )
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": _config_to_dict(config),
         "plan": asdict(plan_shapes(config)),
-        "arrays": _array_table({name: arr.shape for name, arr in arrays}),
+        "arrays": _array_table(shapes),
     }
     blob = b"".join(
         np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays

@@ -53,7 +53,9 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     itself: the graph runs on the L+1 ``affine_basis`` rows, whose images
     give M and c, the prediction is XM + c, and the loss gradient is
     pulled back onto those images before the reverse pass.  Smaller
-    batches run their own rows through the graph.
+    batches run their own rows through the graph.  Inside the graph the
+    branches are affine in each phase row in the same way, and run on the
+    n+1 phase basis rows whenever a run has more phase rows than that.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -96,24 +98,21 @@ def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientS
     grad_seq = np.zeros((batch, plan.m * w))
     grad_seq[:, :config.horizon] = grad_pred
     grad_rows_out = grad_seq.reshape(batch, plan.m, w).transpose(0, 2, 1)
+    grad_rows_out = grad_rows_out.reshape(batch * w, plan.m)
 
     grads: GradientSet = {}
-    if config.mode is Mode.SPARSE_BASELINE:
-        rows = trace.rows
-        grads["w_point"] = np.einsum("bwm,bwn->mn", grad_rows_out, rows)
-        grad_rows = grad_rows_out @ params.w_point
+    if trace.gain is None:
+        grad_rows = _branch_grads(grad_rows_out, trace, params, config, plan, grads)
     else:
-        grad_padded = np.zeros((batch, w, plan.n_hat))
-        if config.has_time_branch:
-            grad_padded += _time_branch_grads(grad_rows_out, trace, params, plan, grads)
-        if config.has_freq_branch:
-            grad_padded += _freq_branch_grads(grad_rows_out, trace, params, config,
-                                              plan, grads)
-        grad_rows = grad_padded[:, :, :plan.n]
+        # the branches ran on the n+1 basis rows; the phase rows saw only
+        # rows @ gain + offset
+        grad_images = _pull_back_to_basis(trace.rows, grad_rows_out)
+        _branch_grads(grad_images, trace, params, config, plan, grads)
+        grad_rows = grad_rows_out @ trace.gain.T
 
     # undo the phase de-interleave, drop the zero-filled tail
-    grad_flat = grad_rows.transpose(0, 2, 1).reshape(batch, plan.n * w)
-    grad_agg = grad_flat[:, :config.lookback]
+    grad_flat = grad_rows.reshape(batch, w, plan.n).transpose(0, 2, 1)
+    grad_agg = grad_flat.reshape(batch, plan.n * w)[:, :config.lookback]
 
     # aggregated = conv(x_norm) + x_norm; only the conv path carries params
     length = config.lookback
@@ -130,48 +129,59 @@ def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientS
     return ordered
 
 
+def _branch_grads(grad_out, trace, params, config, plan, grads):
+    """Adjoint of ``_branches``: (P, m) -> (P, n); parameter grads into ``grads``."""
+    if config.mode is Mode.SPARSE_BASELINE:
+        grads["w_point"] = grad_out.T @ trace.branch_rows
+        return grad_out @ params.w_point
+    grad_padded = np.zeros((grad_out.shape[0], plan.n_hat))
+    if config.has_time_branch:
+        grad_padded += _time_branch_grads(grad_out, trace, params, plan, grads)
+    if config.has_freq_branch:
+        grad_padded += _freq_branch_grads(grad_out, trace, params, config, plan, grads)
+    return grad_padded[:, :plan.n]
+
+
 def _time_branch_grads(grad_out, trace, params, plan, grads):
-    batch, w, _ = grad_out.shape
-    grad_tp_flat = np.zeros((batch, w, plan.m_hat))
-    grad_tp_flat[:, :, :plan.m] = grad_out
-    grad_tp = grad_tp_flat.reshape(batch, w, plan.seg_out, plan.seg_out)
+    count = grad_out.shape[0]
+    grad_tp_flat = np.zeros((count, plan.m_hat))
+    grad_tp_flat[:, :plan.m] = grad_out
+    grad_tp = grad_tp_flat.reshape(count, plan.seg_out, plan.seg_out)
 
     inter_in = trace.seg_inter_in
-    grads["w_inter"] = np.einsum("bwpq,bwpr->qr", grad_tp, inter_in)
-    grads["b_inter"] = grad_tp.sum(axis=(0, 1, 2))
-    grad_inter_in = grad_tp @ params.w_inter                 # (B, w, seg_out, seg_in)
+    grads["w_inter"] = np.einsum("bpq,bpr->qr", grad_tp, inter_in)
+    grads["b_inter"] = grad_tp.sum(axis=(0, 1))
+    grad_inter_in = grad_tp @ params.w_inter                 # (P, seg_out, seg_in)
 
-    grad_intra = grad_inter_in.swapaxes(-1, -2)              # (B, w, seg_in, seg_out)
-    segments = trace.rows_padded.reshape(batch, w, plan.seg_in, plan.seg_in)
-    grads["w_intra"] = np.einsum("bwpq,bwpr->qr", grad_intra, segments)
-    grads["b_intra"] = grad_intra.sum(axis=(0, 1, 2))
-    grad_segments = grad_intra @ params.w_intra              # (B, w, seg_in, seg_in)
-    return grad_segments.reshape(batch, w, plan.n_hat)
+    grad_intra = grad_inter_in.swapaxes(-1, -2)              # (P, seg_in, seg_out)
+    segments = trace.rows_padded.reshape(count, plan.seg_in, plan.seg_in)
+    grads["w_intra"] = np.einsum("bpq,bpr->qr", grad_intra, segments)
+    grads["b_intra"] = grad_intra.sum(axis=(0, 1))
+    grad_segments = grad_intra @ params.w_intra              # (P, seg_in, seg_in)
+    return grad_segments.reshape(count, plan.n_hat)
 
 
 def _freq_branch_grads(grad_out, trace, params, config, plan, grads):
-    batch, w, _ = grad_out.shape
-    grad_full = np.zeros((batch, w, plan.m_hat))
-    grad_full[:, :, :plan.m] = grad_out
+    count = grad_out.shape[0]
+    grad_full = np.zeros((count, plan.m_hat))
+    grad_full[:, :plan.m] = grad_out
 
     # adjoint of x = real(recon @ G^T) is grad @ conj(G): paired bins get
     # the doubled weight G carries, DC/Nyquist do not
-    grad_recon = grad_full @ idft_matrix(plan.m_hat).conj()  # (B, w, bins_out)
+    grad_recon = grad_full @ idft_matrix(plan.m_hat).conj()  # (P, bins_out)
 
-    latent = trace.latent
-    grad_dec = np.einsum("bwk,bwz->kz", grad_recon, latent.conj())
+    grad_dec = grad_recon.T @ trace.latent.conj()
     grads["w_dec_re"] = grad_dec.real
     grads["w_dec_im"] = grad_dec.imag
-    grad_latent = grad_recon @ params.w_dec.conj()           # (B, w, latent)
+    grad_latent = grad_recon @ params.w_dec.conj()           # (P, latent)
 
-    spec_lpf = trace.spec_lpf
-    grad_enc = np.einsum("bwz,bwc->zc", grad_latent, spec_lpf.conj())
+    grad_enc = grad_latent.T @ trace.spec_lpf.conj()
     grads["w_enc_re"] = grad_enc.real
     grads["w_enc_im"] = grad_enc.imag
-    grad_lpf = grad_latent @ params.w_enc.conj()             # (B, w, cutoff)
+    grad_lpf = grad_latent @ params.w_enc.conj()             # (P, cutoff)
 
-    grad_spectrum = np.zeros((batch, w, plan.bins_in), dtype=np.complex128)
-    grad_spectrum[:, :, :config.lpf_cutoff] = grad_lpf
+    grad_spectrum = np.zeros((count, plan.bins_in), dtype=np.complex128)
+    grad_spectrum[:, :config.lpf_cutoff] = grad_lpf
     return (grad_spectrum @ dft_matrix(plan.n_hat).conj()).real
 
 

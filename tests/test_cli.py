@@ -1,6 +1,7 @@
 """End-to-end CLI workflows through main()."""
 
 import csv
+import json
 import time
 
 import numpy as np
@@ -195,6 +196,19 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "payload" in err
+        assert "Traceback" not in err
+
+    def test_non_integer_config_value_exits_2(self, synth_csv, trained_run, tmp_path,
+                                              capsys):
+        magic, header, blob = (trained_run / "model.ckpt").read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header["config"]["lookback"] += 0.7
+        bad = tmp_path / "float.ckpt"
+        bad.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + blob)
+        rc = main(["eval", "--checkpoint", str(bad), "--data", str(synth_csv)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "lookback must be an integer" in err
         assert "Traceback" not in err
 
     def test_cross_dataset_eval_runs(self, trained_run, tmp_path, capsys):

@@ -206,6 +206,26 @@ class TestMakeWindows:
             seg = Segment(np.zeros((length, 1)), "s", standardized=True)
             assert make_windows(seg, lookback, horizon).count == extra + 1
 
+    def test_batch_stacks_windows(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(40, 3))
+        ws = make_windows(Segment(values, "s", standardized=True), 9, 5)
+        idx = [0, ws.count - 1, 7, 7, 3]
+        x, y = ws.batch(idx)
+        assert x.shape == (5, 9, 3) and y.shape == (5, 5, 3)
+        for out, k in enumerate(idx):
+            wx, wy = ws.window(k)
+            assert np.array_equal(x[out], wx) and np.array_equal(y[out], wy)
+        x, y = ws.batch([])
+        assert x.shape == (0, 9, 3) and y.shape == (0, 5, 3)
+
+    @pytest.mark.parametrize("bad", [-1, 27])
+    def test_batch_index_out_of_range(self, bad):
+        ws = make_windows(Segment(np.zeros((40, 1)), "s", standardized=True), 9, 5)
+        assert ws.count == 27
+        with pytest.raises(IndexError):
+            ws.batch([0, bad])
+
     def test_too_short_segment_rejected(self):
         seg = Segment(np.zeros((5, 1)), "s", standardized=True)
         with pytest.raises(ConfigError):

@@ -419,6 +419,23 @@ class TestCheckpoint:
         save_checkpoint(b, config, params)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_save_rejects_params_of_another_mode(self, tmp_path):
+        config = ModelConfig(96, 48, 12, mode=Mode.TIME_ONLY)
+        mix_params = init_params(replace(config, mode=Mode.MIX), 4)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError, match="TimeOnly"):
+            save_checkpoint(path, config, mix_params)
+        assert not path.exists()
+
+    def test_save_rejects_misshapen_params(self, tmp_path):
+        config = ModelConfig(96, 48, 12)
+        params = init_params(config, 5)
+        params.w_intra = params.w_intra[:, :-1]
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(CheckpointError, match="w_intra"):
+            save_checkpoint(path, config, params)
+        assert not path.exists()
+
     def test_sparse_round_trip(self, tmp_path):
         config = ModelConfig(96, 48, 12, mode=Mode.SPARSE_BASELINE)
         params = init_params(config, 2)
@@ -485,9 +502,20 @@ def _header_not_object(header, blob):
     return list(header), blob
 
 
+def _config_value(key, value):
+    def corrupt(header, blob):
+        header["config"][key] = value
+        return header, blob
+    corrupt.__name__ = f"_{key}_{value!r}"
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [
     _trailing_bytes, _nan_value, _overlapping_offset, _extra_array,
     _duplicated_entry, _plan_mismatch, _header_not_object,
+    # non-integer sizes must not be coerced (96.7 would load as 96)
+    _config_value("lookback", 96.7), _config_value("lookback", 96.0),
+    _config_value("horizon", "48"), _config_value("latent_width", True),
 ], ids=lambda f: f.__name__.lstrip("_"))
 def test_malformed_checkpoint_rejected(tmp_path, corrupt):
     config = ModelConfig(96, 48, 12, mode=Mode.TIME_ONLY)

@@ -14,13 +14,14 @@ from mixlinear.errors import ConfigError, NumericError
 from mixlinear.model import (
     Mode,
     ModelConfig,
+    decompose_trend,
     forward,
     forward_batch,
     forward_batch_with_trace,
     init_params,
     plan_shapes,
 )
-from mixlinear.model.forward import affine_map
+from mixlinear.model.forward import affine_basis, affine_map
 from mixlinear.training import (
     TrainConfig,
     adam_step,
@@ -33,11 +34,12 @@ from mixlinear.training import (
     write_history,
 )
 from mixlinear.training.backward import _backprop, _pull_back_to_basis
-from oracles import loop_mae, loop_mse
+from oracles import forward_loop, loop_mae, loop_mse
 from test_model import zeroed
 
 # the package re-exports functions that shadow these module names
 backward_module = importlib.import_module("mixlinear.training.backward")
+forward_module = importlib.import_module("mixlinear.model.forward")
 loop_module = importlib.import_module("mixlinear.training.loop")
 
 
@@ -427,3 +429,96 @@ class TestAffineMap:
             lhs = np.sum(pred * grad)
             rhs = np.sum(images * _pull_back_to_basis(x, grad))
             assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(pred * grad))
+
+
+def _phase_configs():
+    """Random configs of every mode, plus one with period 1 per mode, where
+    the batch size alone sets the phase-row count."""
+    return _mode_configs() + [
+        (ModelConfig(9, 8, 1, lpf_cutoff=3, latent_width=2, mode=mode), 40 + i)
+        for i, mode in enumerate(Mode)
+    ]
+
+
+def _phase_switch_batches(config):
+    """Batch sizes whose B*w phase rows lie at and either side of n+1.
+
+    With period 1 these are exactly n, n+1 and n+2 phase rows.
+    """
+    below = max((plan_shapes(config).n + 1) // config.period, 1)
+    return sorted({below - 1, below, below + 1} - {0})
+
+
+class TestPhaseMap:
+    """Past n+1 phase rows the branches run on the n+1 basis rows only."""
+
+    def test_forward_matches_loop_oracle_across_switch(self):
+        for config, seed in _phase_configs():
+            params = init_params(config, seed)
+            plan = plan_shapes(config)
+            rng = np.random.default_rng(seed)
+            for batch in _phase_switch_batches(config):
+                x = rng.normal(size=(batch, config.lookback))
+                pred = forward_batch(x, params, config)
+                want = np.array([forward_loop(row, params, config, plan) for row in x])
+                error = np.max(np.abs(pred - want))
+                assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, batch)
+
+    def test_backward_above_switch_is_mean_of_single_windows(self, monkeypatch):
+        mapped = []
+
+        def recording(rows, *args):
+            pred, trace = forward_batch_with_trace(rows, *args)
+            mapped.append(trace.gain is not None)
+            return pred, trace
+
+        monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
+        checked = set()
+        for config, seed in _phase_configs():
+            plan = plan_shapes(config)
+            batch = (plan.n + 1) // config.period + 1   # the fewest windows past n+1
+            if config.period > plan.n + 1 or batch > config.lookback + 1:
+                # one window alone is past the switch, or the batch would
+                # run through the window-level map on L+1 basis rows
+                continue
+            params = init_params(config, seed)
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(batch, config.lookback))
+            y = rng.normal(size=(batch, config.horizon))
+            mapped.clear()
+            loss, grads = backward(x, y, params, config)
+            singles = [backward(x[i:i + 1], y[i:i + 1], params, config)
+                       for i in range(batch)]
+            assert mapped == [True] + [False] * batch
+            assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-10, abs=0)
+            for name, grad in grads.items():
+                want = np.mean([g[name] for _, g in singles], axis=0)
+                error = np.max(np.abs(grad - want))
+                assert error <= 1e-10 * max(np.max(np.abs(want)), 1e-300), (config, name)
+            checked.add(config.mode)
+        assert checked == set(Mode)
+
+    def test_branches_see_rows_or_basis(self, monkeypatch):
+        seen = []
+
+        def recording(rows, *args):
+            seen.append(rows.copy())
+            return branches(rows, *args)
+
+        branches = forward_module._branches
+        monkeypatch.setattr(forward_module, "_branches", recording)
+        for config, seed in _phase_configs():
+            params = init_params(config, seed)
+            plan = plan_shapes(config)
+            rng = np.random.default_rng(seed)
+            for batch in _phase_switch_batches(config):
+                x = rng.normal(size=(batch, config.lookback))
+                seen.clear()
+                forward_batch(x, params, config)
+                phase_rows = np.concatenate(
+                    [decompose_trend(row, params, config)[0] for row in x])
+                assert len(seen) == 1
+                if phase_rows.shape[0] > plan.n + 1:
+                    np.testing.assert_array_equal(seen[0], affine_basis(plan.n))
+                else:
+                    np.testing.assert_allclose(seen[0], phase_rows, rtol=0, atol=1e-13)
