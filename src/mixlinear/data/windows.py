@@ -44,9 +44,13 @@ class WindowSet:
         bad = idx[(idx < 0) | (idx >= self.count)]
         if bad.size:
             raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
-        spans = sliding_window_view(self.base, self.lookback + self.horizon, axis=0)
-        block = spans[idx].transpose(0, 2, 1)                  # (b, L+H, C)
-        return block[:, :self.lookback], block[:, self.lookback:]
+        # gather channel-major, so that both results sit over one C-contiguous
+        # (b, C, L+H) block and flatten to (b*C, T) rows without a copy
+        series = np.ascontiguousarray(self.base.T)             # (C, rows)
+        spans = sliding_window_view(series, self.lookback + self.horizon, axis=1)
+        block = spans.transpose(1, 0, 2)[idx]                  # (b, C, L+H)
+        return (block[:, :, :self.lookback].transpose(0, 2, 1),
+                block[:, :, self.lookback:].transpose(0, 2, 1))
 
     def content_hash(self) -> str:
         """Digest of the window geometry and the underlying data."""

@@ -23,14 +23,16 @@ from .params import MixLinearParams
 class ForwardTrace:
     """Intermediate activations cached for the reverse pass.
 
-    P is the number of rows the branches ran on: the B*w phase rows
-    themselves, or the n+1 ``affine_basis(n)`` rows when there are more.
+    P is the number of rows the branches ran on: the phase rows
+    themselves, or the n+1 ``affine_basis(n)`` rows when a run has more
+    phase rows than that or takes the window map.
     """
 
-    x_norm: np.ndarray                 # (B, L) mean-centered conv input
-    rows: np.ndarray                   # (B*w, n) de-interleaved trend (phase) rows
+    x_norm: np.ndarray                 # (B, L) mean-centered windows
     branch_rows: np.ndarray            # (P, n) `rows`, or affine_basis(n)
-    gain: np.ndarray | None = None     # (n, m) phase-row map when P = n+1, else None
+    rows: np.ndarray | None = None     # (B*w, n) phase rows; None on the window map
+    gain: np.ndarray | None = None     # (n, m) phase map when P = n+1 < B*w, else None
+    interleave: np.ndarray | None = None    # (L, H) phase map re-interleaved, window map only
     rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
     seg_inter_in: np.ndarray | None = None  # (P, seg_out, seg_in)
     spec_lpf: np.ndarray | None = None      # (P, cutoff) complex
@@ -122,6 +124,8 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     if plan is None:
         plan = plan_shapes(config)
     check_spectral_bounds(config, plan)
+    if x2d.shape[0] > config.lookback + 1:
+        return _window_map_forward(x2d, params, config, plan, want_trace)
 
     batch = x2d.shape[0]
     w = config.period
@@ -132,7 +136,7 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     # Past n+1 rows, run them on the n+1 basis rows only and apply the map.
     mapped = rows.shape[0] > plan.n + 1
     branch_rows = affine_basis(plan.n) if mapped else rows
-    trace = ForwardTrace(x_norm, rows, branch_rows) if want_trace else None
+    trace = ForwardTrace(x_norm, branch_rows, rows) if want_trace else None
     out_rows = _branches(branch_rows, params, config, plan, trace)
     if mapped:
         gain, offset = affine_map(out_rows)
@@ -146,13 +150,51 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     return sequence[:, :config.horizon], trace
 
 
+def _window_map_forward(x2d, params, config, plan, want_trace):
+    """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c."""
+    basis = affine_basis(plan.n)
+    trace = None
+    if want_trace:
+        # centred rows keep the reverse pass free of the window level
+        mean = x2d.mean(axis=1, keepdims=True)
+        trace = ForwardTrace(x2d - mean, basis)
+    gain, offset = affine_map(_branches(basis, params, config, plan, trace))
+    window_gain, window_offset, interleave = window_map(
+        gain, offset, params.conv_kernel, float(params.conv_bias), config)
+    if trace is None:
+        # fold the mean in: x(A + (1 - 1'A)/L) + c, one GEMM on the raw rows
+        window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback
+        return x2d @ window_gain + window_offset, None
+    trace.interleave = interleave
+    # add the offset before the mean: at the window level its rounding
+    # would bias every row of a column the same way
+    return trace.x_norm @ window_gain + window_offset + mean, trace
+
+
+def window_map(gain, offset, kernel, conv_bias: float, config: ModelConfig):
+    """(A, c, B) with f(x) = (x - mean)A + mean + c for every window x.
+
+    B (L, H) re-interleaves the phase map r -> r @ gain + offset:
+    B[j*w + p, q*w + p] = gain[j, q].  The conv in front makes A = (I + K)B,
+    where conv1d_same_batch(rows, kernel) = rows @ K, and its bias and the
+    phase offset give c = conv_bias * 1'B + offset[q] at every q*w + p.
+    """
+    length, horizon, w = config.lookback, config.horizon, config.period
+    interleave = np.kron(gain, np.eye(w))[:length, :horizon]
+    # (KB)' = B'K' is the conv with the reversed kernel; an even width gets
+    # one zero tap so that its padding splits as K' needs
+    reversed_kernel = np.append(kernel[::-1], np.zeros(1 - w % 2))
+    window_gain = interleave + conv1d_same_batch(interleave.T, reversed_kernel, 0.0).T
+    window_offset = conv_bias * interleave.sum(axis=0) + np.repeat(offset, w)[:horizon]
+    return window_gain, window_offset, interleave
+
+
 def affine_basis(length: int) -> np.ndarray:
     """The length+1 rows [I; 0] whose images fix an affine map f(x) = xM + c.
 
-    For fixed parameters the forecaster is affine in its window (L+1
-    rows): the mean centering, the conv, de-interleave, both branches and
-    re-interleave are all linear.  The branches alone are affine in each
-    phase row (n+1 rows).
+    The branches are affine in each phase row, so their images of
+    ``affine_basis(n)`` give the phase map that ``window_map`` builds the
+    whole forecaster's map from.
     """
     return np.eye(length + 1, length)
 

@@ -14,15 +14,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..model.config import Mode, ModelConfig, plan_shapes
-from ..model.forward import (
-    ForwardTrace,
-    affine_basis,
-    affine_map,
-    forward_batch,
-    forward_batch_with_trace,
-)
+from ..model.forward import ForwardTrace, forward_batch, forward_batch_with_trace
 from ..model.params import MixLinearParams
-from ..numerics import conv_pad_split, dft_matrix, idft_matrix
+from ..numerics import conv1d_same_batch, conv_pad_split, dft_matrix, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
 
@@ -36,7 +30,7 @@ def _flatten_windows(batch: np.ndarray, length: int, what: str) -> np.ndarray:
         raise ValueError(
             f"{what} must have shape (B, {length}) or (B, {length}, C), got {arr.shape}"
         )
-    return np.ascontiguousarray(arr.transpose(0, 2, 1).reshape(-1, length))
+    return arr.transpose(0, 2, 1).reshape(-1, length)
 
 
 def backward(x_batch, y_batch, params: MixLinearParams,
@@ -48,14 +42,13 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     Gradients are averaged over every predicted scalar, matching the
     returned loss = mean((forward(x) - y)^2).
 
-    The forecaster is affine in its window, f(x) = xM + c.  A flattened
-    batch of more than L+1 rows is therefore not pushed through the graph
-    itself: the graph runs on the L+1 ``affine_basis`` rows, whose images
-    give M and c, the prediction is XM + c, and the loss gradient is
-    pulled back onto those images before the reverse pass.  Smaller
-    batches run their own rows through the graph.  Inside the graph the
-    branches are affine in each phase row in the same way, and run on the
-    n+1 phase basis rows whenever a run has more phase rows than that.
+    The reverse pass mirrors the path ``forward_batch_with_trace`` took.
+    A flattened batch of more than L+1 rows went through the window map
+    f(x) = (x - mean)A + mean + c, built in closed form from the conv and
+    the phase map; its gradient flows back through that construction onto
+    the n+1 phase basis rows the branches ran on.  Smaller batches ran the
+    graph on their own rows, with the branches on the n+1 phase basis rows
+    whenever the run had more phase rows than that.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -66,31 +59,47 @@ def backward(x_batch, y_batch, params: MixLinearParams,
             f"batch size mismatch: {x2d.shape[0]} inputs vs {y2d.shape[0]} targets"
         )
     plan = plan_shapes(config)
-    length = config.lookback
-    mapped = x2d.shape[0] > length + 1
-    graph_rows = affine_basis(length) if mapped else x2d
-    pred, trace = forward_batch_with_trace(graph_rows, params, config, plan)
-    if mapped:
-        gain, offset = affine_map(pred)
-        pred = x2d @ gain + offset
+    pred, trace = forward_batch_with_trace(x2d, params, config, plan)
     diff = pred - y2d
     loss = float(np.mean(diff * diff))
-    grad_pred = (2.0 / diff.size) * diff
-    grad_out = _pull_back_to_basis(x2d, grad_pred) if mapped else grad_pred
-    grads = _backprop(grad_out, trace, params, config, plan)
+    grads = _backprop((2.0 / diff.size) * diff, trace, params, config, plan)
     return loss, grads
+
+
+def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.ndarray:
+    """Gradient on the images from the gradient on (M, c) = affine_map(images)."""
+    return np.vstack([grad_gain, grad_offset - grad_gain.sum(axis=0)])
 
 
 def _pull_back_to_basis(x2d: np.ndarray, grad_pred: np.ndarray) -> np.ndarray:
     """Adjoint of images -> X M + c, with (M, c) = affine_map(images), at fixed X."""
-    length = x2d.shape[1]
-    grad_images = np.empty((length + 1, grad_pred.shape[1]))
-    grad_images[:length] = x2d.T @ grad_pred
-    grad_images[length] = grad_pred.sum(axis=0) - x2d.sum(axis=1) @ grad_pred
-    return grad_images
+    return _affine_map_adjoint(x2d.T @ grad_pred, grad_pred.sum(axis=0))
+
+
+def _conv_kernel_grad(inputs: np.ndarray, grad_out: np.ndarray, width: int) -> np.ndarray:
+    """Kernel gradient of conv1d_same_batch(inputs, kernel) given grad_out on its output."""
+    left, right = conv_pad_split(width)
+    padded = np.pad(inputs, ((0, 0), (left, right)))
+    taps = sliding_window_view(padded, inputs.shape[1], axis=1)   # (B, w, L)
+    return np.einsum("bwl,bl->w", taps, grad_out)
 
 
 def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientSet:
+    if trace.interleave is None:
+        grads = _graph_grads(grad_pred, trace, params, config, plan)
+    else:
+        # pred = x_norm A + c + mean, with (A, c) from window_map
+        grads = {}
+        grads["conv_kernel"], grads["conv_bias"], grad_gain, grad_offset = _window_map_adjoint(
+            trace.x_norm.T @ grad_pred, grad_pred.sum(axis=0), trace.interleave,
+            params.conv_kernel, float(params.conv_bias), config, plan)
+        grad_images = _affine_map_adjoint(grad_gain, grad_offset)
+        _branch_grads(grad_images, trace, params, config, plan, grads)
+    # keep checkpoint/declaration order
+    return {name: grads[name] for name, _ in params.named_arrays()}
+
+
+def _graph_grads(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientSet:
     batch = grad_pred.shape[0]
     w = config.period
 
@@ -115,18 +124,33 @@ def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientS
     grad_agg = grad_flat.reshape(batch, plan.n * w)[:, :config.lookback]
 
     # aggregated = conv(x_norm) + x_norm; only the conv path carries params
-    length = config.lookback
-    left, right = conv_pad_split(w)
-    x_norm_padded = np.pad(trace.x_norm, ((0, 0), (left, right)))
-    taps = sliding_window_view(x_norm_padded, length, axis=1)   # (B, w, L)
-    kernel_grad = np.einsum("bwl,bl->w", taps, grad_agg)
-    conv_grads = {"conv_kernel": kernel_grad, "conv_bias": np.asarray(grad_agg.sum())}
-    # keep checkpoint/declaration order
-    ordered: GradientSet = conv_grads
-    for name, _ in params.named_arrays():
-        if name in grads:
-            ordered[name] = grads[name]
-    return ordered
+    grads["conv_kernel"] = _conv_kernel_grad(trace.x_norm, grad_agg, w)
+    grads["conv_bias"] = np.asarray(grad_agg.sum())
+    return grads
+
+
+def _window_map_adjoint(grad_gain, grad_offset, interleave, kernel, conv_bias: float,
+                        config, plan):
+    """Adjoint of ``window_map``: gradients on (A, c) -> on (kernel, conv_bias, gain, offset).
+
+    A = (I + K)B and c = conv_bias * 1'B + offset interleaved, where B
+    re-interleaves the phase gain and rows @ K is the conv by ``kernel``.
+    """
+    w = config.period
+    # the conv's inputs in A = B + KB are B's columns, its outputs A's
+    kernel_grad = _conv_kernel_grad(grad_gain.T, interleave.T, w)
+    bias_grad = np.asarray(interleave.sum(axis=0) @ grad_offset)
+    # G_B = (I + K)'G_A + conv_bias 1 g_c', and G_A'K is the conv of G_A's columns
+    grad_interleave = (grad_gain + conv1d_same_batch(grad_gain.T, kernel, 0.0).T
+                       + conv_bias * grad_offset)
+    # gather gain[j, q] from its w copies B[j*w + p, q*w + p], offset[q] from c
+    padded = np.zeros((plan.n * w, plan.m * w))
+    padded[:config.lookback, :config.horizon] = grad_interleave
+    grad_phase_gain = np.einsum("jpqp->jq", padded.reshape(plan.n, w, plan.m, w))
+    padded_offset = np.zeros(plan.m * w)
+    padded_offset[:config.horizon] = grad_offset
+    grad_phase_offset = padded_offset.reshape(plan.m, w).sum(axis=1)
+    return kernel_grad, bias_grad, grad_phase_gain, grad_phase_offset
 
 
 def _branch_grads(grad_out, trace, params, config, plan, grads):

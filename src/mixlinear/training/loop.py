@@ -9,7 +9,7 @@ import numpy as np
 from ..data.windows import WindowSet
 from ..errors import ConfigError, NumericError
 from ..model.config import ModelConfig, plan_shapes
-from ..model.forward import affine_basis, affine_map, forward_batch
+from ..model.forward import forward_batch
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
 from .backward import backward
@@ -145,29 +145,23 @@ def evaluate(params: MixLinearParams, windows: WindowSet, config: ModelConfig,
              chunk_windows: int = 256) -> tuple[float, float]:
     """Average MSE/MAE over every window and channel, standardized scale.
 
-    The forecaster is affine in its window, f(x) = xM + c, so the graph
-    runs once per call, on the L+1 ``affine_basis`` rows in chunks of at
-    most ``chunk_windows`` rows.  Each chunk of ``chunk_windows`` windows
-    is then scored as rows @ M + c.
+    Scores ``forward_batch`` on each chunk of ``chunk_windows`` windows, all
+    channels at once.  A chunk of more than L+1 rows goes through the
+    window map f(x) = xM + c, which ``forward_batch`` builds in closed form
+    from the parameters; a smaller one runs its rows through the graph.
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
     plan = plan_shapes(config)
-    length = config.lookback
-    basis = affine_basis(length)
-    gain, offset = affine_map(np.concatenate([
-        forward_batch(basis[lo:lo + chunk_windows], params, config, plan)
-        for lo in range(0, length + 1, chunk_windows)
-    ]))
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
     for lo in range(0, windows.count, chunk_windows):
         idx = np.arange(lo, min(lo + chunk_windows, windows.count))
         x, y = windows.batch(idx)
-        rows = x.transpose(0, 2, 1).reshape(-1, length)
+        rows = x.transpose(0, 2, 1).reshape(-1, config.lookback)
         targets = y.transpose(0, 2, 1).reshape(-1, config.horizon)
-        err = rows @ gain + offset - targets
+        err = forward_batch(rows, params, config, plan) - targets
         sq_sum += float(np.sum(err * err))
         abs_sum += float(np.sum(np.abs(err)))
         count += err.size

@@ -21,7 +21,7 @@ from mixlinear.model import (
     init_params,
     plan_shapes,
 )
-from mixlinear.model.forward import affine_basis, affine_map
+from mixlinear.model.forward import affine_basis, affine_map, window_map
 from mixlinear.training import (
     TrainConfig,
     adam_step,
@@ -33,7 +33,7 @@ from mixlinear.training import (
     train,
     write_history,
 )
-from mixlinear.training.backward import _backprop, _pull_back_to_basis
+from mixlinear.training.backward import _pull_back_to_basis, _window_map_adjoint
 from oracles import forward_loop, loop_mae, loop_mse
 from test_model import zeroed
 
@@ -355,8 +355,21 @@ def _mode_configs(count_per_mode=4, seed=30):
             for mode in Mode for _ in range(count_per_mode)]
 
 
+def _graph_backward(x, y, params, config):
+    """backward on parts of at most L+1 rows, so that every part runs the
+    graph; the row-weighted mean is the whole batch's loss and gradient."""
+    parts = -(-x.shape[0] // (config.lookback + 1))
+    results = [(xs.shape[0], backward(xs, ys, params, config))
+               for xs, ys in zip(np.array_split(x, parts), np.array_split(y, parts))]
+    loss = sum(rows * part_loss for rows, (part_loss, _) in results) / x.shape[0]
+    grads = {name: sum(rows * part_grads[name] for rows, (_, part_grads) in results)
+             / x.shape[0] for name in results[0][1][1]}
+    return loss, grads
+
+
 class TestAffineMap:
-    """evaluate and large batches in backward run through f(x) = xM + c."""
+    """Past L+1 rows, forward_batch and backward run through the window map
+    f(x) = (x - mean)A + mean + c, built in closed form from the parameters."""
 
     @pytest.mark.parametrize("chunk_windows", [2, 256])
     def test_evaluate_matches_per_window_forward(self, chunk_windows):
@@ -374,6 +387,27 @@ class TestAffineMap:
             assert mse == pytest.approx(np.mean(errors ** 2), rel=1e-12, abs=0), config
             assert mae == pytest.approx(np.mean(np.abs(errors)), rel=1e-12, abs=0), config
 
+    def test_forward_matches_loop_oracle_past_switch(self):
+        # every parameter perturbed, so the biases feed the map's offset, and
+        # windows at a level, so the mean folded into the untraced map counts
+        rng = np.random.default_rng(35)
+        widths = set()
+        for config, seed in _mode_configs():
+            params = init_params(config, seed)
+            for _, arr in params.named_arrays():
+                arr += 0.1 * rng.normal(size=arr.shape)
+            plan = plan_shapes(config)
+            for rows in (config.lookback + 2, 2 * config.lookback + 3):
+                x = 5.0 + rng.normal(size=(rows, config.lookback))
+                want = np.array([forward_loop(row, params, config, plan) for row in x])
+                traced, trace = forward_batch_with_trace(x, params, config, plan)
+                assert trace.interleave is not None
+                for pred in (forward_batch(x, params, config, plan), traced):
+                    error = np.max(np.abs(pred - want))
+                    assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
+            widths.add(config.period % 2)
+        assert widths == {0, 1}
+
     def test_evaluate_builds_map_in_bounded_chunks(self, monkeypatch):
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
         seen = []
@@ -386,36 +420,90 @@ class TestAffineMap:
         values = np.random.default_rng(31).normal(size=(60, 2))
         evaluate(init_params(config, 0), _window_set(values, 16, 8), config,
                  chunk_windows=5)
-        assert seen == [5, 5, 5, 2]
+        # 37 windows of 2 channels: seven full chunks and one of 2 windows
+        assert seen == [5 * 2] * 7 + [2 * 2]
+        assert max(seen) <= 5 * 2
 
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
                                                            monkeypatch):
-        graph_rows = []
+        mapped = []
 
         def recording(rows, *args):
-            graph_rows.append(rows.shape[0])
-            return forward_batch_with_trace(rows, *args)
+            pred, trace = forward_batch_with_trace(rows, *args)
+            mapped.append(trace.interleave is not None)
+            return pred, trace
 
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
         for config, seed in _mode_configs():
             params = init_params(config, seed)
-            plan = plan_shapes(config)
             rng = np.random.default_rng(seed)
             rows = config.lookback + 1 + extra_rows
             x = rng.normal(size=(rows, config.lookback))
             y = rng.normal(size=(rows, config.horizon))
+            mapped.clear()
             loss, grads = backward(x, y, params, config)
-            assert graph_rows[-1] == min(rows, config.lookback + 1)
+            assert mapped == [rows > config.lookback + 1]
 
-            pred, trace = forward_batch_with_trace(x, params, config, plan)
-            diff = pred - y
-            expected = _backprop((2.0 / diff.size) * diff, trace, params, config, plan)
-            assert loss == pytest.approx(np.mean(diff ** 2), rel=1e-10, abs=0)
-            assert grads.keys() == expected.keys()
+            mapped.clear()
+            want_loss, want = _graph_backward(x, y, params, config)
+            assert not any(mapped)
+            assert loss == pytest.approx(want_loss, rel=1e-10, abs=0)
+            assert grads.keys() == want.keys()
             for name, grad in grads.items():
-                error = np.linalg.norm(grad - expected[name])
-                assert error <= 1e-10 * np.linalg.norm(expected[name]), (config, name)
+                error = np.linalg.norm(grad - want[name])
+                assert error <= 1e-10 * np.linalg.norm(want[name]), (config, name)
+
+    def test_backward_on_level_shifted_windows_matches_graph(self):
+        # windows at a level of about 30: the map path centres them before
+        # its GEMMs, so the bias gradients do not cancel
+        rng = np.random.default_rng(33)
+        rows = 730
+        for mode in Mode:
+            config = ModelConfig(720, 96, 24, mode=mode)
+            params = init_params(config, 33)
+            for _, arr in params.named_arrays():
+                arr += 0.05 * rng.normal(size=arr.shape)
+            walks = 30.0 + np.cumsum(0.3 * rng.normal(size=(rows, 816)), axis=1)
+            x, y = walks[:, :720], walks[:, 720:]
+            assert rows > config.lookback + 1
+            loss, grads = backward(x, y, params, config)
+            want_loss, want = _graph_backward(x, y, params, config)
+            assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+            for name, grad in grads.items():
+                error = np.linalg.norm(grad - want[name])
+                assert error <= 1e-12 * np.linalg.norm(want[name]), (mode, name)
+
+    def test_window_map_adjoint_is_exact(self):
+        # (kernel, conv_bias, gain, offset) -> (A, c) is bilinear, so the
+        # central difference with a unit step is its exact derivative
+        rng = np.random.default_rng(34)
+        widths = set()
+        for _ in range(60):
+            config = random_small_config(rng)
+            plan = plan_shapes(config)
+            shapes = [(config.period,), (), (plan.n, plan.m), (plan.m,)]
+            point = [rng.normal(size=shape) for shape in shapes]
+            delta = [rng.normal(size=shape) for shape in shapes]
+
+            def window_map_at(values):
+                kernel, bias, gain, offset = values
+                return window_map(gain, offset, kernel, float(bias), config)
+
+            plus = window_map_at([p + d for p, d in zip(point, delta)])
+            minus = window_map_at([p - d for p, d in zip(point, delta)])
+            jvp = [(a - b) / 2 for a, b in zip(plus[:2], minus[:2])]
+            cotangent = [rng.normal(size=(config.lookback, config.horizon)),
+                         rng.normal(size=config.horizon)]
+            interleave = window_map_at(point)[2]
+            vjp = _window_map_adjoint(*cotangent, interleave, point[0], float(point[1]),
+                                      config, plan)
+            lhs = sum(np.sum(j * c) for j, c in zip(jvp, cotangent))
+            rhs = sum(np.sum(d * v) for d, v in zip(delta, vjp))
+            scale = sum(np.sum(np.abs(j * c)) for j, c in zip(jvp, cotangent))
+            assert abs(lhs - rhs) <= 1e-12 * scale, config
+            widths.add(config.period % 2)
+        assert widths == {0, 1}
 
     def test_pull_back_is_exact_adjoint(self):
         rng = np.random.default_rng(32)
