@@ -3,13 +3,10 @@
 from .config import Mode, ModelConfig, ShapePlan, check_spectral_bounds, plan_shapes
 from .forward import (
     ForwardTrace,
-    decompose_trend,
     forward,
     forward_batch,
     forward_batch_with_trace,
     forward_multichannel,
-    freq_branch,
-    time_branch,
 )
 from .params import (
     PARAM_NAMES,
@@ -28,13 +25,10 @@ __all__ = [
     "check_spectral_bounds",
     "plan_shapes",
     "ForwardTrace",
-    "decompose_trend",
     "forward",
     "forward_batch",
     "forward_batch_with_trace",
     "forward_multichannel",
-    "freq_branch",
-    "time_branch",
     "PARAM_NAMES",
     "MixLinearParams",
     "init_params",

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..numerics import (
     conv1d_same_batch,
+    conv_transpose_kernel,
     idft_matrix,
     rfft_batch,
 )
@@ -23,15 +24,22 @@ from .params import MixLinearParams
 class ForwardTrace:
     """Intermediate activations cached for the reverse pass.
 
-    P is the number of rows the branches ran on: the phase rows
-    themselves, or the n+1 ``affine_basis(n)`` rows when a run has more
-    phase rows than that or takes the window map.
+    The graph path runs time-major: its arrays keep time (or the phase
+    index j) on the first axis and the batch on the last, so the phase
+    rows and the re-interleave are reshapes, not copies.  P is the number
+    of rows the branches ran on: the phase rows themselves, or the n+1
+    ``affine_basis(n)`` rows when a run has more phase rows than that or
+    takes the window map.
     """
 
-    x_norm: np.ndarray                 # (B, L) mean-centered windows
+    x_norm: np.ndarray                 # (B, L) mean-centred windows; on the graph
+                                       # path the .T view of a time-major array
     branch_rows: np.ndarray            # (P, n) `rows`, or affine_basis(n)
-    rows: np.ndarray | None = None     # (B*w, n) phase rows; None on the window map
-    gain: np.ndarray | None = None     # (n, m) phase map when P = n+1 < B*w, else None
+    rows: np.ndarray | None = None     # (w*B, n) phase rows, row p*B + b the phase-p
+                                       # row of window b; the .T view of the
+                                       # (n, w*B) time-major phase block.  None on
+                                       # the window map
+    gain: np.ndarray | None = None     # (n, m) phase map when P = n+1 < w*B, else None
     interleave: np.ndarray | None = None    # (L, H) phase map re-interleaved, window map only
     rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
     seg_inter_in: np.ndarray | None = None  # (P, seg_out, seg_in)
@@ -39,22 +47,21 @@ class ForwardTrace:
     latent: np.ndarray | None = None        # (P, latent) complex
 
 
-def _trend_rows(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
-                plan: ShapePlan):
-    """Mean-center, aggregate, downsample into the (B, w, n) phase rows."""
-    batch, length = x2d.shape
-    w = config.period
-    mean = x2d.mean(axis=1)
-    x_norm = x2d - mean[:, None]
-    aggregated = conv1d_same_batch(x_norm, params.conv_kernel, float(params.conv_bias)) + x_norm
+def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
+                 plan: ShapePlan):
+    """Mean-centre, aggregate and de-interleave (B, L) windows, time-major.
 
-    # De-interleave into w phase subsequences of length n; positions past
-    # the lookback (when n*w > L) stay zero.
-    padded_len = plan.n * w
-    flat = np.zeros((batch, padded_len))
-    flat[:, :length] = aggregated
-    rows = np.ascontiguousarray(flat.reshape(batch, plan.n, w).transpose(0, 2, 1))
-    return rows, mean, x_norm
+    Returns (phase, mean, centred): ``phase`` is the (n, w*B) block with
+    phase[j, p*B + b] = aggregated[b, j*w + p], zero where j*w + p >= L,
+    and ``centred`` the C-contiguous (L, B) mean-centred windows.
+    """
+    batch, length = x2d.shape
+    mean = x2d.mean(axis=1)
+    centred = np.subtract(x2d.T, mean, order="C")
+    aggregated = np.zeros((plan.n * config.period, batch))
+    conv = conv1d_same_batch(centred.T, params.conv_kernel, float(params.conv_bias))
+    np.add(conv.T, centred, out=aggregated[:length])
+    return aggregated.reshape(plan.n, config.period * batch), mean, centred
 
 
 def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
@@ -129,25 +136,29 @@ def _forward_impl(x2d, params, config, plan, want_trace):
 
     batch = x2d.shape[0]
     w = config.period
-    rows, mean, x_norm = _trend_rows(x2d, params, config, plan)
-    rows = rows.reshape(batch * w, plan.n)
+    phase, mean, centred = _phase_block(x2d, params, config, plan)
+    rows = phase.T
 
     # The branches are affine in each phase row, g(r) = r @ gain + offset.
-    # Past n+1 rows, run them on the n+1 basis rows only and apply the map.
+    # Past n+1 rows, run them on the n+1 basis rows only and apply the map
+    # to the whole phase block as one GEMM.
     mapped = rows.shape[0] > plan.n + 1
     branch_rows = affine_basis(plan.n) if mapped else rows
-    trace = ForwardTrace(x_norm, branch_rows, rows) if want_trace else None
-    out_rows = _branches(branch_rows, params, config, plan, trace)
+    trace = ForwardTrace(centred.T, branch_rows, rows) if want_trace else None
+    images = _branches(branch_rows, params, config, plan, trace)
     if mapped:
-        gain, offset = affine_map(out_rows)
-        out_rows = rows @ gain + offset
+        gain, offset = affine_map(images)
+        out = gain.T @ phase
+        out += offset[:, None]
         if trace is not None:
             trace.gain = gain
+    else:
+        out = images.T
 
-    out_rows = out_rows.reshape(batch, w, plan.m) + mean[:, None, None]
-    # Re-interleave: sequence[j*w + i] = row_i[j], then keep the horizon.
-    sequence = out_rows.transpose(0, 2, 1).reshape(batch, plan.m * w)
-    return sequence[:, :config.horizon], trace
+    # Re-interleave: sequence[j*w + p] is out[j] of phase p, so the (m, w*B)
+    # block read as (m*w, B) is the time-major forecast.
+    sequence = out.reshape(plan.m * w, batch)[:config.horizon] + mean
+    return sequence.T, trace
 
 
 def _window_map_forward(x2d, params, config, plan, want_trace):
@@ -181,10 +192,9 @@ def window_map(gain, offset, kernel, conv_bias: float, config: ModelConfig):
     """
     length, horizon, w = config.lookback, config.horizon, config.period
     interleave = np.kron(gain, np.eye(w))[:length, :horizon]
-    # (KB)' = B'K' is the conv with the reversed kernel; an even width gets
-    # one zero tap so that its padding splits as K' needs
-    reversed_kernel = np.append(kernel[::-1], np.zeros(1 - w % 2))
-    window_gain = interleave + conv1d_same_batch(interleave.T, reversed_kernel, 0.0).T
+    # (KB)' = B'K' is the conv with the transposed kernel
+    window_gain = interleave + conv1d_same_batch(
+        interleave.T, conv_transpose_kernel(kernel), 0.0).T
     window_offset = conv_bias * interleave.sum(axis=0) + np.repeat(offset, w)[:horizon]
     return window_gain, window_offset, interleave
 
@@ -210,42 +220,6 @@ def affine_map(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # public single-series operations
-
-
-def decompose_trend(x, params: MixLinearParams, config: ModelConfig):
-    """Split one lookback window into its (period, n) trend matrix.
-
-    Returns (trend, window_mean): row i of the trend matrix is the
-    aggregated, mean-centered subsequence at phase offset i.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != config.lookback:
-        raise ValueError(f"expected length-{config.lookback} input, got shape {x.shape}")
-    plan = plan_shapes(config)
-    rows, mean, _ = _trend_rows(x[None, :], params, config, plan)
-    return rows[0], float(mean[0])
-
-
-def time_branch(trend_row, params: MixLinearParams, plan: ShapePlan) -> np.ndarray:
-    """Map one length-n trend row to its length-m time-domain prediction."""
-    row = np.asarray(trend_row, dtype=np.float64)
-    if row.ndim != 1 or row.size != plan.n:
-        raise ValueError(f"expected length-{plan.n} trend row, got shape {row.shape}")
-    padded = np.zeros((1, plan.n_hat))
-    padded[0, :plan.n] = row
-    return _time_branch_core(padded, params, plan, None)[0]
-
-
-def freq_branch(trend_row_padded, params: MixLinearParams, plan: ShapePlan,
-                config: ModelConfig) -> np.ndarray:
-    """Map one padded (length n_hat) trend row through the spectral pipeline."""
-    row = np.asarray(trend_row_padded, dtype=np.float64)
-    if row.ndim != 1 or row.size != plan.n_hat:
-        raise ValueError(
-            f"expected length-{plan.n_hat} padded trend row, got shape {row.shape}"
-        )
-    check_spectral_bounds(config, plan)
-    return _freq_branch_core(row[None, :], params, plan, config, None)[0]
 
 
 def forward(x, params: MixLinearParams, config: ModelConfig) -> np.ndarray:

@@ -12,15 +12,14 @@ The DFT pair is evaluated as a product with a precomputed coefficient
 matrix.  Transform lengths in this model are tiny (a few dozen bins), so
 the direct O(N^2) matrix form is both the fastest practical choice once
 BLAS-batched and the one whose multiply count is exactly auditable for
-cost reporting.  The convolution is one ``einsum`` of the kernel against
-a strided (rows, L, width) view of the zero-padded rows, with no Python
-loop over the taps.
+cost reporting.  The convolution runs time-major: the (L, B) columns are
+cut into blocks of ``width`` time steps, and the conv is three GEMMs of
+those blocks with the kernel's width x width Toeplitz blocks.
 """
 
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +151,64 @@ def conv1d_same(x, kernel, bias: float = 0.0) -> np.ndarray:
 
 
 def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray, bias: float) -> np.ndarray:
-    """conv1d_same over the last axis of (B, L) rows; no validation."""
-    left, right = conv_pad_split(kernel.size)
-    padded = np.pad(rows, ((0, 0), (left, right)))
-    taps = sliding_window_view(padded, kernel.size, axis=1)    # (B, L, w)
-    return np.einsum("blw,w->bl", taps, kernel) + bias
+    """conv1d_same over the last axis of (B, L) rows; no validation.
+
+    Works on the time-major (L, B) view: with the columns cut into blocks
+    x[j] of width = kernel.size steps, out[j] = T[0] x[j-1] + T[1] x[j] +
+    T[2] x[j+1] (see ``conv_taps``), three batched GEMMs that cost 3·L·width
+    MACs per row.  The result is the transposed view of a C-contiguous
+    (L, B) array, so rows given as the ``.T`` view of time-major data stay
+    time-major without a copy; C-ordered rows give bitwise the same values.
+    """
+    batch, length = rows.shape
+    blocks = conv_blocks(rows, kernel.size)
+    before, within, after = np.append(kernel, 0.0)[conv_taps(kernel.size)]
+    out = within @ blocks
+    out[1:] += before @ blocks[:-1]
+    out[:-1] += after @ blocks[1:]
+    out = out.reshape(-1, batch)[:length]
+    out += bias
+    return out.T
+
+
+def conv_transpose_kernel(kernel: np.ndarray) -> np.ndarray:
+    """The kernel whose conv1d_same_batch is the transpose of ``kernel``'s.
+
+    With rows @ K the conv by ``kernel``, rows @ K' is the conv by the
+    reversed kernel; an even width gets one zero tap appended so that its
+    padding splits as K' needs.
+    """
+    return np.append(kernel[::-1], np.zeros(1 - kernel.size % 2))
+
+
+def conv_blocks(rows: np.ndarray, width: int) -> np.ndarray:
+    """(B, L) rows -> C-contiguous (ceil(L/width), width, B) blocks of the
+    time-major columns, zero-filled past L; a view when L is a multiple of
+    ``width`` and ``rows.T`` is already C-contiguous."""
+    batch, length = rows.shape
+    count = -(-length // width)
+    if count * width == length:
+        return np.ascontiguousarray(rows.T).reshape(count, width, batch)
+    blocks = np.zeros((count * width, batch))
+    blocks[:length] = rows.T
+    return blocks.reshape(count, width, batch)
+
+
+@lru_cache(maxsize=64)
+def conv_taps(width: int) -> np.ndarray:
+    """Kernel tap of every entry of the conv's three Toeplitz blocks.
+
+    conv1d_same_batch maps input step s to output step t with weight
+    kernel[s - t + left].  Between the block of output steps j·width + a and
+    the block of input steps (j+d)·width + c, d = -1, 0, 1, that is
+    T[d+1][a, c] = kernel[d·width + c - a + left]; the entries ``taps`` sets
+    to ``width`` are zero, as ``np.append(kernel, 0.0)[taps]`` reads them.
+    No other block pair is linked, since left < width.
+    """
+    left, _ = conv_pad_split(width)
+    steps = np.arange(width)
+    taps = (np.arange(-1, 2)[:, None, None] * width
+            + steps[None, None, :] - steps[None, :, None] + left)
+    taps[(taps < 0) | (taps >= width)] = width
+    taps.setflags(write=False)
+    return taps

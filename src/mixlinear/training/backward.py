@@ -11,12 +11,11 @@ adjoint picks up the Hermitian pairing weights of its coefficient matrix.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..model.config import Mode, ModelConfig, plan_shapes
 from ..model.forward import ForwardTrace, forward_batch, forward_batch_with_trace
 from ..model.params import MixLinearParams
-from ..numerics import conv1d_same_batch, conv_pad_split, dft_matrix, idft_matrix
+from ..numerics import conv1d_same_batch, conv_blocks, conv_taps, dft_matrix, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
 
@@ -47,8 +46,11 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     f(x) = (x - mean)A + mean + c, built in closed form from the conv and
     the phase map; its gradient flows back through that construction onto
     the n+1 phase basis rows the branches ran on.  Smaller batches ran the
-    graph on their own rows, with the branches on the n+1 phase basis rows
-    whenever the run had more phase rows than that.
+    graph time-major on their own rows, and their gradient flows back the
+    same way: the (H, B) prediction gradient read as the (m, w*B) phase
+    block, the phase map's adjoint as one GEMM each for the gain's inputs
+    and the basis images (whenever the branches ran on the n+1 phase basis
+    rows), and the conv's kernel gradient as block GEMMs.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -60,9 +62,13 @@ def backward(x_batch, y_batch, params: MixLinearParams,
         )
     plan = plan_shapes(config)
     pred, trace = forward_batch_with_trace(x2d, params, config, plan)
-    diff = pred - y2d
-    loss = float(np.mean(diff * diff))
-    grads = _backprop((2.0 / diff.size) * diff, trace, params, config, plan)
+    # subtract in pred's layout: on the graph path pred is the .T view of a
+    # time-major (H, B) array, and diff.T is then time-major without a copy
+    diff = (pred.T - y2d.T).T
+    flat = diff.ravel(order="K")
+    loss = float(flat @ flat) / flat.size
+    diff *= 2.0 / flat.size
+    grads = _backprop(diff, trace, params, config, plan)
     return loss, grads
 
 
@@ -77,11 +83,22 @@ def _pull_back_to_basis(x2d: np.ndarray, grad_pred: np.ndarray) -> np.ndarray:
 
 
 def _conv_kernel_grad(inputs: np.ndarray, grad_out: np.ndarray, width: int) -> np.ndarray:
-    """Kernel gradient of conv1d_same_batch(inputs, kernel) given grad_out on its output."""
-    left, right = conv_pad_split(width)
-    padded = np.pad(inputs, ((0, 0), (left, right)))
-    taps = sliding_window_view(padded, inputs.shape[1], axis=1)   # (B, w, L)
-    return np.einsum("bwl,bl->w", taps, grad_out)
+    """Kernel gradient of conv1d_same_batch(inputs, kernel) given grad_out on its output.
+
+    Both (B, L) arrays are cut into the conv's time-major blocks x[j] and
+    g[j].  Block d of the Toeplitz form gets sum_j g[j] x[j+d]', three
+    batched GEMMs, and each kernel tap sums its entries along the
+    diagonals that ``conv_taps`` assigns it.
+    """
+    x = conv_blocks(inputs, width)
+    g = conv_blocks(grad_out, width)
+    block_grads = np.stack([
+        (g[1:] @ x[:-1].swapaxes(1, 2)).sum(axis=0),
+        (g @ x.swapaxes(1, 2)).sum(axis=0),
+        (g[:-1] @ x[1:].swapaxes(1, 2)).sum(axis=0),
+    ])
+    return np.bincount(conv_taps(width).ravel(), weights=block_grads.ravel(),
+                       minlength=width + 1)[:width]
 
 
 def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientSet:
@@ -103,28 +120,29 @@ def _graph_grads(grad_pred, trace: ForwardTrace, params, config, plan) -> Gradie
     batch = grad_pred.shape[0]
     w = config.period
 
-    # undo horizon truncation and the interleave
-    grad_seq = np.zeros((batch, plan.m * w))
-    grad_seq[:, :config.horizon] = grad_pred
-    grad_rows_out = grad_seq.reshape(batch, plan.m, w).transpose(0, 2, 1)
-    grad_rows_out = grad_rows_out.reshape(batch * w, plan.m)
+    # undo horizon truncation; the time-major (m*w, B) gradient read as
+    # (m, w*B) undoes the re-interleave
+    grad_seq = grad_pred.T
+    if plan.m * w > config.horizon:
+        grad_seq = np.vstack([grad_seq, np.zeros((plan.m * w - config.horizon, batch))])
+    grad_out = grad_seq.reshape(plan.m, w * batch)
 
     grads: GradientSet = {}
     if trace.gain is None:
-        grad_rows = _branch_grads(grad_rows_out, trace, params, config, plan, grads)
+        grad_rows = _branch_grads(grad_out.T, trace, params, config, plan, grads)
+        grad_phase = grad_rows.T
     else:
-        # the branches ran on the n+1 basis rows; the phase rows saw only
-        # rows @ gain + offset
-        grad_images = _pull_back_to_basis(trace.rows, grad_rows_out)
+        # the branches ran on the n+1 basis rows; the phase block saw only
+        # gain' @ phase + offset
+        grad_images = _pull_back_to_basis(trace.rows, grad_out.T)
         _branch_grads(grad_images, trace, params, config, plan, grads)
-        grad_rows = grad_rows_out @ trace.gain.T
+        grad_phase = trace.gain @ grad_out
 
-    # undo the phase de-interleave, drop the zero-filled tail
-    grad_flat = grad_rows.reshape(batch, w, plan.n).transpose(0, 2, 1)
-    grad_agg = grad_flat.reshape(batch, plan.n * w)[:, :config.lookback]
+    # undo the de-interleave, drop the zero-filled tail
+    grad_agg = grad_phase.reshape(plan.n * w, batch)[:config.lookback]
 
     # aggregated = conv(x_norm) + x_norm; only the conv path carries params
-    grads["conv_kernel"] = _conv_kernel_grad(trace.x_norm, grad_agg, w)
+    grads["conv_kernel"] = _conv_kernel_grad(trace.x_norm, grad_agg.T, w)
     grads["conv_bias"] = np.asarray(grad_agg.sum())
     return grads
 

@@ -152,6 +152,8 @@ def evaluate(params: MixLinearParams, windows: WindowSet, config: ModelConfig,
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
+    if chunk_windows < 1:
+        raise ConfigError(f"chunk_windows must be >= 1, got {chunk_windows}")
     plan = plan_shapes(config)
     sq_sum = 0.0
     abs_sum = 0.0

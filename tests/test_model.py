@@ -12,17 +12,21 @@ from mixlinear.model import (
     MixLinearParams,
     Mode,
     ModelConfig,
-    decompose_trend,
     forward,
+    forward_batch,
     forward_multichannel,
-    freq_branch,
     init_params,
     load_checkpoint,
     param_count,
     param_shapes,
     plan_shapes,
     save_checkpoint,
-    time_branch,
+)
+from mixlinear.model.forward import (
+    _branches,
+    _freq_branch_core,
+    _phase_block,
+    _time_branch_core,
 )
 from mixlinear.training import random_small_config
 from oracles import (
@@ -37,6 +41,30 @@ def zeroed(params: MixLinearParams) -> MixLinearParams:
     for _, arr in params.named_arrays():
         arr[...] = 0.0
     return params
+
+
+def decompose_trend(x, params, config):
+    """(trend, mean) of one window from the forward pass's trend stage.
+
+    With one window, column p of the time-major (n, w) phase block is the
+    aggregated subsequence at phase offset p, so its transpose is the
+    (period, n) trend matrix.
+    """
+    x2d = np.asarray(x, dtype=np.float64)[None, :]
+    phase, mean, _ = _phase_block(x2d, params, config, plan_shapes(config))
+    return phase.T, float(mean[0])
+
+
+def time_branch(row, params, plan):
+    """One length-n trend row through the time-branch core."""
+    padded = np.zeros((1, plan.n_hat))
+    padded[0, :plan.n] = row
+    return _time_branch_core(padded, params, plan, None)[0]
+
+
+def freq_branch(padded_row, params, plan, config):
+    """One padded (length n_hat) trend row through the freq-branch core."""
+    return _freq_branch_core(np.asarray(padded_row)[None, :], params, plan, config, None)[0]
 
 
 class TestPlanShapes:
@@ -163,7 +191,7 @@ class TestDecomposeTrend:
         config = ModelConfig(8, 8, 2, lpf_cutoff=3, latent_width=2)
         params = init_params(config, 0)
         with pytest.raises(ValueError):
-            decompose_trend(np.zeros(9), params, config)
+            forward_batch(np.zeros((1, 9)), params, config)
 
 
 class TestTimeBranch:
@@ -200,7 +228,7 @@ class TestTimeBranch:
         plan = plan_shapes(config)
         params = init_params(config, 0)
         with pytest.raises(ValueError):
-            time_branch(np.zeros(31), params, plan)
+            _branches(np.zeros((1, 31)), params, config, plan, None)
 
 
 class TestFreqBranch:

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mixlinear.numerics import (
     conv1d_same,
+    conv1d_same_batch,
+    conv_transpose_kernel,
     irfft,
     rfft,
     spectrum_bins,
 )
+from mixlinear.training.backward import _conv_kernel_grad
 from oracles import (
     hermitian_extend,
     loop_conv_same,
@@ -128,6 +133,83 @@ class TestConv1dSame:
     def test_kernel_wider_than_input_rejected(self):
         with pytest.raises(ValueError):
             conv1d_same([1.0, 2.0], [1.0, 1.0, 1.0], 0.0)
+
+
+@st.composite
+def conv_cases(draw):
+    """(rows, kernel, cotangent): 1-6 rows of length 1-40, any width up to L."""
+    length = draw(st.integers(1, 40))
+    width = draw(st.integers(1, length))
+    batch = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.normal(size=(batch, length)), rng.normal(size=width),
+            rng.normal(size=(batch, length)))
+
+
+# width 1, even widths, width = L, and L not a multiple of the width
+EDGE_SHAPES = [(4, 17, 1), (3, 24, 6), (2, 25, 4), (3, 12, 12), (1, 7, 7), (2, 9, 2)]
+
+
+def edge_case(batch, length, width):
+    rng = np.random.default_rng(batch * 1000 + length * 10 + width)
+    return (rng.normal(size=(batch, length)), rng.normal(size=width),
+            rng.normal(size=(batch, length)))
+
+
+def with_edge_examples(test):
+    for shape in EDGE_SHAPES:
+        test = example(edge_case(*shape))(test)
+    return test
+
+
+class TestConvAdjoint:
+    """The time-major conv and its kernel gradient as exact adjoints."""
+
+    @with_edge_examples
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_oracle_per_row(self, case):
+        rows, kernel, _ = case
+        got = conv1d_same_batch(rows, kernel, 0.25)
+        want = np.array([loop_conv_same(row, kernel, 0.25) for row in rows])
+        assert got.shape == rows.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @with_edge_examples
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_transpose_kernel_gives_adjoint(self, case):
+        # <conv(x), g> = <x, conv'(g)>, with conv' the conv by the transposed kernel
+        x, kernel, g = case
+        forward = conv1d_same_batch(x, kernel, 0.0)
+        adjoint = conv1d_same_batch(g, conv_transpose_kernel(kernel), 0.0)
+        lhs, rhs = np.sum(forward * g), np.sum(x * adjoint)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(forward * g))
+
+    @with_edge_examples
+    @given(conv_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_grad_is_adjoint(self, case):
+        # the conv is linear in its kernel: <conv_k(x), g> = <k, grad(x, g)>
+        x, kernel, g = case
+        forward = conv1d_same_batch(x, kernel, 0.0)
+        grad = _conv_kernel_grad(x, g, kernel.size)
+        assert grad.shape == kernel.shape
+        lhs, rhs = np.sum(forward * g), np.sum(kernel * grad)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(forward * g))
+
+    @with_edge_examples
+    @given(conv_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_row_layout_does_not_change_bits(self, case):
+        # C-ordered rows and the .T view of time-major columns
+        rows, kernel, g = case
+        time_major = np.ascontiguousarray(rows.T).T
+        grad_time_major = np.ascontiguousarray(g.T).T
+        assert np.array_equal(conv1d_same_batch(rows, kernel, 0.5),
+                              conv1d_same_batch(time_major, kernel, 0.5))
+        assert np.array_equal(_conv_kernel_grad(rows, g, kernel.size),
+                              _conv_kernel_grad(time_major, grad_time_major, kernel.size))
 
 
 def test_all_primitives_against_oracles_random_sizes():

@@ -14,7 +14,6 @@ from mixlinear.errors import ConfigError, NumericError
 from mixlinear.model import (
     Mode,
     ModelConfig,
-    decompose_trend,
     forward,
     forward_batch,
     forward_batch_with_trace,
@@ -34,7 +33,7 @@ from mixlinear.training import (
     write_history,
 )
 from mixlinear.training.backward import _pull_back_to_basis, _window_map_adjoint
-from oracles import forward_loop, loop_mae, loop_mse
+from oracles import decompose_trend_loop, forward_loop, loop_mae, loop_mse
 from test_model import zeroed
 
 # the package re-exports functions that shadow these module names
@@ -308,6 +307,13 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("chunk_windows", [-1, 0])
+    def test_nonpositive_chunk_rejected(self, chunk_windows):
+        config = ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1)
+        ws = _window_set(np.random.default_rng(23).normal(size=(30, 1)), 12, 6)
+        with pytest.raises(ConfigError, match="chunk_windows"):
+            evaluate(init_params(config, 0), ws, config, chunk_windows=chunk_windows)
+
     def test_perfect_predictor_scores_zero(self):
         # an exactly periodic signal is exactly predictable from one period:
         # constant phase rows survive the zero conv, and segment maps that
@@ -586,6 +592,28 @@ class TestPhaseMap:
             checked.add(config.mode)
         assert checked == set(Mode)
 
+    def test_backward_on_level_shifted_windows_is_mean_of_single_windows(self):
+        # windows at a level of about 30 through the phase map: the zero-row
+        # image's gradient g_b - sum_j G_W[j] cancels, and one window alone
+        # (24 phase rows, no map) is the reference that does not
+        rng = np.random.default_rng(36)
+        rows = 64
+        for mode in Mode:
+            config = ModelConfig(720, 720, 24, mode=mode)
+            params = init_params(config, 36)
+            for _, arr in params.named_arrays():
+                arr += 0.05 * rng.normal(size=arr.shape)
+            walks = 30.0 + np.cumsum(0.3 * rng.normal(size=(rows, 1440)), axis=1)
+            x, y = walks[:, :720], walks[:, 720:]
+            loss, grads = backward(x, y, params, config)
+            singles = [backward(x[i:i + 1], y[i:i + 1], params, config)
+                       for i in range(rows)]
+            assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12, abs=0)
+            for name, grad in grads.items():
+                want = np.mean([g[name] for _, g in singles], axis=0)
+                error = np.linalg.norm(grad - want)
+                assert error <= 1e-12 * np.linalg.norm(want), (mode, name)
+
     def test_branches_see_rows_or_basis(self, monkeypatch):
         seen = []
 
@@ -603,8 +631,12 @@ class TestPhaseMap:
                 x = rng.normal(size=(batch, config.lookback))
                 seen.clear()
                 forward_batch(x, params, config)
-                phase_rows = np.concatenate(
-                    [decompose_trend(row, params, config)[0] for row in x])
+                # the graph runs time-major: phase row p*B + b is window b's
+                # subsequence at phase offset p
+                trends = [decompose_trend_loop(row, params.conv_kernel,
+                                               float(params.conv_bias), config.period,
+                                               plan.n)[0] for row in x]
+                phase_rows = np.stack(trends, axis=1).reshape(-1, plan.n)
                 assert len(seen) == 1
                 if phase_rows.shape[0] > plan.n + 1:
                     np.testing.assert_array_equal(seen[0], affine_basis(plan.n))
