@@ -26,22 +26,22 @@ if _threads and _valid_thread_count(_threads):
         os.environ.setdefault(_var, _threads)
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .data.series import load_csv, save_csv
-from .data.split import SplitSpec, split_series, standardize
+from .data.split import SplitSpec
 from .data.synth import synth_generate
-from .data.windows import make_windows
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evalbench.reference import reported_mse
 from .evalbench.report import write_report, write_reports_csv, write_sweep
-from .evalbench.runner import run_ablation, run_benchmark, run_lpf_sweep
+from .evalbench.runner import prepare_windows, run_ablation, run_benchmark, run_lpf_sweep
 from .model.config import Mode, ModelConfig
 from .model.params import init_params, load_checkpoint, save_checkpoint
-from .training.backward import backward, grad_check, random_small_config
+from .training.backward import grad_check, random_small_config
 from .training.loop import TrainConfig, evaluate, write_history
 
 REQUIRED = object()
@@ -56,9 +56,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_mode(text: str) -> Mode:
@@ -294,15 +297,13 @@ def cmd_eval(args) -> int:
     dataset_id = Path(settings["data"]).stem
     split_spec = SplitSpec.preset(settings["split"])
     try:
-        segments = split_series(series, split_spec, config.lookback, config.horizon)
+        _, _, test_windows, _ = prepare_windows(series, split_spec, config)
     except ConfigError as exc:
         raise ConfigError(
             f"checkpoint expects windows of (lookback={config.lookback}, "
             f"horizon={config.horizon}); dataset {dataset_id} has shape "
             f"({series.length} rows, {series.channels} channels): {exc}"
         ) from exc
-    (_, _, test_seg), _stats = standardize(segments)
-    test_windows = make_windows(test_seg, config.lookback, config.horizon)
     mse, mae = evaluate(params, test_windows, config)
     print(f"test_mse = {mse!r}")
     print(f"test_mae = {mae!r}")
@@ -368,15 +369,8 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     settings = resolve_settings("gradcheck", args)
     echo_manifest("gradcheck", settings, args.config)
-    inject = args.inject_gradient_error
-    backward_fn = None
-    if inject:
-        def backward_fn(x, y, params, config):
-            loss, grads = backward(x, y, params, config)
-            if inject in grads:
-                grads[inject] = grads[inject] + 1.0
-            return loss, grads
-
+    if not settings["trials"] > 0:
+        raise ConfigError(f"trials must be >= 1, got {settings['trials']}")
     rng = np.random.default_rng(settings["seed"])
     worst = 0.0
     worst_param = ""
@@ -386,8 +380,7 @@ def cmd_gradcheck(args) -> int:
         batch = 3
         x = rng.normal(size=(batch, config.lookback))
         y = rng.normal(size=(batch, config.horizon))
-        result = grad_check(params, x, y, config, step=settings["step"],
-                            backward_fn=backward_fn)
+        result = grad_check(params, x, y, config, step=settings["step"])
         if result.max_rel_error > worst:
             worst = result.max_rel_error
             worst_param = result.worst_param
@@ -445,9 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="flat key = value config file (flags override it)")
         for key, (_default, _parser, key_help) in SETTINGS[name].items():
             sub.add_argument(f"--{key}", default=None, help=key_help)
-        if name == "gradcheck":
-            sub.add_argument("--inject-gradient-error", default=None,
-                             help=argparse.SUPPRESS)
         sub.set_defaults(func=func)
     return parser
 

@@ -111,9 +111,6 @@ class NormalizationStats:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
 
 def standardize(splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
     """Z-score every split with the first (train) split's statistics."""

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..errors import ConfigError
+from ..numerics import spectrum_bins
 
 
 class Mode(str, Enum):
@@ -107,8 +108,8 @@ def plan_shapes(config: ModelConfig) -> ShapePlan:
         m_hat=m_hat,
         seg_in=seg_in,
         seg_out=seg_out,
-        bins_in=n_hat // 2 + 1,
-        bins_out=m_hat // 2 + 1,
+        bins_in=spectrum_bins(n_hat),
+        bins_out=spectrum_bins(m_hat),
     )
 
 

@@ -1,12 +1,11 @@
 """The real-input DFT pair and the length-preserving convolution.
 
 Every arithmetic operation the model graph needs lives here: the
-half-spectrum DFT/inverse-DFT and the length-preserving 1-D
-convolution.  All public functions are pure, operate on float64 /
-complex128 numpy arrays, and validate their inputs (shape agreement,
-finiteness).  The ``*_batch`` variants skip per-call validation and run
-the same arithmetic over leading batch axes; they are what the
-forward/backward engine uses.
+half-spectrum DFT/inverse-DFT coefficient matrices and the
+length-preserving 1-D convolution.  The kernels are pure, run on float64 /
+complex128 numpy arrays with a leading batch axis, and do not validate
+their inputs: ``ModelConfig`` rejects shapes they cannot take and
+``load_csv`` rejects non-finite data before either reaches the model.
 
 The DFT pair is evaluated as a product with a precomputed coefficient
 matrix.  Transform lengths in this model are tiny (a few dozen bins), so
@@ -23,32 +22,6 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
-
-
-def as_real_vector(x, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_complex_vector(x, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-# ---------------------------------------------------------------------------
 # DFT pair (half spectrum: a real length-N signal is fully determined by its
 # floor(N/2)+1 non-negative-frequency bins)
 
@@ -62,7 +35,7 @@ def spectrum_bins(n: int) -> int:
 def dft_matrix(n: int) -> np.ndarray:
     """Forward coefficient matrix F with F[k, t] = exp(-2j*pi*k*t/n).
 
-    Shape (bins, n); ``rfft(x) == F @ x``.
+    Shape (bins, n); ``rfft_batch(rows) == rows @ F.T``.
     """
     k = np.arange(spectrum_bins(n), dtype=np.float64)[:, None]
     t = np.arange(n, dtype=np.float64)[None, :]
@@ -77,7 +50,8 @@ def idft_matrix(n: int) -> np.ndarray:
 
     G[t, k] = (c_k / n) * exp(+2j*pi*k*t/n) where c_k doubles every bin
     that has a Hermitian partner (i.e. all but DC, and Nyquist for even
-    n).  ``irfft(X, n) == real(G @ X)``.
+    n).  A length-n real signal is ``(spectra @ G.T).real`` of its half
+    spectrum.
     """
     bins = spectrum_bins(n)
     weights = np.full(bins, 2.0)
@@ -91,36 +65,12 @@ def idft_matrix(n: int) -> np.ndarray:
     return g
 
 
-def rfft(x) -> np.ndarray:
-    """Half spectrum of a real signal: bin k = sum_t x[t]*exp(-2j*pi*k*t/N).
-
-    Returns floor(N/2)+1 complex bins; the remaining bins of the full DFT
-    are redundant by Hermitian symmetry.
-    """
-    arr = as_real_vector(x)
-    return dft_matrix(arr.size) @ arr
-
-
-def irfft(x, n: int) -> np.ndarray:
-    """Real signal of length ``n`` from its half spectrum.
-
-    Returns the real part of (1/n) * sum_k Xext[k]*exp(2j*pi*k*t/n) where
-    Xext is ``x`` extended by Hermitian symmetry; inverse of :func:`rfft`
-    up to round-off.
-    """
-    arr = as_complex_vector(x, "spectrum")
-    if n < 1:
-        raise ValueError(f"target length must be >= 1, got {n}")
-    if arr.size != spectrum_bins(n):
-        raise ValueError(
-            f"spectrum length {arr.size} does not match target length {n} "
-            f"(expected {spectrum_bins(n)} bins)"
-        )
-    return (idft_matrix(n) @ arr).real
-
-
 def rfft_batch(rows: np.ndarray) -> np.ndarray:
-    """rfft over the last axis of a real array; no validation."""
+    """Half spectrum over the last axis of a real array.
+
+    Bin k = sum_t x[t]*exp(-2j*pi*k*t/N); floor(N/2)+1 complex bins, as the
+    remaining bins of the full DFT are redundant by Hermitian symmetry.
+    """
     return rows @ dft_matrix(rows.shape[-1]).T
 
 
@@ -134,24 +84,12 @@ def conv_pad_split(width: int) -> tuple[int, int]:
     return left, width - 1 - left
 
 
-def conv1d_same(x, kernel, bias: float = 0.0) -> np.ndarray:
-    """Length-preserving cross-correlation with zero padding.
+def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray, bias: float) -> np.ndarray:
+    """Length-preserving cross-correlation over the last axis of (B, L) rows.
 
     Pads floor((w-1)/2) zeros in front and ceil((w-1)/2) behind, then
-    out[t] = bias + sum_i kernel[i] * padded[t+i].  The kernel is not
+    out[t] = bias + sum_i kernel[i] * padded[t+i]; the kernel is not
     flipped (deep-learning convention).
-    """
-    xv = as_real_vector(x)
-    kv = as_real_vector(kernel, "kernel")
-    if kv.size > xv.size:
-        raise ValueError(f"kernel width {kv.size} exceeds input length {xv.size}")
-    if not np.isfinite(bias):
-        raise ValueError("bias must be finite")
-    return conv1d_same_batch(xv[None, :], kv, float(bias))[0]
-
-
-def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray, bias: float) -> np.ndarray:
-    """conv1d_same over the last axis of (B, L) rows; no validation.
 
     Works on the time-major (L, B) view: with the columns cut into blocks
     x[j] of width = kernel.size steps, out[j] = T[0] x[j-1] + T[1] x[j] +

@@ -1,6 +1,7 @@
 """Training loop with seeded shuffling, early stopping, and evaluation."""
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -12,9 +13,13 @@ from ..model.config import ModelConfig, plan_shapes
 from ..model.forward import forward_batch
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
-from .backward import backward
+from .backward import _flatten_windows, backward
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse", "seconds")
+
+# windows per forward_batch call in evaluate: bounds the peak memory of a
+# wide dataset's chunk (rows = windows x channels)
+EVAL_CHUNK_WINDOWS = 256
 
 
 def batch_size_for_channels(channels: int) -> int:
@@ -35,8 +40,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
@@ -59,9 +64,6 @@ class TrainHistory:
     @property
     def epochs(self) -> int:
         return len(self.train_mse)
-
-    def best_val_mse(self) -> float:
-        return self.val_mse[self.best_epoch]
 
 
 def write_history(history: TrainHistory, path) -> None:
@@ -141,28 +143,26 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
     return best_params, history
 
 
-def evaluate(params: MixLinearParams, windows: WindowSet, config: ModelConfig,
-             chunk_windows: int = 256) -> tuple[float, float]:
+def evaluate(params: MixLinearParams, windows: WindowSet,
+             config: ModelConfig) -> tuple[float, float]:
     """Average MSE/MAE over every window and channel, standardized scale.
 
-    Scores ``forward_batch`` on each chunk of ``chunk_windows`` windows, all
-    channels at once.  A chunk of more than L+1 rows goes through the
+    Scores ``forward_batch`` on each chunk of ``EVAL_CHUNK_WINDOWS``
+    windows, all channels at once.  A chunk of more than L+1 rows goes through the
     window map f(x) = xM + c, which ``forward_batch`` builds in closed form
     from the parameters; a smaller one runs its rows through the graph.
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
-    if chunk_windows < 1:
-        raise ConfigError(f"chunk_windows must be >= 1, got {chunk_windows}")
     plan = plan_shapes(config)
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
-    for lo in range(0, windows.count, chunk_windows):
-        idx = np.arange(lo, min(lo + chunk_windows, windows.count))
+    for lo in range(0, windows.count, EVAL_CHUNK_WINDOWS):
+        idx = np.arange(lo, min(lo + EVAL_CHUNK_WINDOWS, windows.count))
         x, y = windows.batch(idx)
-        rows = x.transpose(0, 2, 1).reshape(-1, config.lookback)
-        targets = y.transpose(0, 2, 1).reshape(-1, config.horizon)
+        rows = _flatten_windows(x, config.lookback, "inputs")
+        targets = _flatten_windows(y, config.horizon, "targets")
         err = forward_batch(rows, params, config, plan) - targets
         sq_sum += float(np.sum(err * err))
         abs_sum += float(np.sum(np.abs(err)))

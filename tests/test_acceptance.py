@@ -16,7 +16,7 @@ from mixlinear.cli import main
 from mixlinear.data import SplitSpec, load_csv, synth_generate
 from mixlinear.evalbench import run_ablation, run_benchmark, run_lpf_sweep
 from mixlinear.model import Mode, ModelConfig, param_count
-from mixlinear.numerics import irfft, rfft, spectrum_bins
+from mixlinear.numerics import idft_matrix, rfft_batch, spectrum_bins
 from mixlinear.training import TrainConfig
 from oracles import naive_irfft, naive_rfft
 
@@ -39,20 +39,21 @@ def etth1_mix_96(etth1_series):
 
 
 def test_criterion_1_dft_oracle_equivalence():
+    # the model's own kernels, each vector run as a one-row (1, n) batch
     rng = np.random.default_rng(101)
     started = time.perf_counter()
     worst_f = worst_i = 0.0
     sizes = [36] + [int(rng.integers(4, 129)) for _ in range(199)]
     for n in sizes:
         x = rng.normal(size=n)
-        fast = rfft(x)
+        fast = rfft_batch(x[None, :])[0]
         naive = naive_rfft(x)
         scale = max(float(np.max(np.abs(naive))), 1e-300)
         worst_f = max(worst_f, float(np.max(np.abs(fast - naive))) / scale)
 
         bins = spectrum_bins(n)
         spectrum = rng.normal(size=bins) + 1j * rng.normal(size=bins)
-        fast_inv = irfft(spectrum, n)
+        fast_inv = (spectrum[None, :] @ idft_matrix(n).T).real[0]
         naive_inv = naive_irfft(list(spectrum), n)
         scale = max(float(np.max(np.abs(naive_inv))), 1e-300)
         worst_i = max(worst_i, float(np.max(np.abs(fast_inv - naive_inv))) / scale)
@@ -60,7 +61,7 @@ def test_criterion_1_dft_oracle_equivalence():
     assert worst_f < 1e-10
     assert worst_i < 1e-10
     assert elapsed < 5.0
-    _pass(1, f"rfft/irfft vs naive oracles: {worst_f:.2e}/{worst_i:.2e} "
+    _pass(1, f"rfft_batch/idft_matrix vs naive oracles: {worst_f:.2e}/{worst_i:.2e} "
              f"over {len(sizes)} vectors in {elapsed:.2f}s")
 
 
@@ -69,9 +70,11 @@ def test_criterion_2_roundtrip_identity():
     worst = 0.0
     for n in [1, 2, 3, 4, 7, 16, 36, 100, 255, 512, 1000, 1024]:
         x = rng.normal(size=n)
-        worst = max(worst, float(np.max(np.abs(irfft(rfft(x), n) - x))))
+        back = (rfft_batch(x[None, :]) @ idft_matrix(n).T).real[0]
+        worst = max(worst, float(np.max(np.abs(back - x))))
     assert worst < 1e-9
-    _pass(2, f"irfft(rfft(x), N) max abs error {worst:.2e} up to N=1024")
+    _pass(2, f"(rfft_batch(x) @ idft_matrix(N).T).real max abs error {worst:.2e} "
+             f"up to N=1024")
 
 
 def test_criterion_3_gradient_correctness(capsys):

@@ -1,6 +1,7 @@
 """End-to-end CLI workflows through main()."""
 
 import csv
+import importlib
 import json
 import time
 
@@ -58,9 +59,12 @@ class TestSynth:
         values = load_csv(synth_csv).values
         assert np.max(np.abs(values[8:] - values[:-8])) < 1e-12
 
-    @pytest.mark.parametrize("flag", ["--period", "--length", "--channels"])
-    def test_zero_size_exits_2(self, flag, tmp_path, capsys):
-        sizes = {"--period": "8", "--length": "100", "--channels": "1", flag: "0"}
+    @pytest.mark.parametrize("flag,bad", [
+        ("--period", "0"), ("--length", "0"), ("--channels", "0"),
+        ("--noise", "-1"), ("--amplitudes", ""),
+    ], ids=["--period", "--length", "--channels", "--noise", "--amplitudes"])
+    def test_zero_size_exits_2(self, flag, bad, tmp_path, capsys):
+        sizes = {"--period": "8", "--length": "100", "--channels": "1", flag: bad}
         out = tmp_path / "zero.csv"
         argv = ["synth", "--out", str(out)]
         for name, value in sizes.items():
@@ -311,14 +315,44 @@ class TestGradcheck:
         assert rc == 0
         assert "checked 5 configs" in out
 
-    def test_corrupted_gradient_fails_naming_parameter(self, capsys):
-        rc = main([
-            "gradcheck", "--trials", "2", "--seed", "1",
-            "--inject-gradient-error", "conv_kernel",
-        ])
+    @staticmethod
+    def _corrupt(monkeypatch, change):
+        """Make the backward that grad_check calls return ``change(grads)``."""
+        # the package attribute mixlinear.training.backward is the function
+        module = importlib.import_module("mixlinear.training.backward")
+        original = module.backward
+
+        def corrupted(*args):
+            loss, grads = original(*args)
+            return loss, change(grads)
+
+        monkeypatch.setattr(module, "backward", corrupted)
+
+    def test_corrupted_gradient_fails_naming_parameter(self, monkeypatch, capsys):
+        self._corrupt(monkeypatch,
+                      lambda grads: {**grads, "conv_kernel": grads["conv_kernel"] + 1.0})
+        rc = main(["gradcheck", "--trials", "2", "--seed", "1"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "conv_kernel" in captured.err
+
+    def test_nan_gradient_fails(self, monkeypatch, capsys):
+        self._corrupt(monkeypatch,
+                      lambda grads: {**grads, "conv_bias": grads["conv_bias"] * np.nan})
+        rc = main(["gradcheck", "--trials", "2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "discrepancy = inf" in captured.out and "conv_bias" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--step", "nan"), ("--step", "inf"),
+                                            ("--trials", "0")])
+    def test_setting_that_checks_nothing_exits_2(self, flag, value, capsys):
+        rc = main(["gradcheck", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and value in captured.err
+        assert "Traceback" not in captured.err
+        assert "checked" not in captured.out
 
 
 class TestThreadsVariable:

@@ -136,10 +136,12 @@ class TestGradCheck:
         assert result.max_rel_error == 0.0
 
     def test_rejects_nonpositive_step(self):
+        # a non-finite step would difference nothing and pass any gate
         config = ModelConfig(8, 4, 2, lpf_cutoff=2, latent_width=1)
         params = init_params(config, 0)
-        with pytest.raises(ValueError):
-            grad_check(params, np.zeros((1, 8)), np.zeros((1, 4)), config, step=0.0)
+        for step in (0.0, -1e-5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                grad_check(params, np.zeros((1, 8)), np.zeros((1, 4)), config, step=step)
 
 
 class TestAdam:
@@ -267,6 +269,11 @@ class TestTrainLoop:
             train(train_ws, WindowSet(np.zeros((20, 1)), 16, 8), config,
                   TrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("rate", [0.0, -0.02, np.nan, np.inf])
+    def test_invalid_learning_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_raises_numeric_error(self):
         config, train_ws, val_ws = self._tiny_setup()
@@ -307,13 +314,6 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("chunk_windows", [-1, 0])
-    def test_nonpositive_chunk_rejected(self, chunk_windows):
-        config = ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1)
-        ws = _window_set(np.random.default_rng(23).normal(size=(30, 1)), 12, 6)
-        with pytest.raises(ConfigError, match="chunk_windows"):
-            evaluate(init_params(config, 0), ws, config, chunk_windows=chunk_windows)
-
     def test_perfect_predictor_scores_zero(self):
         # an exactly periodic signal is exactly predictable from one period:
         # constant phase rows survive the zero conv, and segment maps that
@@ -377,14 +377,18 @@ class TestAffineMap:
     """Past L+1 rows, forward_batch and backward run through the window map
     f(x) = (x - mean)A + mean + c, built in closed form from the parameters."""
 
-    @pytest.mark.parametrize("chunk_windows", [2, 256])
-    def test_evaluate_matches_per_window_forward(self, chunk_windows):
+    @pytest.mark.parametrize("tail_windows", [2, 256])
+    def test_evaluate_matches_per_window_forward(self, tail_windows):
+        # one full chunk through the window map, then a tail chunk: 2 windows
+        # of 3 channels run the graph, a second full chunk the window map
+        count = loop_module.EVAL_CHUNK_WINDOWS + tail_windows
         for config, seed in _mode_configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
-            values = rng.normal(size=(config.lookback + config.horizon + 6, 3))
+            values = rng.normal(size=(config.lookback + config.horizon + count - 1, 3))
             ws = _window_set(values, config.lookback, config.horizon)
-            mse, mae = evaluate(params, ws, config, chunk_windows=chunk_windows)
+            assert ws.count == count
+            mse, mae = evaluate(params, ws, config)
             errors = []
             for k in range(ws.count):
                 x, y = ws.window(k)
@@ -423,12 +427,11 @@ class TestAffineMap:
             return forward_batch(rows, *args)
 
         monkeypatch.setattr(loop_module, "forward_batch", recording)
-        values = np.random.default_rng(31).normal(size=(60, 2))
-        evaluate(init_params(config, 0), _window_set(values, 16, 8), config,
-                 chunk_windows=5)
-        # 37 windows of 2 channels: seven full chunks and one of 2 windows
-        assert seen == [5 * 2] * 7 + [2 * 2]
-        assert max(seen) <= 5 * 2
+        chunk = loop_module.EVAL_CHUNK_WINDOWS
+        values = np.random.default_rng(31).normal(size=(16 + 8 - 1 + 2 * chunk + 2, 2))
+        evaluate(init_params(config, 0), _window_set(values, 16, 8), config)
+        # 2·chunk + 2 windows of 2 channels: two full chunks and one of 2 windows
+        assert seen == [chunk * 2] * 2 + [2 * 2]
 
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
