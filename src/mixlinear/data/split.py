@@ -101,6 +101,13 @@ def split_series(series: RawSeries, spec: SplitSpec, lookback: int = 0,
     return segments
 
 
+# A channel whose train std is at most this fraction of its largest |x| is
+# constant up to round-off (float64 carries ~16 digits; a variation below 1e-9
+# of the level keeps at most ~7 of them), and dividing by that std would
+# scale rounding noise up to unit variance.
+CONSTANT_CHANNEL_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class NormalizationStats:
     """Per-channel mean/std computed on the train split only."""
@@ -113,7 +120,11 @@ class NormalizationStats:
 
 
 def standardize(splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
-    """Z-score every split with the first (train) split's statistics."""
+    """Z-score every split with the first (train) split's statistics.
+
+    Rejects a channel that is constant on the train split up to round-off:
+    std <= ``CONSTANT_CHANNEL_TOLERANCE`` * max|x|, which includes std == 0.
+    """
     splits = tuple(splits)
     if not splits:
         raise ConfigError("no splits to standardize")
@@ -123,11 +134,13 @@ def standardize(splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
     train = splits[0]
     mean = train.values.mean(axis=0)
     std = train.values.std(axis=0)
-    flat = np.flatnonzero(std == 0)
+    scale = np.abs(train.values).max(axis=0)
+    flat = np.flatnonzero(std <= CONSTANT_CHANNEL_TOLERANCE * scale)
     if flat.size:
         raise DataError(
-            f"zero-variance channel(s) {flat.tolist()} in the train split; "
-            "constant channels cannot be standardized"
+            f"zero-variance channel(s) {flat.tolist()} in the train split "
+            f"(std at most {CONSTANT_CHANNEL_TOLERANCE:g} of the channel's largest "
+            "magnitude); constant channels cannot be standardized"
         )
     stats = NormalizationStats(mean, std)
     out = tuple(

@@ -2,6 +2,7 @@
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,13 +45,21 @@ class WindowSet:
         bad = idx[(idx < 0) | (idx >= self.count)]
         if bad.size:
             raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
-        # gather channel-major, so that both results sit over one C-contiguous
-        # (b, C, L+H) block and flatten to (b*C, T) rows without a copy
-        series = np.ascontiguousarray(self.base.T)             # (C, rows)
-        spans = sliding_window_view(series, self.lookback + self.horizon, axis=1)
-        block = spans.transpose(1, 0, 2)[idx]                  # (b, C, L+H)
+        block = self._spans[idx]                               # (b, C, L+H)
         return (block[:, :, :self.lookback].transpose(0, 2, 1),
                 block[:, :, self.lookback:].transpose(0, 2, 1))
+
+    @cached_property
+    def _spans(self) -> np.ndarray:
+        """(count, C, L+H) view of every window over a channel-major copy.
+
+        Gathering channel-major puts both ``batch`` results over one
+        C-contiguous (b, C, L+H) block, which flattens to (b*C, T) rows
+        without a copy.  The copy is made once per window set.
+        """
+        series = np.ascontiguousarray(self.base.T)             # (C, rows)
+        spans = sliding_window_view(series, self.lookback + self.horizon, axis=1)
+        return spans.transpose(1, 0, 2)
 
     def content_hash(self) -> str:
         """Digest of the window geometry and the underlying data."""

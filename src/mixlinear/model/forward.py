@@ -131,7 +131,7 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     if plan is None:
         plan = plan_shapes(config)
     check_spectral_bounds(config, plan)
-    if x2d.shape[0] > config.lookback + 1:
+    if uses_window_map(x2d.shape[0], config):
         return _window_map_forward(x2d, params, config, plan, want_trace)
 
     batch = x2d.shape[0]
@@ -161,25 +161,59 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     return sequence.T, trace
 
 
+def uses_window_map(rows: int, config: ModelConfig) -> bool:
+    """Whether a forward of ``rows`` flattened windows takes the window map.
+
+    Past L+1 rows one GEMM with the (L, H) map is cheaper than running the
+    rows through the graph.
+    """
+    return rows > config.lookback + 1
+
+
 def _window_map_forward(x2d, params, config, plan, want_trace):
     """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c."""
+    if not want_trace:
+        window_gain, window_offset = forecast_map(params, config, plan)
+        pred = x2d @ window_gain
+        pred += window_offset
+        return pred, None
     basis = affine_basis(plan.n)
-    trace = None
-    if want_trace:
-        # centred rows keep the reverse pass free of the window level
-        mean = x2d.mean(axis=1, keepdims=True)
-        trace = ForwardTrace(x2d - mean, basis)
+    # centred rows keep the reverse pass free of the window level
+    mean = x2d.mean(axis=1, keepdims=True)
+    trace = ForwardTrace(x2d - mean, basis)
     gain, offset = affine_map(_branches(basis, params, config, plan, trace))
-    window_gain, window_offset, interleave = window_map(
+    window_gain, window_offset, trace.interleave = window_map(
         gain, offset, params.conv_kernel, float(params.conv_bias), config)
-    if trace is None:
-        # fold the mean in: x(A + (1 - 1'A)/L) + c, one GEMM on the raw rows
-        window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback
-        return x2d @ window_gain + window_offset, None
-    trace.interleave = interleave
     # add the offset before the mean: at the window level its rounding
     # would bias every row of a column the same way
     return trace.x_norm @ window_gain + window_offset + mean, trace
+
+
+# (key, M, c) of the last forecast_map build
+_forecast_memo = None
+
+
+def forecast_map(params: MixLinearParams, config: ModelConfig, plan: ShapePlan):
+    """(M, c) with f(x) = xM + c for every raw window x.
+
+    M = A + 1(1 - 1'A)/L folds the window mean into ``window_map``'s A.
+    Memoised with one entry, keyed on the config and the exact bytes of
+    every parameter array, so scoring many blocks with one parameter set
+    builds the map once, and an in-place edit of a parameter rebuilds it.
+    The returned arrays are shared, so they are read-only.
+    """
+    global _forecast_memo
+    key = (config, tuple((name, arr.tobytes()) for name, arr in params.named_arrays()))
+    if _forecast_memo is None or _forecast_memo[0] != key:
+        gain, offset = affine_map(
+            _branches(affine_basis(plan.n), params, config, plan, None))
+        window_gain, window_offset, _ = window_map(
+            gain, offset, params.conv_kernel, float(params.conv_bias), config)
+        window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback
+        window_gain.flags.writeable = False
+        window_offset.flags.writeable = False
+        _forecast_memo = key, window_gain, window_offset
+    return _forecast_memo[1:]
 
 
 def window_map(gain, offset, kernel, conv_bias: float, config: ModelConfig):

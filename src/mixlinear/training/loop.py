@@ -10,16 +10,20 @@ import numpy as np
 from ..data.windows import WindowSet
 from ..errors import ConfigError, NumericError
 from ..model.config import ModelConfig, plan_shapes
-from ..model.forward import forward_batch
+from ..model.forward import forward_batch, uses_window_map
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
 from .backward import _flatten_windows, backward
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse", "seconds")
 
-# windows per forward_batch call in evaluate: bounds the peak memory of a
-# wide dataset's chunk (rows = windows x channels)
+# windows per forward_batch call in evaluate when such a chunk runs the graph
 EVAL_CHUNK_WINDOWS = 256
+# rows per forward_batch call in evaluate when the chunk would take the window
+# map: the gathered block stays near cache size and the memory in use does not
+# grow with the channels.  At L=720, H=96 (2-vCPU Xeon, OpenBLAS) blocks of
+# 512-2048 rows ran within noise of each other; 4096 rows and up were slower.
+EVAL_BLOCK_ROWS = 1024
 
 
 def batch_size_for_channels(channels: int) -> int:
@@ -143,28 +147,48 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
     return best_params, history
 
 
+def _eval_block_windows(channels: int, config: ModelConfig) -> int:
+    """Windows per ``forward_batch`` call in ``evaluate``.
+
+    ``EVAL_CHUNK_WINDOWS`` when such a chunk runs the graph; otherwise about
+    ``EVAL_BLOCK_ROWS`` rows, and at least L+2, so a full block still takes
+    the window map.
+    """
+    if not uses_window_map(EVAL_CHUNK_WINDOWS * channels, config):
+        return EVAL_CHUNK_WINDOWS
+    block = max(1, EVAL_BLOCK_ROWS // channels)
+    if not uses_window_map(block * channels, config):
+        block = (config.lookback + 1) // channels + 1
+    return block
+
+
 def evaluate(params: MixLinearParams, windows: WindowSet,
              config: ModelConfig) -> tuple[float, float]:
     """Average MSE/MAE over every window and channel, standardized scale.
 
-    Scores ``forward_batch`` on each chunk of ``EVAL_CHUNK_WINDOWS``
-    windows, all channels at once.  A chunk of more than L+1 rows goes through the
-    window map f(x) = xM + c, which ``forward_batch`` builds in closed form
-    from the parameters; a smaller one runs its rows through the graph.
+    Streams the windows through ``forward_batch`` a block at a time, all
+    channels at once: gather a block, predict it, accumulate its errors.
+    When a chunk of ``EVAL_CHUNK_WINDOWS`` windows would run the graph, the
+    blocks are such chunks.  Otherwise each block has about
+    ``EVAL_BLOCK_ROWS`` rows (at least L+2) and goes through the window map
+    f(x) = xM + c, which ``forecast_map`` builds once for the parameter set,
+    so the memory in use is bounded by the block, not by the channel count.
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
     plan = plan_shapes(config)
+    block = _eval_block_windows(windows.channels, config)
     sq_sum = 0.0
     abs_sum = 0.0
-    count = 0
-    for lo in range(0, windows.count, EVAL_CHUNK_WINDOWS):
-        idx = np.arange(lo, min(lo + EVAL_CHUNK_WINDOWS, windows.count))
+    for lo in range(0, windows.count, block):
+        idx = np.arange(lo, min(lo + block, windows.count))
         x, y = windows.batch(idx)
         rows = _flatten_windows(x, config.lookback, "inputs")
-        targets = _flatten_windows(y, config.horizon, "targets")
-        err = forward_batch(rows, params, config, plan) - targets
-        sq_sum += float(np.sum(err * err))
-        abs_sum += float(np.sum(np.abs(err)))
-        count += err.size
+        err = forward_batch(rows, params, config, plan)
+        err -= _flatten_windows(y, config.horizon, "targets")
+        del x, y, rows  # free the gathered block before the next one is gathered
+        flat = err.ravel(order="K")  # a view in either layout forward_batch returns
+        sq_sum += float(flat @ flat)
+        abs_sum += float(np.abs(flat, out=flat).sum())
+    count = windows.count * windows.channels * config.horizon
     return sq_sum / count, abs_sum / count

@@ -110,6 +110,21 @@ class TestTrain:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("length", [400, 17420])
+    def test_channel_constant_up_to_round_off_exits_3(self, length, tmp_path, capsys):
+        # every period-1 harmonic is constant at integer t, up to round-off
+        data = tmp_path / "flat.csv"
+        assert main(["synth", "--out", str(data), "--length", str(length),
+                     "--period", "1", "--channels", "2"]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                   "--lookback", "16", "--horizon", "4", "--period", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "error:" in err and "zero-variance" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o" / "model.ckpt").exists()
+
     def test_unknown_config_key_exits_2(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("horizon = 16\nperiod = 8\nwat = 1\n")

@@ -179,6 +179,23 @@ class TestStandardize:
         with pytest.raises(DataError, match="zero-variance"):
             standardize(splits)
 
+    def test_channel_constant_up_to_round_off_rejected(self):
+        # period-1 harmonics sampled at integer t: a level with ~1e-16 wobble
+        values = np.empty((100, 2))
+        values[:, 0] = np.random.default_rng(2).normal(size=100)
+        values[:, 1] = 0.51 + 4e-14 * np.random.default_rng(3).normal(size=100)
+        series = RawSeries([str(i) for i in range(100)], values, ["a", "b"])
+        splits = split_series(series, SplitSpec.default(), lookback=0)
+        with pytest.raises(DataError, match=r"channel\(s\) \[1\]"):
+            standardize(splits)
+
+    def test_large_offset_with_unit_variation_standardizes(self):
+        values = 1e6 + np.random.default_rng(4).normal(size=(100, 1))
+        series = RawSeries([str(i) for i in range(100)], values, ["a"])
+        splits = split_series(series, SplitSpec.default(), lookback=0)
+        (train, _, _), _ = standardize(splits)
+        assert abs(train.values.std() - 1.0) < 1e-9
+
 
 class TestMakeWindows:
     def test_count_formula(self):

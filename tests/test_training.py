@@ -2,6 +2,7 @@
 
 import csv
 import importlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from mixlinear.model import (
     init_params,
     plan_shapes,
 )
-from mixlinear.model.forward import affine_basis, affine_map, window_map
+from mixlinear.model.forward import affine_basis, affine_map, forecast_map, window_map
 from mixlinear.training import (
     TrainConfig,
     adam_step,
@@ -377,15 +378,21 @@ class TestAffineMap:
     """Past L+1 rows, forward_batch and backward run through the window map
     f(x) = (x - mean)A + mean + c, built in closed form from the parameters."""
 
-    @pytest.mark.parametrize("tail_windows", [2, 256])
-    def test_evaluate_matches_per_window_forward(self, tail_windows):
-        # one full chunk through the window map, then a tail chunk: 2 windows
-        # of 3 channels run the graph, a second full chunk the window map
-        count = loop_module.EVAL_CHUNK_WINDOWS + tail_windows
+    @pytest.mark.parametrize("channels, count", [
+        # one full 256-window chunk, then 2 more windows
+        pytest.param(3, loop_module.EVAL_CHUNK_WINDOWS + 2, id="2"),
+        pytest.param(3, 2 * loop_module.EVAL_CHUNK_WINDOWS, id="256"),
+        # more channels than a block has rows: one window per call
+        pytest.param(loop_module.EVAL_BLOCK_ROWS + 1, 3, id="wide"),
+        # blocks of 16 windows, then a tail of 5
+        pytest.param(64, 3 * (loop_module.EVAL_BLOCK_ROWS // 64) + 5, id="ragged"),
+        pytest.param(3, 1, id="single"),
+    ])
+    def test_evaluate_matches_per_window_forward(self, channels, count):
         for config, seed in _mode_configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
-            values = rng.normal(size=(config.lookback + config.horizon + count - 1, 3))
+            values = rng.normal(size=(config.lookback + config.horizon + count - 1, channels))
             ws = _window_set(values, config.lookback, config.horizon)
             assert ws.count == count
             mse, mae = evaluate(params, ws, config)
@@ -418,20 +425,106 @@ class TestAffineMap:
             widths.add(config.period % 2)
         assert widths == {0, 1}
 
-    def test_evaluate_builds_map_in_bounded_chunks(self, monkeypatch):
-        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+    @staticmethod
+    def _evaluate_call_sizes(monkeypatch, config, channels, count, params=None):
+        """Rows of every forward_batch call one evaluate makes."""
         seen = []
 
         def recording(rows, *args):
             seen.append(rows.shape[0])
             return forward_batch(rows, *args)
 
-        monkeypatch.setattr(loop_module, "forward_batch", recording)
+        rng = np.random.default_rng(31)
+        values = rng.normal(size=(config.lookback + config.horizon + count - 1, channels))
+        if params is None:
+            params = init_params(config, 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(loop_module, "forward_batch", recording)
+            evaluate(params, _window_set(values, config.lookback, config.horizon), config)
+        return seen
+
+    def test_evaluate_builds_map_in_bounded_chunks(self, monkeypatch):
+        # past the switch, full blocks take the window map and stay within
+        # the block bound, whatever the channel count
+        short = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+        # L+1 > EVAL_BLOCK_ROWS: a block grows to the fewest windows past L+1 rows
+        long = ModelConfig(1100, 8, 100, lpf_cutoff=3, latent_width=2)
+        count = 1300
+        for config, channels in ((short, 2), (short, 64), (long, 10)):
+            seen = self._evaluate_call_sizes(monkeypatch, config, channels, count)
+            bound = max(loop_module.EVAL_BLOCK_ROWS, config.lookback + 1 + channels)
+            full, tail = seen[:-1], seen[-1]
+            assert len(full) >= 2 and len(set(full)) == 1, (config, channels)
+            assert config.lookback + 2 <= full[0] <= bound, (config, channels)
+            assert 0 < tail <= full[0]
+            assert sum(seen) == count * channels
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_evaluate_keeps_graph_chunks(self, monkeypatch, channels):
+        # 256 windows of 1 or 2 channels are at most L+1 rows: the chunks run
+        # the graph and keep EVAL_CHUNK_WINDOWS windows
+        config = ModelConfig(512, 8, 8, lpf_cutoff=3, latent_width=2)
         chunk = loop_module.EVAL_CHUNK_WINDOWS
-        values = np.random.default_rng(31).normal(size=(16 + 8 - 1 + 2 * chunk + 2, 2))
-        evaluate(init_params(config, 0), _window_set(values, 16, 8), config)
-        # 2·chunk + 2 windows of 2 channels: two full chunks and one of 2 windows
-        assert seen == [chunk * 2] * 2 + [2 * 2]
+        assert chunk * channels <= config.lookback + 1
+        seen = self._evaluate_call_sizes(monkeypatch, config, channels, 2 * chunk + 2)
+        assert seen == [chunk * channels] * 2 + [2 * channels]
+
+    def test_evaluate_memory_is_bounded_by_block(self):
+        # 300 windows of 64 channels: gathering all 19200 rows at once peaks
+        # at 11.1 MB; blocks keep the peak near two gathered blocks
+        config = ModelConfig(48, 12, 12, lpf_cutoff=2, latent_width=2)
+        values = np.random.default_rng(32).normal(size=(48 + 12 + 300 - 1, 64))
+        ws = _window_set(values, 48, 12)
+        tracemalloc.start()
+        try:
+            evaluate(init_params(config, 32), ws, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * loop_module.EVAL_BLOCK_ROWS * (48 + 12) * 8
+
+    def test_evaluate_builds_window_map_once(self, monkeypatch):
+        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+        params = init_params(config, 0)
+        params.conv_kernel += 0.125  # parameters no earlier test has used
+        builds = []
+
+        def counting(*args):
+            builds.append(1)
+            return window_map(*args)
+
+        monkeypatch.setattr(forward_module, "window_map", counting)
+        seen = self._evaluate_call_sizes(monkeypatch, config, 64, 100, params)
+        assert len(seen) >= 3 and len(builds) == 1
+        # the same parameter set scored again reuses the map
+        self._evaluate_call_sizes(monkeypatch, config, 64, 100, params)
+        assert len(builds) == 1
+
+    def test_forecast_map_follows_in_place_edits(self):
+        # an edit between two calls (as grad_check makes) changes the memo's
+        # key, so the second call predicts with the edited parameters
+        rng = np.random.default_rng(36)
+        for config, seed in _mode_configs(count_per_mode=2):
+            params = init_params(config, seed)
+            plan = plan_shapes(config)
+            x = rng.normal(size=(config.lookback + 2, config.lookback))
+            before = forward_batch(x, params, config, plan)
+            for _, arr in params.named_arrays():
+                arr += 0.1 * rng.normal(size=arr.shape)
+                pred = forward_batch(x, params, config, plan)
+                want = np.array([forward_loop(row, params, config, plan) for row in x])
+                error = np.max(np.abs(pred - want))
+                assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), config
+            assert not np.array_equal(pred, before)
+
+    def test_forecast_map_is_read_only(self):
+        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+        window_gain, window_offset = forecast_map(init_params(config, 0), config,
+                                                  plan_shapes(config))
+        for arr in (window_gain, window_offset):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
