@@ -6,7 +6,8 @@ starts, in the same flat format the ``--config`` file uses, so an echoed
 block can be fed straight back in to reproduce a run.
 
 Exit codes: 0 success, 1 failed gradient check, 2 configuration error,
-3 data/I-O error, 4 numeric failure (non-finite loss).
+3 data/I-O error (every failed file read or write), 4 numeric failure
+(non-finite loss).
 """
 
 import os
@@ -173,10 +174,7 @@ SETTINGS["sweep"].pop("cutoff")
 
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` file with ``#`` comment lines."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = Path(path).read_text(encoding="utf-8")
     values: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -227,14 +225,14 @@ def echo_manifest(command: str, settings: dict, config_path) -> None:
     print("", flush=True)
 
 
-def _model_config(settings: dict, mode: Mode | None = None) -> ModelConfig:
+def _model_config(settings: dict) -> ModelConfig:
     return ModelConfig(
         lookback=settings["lookback"],
         horizon=settings["horizon"],
         period=settings["period"],
-        lpf_cutoff=settings.get("cutoff", 5),
+        lpf_cutoff=settings["cutoff"],
         latent_width=settings["latent"],
-        mode=mode if mode is not None else settings.get("mode", Mode.MIX),
+        mode=settings["mode"],
     )
 
 
@@ -250,10 +248,7 @@ def _train_config(settings: dict) -> TrainConfig:
 
 def _out_dir(settings: dict) -> Path:
     out = Path(settings["out"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -326,14 +321,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     settings = resolve_settings("sweep", args)
     echo_manifest("sweep", settings, args.config)
-    base = ModelConfig(
-        lookback=settings["lookback"],
-        horizon=settings["horizon"],
-        period=settings["period"],
-        lpf_cutoff=max(settings["cutoffs"]),
-        latent_width=settings["latent"],
-        mode=settings["mode"],
-    )
+    base = _model_config({**settings, "cutoff": max(settings["cutoffs"])})
     train_config = _train_config(settings)
     series = load_csv(settings["data"])
     dataset_id = Path(settings["data"]).stem
@@ -351,7 +339,7 @@ def cmd_sweep(args) -> int:
 def cmd_ablate(args) -> int:
     settings = resolve_settings("ablate", args)
     echo_manifest("ablate", settings, args.config)
-    config = _model_config(settings, mode=Mode.MIX)
+    config = _model_config({**settings, "mode": Mode.MIX})
     train_config = _train_config(settings)
     series = load_csv(settings["data"])
     dataset_id = Path(settings["data"]).stem
@@ -406,11 +394,7 @@ def cmd_synth(args) -> int:
         channels=settings["channels"],
     )
     out = Path(settings["out"])
-    if out.parent and not out.parent.exists():
-        try:
-            out.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise DataError(f"cannot create {out.parent}: {exc}") from exc
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_csv(series, out)
     print(f"wrote {out} ({series.length} rows, {series.channels} channels)")
     return 0
@@ -458,7 +442,7 @@ def main(argv=None) -> int:
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

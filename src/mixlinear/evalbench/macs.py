@@ -9,7 +9,7 @@ multiply.  The convention string ships inside every report so the
 numbers stay auditable.
 """
 
-from ..model.config import Mode, ModelConfig, plan_shapes
+from ..model.config import Mode, ModelConfig
 
 MAC_CONVENTION = (
     "one L->H univariate prediction; conv L*w; time branch "
@@ -21,7 +21,7 @@ MAC_CONVENTION = (
 
 
 def count_macs(config: ModelConfig) -> int:
-    plan = plan_shapes(config)
+    plan = config.plan
     w = config.period
     total = config.lookback * w  # aggregation convolution
     if config.mode is Mode.SPARSE_BASELINE:

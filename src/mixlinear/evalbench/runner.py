@@ -10,7 +10,7 @@ from ..data.series import RawSeries
 from ..data.split import SplitSpec, split_series, standardize
 from ..data.windows import WindowSet, make_windows
 from ..errors import ConfigError, MixLinearError
-from ..model.config import Mode, ModelConfig, plan_shapes
+from ..model.config import Mode, ModelConfig
 from ..model.params import param_count
 from ..training.loop import (
     TrainConfig,
@@ -120,20 +120,16 @@ def run_ablation(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
 
 def run_lpf_sweep(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
                   config: ModelConfig, cutoffs, train_config: TrainConfig) -> SweepResult:
-    """One full train/eval per cutoff with shared seeds and pipeline."""
+    """One full train/eval per cutoff with shared seeds and pipeline.
+
+    Every cutoff's config is built, and so validated, before the first run.
+    """
     values = sorted(set(int(c) for c in cutoffs))
     if not values:
         raise ConfigError("no cutoffs given")
-    plan = plan_shapes(config)
-    for cutoff in values:
-        if cutoff < 1 or cutoff > plan.bins_in:
-            raise ConfigError(
-                f"cutoff {cutoff} out of range [1, {plan.bins_in}] "
-                f"for padded trend length {plan.n_hat}"
-            )
+    configs = [replace(config, lpf_cutoff=cutoff) for cutoff in values]
     reports = [
-        run_benchmark(series, dataset_id, split_spec,
-                      replace(config, lpf_cutoff=cutoff), train_config)
-        for cutoff in values
+        run_benchmark(series, dataset_id, split_spec, swept, train_config)
+        for swept in configs
     ]
     return SweepResult("lpf_cutoff", values, reports)

@@ -1,6 +1,6 @@
 """MixLinear forward model: configuration, parameters, and evaluation."""
 
-from .config import Mode, ModelConfig, ShapePlan, check_spectral_bounds, plan_shapes
+from .config import Mode, ModelConfig, ShapePlan, plan_shapes
 from .forward import (
     ForwardTrace,
     forward,
@@ -22,7 +22,6 @@ __all__ = [
     "Mode",
     "ModelConfig",
     "ShapePlan",
-    "check_spectral_bounds",
     "plan_shapes",
     "ForwardTrace",
     "forward",

@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from ..errors import ConfigError
 from ..numerics import spectrum_bins
@@ -43,6 +44,10 @@ class ModelConfig:
     lpf_cutoff: number of low-frequency spectrum bins kept by the low-pass
         filter.
     latent_width: dimension of the compressed complex spectral space.
+
+    A config is validated whole at construction (``dataclasses.replace``
+    included), so every instance can run; ``plan`` is its shape plan,
+    computed once and outside ``==`` and ``hash``.
     """
 
     lookback: int
@@ -62,6 +67,15 @@ class ModelConfig:
             raise ConfigError(
                 f"period {self.period} exceeds lookback {self.lookback}"
             )
+        if self.has_freq_branch and self.lpf_cutoff > self.plan.bins_in:
+            raise ConfigError(
+                f"lpf_cutoff {self.lpf_cutoff} exceeds the {self.plan.bins_in} available "
+                f"spectrum bins of the padded trend length {self.plan.n_hat}"
+            )
+
+    @cached_property
+    def plan(self) -> "ShapePlan":
+        return plan_shapes(self)
 
     @property
     def has_time_branch(self) -> bool:
@@ -93,7 +107,7 @@ class ShapePlan:
 
 
 def plan_shapes(config: ModelConfig) -> ShapePlan:
-    """Compute the derived dimensions for a valid configuration."""
+    """Compute the derived dimensions; ``ModelConfig.plan`` caches the result."""
     n = math.ceil(config.lookback / config.period)
     m = math.ceil(config.horizon / config.period)
     # ceil(sqrt(k)) in exact integer arithmetic
@@ -112,11 +126,3 @@ def plan_shapes(config: ModelConfig) -> ShapePlan:
         bins_out=spectrum_bins(m_hat),
     )
 
-
-def check_spectral_bounds(config: ModelConfig, plan: ShapePlan) -> None:
-    """Reject cutoffs that exceed the padded input's half spectrum."""
-    if config.has_freq_branch and config.lpf_cutoff > plan.bins_in:
-        raise ConfigError(
-            f"lpf_cutoff {config.lpf_cutoff} exceeds the {plan.bins_in} available "
-            f"spectrum bins of the padded trend length {plan.n_hat}"
-        )

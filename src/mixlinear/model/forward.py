@@ -16,7 +16,7 @@ from ..numerics import (
     idft_matrix,
     rfft_batch,
 )
-from .config import Mode, ModelConfig, ShapePlan, check_spectral_bounds, plan_shapes
+from .config import Mode, ModelConfig, ShapePlan
 from .params import MixLinearParams
 
 
@@ -47,8 +47,7 @@ class ForwardTrace:
     latent: np.ndarray | None = None        # (P, latent) complex
 
 
-def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
-                 plan: ShapePlan):
+def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig):
     """Mean-centre, aggregate and de-interleave (B, L) windows, time-major.
 
     Returns (phase, mean, centred): ``phase`` is the (n, w*B) block with
@@ -58,10 +57,10 @@ def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
     batch, length = x2d.shape
     mean = x2d.mean(axis=1)
     centred = np.subtract(x2d.T, mean, order="C")
-    aggregated = np.zeros((plan.n * config.period, batch))
+    aggregated = np.zeros((config.plan.n * config.period, batch))
     conv = conv1d_same_batch(centred.T, params.conv_kernel, float(params.conv_bias))
     np.add(conv.T, centred, out=aggregated[:length])
-    return aggregated.reshape(plan.n, config.period * batch), mean, centred
+    return aggregated.reshape(config.plan.n, config.period * batch), mean, centred
 
 
 def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
@@ -78,9 +77,9 @@ def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
 
 
 def _freq_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
-                      plan: ShapePlan, config: ModelConfig,
-                      trace: ForwardTrace | None):
+                      config: ModelConfig, trace: ForwardTrace | None):
     """(P, n_hat) -> (P, m) through the latent spectral pipeline."""
+    plan = config.plan
     spectrum = rfft_batch(rows_padded)                   # (P, bins_in)
     spec_lpf = spectrum[:, :config.lpf_cutoff]
     latent = spec_lpf @ params.w_enc.T                   # (P, latent)
@@ -93,10 +92,11 @@ def _freq_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
 
 
 def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
-              plan: ShapePlan, trace: ForwardTrace | None) -> np.ndarray:
+              trace: ForwardTrace | None) -> np.ndarray:
     """(P, n) phase rows -> (P, m) through the mode's branches."""
     if config.mode is Mode.SPARSE_BASELINE:
         return rows @ params.w_point.T
+    plan = config.plan
     rows_padded = np.zeros((rows.shape[0], plan.n_hat))
     rows_padded[:, :plan.n] = rows
     if trace is not None:
@@ -105,38 +105,35 @@ def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
     if config.has_time_branch:
         out += _time_branch_core(rows_padded, params, plan, trace)
     if config.has_freq_branch:
-        out += _freq_branch_core(rows_padded, params, plan, config, trace)
+        out += _freq_branch_core(rows_padded, params, config, trace)
     return out
 
 
-def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
-                  plan: ShapePlan | None = None) -> np.ndarray:
+def forward_batch(x2d: np.ndarray, params: MixLinearParams,
+                  config: ModelConfig) -> np.ndarray:
     """Predict (B, horizon) from (B, lookback); no trace."""
-    pred, _ = _forward_impl(x2d, params, config, plan, want_trace=False)
+    pred, _ = _forward_impl(x2d, params, config, want_trace=False)
     return pred
 
 
 def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
-                             config: ModelConfig,
-                             plan: ShapePlan | None = None):
-    return _forward_impl(x2d, params, config, plan, want_trace=True)
+                             config: ModelConfig):
+    return _forward_impl(x2d, params, config, want_trace=True)
 
 
-def _forward_impl(x2d, params, config, plan, want_trace):
+def _forward_impl(x2d, params, config, want_trace):
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
         raise ValueError(
             f"expected input of shape (batch, {config.lookback}), got {x2d.shape}"
         )
-    if plan is None:
-        plan = plan_shapes(config)
-    check_spectral_bounds(config, plan)
     if uses_window_map(x2d.shape[0], config):
-        return _window_map_forward(x2d, params, config, plan, want_trace)
+        return _window_map_forward(x2d, params, config, want_trace)
 
     batch = x2d.shape[0]
     w = config.period
-    phase, mean, centred = _phase_block(x2d, params, config, plan)
+    plan = config.plan
+    phase, mean, centred = _phase_block(x2d, params, config)
     rows = phase.T
 
     # The branches are affine in each phase row, g(r) = r @ gain + offset.
@@ -145,7 +142,7 @@ def _forward_impl(x2d, params, config, plan, want_trace):
     mapped = rows.shape[0] > plan.n + 1
     branch_rows = affine_basis(plan.n) if mapped else rows
     trace = ForwardTrace(centred.T, branch_rows, rows) if want_trace else None
-    images = _branches(branch_rows, params, config, plan, trace)
+    images = _branches(branch_rows, params, config, trace)
     if mapped:
         gain, offset = affine_map(images)
         out = gain.T @ phase
@@ -170,18 +167,18 @@ def uses_window_map(rows: int, config: ModelConfig) -> bool:
     return rows > config.lookback + 1
 
 
-def _window_map_forward(x2d, params, config, plan, want_trace):
+def _window_map_forward(x2d, params, config, want_trace):
     """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c."""
     if not want_trace:
-        window_gain, window_offset = forecast_map(params, config, plan)
+        window_gain, window_offset = forecast_map(params, config)
         pred = x2d @ window_gain
         pred += window_offset
         return pred, None
-    basis = affine_basis(plan.n)
+    basis = affine_basis(config.plan.n)
     # centred rows keep the reverse pass free of the window level
     mean = x2d.mean(axis=1, keepdims=True)
     trace = ForwardTrace(x2d - mean, basis)
-    gain, offset = affine_map(_branches(basis, params, config, plan, trace))
+    gain, offset = affine_map(_branches(basis, params, config, trace))
     window_gain, window_offset, trace.interleave = window_map(
         gain, offset, params.conv_kernel, float(params.conv_bias), config)
     # add the offset before the mean: at the window level its rounding
@@ -193,7 +190,7 @@ def _window_map_forward(x2d, params, config, plan, want_trace):
 _forecast_memo = None
 
 
-def forecast_map(params: MixLinearParams, config: ModelConfig, plan: ShapePlan):
+def forecast_map(params: MixLinearParams, config: ModelConfig):
     """(M, c) with f(x) = xM + c for every raw window x.
 
     M = A + 1(1 - 1'A)/L folds the window mean into ``window_map``'s A.
@@ -206,7 +203,7 @@ def forecast_map(params: MixLinearParams, config: ModelConfig, plan: ShapePlan):
     key = (config, tuple((name, arr.tobytes()) for name, arr in params.named_arrays()))
     if _forecast_memo is None or _forecast_memo[0] != key:
         gain, offset = affine_map(
-            _branches(affine_basis(plan.n), params, config, plan, None))
+            _branches(affine_basis(config.plan.n), params, config, None))
         window_gain, window_offset, _ = window_map(
             gain, offset, params.conv_kernel, float(params.conv_bias), config)
         window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback

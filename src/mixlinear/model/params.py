@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CheckpointError, ConfigError
-from .config import Mode, ModelConfig, ShapePlan, check_spectral_bounds, plan_shapes
+from .config import Mode, ModelConfig, ShapePlan
 
 CHECKPOINT_MAGIC = b"MIXLINEAR-CHECKPOINT"
 CHECKPOINT_VERSION = 1
@@ -83,7 +83,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     Complex weights appear as their real and imaginary components, so the
     shapes cover every learned scalar exactly once.
     """
-    plan = plan_shapes(config)
+    plan = config.plan
     shapes = {"conv_kernel": (config.period,), "conv_bias": ()}
     if config.mode is Mode.SPARSE_BASELINE:
         shapes["w_point"] = (plan.m, plan.n)
@@ -109,10 +109,14 @@ def init_params(config: ModelConfig, seed: int) -> MixLinearParams:
     where fan_in is the last axis; biases start at zero.  Arrays are drawn
     in PARAM_NAMES order, and every mix-family mode draws the full Mix set
     before keeping its own arrays, so Mix/TimeOnly/FreqOnly runs with the
-    same seed share identical values for the parts they share.
+    same seed share identical values for the parts they share.  TimeOnly
+    may carry a cutoff past the spectrum, so its Mix draw clamps the cutoff;
+    the spectral arrays come after every array TimeOnly keeps.
     """
-    check_spectral_bounds(config, plan_shapes(config))
-    draw = config if config.mode is Mode.SPARSE_BASELINE else replace(config, mode=Mode.MIX)
+    draw = config
+    if config.mode is not Mode.SPARSE_BASELINE:
+        draw = replace(config, mode=Mode.MIX,
+                       lpf_cutoff=min(config.lpf_cutoff, config.plan.bins_in))
     keep = param_shapes(config)
     rng = np.random.default_rng(seed)
     arrays = {}
@@ -192,7 +196,7 @@ def save_checkpoint(path, config: ModelConfig, params: MixLinearParams) -> None:
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": _config_to_dict(config),
-        "plan": asdict(plan_shapes(config)),
+        "plan": asdict(config.plan),
         "arrays": _array_table(shapes),
     }
     blob = b"".join(
@@ -233,9 +237,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, ShapePlan, MixLinearParams]:
             f"{path}: unsupported format version {header.get('format_version')}"
         )
     config = _config_from_dict(header.get("config", {}))
-    plan = plan_shapes(config)
-    if header.get("plan") != asdict(plan):
-        raise CheckpointError(f"{path}: header plan does not match the config's {plan}")
+    if header.get("plan") != asdict(config.plan):
+        raise CheckpointError(f"{path}: header plan does not match the config's {config.plan}")
     shapes = param_shapes(config)
     if header.get("arrays") != _array_table(shapes):
         raise CheckpointError(
@@ -257,4 +260,4 @@ def load_checkpoint(path) -> tuple[ModelConfig, ShapePlan, MixLinearParams]:
         count = math.prod(shape)
         arrays[name] = values[offset:offset + count].reshape(shape)
         offset += count
-    return config, plan, MixLinearParams(mode=config.mode, **arrays)
+    return config, config.plan, MixLinearParams(mode=config.mode, **arrays)

@@ -7,6 +7,10 @@ import numpy as np
 from ..model.params import MixLinearParams
 from .backward import GradientSet
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -15,19 +19,12 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def init_adam(params: MixLinearParams, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> OptimizerState:
+def init_adam(params: MixLinearParams) -> OptimizerState:
     return OptimizerState(
         m={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
         v={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -44,13 +41,12 @@ def adam_step(params: MixLinearParams, grads: GradientSet, state: OptimizerState
             raise ValueError(
                 f"gradient for {name!r} has shape {g.shape}, expected {arr.shape}"
             )
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
         new_m[name] = m
         new_v[name] = v
-        updates[name] = arr - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        updates[name] = arr - lr * m_hat / (np.sqrt(v_hat) + EPS)
     new_params = replace(params, **updates)
-    new_state = OptimizerState(new_m, new_v, t, state.beta1, state.beta2, state.eps)
-    return new_params, new_state
+    return new_params, OptimizerState(new_m, new_v, t)

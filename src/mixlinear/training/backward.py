@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..model.config import Mode, ModelConfig, plan_shapes
+from ..model.config import Mode, ModelConfig
 from ..model.forward import ForwardTrace, forward_batch, forward_batch_with_trace
 from ..model.params import MixLinearParams
 from ..numerics import conv1d_same_batch, conv_blocks, conv_taps, dft_matrix, idft_matrix
@@ -62,15 +62,14 @@ def backward(x_batch, y_batch, params: MixLinearParams,
         raise ValueError(
             f"batch size mismatch: {x2d.shape[0]} inputs vs {y2d.shape[0]} targets"
         )
-    plan = plan_shapes(config)
-    pred, trace = forward_batch_with_trace(x2d, params, config, plan)
+    pred, trace = forward_batch_with_trace(x2d, params, config)
     # subtract in pred's layout: on the graph path pred is the .T view of a
     # time-major (H, B) array, and diff.T is then time-major without a copy
     diff = (pred.T - y2d.T).T
     flat = diff.ravel(order="K")
     loss = float(flat @ flat) / flat.size
     diff *= 2.0 / flat.size
-    grads = _backprop(diff, trace, params, config, plan)
+    grads = _backprop(diff, trace, params, config)
     return loss, grads
 
 
@@ -103,24 +102,25 @@ def _conv_kernel_grad(inputs: np.ndarray, grad_out: np.ndarray, width: int) -> n
                        minlength=width + 1)[:width]
 
 
-def _backprop(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientSet:
+def _backprop(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
     if trace.interleave is None:
-        grads = _graph_grads(grad_pred, trace, params, config, plan)
+        grads = _graph_grads(grad_pred, trace, params, config)
     else:
         # pred = x_norm A + c + mean, with (A, c) from window_map
         grads = {}
         grads["conv_kernel"], grads["conv_bias"], grad_gain, grad_offset = _window_map_adjoint(
             trace.x_norm.T @ grad_pred, grad_pred.sum(axis=0), trace.interleave,
-            params.conv_kernel, float(params.conv_bias), config, plan)
+            params.conv_kernel, float(params.conv_bias), config)
         grad_images = _affine_map_adjoint(grad_gain, grad_offset)
-        _branch_grads(grad_images, trace, params, config, plan, grads)
+        _branch_grads(grad_images, trace, params, config, grads)
     # keep checkpoint/declaration order
     return {name: grads[name] for name, _ in params.named_arrays()}
 
 
-def _graph_grads(grad_pred, trace: ForwardTrace, params, config, plan) -> GradientSet:
+def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
     batch = grad_pred.shape[0]
     w = config.period
+    plan = config.plan
 
     # undo horizon truncation; the time-major (m*w, B) gradient read as
     # (m, w*B) undoes the re-interleave
@@ -131,13 +131,13 @@ def _graph_grads(grad_pred, trace: ForwardTrace, params, config, plan) -> Gradie
 
     grads: GradientSet = {}
     if trace.gain is None:
-        grad_rows = _branch_grads(grad_out.T, trace, params, config, plan, grads)
+        grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
         grad_phase = grad_rows.T
     else:
         # the branches ran on the n+1 basis rows; the phase block saw only
         # gain' @ phase + offset
         grad_images = _pull_back_to_basis(trace.rows, grad_out.T)
-        _branch_grads(grad_images, trace, params, config, plan, grads)
+        _branch_grads(grad_images, trace, params, config, grads)
         grad_phase = trace.gain @ grad_out
 
     # undo the de-interleave, drop the zero-filled tail
@@ -150,13 +150,14 @@ def _graph_grads(grad_pred, trace: ForwardTrace, params, config, plan) -> Gradie
 
 
 def _window_map_adjoint(grad_gain, grad_offset, interleave, kernel, conv_bias: float,
-                        config, plan):
+                        config):
     """Adjoint of ``window_map``: gradients on (A, c) -> on (kernel, conv_bias, gain, offset).
 
     A = (I + K)B and c = conv_bias * 1'B + offset interleaved, where B
     re-interleaves the phase gain and rows @ K is the conv by ``kernel``.
     """
     w = config.period
+    plan = config.plan
     # the conv's inputs in A = B + KB are B's columns, its outputs A's
     kernel_grad = _conv_kernel_grad(grad_gain.T, interleave.T, w)
     bias_grad = np.asarray(interleave.sum(axis=0) @ grad_offset)
@@ -173,16 +174,17 @@ def _window_map_adjoint(grad_gain, grad_offset, interleave, kernel, conv_bias: f
     return kernel_grad, bias_grad, grad_phase_gain, grad_phase_offset
 
 
-def _branch_grads(grad_out, trace, params, config, plan, grads):
+def _branch_grads(grad_out, trace, params, config, grads):
     """Adjoint of ``_branches``: (P, m) -> (P, n); parameter grads into ``grads``."""
     if config.mode is Mode.SPARSE_BASELINE:
         grads["w_point"] = grad_out.T @ trace.branch_rows
         return grad_out @ params.w_point
+    plan = config.plan
     grad_padded = np.zeros((grad_out.shape[0], plan.n_hat))
     if config.has_time_branch:
         grad_padded += _time_branch_grads(grad_out, trace, params, plan, grads)
     if config.has_freq_branch:
-        grad_padded += _freq_branch_grads(grad_out, trace, params, config, plan, grads)
+        grad_padded += _freq_branch_grads(grad_out, trace, params, config, grads)
     return grad_padded[:, :plan.n]
 
 
@@ -205,8 +207,9 @@ def _time_branch_grads(grad_out, trace, params, plan, grads):
     return grad_segments.reshape(count, plan.n_hat)
 
 
-def _freq_branch_grads(grad_out, trace, params, config, plan, grads):
+def _freq_branch_grads(grad_out, trace, params, config, grads):
     count = grad_out.shape[0]
+    plan = config.plan
     grad_full = np.zeros((count, plan.m_hat))
     grad_full[:, :plan.m] = grad_out
 
@@ -251,8 +254,7 @@ def random_small_config(rng: np.random.Generator) -> ModelConfig:
     period = int(rng.integers(1, lookback + 1))
     mode = list(Mode)[int(rng.integers(0, len(Mode)))]
     probe = ModelConfig(lookback, horizon, period, lpf_cutoff=1, latent_width=1, mode=mode)
-    bins_in = plan_shapes(probe).bins_in
-    cutoff = int(rng.integers(1, bins_in + 1))
+    cutoff = int(rng.integers(1, probe.plan.bins_in + 1))
     # latent may exceed the cutoff (the spectral encoder is allowed to expand)
     latent = int(rng.integers(1, cutoff + 2))
     return ModelConfig(lookback, horizon, period, lpf_cutoff=cutoff,
@@ -271,10 +273,9 @@ def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig,
         raise ConfigError(f"step must be finite and positive, got {step}")
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
-    plan = plan_shapes(config)
 
     def loss_now() -> float:
-        pred = forward_batch(x2d, params, config, plan)
+        pred = forward_batch(x2d, params, config)
         d = pred - y2d
         return float(np.mean(d * d))
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..data.windows import WindowSet
 from ..errors import ConfigError, NumericError
-from ..model.config import ModelConfig, plan_shapes
+from ..model.config import ModelConfig
 from ..model.forward import forward_batch, uses_window_map
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
@@ -176,7 +176,6 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
-    plan = plan_shapes(config)
     block = _eval_block_windows(windows.channels, config)
     sq_sum = 0.0
     abs_sum = 0.0
@@ -184,7 +183,7 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
         idx = np.arange(lo, min(lo + block, windows.count))
         x, y = windows.batch(idx)
         rows = _flatten_windows(x, config.lookback, "inputs")
-        err = forward_batch(rows, params, config, plan)
+        err = forward_batch(rows, params, config)
         err -= _flatten_windows(y, config.horizon, "targets")
         del x, y, rows  # free the gathered block before the next one is gathered
         flat = err.ravel(order="K")  # a view in either layout forward_batch returns

@@ -110,6 +110,18 @@ class TestTrain:
         ])
         assert rc == 3
 
+    def test_invalid_config_exits_2_before_reading_data(self, tmp_path, capsys):
+        # cutoff 5 exceeds the 3 spectrum bins at L=16, w=4; the data file
+        # is absent, so reading it first would exit 3
+        rc = main(["train", "--data", str(tmp_path / "absent.csv"),
+                   "--out", str(tmp_path / "o"),
+                   "--lookback", "16", "--horizon", "4", "--period", "4"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "lpf_cutoff" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("length", [400, 17420])
     def test_channel_constant_up_to_round_off_exits_3(self, length, tmp_path, capsys):
         # every period-1 harmonic is constant at integer t, up to round-off
@@ -308,6 +320,36 @@ class TestMisc:
         rc = main(["synth", "--out", str(blocker / "x.csv"), "--length", "50",
                    "--period", "5"])
         assert rc == 3
+
+    # (argv before --data/--out, name made a directory under --out); {tmp},
+    # {trained} and {out} are filled in per test
+    TRAIN_SIZES = ["--lookback", "64", "--horizon", "16", "--period", "8",
+                   "--epochs", "1", "--batch", "64"]
+    IO_FAILURES = {
+        "eval-absent-checkpoint": (["eval", "--checkpoint", "{tmp}/absent.ckpt"], None),
+        "eval-checkpoint-is-dir": (["eval", "--checkpoint", "{tmp}"], None),
+        "eval-report-is-dir": (["eval", "--checkpoint", "{trained}/model.ckpt"],
+                               "eval_synthetic_h16.report"),
+        "train-checkpoint-is-dir": (["train", *TRAIN_SIZES], "model.ckpt"),
+        "train-history-is-dir": (["train", *TRAIN_SIZES], "history.csv"),
+        "train-config-is-dir": (["train", *TRAIN_SIZES, "--config", "{out}/train.conf"],
+                                "train.conf"),
+        "ablate-csv-is-dir": (["ablate", *TRAIN_SIZES], "ablation.csv"),
+    }
+
+    @pytest.mark.parametrize("case", list(IO_FAILURES))
+    def test_file_io_failure_exits_3(self, case, synth_csv, trained_run, tmp_path,
+                                     capsys):
+        args, blocked = self.IO_FAILURES[case]
+        out = tmp_path / "out"
+        if blocked:
+            (out / blocked).mkdir(parents=True)
+        argv = [arg.format(tmp=tmp_path, trained=trained_run, out=out) for arg in args]
+        rc = main([*argv, "--data", str(synth_csv), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_eval_writes_report_when_out_given(self, synth_csv, trained_run,
                                                tmp_path, capsys):

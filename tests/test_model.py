@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from mixlinear.model.forward import (
     _phase_block,
     _time_branch_core,
 )
+from mixlinear.model.params import _array_table
 from mixlinear.training import random_small_config
 from oracles import (
     decompose_trend_loop,
@@ -51,7 +53,7 @@ def decompose_trend(x, params, config):
     (period, n) trend matrix.
     """
     x2d = np.asarray(x, dtype=np.float64)[None, :]
-    phase, mean, _ = _phase_block(x2d, params, config, plan_shapes(config))
+    phase, mean, _ = _phase_block(x2d, params, config)
     return phase.T, float(mean[0])
 
 
@@ -62,9 +64,9 @@ def time_branch(row, params, plan):
     return _time_branch_core(padded, params, plan, None)[0]
 
 
-def freq_branch(padded_row, params, plan, config):
+def freq_branch(padded_row, params, config):
     """One padded (length n_hat) trend row through the freq-branch core."""
-    return _freq_branch_core(np.asarray(padded_row)[None, :], params, plan, config, None)[0]
+    return _freq_branch_core(np.asarray(padded_row)[None, :], params, config, None)[0]
 
 
 class TestPlanShapes:
@@ -83,7 +85,7 @@ class TestPlanShapes:
         assert plan.bins_out == 3
 
     def test_small_case(self):
-        plan = plan_shapes(ModelConfig(96, 96, 24))
+        plan = plan_shapes(ModelConfig(96, 96, 24, lpf_cutoff=3))
         assert (plan.n, plan.m, plan.n_hat, plan.m_hat) == (4, 4, 4, 4)
         assert (plan.seg_in, plan.seg_out) == (2, 2)
 
@@ -92,9 +94,30 @@ class TestPlanShapes:
             ModelConfig(10, 96, 24)
 
     def test_cutoff_beyond_bins_rejected(self):
-        config = ModelConfig(96, 96, 24, lpf_cutoff=4)  # bins_in = 3
-        with pytest.raises(ConfigError):
-            init_params(config, 0)
+        with pytest.raises(ConfigError, match="lpf_cutoff 4 exceeds the 3"):
+            ModelConfig(96, 96, 24, lpf_cutoff=4)  # bins_in = 3
+        config = ModelConfig(96, 96, 24, lpf_cutoff=3)
+        with pytest.raises(ConfigError, match="lpf_cutoff 4 exceeds the 3"):
+            replace(config, lpf_cutoff=4)
+
+    @pytest.mark.parametrize("mode", [Mode.TIME_ONLY, Mode.SPARSE_BASELINE],
+                             ids=lambda m: m.value)
+    def test_cutoff_beyond_bins_accepted_without_freq_branch(self, mode):
+        config = ModelConfig(96, 96, 24, lpf_cutoff=4, mode=mode)  # bins_in = 3
+        mix = dict(init_params(ModelConfig(96, 96, 24, lpf_cutoff=3), 7).named_arrays())
+        shared = [(name, arr) for name, arr in init_params(config, 7).named_arrays()
+                  if name in mix]
+        assert {"conv_kernel", "conv_bias"} <= {name for name, _ in shared}
+        for name, arr in shared:
+            assert arr.tobytes() == mix[name].tobytes(), name
+
+    def test_plan_computed_once_outside_equality(self):
+        config = ModelConfig(720, 96, 24)
+        assert config.plan is config.plan
+        assert config.plan == plan_shapes(config)
+        fresh = ModelConfig(720, 96, 24)
+        assert fresh == config and hash(fresh) == hash(config)
+        assert replace(config, horizon=720).plan == plan_shapes(ModelConfig(720, 720, 24))
 
     def test_zero_latent_width_rejected(self):
         with pytest.raises(ConfigError):
@@ -225,27 +248,24 @@ class TestTimeBranch:
 
     def test_wrong_length_rejected(self):
         config = ModelConfig(720, 96, 24)
-        plan = plan_shapes(config)
         params = init_params(config, 0)
         with pytest.raises(ValueError):
-            _branches(np.zeros((1, 31)), params, config, plan, None)
+            _branches(np.zeros((1, 31)), params, config, None)
 
 
 class TestFreqBranch:
     def test_zero_input_zero_output(self):
         config = ModelConfig(720, 720, 24)
-        plan = plan_shapes(config)
         params = init_params(config, 0)
-        out = freq_branch(np.zeros(36), params, plan, config)
+        out = freq_branch(np.zeros(36), params, config)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_zero_weights_zero_output(self):
         config = ModelConfig(720, 720, 24)
-        plan = plan_shapes(config)
         params = init_params(config, 0)
         params.w_enc_re[...] = 0.0
         params.w_enc_im[...] = 0.0
-        out = freq_branch(np.random.default_rng(5).normal(size=36), params, plan, config)
+        out = freq_branch(np.random.default_rng(5).normal(size=36), params, config)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_matches_composed_naive_oracle(self):
@@ -255,7 +275,7 @@ class TestFreqBranch:
         row = np.random.default_rng(6).normal(size=36)
         want = freq_branch_loop(row, params.w_enc, params.w_dec,
                                 config.lpf_cutoff, plan)
-        got = freq_branch(row, params, plan, config)
+        got = freq_branch(row, params, config)
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_expanding_encoder_cutoff_below_latent(self):
@@ -267,7 +287,7 @@ class TestFreqBranch:
         assert params.w_enc.shape == (2, 1)
         row = np.random.default_rng(7).normal(size=36)
         want = freq_branch_loop(row, params.w_enc, params.w_dec, 1, plan)
-        got = freq_branch(row, params, plan, config)
+        got = freq_branch(row, params, config)
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -530,6 +550,15 @@ def _header_not_object(header, blob):
     return list(header), blob
 
 
+def _mix_cutoff_beyond_bins(header, blob):
+    # a complete Mix file at cutoff 6 of the 5 bins (L=96, w=12: n_hat = 9)
+    shapes = param_shapes(ModelConfig(96, 48, 12, lpf_cutoff=5))
+    shapes["w_enc_re"] = shapes["w_enc_im"] = (2, 6)
+    header["config"].update(mode="Mix", lpf_cutoff=6)
+    header["arrays"] = _array_table(shapes)
+    return header, bytes(8 * sum(math.prod(shape) for shape in shapes.values()))
+
+
 def _config_value(key, value):
     def corrupt(header, blob):
         header["config"][key] = value
@@ -540,7 +569,7 @@ def _config_value(key, value):
 
 @pytest.mark.parametrize("corrupt", [
     _trailing_bytes, _nan_value, _overlapping_offset, _extra_array,
-    _duplicated_entry, _plan_mismatch, _header_not_object,
+    _duplicated_entry, _plan_mismatch, _header_not_object, _mix_cutoff_beyond_bins,
     # non-integer sizes must not be coerced (96.7 would load as 96)
     _config_value("lookback", 96.7), _config_value("lookback", 96.0),
     _config_value("horizon", "48"), _config_value("latent_width", True),

@@ -417,9 +417,9 @@ class TestAffineMap:
             for rows in (config.lookback + 2, 2 * config.lookback + 3):
                 x = 5.0 + rng.normal(size=(rows, config.lookback))
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
-                traced, trace = forward_batch_with_trace(x, params, config, plan)
+                traced, trace = forward_batch_with_trace(x, params, config)
                 assert trace.interleave is not None
-                for pred in (forward_batch(x, params, config, plan), traced):
+                for pred in (forward_batch(x, params, config), traced):
                     error = np.max(np.abs(pred - want))
                     assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
             widths.add(config.period % 2)
@@ -508,10 +508,10 @@ class TestAffineMap:
             params = init_params(config, seed)
             plan = plan_shapes(config)
             x = rng.normal(size=(config.lookback + 2, config.lookback))
-            before = forward_batch(x, params, config, plan)
+            before = forward_batch(x, params, config)
             for _, arr in params.named_arrays():
                 arr += 0.1 * rng.normal(size=arr.shape)
-                pred = forward_batch(x, params, config, plan)
+                pred = forward_batch(x, params, config)
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
                 error = np.max(np.abs(pred - want))
                 assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), config
@@ -519,8 +519,7 @@ class TestAffineMap:
 
     def test_forecast_map_is_read_only(self):
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
-        window_gain, window_offset = forecast_map(init_params(config, 0), config,
-                                                  plan_shapes(config))
+        window_gain, window_offset = forecast_map(init_params(config, 0), config)
         for arr in (window_gain, window_offset):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -599,7 +598,7 @@ class TestAffineMap:
                          rng.normal(size=config.horizon)]
             interleave = window_map_at(point)[2]
             vjp = _window_map_adjoint(*cotangent, interleave, point[0], float(point[1]),
-                                      config, plan)
+                                      config)
             lhs = sum(np.sum(j * c) for j, c in zip(jvp, cotangent))
             rhs = sum(np.sum(d * v) for d, v in zip(delta, vjp))
             scale = sum(np.sum(np.abs(j * c)) for j, c in zip(jvp, cotangent))
