@@ -33,12 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data.series import load_csv, save_csv
+from .data.series import RawSeries, load_csv, save_csv
 from .data.split import SplitSpec
 from .data.synth import synth_generate
 from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .evalbench.reference import reported_mse
-from .evalbench.report import write_report, write_reports_csv, write_sweep
+from .evalbench.report import write_key_values, write_report, write_reports_csv, write_sweep
 from .evalbench.runner import prepare_windows, run_ablation, run_benchmark, run_lpf_sweep
 from .model.config import Mode, ModelConfig
 from .model.params import init_params, load_checkpoint, save_checkpoint
@@ -63,10 +63,6 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {text!r}")
     return value
-
-
-def _parse_mode(text: str) -> Mode:
-    return Mode.parse(text)
 
 
 def _parse_batch(text: str):
@@ -125,7 +121,7 @@ SETTINGS = {
         "data": (REQUIRED, str, "dataset CSV path"),
         "out": ("runs/train", str, "output directory"),
         **_MODEL_SETTINGS,
-        "mode": (Mode.MIX, _parse_mode, "Mix | TimeOnly | FreqOnly | SparseBaseline"),
+        "mode": (Mode.MIX, Mode.parse, "Mix | TimeOnly | FreqOnly | SparseBaseline"),
         **_TRAIN_SETTINGS,
         "split": ("default", _parse_split, "split preset: ett (6:2:2) or default (7:1:2)"),
     },
@@ -140,7 +136,7 @@ SETTINGS = {
         "out": ("runs/sweep", str, "output directory"),
         **_MODEL_SETTINGS,
         "cutoffs": (REQUIRED, _parse_int_list, "comma-separated cutoff list"),
-        "mode": (Mode.MIX, _parse_mode, "model mode for every sweep run"),
+        "mode": (Mode.MIX, Mode.parse, "model mode for every sweep run"),
         **_TRAIN_SETTINGS,
         "split": ("default", _parse_split, "split preset: ett or default"),
     },
@@ -174,7 +170,10 @@ SETTINGS["sweep"].pop("cutoff")
 
 def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` file with ``#`` comment lines."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     values: dict[str, str] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -265,15 +264,16 @@ def _print_metrics(report) -> None:
             print(f"#   {model}: {value}")
 
 
-def cmd_train(args) -> int:
-    settings = resolve_settings("train", args)
-    echo_manifest("train", settings, args.config)
+def _dataset(settings: dict) -> tuple[RawSeries, str, SplitSpec]:
+    """The data commands' shared prologue: series, dataset id, split."""
+    series = load_csv(settings["data"])
+    return series, Path(settings["data"]).stem, SplitSpec.preset(settings["split"])
+
+
+def cmd_train(settings: dict) -> int:
     config = _model_config(settings)
     train_config = _train_config(settings)
-    series = load_csv(settings["data"])
-    dataset_id = Path(settings["data"]).stem
-    split_spec = SplitSpec.preset(settings["split"])
-    report = run_benchmark(series, dataset_id, split_spec, config, train_config)
+    report = run_benchmark(*_dataset(settings), config, train_config)
     out = _out_dir(settings)
     save_checkpoint(out / "model.ckpt", config, report.params)
     write_history(report.history, out / "history.csv")
@@ -284,13 +284,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    settings = resolve_settings("eval", args)
-    echo_manifest("eval", settings, args.config)
+def cmd_eval(settings: dict) -> int:
     config, _plan, params = load_checkpoint(settings["checkpoint"])
-    series = load_csv(settings["data"])
-    dataset_id = Path(settings["data"]).stem
-    split_spec = SplitSpec.preset(settings["split"])
+    series, dataset_id, split_spec = _dataset(settings)
     try:
         _, _, test_windows, _ = prepare_windows(series, split_spec, config)
     except ConfigError as exc:
@@ -303,48 +299,37 @@ def cmd_eval(args) -> int:
     print(f"test_mse = {mse!r}")
     print(f"test_mae = {mae!r}")
     if settings["out"]:
-        out = _out_dir(settings)
-        path = out / f"eval_{dataset_id}_h{config.horizon}.report"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"checkpoint = {settings['checkpoint']}\n")
-            fh.write(f"dataset = {dataset_id}\n")
-            fh.write(f"split = {settings['split']}\n")
-            fh.write(f"lookback = {config.lookback}\n")
-            fh.write(f"horizon = {config.horizon}\n")
-            fh.write(f"mode = {config.mode.value}\n")
-            fh.write(f"test_mse = {mse!r}\n")
-            fh.write(f"test_mae = {mae!r}\n")
+        path = _out_dir(settings) / f"eval_{dataset_id}_h{config.horizon}.report"
+        write_key_values({
+            "checkpoint": settings["checkpoint"],
+            "dataset": dataset_id,
+            "split": settings["split"],
+            "lookback": config.lookback,
+            "horizon": config.horizon,
+            "mode": config.mode.value,
+            "test_mse": mse,
+            "test_mae": mae,
+        }, path)
         print(f"wrote {path}")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    settings = resolve_settings("sweep", args)
-    echo_manifest("sweep", settings, args.config)
+def cmd_sweep(settings: dict) -> int:
     base = _model_config({**settings, "cutoff": max(settings["cutoffs"])})
     train_config = _train_config(settings)
-    series = load_csv(settings["data"])
-    dataset_id = Path(settings["data"]).stem
-    split_spec = SplitSpec.preset(settings["split"])
-    sweep = run_lpf_sweep(series, dataset_id, split_spec, base,
-                          settings["cutoffs"], train_config)
+    reports = run_lpf_sweep(*_dataset(settings), base, settings["cutoffs"], train_config)
     out = _out_dir(settings)
-    write_sweep(sweep, out / "sweep.report")
-    for cutoff, report in zip(sweep.values, sweep.reports):
-        print(f"cutoff {cutoff}: test_mse = {report.test_mse!r}")
+    write_sweep(reports, out / "sweep.report")
+    for report in reports:
+        print(f"cutoff {report.lpf_cutoff}: test_mse = {report.test_mse!r}")
     print(f"wrote {out / 'sweep.report'}, {out / 'sweep.csv'}")
     return 0
 
 
-def cmd_ablate(args) -> int:
-    settings = resolve_settings("ablate", args)
-    echo_manifest("ablate", settings, args.config)
+def cmd_ablate(settings: dict) -> int:
     config = _model_config({**settings, "mode": Mode.MIX})
     train_config = _train_config(settings)
-    series = load_csv(settings["data"])
-    dataset_id = Path(settings["data"]).stem
-    split_spec = SplitSpec.preset(settings["split"])
-    reports = run_ablation(series, dataset_id, split_spec, config, train_config)
+    reports = run_ablation(*_dataset(settings), config, train_config)
     out = _out_dir(settings)
     write_reports_csv(reports, out / "ablation.csv")
     for report in reports:
@@ -354,11 +339,11 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    settings = resolve_settings("gradcheck", args)
-    echo_manifest("gradcheck", settings, args.config)
+def cmd_gradcheck(settings: dict) -> int:
     if not settings["trials"] > 0:
         raise ConfigError(f"trials must be >= 1, got {settings['trials']}")
+    if settings["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
     rng = np.random.default_rng(settings["seed"])
     worst = 0.0
     worst_param = ""
@@ -381,9 +366,7 @@ def cmd_gradcheck(args) -> int:
     return 1
 
 
-def cmd_synth(args) -> int:
-    settings = resolve_settings("synth", args)
-    echo_manifest("synth", settings, args.config)
+def cmd_synth(settings: dict) -> int:
     series = synth_generate(
         length=settings["length"],
         period=settings["period"],
@@ -438,7 +421,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        settings = resolve_settings(args.command, args)
+        echo_manifest(args.command, settings, args.config)
+        return args.func(settings)
     except (ConfigError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,6 +32,14 @@ class RawSeries:
         return self.values.shape[1]
 
 
+def _decoded_lines(path, fh):
+    """``fh``'s lines, with a decoding failure reported as a ``DataError``."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_csv(path) -> RawSeries:
     """Read a benchmark-layout CSV.
 
@@ -44,7 +52,7 @@ def load_csv(path) -> RawSeries:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_decoded_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:

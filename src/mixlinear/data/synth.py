@@ -22,6 +22,8 @@ def synth_generate(length: int, period: int, amplitudes=(1.0,),
         raise ConfigError(f"period must be >= 1, got {period}")
     if channels < 1:
         raise ConfigError(f"channels must be >= 1, got {channels}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not noise_std >= 0:
         raise ConfigError(f"noise std must be >= 0, got {noise_std}")
     if not any(amplitudes) and trend_slope == 0 and noise_std == 0:

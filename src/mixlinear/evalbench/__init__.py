@@ -5,7 +5,6 @@ from .report import (
     REPORT_FIELDS,
     TIMING_FIELDS,
     RunReport,
-    SweepResult,
     parse_report,
     write_report,
     write_reports_csv,
@@ -25,7 +24,6 @@ __all__ = [
     "REPORT_FIELDS",
     "TIMING_FIELDS",
     "RunReport",
-    "SweepResult",
     "parse_report",
     "write_report",
     "write_reports_csv",

@@ -1,7 +1,13 @@
-"""Machine-readable run reports: a key/value document plus a flat CSV."""
+"""Machine-readable run reports: a key/value document plus a flat CSV.
+
+The ``RunReport`` declaration is the schema: its compared fields, in
+declaration order, are the keys of a ``.report`` document and the columns
+of its CSV, and :func:`parse_report` reads each value back with its
+field's annotated type.
+"""
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import DataError
@@ -10,51 +16,15 @@ from ..training.loop import TrainHistory
 
 SCHEMA_VERSION = 1
 
-# Stable serialization order; the timing fields vary between otherwise
-# identical runs.
-REPORT_FIELDS = (
-    "schema_version",
-    "dataset",
-    "mode",
-    "lookback",
-    "horizon",
-    "period",
-    "lpf_cutoff",
-    "latent_width",
-    "seed",
-    "split",
-    "batch_size",
-    "learning_rate",
-    "max_epochs",
-    "patience",
-    "epochs_run",
-    "best_epoch",
-    "test_mse",
-    "test_mae",
-    "param_count",
-    "mac_count",
-    "mac_convention",
-    "pipeline_hash",
-    "train_seconds_per_epoch",
-    "total_seconds",
-)
+# the fields that vary between otherwise identical runs
 TIMING_FIELDS = ("train_seconds_per_epoch", "total_seconds")
 
-_INT_FIELDS = {
-    "schema_version", "lookback", "horizon", "period", "lpf_cutoff",
-    "latent_width", "seed", "batch_size", "max_epochs", "patience",
-    "epochs_run", "best_epoch", "param_count", "mac_count",
-}
-_FLOAT_FIELDS = {
-    "learning_rate", "test_mse", "test_mae", "train_seconds_per_epoch",
-    "total_seconds",
-}
 
-
-@dataclass
+@dataclass(kw_only=True)
 class RunReport:
     """Everything one benchmark run produced, ready to serialize."""
 
+    schema_version: int = SCHEMA_VERSION
     dataset: str
     mode: str
     lookback: int
@@ -78,64 +48,51 @@ class RunReport:
     pipeline_hash: str
     train_seconds_per_epoch: float
     total_seconds: float
-    schema_version: int = SCHEMA_VERSION
     # runtime attachments, not serialized
     history: TrainHistory | None = field(default=None, repr=False, compare=False)
     params: MixLinearParams | None = field(default=None, repr=False, compare=False)
 
-    def ordered_items(self) -> list[tuple[str, str]]:
-        return [(name, _format(getattr(self, name))) for name in REPORT_FIELDS]
+    def row(self) -> dict:
+        return {name: getattr(self, name) for name in REPORT_FIELDS}
 
     def basename(self) -> str:
         return f"{self.dataset}_{self.mode}_h{self.horizon}_s{self.seed}"
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_SCHEMA = {f.name: f.type for f in fields(RunReport) if f.compare}
+REPORT_FIELDS = tuple(_SCHEMA)
 
 
-@dataclass
-class SweepResult:
-    """Reports indexed by a strictly increasing swept value."""
-
-    parameter: str
-    values: list[int]
-    reports: list[RunReport]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.reports):
-            raise ValueError("one report per swept value required")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"swept values must be strictly increasing: {self.values}")
+def write_key_values(values: dict, path) -> None:
+    """Write one ``key = value`` line per entry, in order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in values.items())
 
 
-def write_report(report: RunReport, path) -> None:
-    """Write the key/value document at ``path`` and a one-row CSV beside it."""
+def _write_document(values: dict, reports, path) -> None:
+    """The key/value document at ``path`` and the reports' CSV beside it."""
     path = Path(path)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key, value in report.ordered_items():
-                fh.write(f"{key} = {value}\n")
-        write_reports_csv([report], path.with_suffix(".csv"))
+        write_key_values(values, path)
+        write_reports_csv(reports, path.with_suffix(".csv"))
     except OSError as exc:
         raise DataError(f"cannot write report {path}: {exc}") from exc
 
 
-def write_sweep(sweep: SweepResult, path) -> None:
-    """Summary document plus one CSV row per swept value."""
-    path = Path(path)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"schema_version = {SCHEMA_VERSION}\n")
-            fh.write(f"swept_parameter = {sweep.parameter}\n")
-            fh.write(f"swept_values = {','.join(str(v) for v in sweep.values)}\n")
-            for value, report in zip(sweep.values, sweep.reports):
-                fh.write(f"test_mse_{sweep.parameter}_{value} = {report.test_mse!r}\n")
-        write_reports_csv(sweep.reports, path.with_suffix(".csv"))
-    except OSError as exc:
-        raise DataError(f"cannot write sweep {path}: {exc}") from exc
+def write_report(report: RunReport, path) -> None:
+    """Write the key/value document at ``path`` and a one-row CSV beside it."""
+    _write_document(report.row(), [report], path)
+
+
+def write_sweep(reports: list[RunReport], path) -> None:
+    """Summary document plus one CSV row per report, keyed by its cutoff."""
+    summary = {
+        "schema_version": SCHEMA_VERSION,
+        "swept_parameter": "lpf_cutoff",
+        "swept_values": ",".join(str(report.lpf_cutoff) for report in reports),
+        **{f"test_mse_lpf_cutoff_{report.lpf_cutoff}": report.test_mse for report in reports},
+    }
+    _write_document(summary, reports, path)
 
 
 def write_reports_csv(reports, path) -> None:
@@ -144,7 +101,7 @@ def write_reports_csv(reports, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(REPORT_FIELDS)
         for report in reports:
-            writer.writerow([value for _, value in report.ordered_items()])
+            writer.writerow(report.row().values())
 
 
 def parse_report(path) -> RunReport:
@@ -161,18 +118,17 @@ def parse_report(path) -> RunReport:
                     raise DataError(f"{path}:{line_no}: expected 'key = value'")
                 key, value = line.split(" = ", 1)
                 raw[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read report {path}: {exc}") from exc
     missing = [name for name in REPORT_FIELDS if name not in raw]
     if missing:
         raise DataError(f"{path}: missing report fields {missing}")
-    kwargs = {}
-    for name in REPORT_FIELDS:
-        value = raw[name]
-        if name in _INT_FIELDS:
-            kwargs[name] = int(value)
-        elif name in _FLOAT_FIELDS:
-            kwargs[name] = float(value)
-        else:
-            kwargs[name] = value
-    return RunReport(**kwargs)
+    values = {}
+    for name, kind in _SCHEMA.items():
+        try:
+            values[name] = kind(raw[name])
+        except ValueError:
+            raise DataError(
+                f"{path}: field {name} = {raw[name]!r} is not a valid {kind.__name__}"
+            ) from None
+    return RunReport(**values)

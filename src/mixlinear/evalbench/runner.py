@@ -2,7 +2,7 @@
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -11,15 +11,10 @@ from ..data.split import SplitSpec, split_series, standardize
 from ..data.windows import WindowSet, make_windows
 from ..errors import ConfigError, MixLinearError
 from ..model.config import Mode, ModelConfig
-from ..model.params import param_count
-from ..training.loop import (
-    TrainConfig,
-    batch_size_for_channels,
-    evaluate,
-    train,
-)
+from ..model.params import config_to_dict, param_count
+from ..training.loop import TrainConfig, batch_size_for_channels, evaluate, train
 from .macs import MAC_CONVENTION, count_macs
-from .report import RunReport, SweepResult
+from .report import RunReport
 
 
 @contextmanager
@@ -61,25 +56,17 @@ def run_benchmark(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
     """Full pipeline on one dataset; the report carries the trained params
     and history as runtime attachments."""
     train_ws, val_ws, test_ws, pipeline_hash = prepare_windows(series, split_spec, config)
+    batch_size = train_config.batch_size or batch_size_for_channels(train_ws.channels)
+    train_config = replace(train_config, batch_size=batch_size)
     with _stage("train"):
         params, history = train(train_ws, val_ws, config, train_config)
     with _stage("evaluate"):
         test_mse, test_mae = evaluate(params, test_ws, config)
-    epoch_seconds = float(np.mean(history.seconds)) if history.epochs else 0.0
-    report = RunReport(
+    return RunReport(
         dataset=dataset_id,
-        mode=config.mode.value,
-        lookback=config.lookback,
-        horizon=config.horizon,
-        period=config.period,
-        lpf_cutoff=config.lpf_cutoff,
-        latent_width=config.latent_width,
-        seed=train_config.seed,
         split=_split_name(split_spec),
-        batch_size=train_config.batch_size or batch_size_for_channels(train_ws.channels),
-        learning_rate=train_config.learning_rate,
-        max_epochs=train_config.max_epochs,
-        patience=train_config.patience,
+        **config_to_dict(config),
+        **asdict(train_config),
         epochs_run=history.epochs,
         best_epoch=history.best_epoch,
         test_mse=test_mse,
@@ -88,12 +75,27 @@ def run_benchmark(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
         mac_count=count_macs(config),
         mac_convention=MAC_CONVENTION,
         pipeline_hash=pipeline_hash,
-        train_seconds_per_epoch=epoch_seconds,
+        train_seconds_per_epoch=float(np.mean(history.seconds)) if history.epochs else 0.0,
         total_seconds=float(np.sum(history.total_seconds)),
         history=history,
         params=params,
     )
-    return report
+
+
+def _run_configs(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
+                 configs: list[ModelConfig], train_config: TrainConfig) -> list[RunReport]:
+    """One full run per config, in order, over an identical data pipeline.
+
+    Every config was validated when it was built, so before the first run.
+    The shared-pipeline claim is checked, not assumed: all reports must
+    carry the same window-set digest.
+    """
+    reports = [run_benchmark(series, dataset_id, split_spec, config, train_config)
+               for config in configs]
+    hashes = {r.pipeline_hash for r in reports}
+    if len(hashes) > 1:
+        raise MixLinearError(f"data pipelines diverged: {sorted(hashes)}")
+    return reports
 
 
 ABLATION_MODES = (Mode.MIX, Mode.TIME_ONLY, Mode.FREQ_ONLY)
@@ -101,35 +103,16 @@ ABLATION_MODES = (Mode.MIX, Mode.TIME_ONLY, Mode.FREQ_ONLY)
 
 def run_ablation(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
                  base_config: ModelConfig, train_config: TrainConfig) -> list[RunReport]:
-    """Run Mix, TimeOnly, and FreqOnly over an identical data pipeline.
-
-    The shared-pipeline claim is checked, not assumed: all three reports
-    must carry the same window-set digest.
-    """
-    reports = []
-    for mode in ABLATION_MODES:
-        config = replace(base_config, mode=mode)
-        reports.append(run_benchmark(series, dataset_id, split_spec, config, train_config))
-    hashes = {r.pipeline_hash for r in reports}
-    if len(hashes) != 1:
-        raise MixLinearError(
-            f"ablation data pipelines diverged: {sorted(hashes)}"
-        )
-    return reports
+    """Run Mix, TimeOnly, and FreqOnly over an identical data pipeline."""
+    configs = [replace(base_config, mode=mode) for mode in ABLATION_MODES]
+    return _run_configs(series, dataset_id, split_spec, configs, train_config)
 
 
 def run_lpf_sweep(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
-                  config: ModelConfig, cutoffs, train_config: TrainConfig) -> SweepResult:
-    """One full train/eval per cutoff with shared seeds and pipeline.
-
-    Every cutoff's config is built, and so validated, before the first run.
-    """
+                  config: ModelConfig, cutoffs, train_config: TrainConfig) -> list[RunReport]:
+    """One full train/eval per distinct cutoff, reports sorted by cutoff."""
     values = sorted(set(int(c) for c in cutoffs))
     if not values:
         raise ConfigError("no cutoffs given")
     configs = [replace(config, lpf_cutoff=cutoff) for cutoff in values]
-    reports = [
-        run_benchmark(series, dataset_id, split_spec, swept, train_config)
-        for swept in configs
-    ]
-    return SweepResult("lpf_cutoff", values, reports)
+    return _run_configs(series, dataset_id, split_spec, configs, train_config)

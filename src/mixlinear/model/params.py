@@ -141,7 +141,8 @@ def param_count(config: ModelConfig) -> int:
 # float64 little-endian array payloads concatenated in header order.
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
+def config_to_dict(config: ModelConfig) -> dict:
+    """The checkpoint header's config block, also a run report's model columns."""
     return {
         "lookback": config.lookback,
         "horizon": config.horizon,
@@ -195,7 +196,7 @@ def save_checkpoint(path, config: ModelConfig, params: MixLinearParams) -> None:
         )
     header = {
         "format_version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(config),
+        "config": config_to_dict(config),
         "plan": asdict(config.plan),
         "arrays": _array_table(shapes),
     }

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

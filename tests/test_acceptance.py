@@ -149,9 +149,9 @@ def test_criterion_7_parameter_budget():
 
 def test_criterion_8_lpf_sweep_trend(etth1_series):
     config = ModelConfig(lookback=720, horizon=96, period=24)
-    sweep = run_lpf_sweep(etth1_series, "etth1", ETTH1_SPLIT, config, [1, 5],
-                          TrainConfig(seed=0))
-    mse = dict(zip(sweep.values, (r.test_mse for r in sweep.reports)))
+    reports = run_lpf_sweep(etth1_series, "etth1", ETTH1_SPLIT, config, [1, 5],
+                            TrainConfig(seed=0))
+    mse = {r.lpf_cutoff: r.test_mse for r in reports}
     assert mse[1] >= mse[5] - 0.005
     _pass(8, f"ETTh1/96 MSE cutoff1 {mse[1]:.4f} >= cutoff5 {mse[5]:.4f} - 0.005")
 

@@ -137,6 +137,25 @@ class TestTrain:
         assert "Traceback" not in err
         assert not (tmp_path / "o" / "model.ckpt").exists()
 
+    def test_non_utf8_config_file_exits_2(self, synth_csv, tmp_path, capsys):
+        cfg = tmp_path / "latin1.conf"
+        cfg.write_bytes(b"horizon = 16\nperiod = 8\n# caf\xe9 \xff\n")
+        rc = main(["train", "--data", str(synth_csv), "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "latin1.conf" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_data_file_exits_3(self, synth_csv, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(synth_csv.read_bytes().replace(b"t00000042", b"t\xff0000042"))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                   "--lookback", "64", "--horizon", "16", "--period", "8"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and "latin1.csv" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_exits_2(self, synth_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("horizon = 16\nperiod = 8\nwat = 1\n")
@@ -410,6 +429,20 @@ class TestGradcheck:
         assert captured.err.startswith("error: ") and value in captured.err
         assert "Traceback" not in captured.err
         assert "checked" not in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "absent.csv", "--horizon", "16", "--period", "8"],
+    ["synth", "--out", "{tmp}/never.csv", "--period", "8"],
+    ["gradcheck", "--trials", "1"],
+], ids=["train", "synth", "gradcheck"])
+def test_negative_seed_exits_2(argv, tmp_path, capsys):
+    rc = main([arg.format(tmp=tmp_path) for arg in argv] + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "never.csv").exists()
 
 
 class TestThreadsVariable:

@@ -5,7 +5,7 @@ import pytest
 
 from mixlinear.data.split import SplitSpec
 from mixlinear.data.synth import synth_generate
-from mixlinear.errors import ConfigError
+from mixlinear.errors import ConfigError, DataError
 from mixlinear.evalbench import (
     REPORT_FIELDS,
     TIMING_FIELDS,
@@ -144,6 +144,38 @@ class TestReportSerialization:
         assert lines[0].split(",")[:2] == ["schema_version", "dataset"]
         assert len(lines) == 2
 
+    # the file layout, written out: reordering RunReport's fields must fail here
+    LAYOUT = [
+        "schema_version", "dataset", "mode", "lookback", "horizon", "period",
+        "lpf_cutoff", "latent_width", "seed", "split", "batch_size",
+        "learning_rate", "max_epochs", "patience", "epochs_run", "best_epoch",
+        "test_mse", "test_mae", "param_count", "mac_count", "mac_convention",
+        "pipeline_hash", "train_seconds_per_epoch", "total_seconds",
+    ]
+
+    def test_layout_pinned(self, benchmark_report, tmp_path):
+        path = tmp_path / "run.report"
+        write_report(benchmark_report, path)
+        keys = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+        header = (tmp_path / "run.csv").read_text().splitlines()[0].split(",")
+        assert keys == self.LAYOUT
+        assert header == self.LAYOUT
+        assert list(REPORT_FIELDS) == self.LAYOUT
+
+    def test_unconvertible_value_names_field_and_file(self, benchmark_report, tmp_path):
+        path = tmp_path / "run.report"
+        write_report(benchmark_report, path)
+        path.write_text(path.read_text().replace("lookback = 64\n", "lookback = 64.5\n"))
+        with pytest.raises(DataError, match=r"run\.report.*lookback.*'64\.5'"):
+            parse_report(path)
+
+    def test_non_utf8_report_is_data_error(self, benchmark_report, tmp_path):
+        path = tmp_path / "run.report"
+        write_report(benchmark_report, path)
+        path.write_bytes(path.read_bytes().replace(b"synthtiny", b"synth\xfftiny"))
+        with pytest.raises(DataError, match=r"run\.report"):
+            parse_report(path)
+
 
 @pytest.fixture(scope="module")
 def ablation_reports():
@@ -192,10 +224,10 @@ def sweep():
 
 class TestRunLpfSweep:
     def test_unsorted_cutoffs_sorted_in_output(self, sweep):
-        assert sweep.values == [2, 3, 5]
+        assert [r.lpf_cutoff for r in sweep] == [2, 3, 5]
 
     def test_identical_pipeline_hashes(self, sweep):
-        assert len({r.pipeline_hash for r in sweep.reports}) == 1
+        assert len({r.pipeline_hash for r in sweep}) == 1
 
     def test_sweep_files(self, sweep, tmp_path):
         path = tmp_path / "sweep.report"
