@@ -62,6 +62,61 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2, col 2"):
             load_csv(path)
 
+    # (file content, message after "<path>: "); rows count from 1 at the
+    # first data row, blank lines included, and columns from 1 at the date
+    ERRORS = {
+        "non-numeric": ("date,a,b\nt0,1,2\nt1,oops,3\n",
+                        "non-numeric cell at row 2, col 2: 'oops'"),
+        "empty-cell": ("date,a,b\nt0,1,\n", "non-numeric cell at row 1, col 3: ''"),
+        "hex-cell": ("date,a\nt0,0x10\n", "non-numeric cell at row 1, col 2: '0x10'"),
+        "nan": ("date,a\nt0,1.0\nt1,nan\n", "missing/non-finite cell at row 2, col 2"),
+        "inf": ("date,a\nt0,inf\n", "missing/non-finite cell at row 1, col 2"),
+        "minus-inf": ("date,a,b\nt0,1,-inf\n", "missing/non-finite cell at row 1, col 3"),
+        "overflow": ("date,a\nt0,1\nt1,1e999\n", "missing/non-finite cell at row 2, col 2"),
+        "ragged": ("date,a,b\nt0,1,2\nt1,3\n", "ragged row 2: expected 3 columns, got 2"),
+        "header-and-blank-lines": ("date,a\n\n\n", "no data rows"),
+        "empty-file": ("", "file is empty"),
+        "no-channel-column": ("date\nt0\n",
+                              "expected a date column plus at least one channel"),
+        # the first error in row-major order wins
+        "non-finite-before-ragged": ("date,a,b\nt0,nan,1\nt1,2\n",
+                                     "missing/non-finite cell at row 1, col 2"),
+        "non-finite-before-non-numeric": ("date,a,b\nt0,1,inf\nt1,abc,2\n",
+                                          "missing/non-finite cell at row 1, col 3"),
+        "left-most-non-finite": ("date,a,b\nt0,inf,abc\n",
+                                 "missing/non-finite cell at row 1, col 2"),
+        "left-most-non-numeric": ("date,a,b\nt0,abc,inf\n",
+                                  "non-numeric cell at row 1, col 2: 'abc'"),
+        "ragged-before-its-cells": ("date,a,b\nt0,abc\n",
+                                    "ragged row 1: expected 3 columns, got 2"),
+        "blank-lines-count-non-finite": ("date,a\n\nt0,1\n\nt1,nan\n",
+                                         "missing/non-finite cell at row 4, col 2"),
+        "blank-lines-count-non-numeric": ("date,a\n\nt0,1\n\nt1,x\n",
+                                          "non-numeric cell at row 4, col 2: 'x'"),
+        "blank-lines-count-before-ragged": ("date,a,b\n\nt0,nan,1\n\nt1,2\n",
+                                            "missing/non-finite cell at row 2, col 2"),
+    }
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_error_message_pinned(self, case, tmp_path):
+        content, message = self.ERRORS[case]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content.encode())
+        with pytest.raises(DataError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_accepts_what_float_accepts(self, tmp_path):
+        # CRLF endings, a quoted date holding the separator, and cells that
+        # float() takes: digit separators and surrounding spaces
+        path = tmp_path / "lenient.csv"
+        path.write_bytes(b'date,a,b\r\n"t,0",1_000, 2.5 \r\nt1,-0.0,1e-310\r\n')
+        series = load_csv(path)
+        assert series.timestamps == ["t,0", "t1"]
+        assert series.channel_names == ["a", "b"]
+        expected = np.array([[1000.0, 2.5], [-0.0, 1e-310]])
+        assert series.values.tobytes() == expected.tobytes()
+
     def test_etth1_dimensions_if_available(self):
         path = etth1_path()
         if path is None:
