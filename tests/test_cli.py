@@ -370,6 +370,28 @@ class TestMisc:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    # (what data row 42's ch1 cell becomes, the loader's message after "<path>: ")
+    BAD_CELLS = {
+        "non-finite": ("-inf", "missing/non-finite cell at row 42, col 3"),
+        "non-numeric": ("n/a", "non-numeric cell at row 42, col 3: 'n/a'"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("case", list(BAD_CELLS))
+    def test_bad_data_cell_exits_3_with_loader_message(self, command, case, synth_csv,
+                                                       trained_run, tmp_path, capsys):
+        text, message = self.BAD_CELLS[case]
+        lines = synth_csv.read_text().splitlines()
+        lines[42] = lines[42].rsplit(",", 1)[0] + "," + text
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines) + "\n")
+        args = {"train": ["train", *self.TRAIN_SIZES, "--out", str(tmp_path / "o")],
+                "eval": ["eval", "--checkpoint", str(trained_run / "model.ckpt")]}
+        rc = main([*args[command], "--data", str(data)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == f"error: {data}: {message}\n"  # and so no traceback
+
     def test_eval_writes_report_when_out_given(self, synth_csv, trained_run,
                                                tmp_path, capsys):
         out = tmp_path / "evalout"

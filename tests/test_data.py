@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import etth1_path
 from mixlinear.data import (
@@ -138,6 +141,34 @@ class TestLoadCsv:
         assert np.array_equal(loaded.values, series.values)
         assert loaded.channel_names == series.channel_names
         assert loaded.timestamps == series.timestamps
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 50), st.integers(1, 8)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308]]))
+    @settings(max_examples=100, deadline=None)
+    def test_save_load_round_trip_is_bitwise(self, tmp_path_factory, values):
+        rows, channels = values.shape
+        series = RawSeries([f"t{i}" for i in range(rows)], values,
+                           [f"c{j}" for j in range(channels)])
+        path = tmp_path_factory.mktemp("round_trip") / "series.csv"
+        save_csv(series, path)
+        loaded = load_csv(path)
+        assert loaded.values.dtype == np.float64 and loaded.values.shape == (rows, channels)
+        assert loaded.values.flags.c_contiguous
+        assert loaded.values.tobytes() == values.tobytes()  # -0.0 and subnormals too
+        assert loaded.timestamps == series.timestamps
+        assert loaded.channel_names == series.channel_names
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_and_writes_nothing(self, bad, tmp_path):
+        values = np.zeros((4, 3))
+        values[2, 1] = bad  # load_csv's row 3, col 3
+        values[3, 0] = np.nan
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError) as excinfo:
+            save_csv(RawSeries([f"t{i}" for i in range(4)], values, ["a", "b", "c"]), path)
+        assert str(excinfo.value) == f"cannot write {path}: non-finite value at row 3, col 3"
+        assert not path.exists()
 
 
 def _series_of_length(total, channels=1):
