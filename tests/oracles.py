@@ -2,11 +2,14 @@
 
 Everything here is written as literal scalar loops (cmath / pure Python
 accumulation), deliberately sharing no code with the package: the naive
-transform definitions, loop-based affine/convolution evaluation, and a
-stage-by-stage recomputation of the forward graph.
+transform definitions, loop-based affine/convolution evaluation, a
+stage-by-stage recomputation of the forward graph, and a cell-by-cell CSV
+reader.
 """
 
 import cmath
+import csv
+import math
 
 import numpy as np
 
@@ -183,3 +186,41 @@ def forward_loop(x, params, config, plan):
         for j in range(plan.m):
             sequence[j * config.period + i] = rows_out[i][j]
     return np.array(sequence[:config.horizon])
+
+
+def load_csv_loop(path):
+    """Cell-by-cell benchmark-CSV reader: (timestamps, values, channel names).
+
+    Stops at the first problem in row-major order, raising ``ValueError``
+    with the message ``load_csv`` gives for it.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: file is empty")
+    header = rows[0]
+    if len(header) < 2:
+        raise ValueError(f"{path}: expected a date column plus at least one channel")
+    timestamps, values = [], []
+    for row_no, row in enumerate(rows[1:], start=1):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: ragged row {row_no}: expected {len(header)} "
+                             f"columns, got {len(row)}")
+        parsed = []
+        for col_idx, cell in enumerate(row[1:], start=2):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric cell at row {row_no}, "
+                                 f"col {col_idx}: {cell!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: missing/non-finite cell at row {row_no}, "
+                                 f"col {col_idx}")
+            parsed.append(value)
+        timestamps.append(row[0])
+        values.append(parsed)
+    if not values:
+        raise ValueError(f"{path}: no data rows")
+    return timestamps, np.array(values), [name.strip() for name in header[1:]]
