@@ -12,6 +12,7 @@ import numpy as np
 
 from ..numerics import (
     conv1d_same_batch,
+    conv_pad_split,
     conv_transpose_kernel,
     idft_matrix,
     rfft_batch,
@@ -52,14 +53,20 @@ def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig):
 
     Returns (phase, mean, centred): ``phase`` is the (n, w*B) block with
     phase[j, p*B + b] = aggregated[b, j*w + p], zero where j*w + p >= L,
-    and ``centred`` the C-contiguous (L, B) mean-centred windows.
+    and ``centred`` the C-contiguous (L, B) mean-centred windows.  The
+    aggregation conv(x) + x is one conv: the identity rides in the kernel's
+    centre tap, the one that maps each step onto itself, so the conv's
+    time-major output is the phase block itself when w divides L.
     """
     batch, length = x2d.shape
     mean = x2d.mean(axis=1)
     centred = np.subtract(x2d.T, mean, order="C")
-    aggregated = np.zeros((config.plan.n * config.period, batch))
-    conv = conv1d_same_batch(centred.T, params.conv_kernel, float(params.conv_bias))
-    np.add(conv.T, centred, out=aggregated[:length])
+    kernel = params.conv_kernel.copy()
+    kernel[conv_pad_split(kernel.size)[0]] += 1.0
+    aggregated = conv1d_same_batch(centred.T, kernel, float(params.conv_bias)).T
+    tail = config.plan.n * config.period - length
+    if tail:
+        aggregated = np.vstack([aggregated, np.zeros((tail, batch))])
     return aggregated.reshape(config.plan.n, config.period * batch), mean, centred
 
 
@@ -168,12 +175,19 @@ def uses_window_map(rows: int, config: ModelConfig) -> bool:
 
 
 def _window_map_forward(x2d, params, config, want_trace):
-    """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c."""
+    """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c.
+
+    Untraced, the prediction is computed time-major as (M' @ x')', with
+    (M, c) from ``forecast_map``.  The rows ``evaluate`` passes are the
+    ``.T`` of a time-major view of the series, so the copy BLAS needs is a
+    streaming row copy, and the (H, B) result lines up with the targets,
+    which are time-major views too.
+    """
     if not want_trace:
         window_gain, window_offset = forecast_map(params, config)
-        pred = x2d @ window_gain
-        pred += window_offset
-        return pred, None
+        pred = window_gain.T @ x2d.T
+        pred += window_offset[:, None]
+        return pred.T, None
     basis = affine_basis(config.plan.n)
     # centred rows keep the reverse pass free of the window level
     mean = x2d.mean(axis=1, keepdims=True)

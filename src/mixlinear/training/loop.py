@@ -20,9 +20,10 @@ HISTORY_HEADER = ("epoch", "train_mse", "val_mse", "seconds")
 # windows per forward_batch call in evaluate when such a chunk runs the graph
 EVAL_CHUNK_WINDOWS = 256
 # rows per forward_batch call in evaluate when the chunk would take the window
-# map: the gathered block stays near cache size and the memory in use does not
-# grow with the channels.  At L=720, H=96 (2-vCPU Xeon, OpenBLAS) blocks of
-# 512-2048 rows ran within noise of each other; 4096 rows and up were slower.
+# map: the copy BLAS makes of the block stays near cache size and the memory in
+# use does not grow with the channels.  At L=720, H=96 (2-vCPU Xeon, OpenBLAS)
+# blocks of 512-2048 rows ran within noise of each other; 4096 rows and up were
+# slower.
 EVAL_BLOCK_ROWS = 1024
 
 
@@ -169,12 +170,15 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     """Average MSE/MAE over every window and channel, standardized scale.
 
     Streams the windows through ``forward_batch`` a block at a time, all
-    channels at once: gather a block, predict it, accumulate its errors.
+    channels at once: view a block of consecutive windows in place, predict
+    it, accumulate its errors.
     When a chunk of ``EVAL_CHUNK_WINDOWS`` windows would run the graph, the
     blocks are such chunks.  Otherwise each block has about
     ``EVAL_BLOCK_ROWS`` rows (at least L+2) and goes through the window map
     f(x) = xM + c, which ``forecast_map`` builds once for the parameter set,
     so the memory in use is bounded by the block, not by the channel count.
+    Raises ``NumericError`` at the first block whose error sums are not
+    finite, such as one that reads a NaN.
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
@@ -187,9 +191,12 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
         rows = _flatten_windows(x, config.lookback, "inputs")
         err = forward_batch(rows, params, config)
         err -= _flatten_windows(y, config.horizon, "targets")
-        del x, y, rows  # free the gathered block before the next one is gathered
         flat = err.ravel(order="K")  # a view in either layout forward_batch returns
         sq_sum += float(flat @ flat)
         abs_sum += float(np.abs(flat, out=flat).sum())
+        if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
+            raise NumericError(
+                f"non-finite evaluation error in windows [{lo}, {idx[-1] + 1})"
+            )
     count = windows.count * windows.channels * config.horizon
     return sq_sum / count, abs_sum / count

@@ -19,7 +19,11 @@ from mixlinear.data import (
     standardize,
     synth_generate,
 )
+from mixlinear.data.windows import WindowSet
 from mixlinear.errors import ConfigError, DataError
+from mixlinear.model import ModelConfig, init_params
+from mixlinear.training import evaluate
+from mixlinear.training.backward import _flatten_windows
 
 
 def write_csv(path, header, rows):
@@ -362,6 +366,52 @@ class TestMakeWindows:
         assert a.content_hash() == b.content_hash()
         c = make_windows(Segment(np.ones((12, 1)) * 2, "s", standardized=True), 4, 3)
         assert a.content_hash() != c.content_hash()
+
+
+def _view_bases():
+    """A C-contiguous (40, 3) base and a column slice of a wider array."""
+    wide = np.random.default_rng(5).normal(size=(40, 5))
+    return {"contiguous": wide[:, :3].copy(), "column-sliced": wide[:, 1:4]}
+
+
+class TestBatchViews:
+    """A run of consecutive windows is read in place; other indices gather."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "column-sliced"])
+    @pytest.mark.parametrize("first, count", [(0, 1), (4, 13), (0, 27), (26, 1)])
+    def test_consecutive_run_is_read_only_view(self, layout, first, count):
+        base = _view_bases()[layout]
+        ws = WindowSet(base, 9, 5)
+        idx = np.arange(first, first + count)
+        views, gathered = ws.batch(idx), ws.batch(idx[::-1])
+        for view, copy, length in zip(views, gathered, (9, 5)):
+            copy = copy[::-1]
+            assert np.shares_memory(view, base) and not view.flags.writeable
+            assert view.shape == copy.shape
+            assert view.tobytes() == copy.tobytes()
+            rows = _flatten_windows(view, length, "windows")
+            assert rows.tobytes() == _flatten_windows(copy, length, "windows").tobytes()
+            if layout == "contiguous":
+                # the flattened rows are the .T of a time-major view
+                assert np.shares_memory(rows, base)
+
+    @pytest.mark.parametrize("idx", [[3, 5, 6], [2, 2, 3], [7, 6, 5], [1, 0], [4, 4]])
+    def test_other_indices_gather_writable_copies(self, idx):
+        base = _view_bases()["contiguous"]
+        ws = WindowSet(base, 9, 5)
+        for got, want in zip(ws.batch(idx), zip(*(ws.window(k) for k in idx))):
+            assert got.flags.writeable and not np.shares_memory(got, base)
+            assert got.tobytes() == np.stack(want).tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 300])
+    def test_evaluate_never_builds_spans(self, channels):
+        config = ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1)
+        values = np.random.default_rng(6).normal(size=(60, channels))
+        ws = WindowSet(values, 12, 6)
+        evaluate(init_params(config, 0), ws, config)
+        assert "_spans" not in vars(ws)
+        ws.batch([1, 0])
+        assert "_spans" in vars(ws)
 
 
 class TestSynthGenerate:

@@ -2,11 +2,14 @@
 
 import csv
 import importlib
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixlinear.data.split import Segment
 from mixlinear.data.synth import synth_generate
@@ -21,7 +24,14 @@ from mixlinear.model import (
     init_params,
     plan_shapes,
 )
-from mixlinear.model.forward import affine_basis, affine_map, forecast_map, window_map
+from mixlinear.model.forward import (
+    ForwardTrace,
+    affine_basis,
+    affine_map,
+    forecast_map,
+    uses_window_map,
+    window_map,
+)
 from mixlinear.training import (
     TrainConfig,
     adam_step,
@@ -283,6 +293,16 @@ class TestTrainLoop:
         with pytest.raises(NumericError):
             train(train_ws, val_ws, config, tc)
 
+    def test_non_finite_validation_window_raises_numeric_error(self):
+        # a NaN used to make every val_mse < best_val test False, so train
+        # returned its untrained initial parameters
+        config, train_ws, val_ws = self._tiny_setup()
+        values = val_ws.base.copy()
+        values[20, 1] = np.nan
+        with pytest.raises(NumericError, match="non-finite evaluation error"):
+            train(train_ws, WindowSet(values, 16, 8), config,
+                  TrainConfig(max_epochs=2, batch_size=32))
+
     def test_descent_on_fixed_tiny_batch(self):
         # 50 full-batch Adam steps at lr 0.02 on noiseless periodic data
         series = synth_generate(120, 8, amplitudes=(1.0,), noise_std=0.0, seed=9)
@@ -354,6 +374,20 @@ class TestEvaluate:
                 targets.append(y[:, c])
         assert mse == pytest.approx(loop_mse(np.array(preds), np.array(targets)), rel=1e-10)
         assert mae == pytest.approx(loop_mae(np.array(preds), np.array(targets)), rel=1e-10)
+
+
+    @pytest.mark.parametrize("config, count, block", [
+        (ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1), 23, "[0, 23)"),
+        # two graph blocks, the NaN in the second
+        (ModelConfig(720, 96, 24), 385, "[256, 385)"),
+    ])
+    def test_non_finite_window_raises_numeric_error(self, config, count, block):
+        lookback, horizon = config.lookback, config.horizon
+        values = np.random.default_rng(23).normal(size=(count + lookback + horizon - 1, 1))
+        values[-10, 0] = np.nan
+        with pytest.raises(NumericError, match=re.escape(f"windows {block}")):
+            evaluate(init_params(config, 23), _window_set(values, lookback, horizon),
+                     config)
 
 
 def _mode_configs(count_per_mode=4, seed=30):
@@ -737,3 +771,120 @@ class TestPhaseMap:
                     np.testing.assert_array_equal(seen[0], affine_basis(plan.n))
                 else:
                     np.testing.assert_allclose(seen[0], phase_rows, rtol=0, atol=1e-13)
+
+
+class TestViewRows:
+    """``evaluate`` passes rows that view the series; the forward reads them
+    as they stand and predicts what it predicts on C-ordered copies."""
+
+    @pytest.mark.parametrize("count, channels, mapped", [
+        (1, 1, False), (2, 3, False), (5, 1, False), (40, 3, True), (300, 1, True)])
+    def test_forward_on_view_rows_matches_contiguous_rows(self, count, channels, mapped):
+        rng = np.random.default_rng(37)
+        ws = WindowSet(rng.normal(size=(count + 23, channels)), 16, 8)
+        x, _ = ws.batch(np.arange(count))
+        rows = backward_module._flatten_windows(x, 16, "inputs")
+        assert np.shares_memory(rows, ws.base)
+        for mode in Mode:
+            config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2, mode=mode)
+            assert uses_window_map(rows.shape[0], config) == mapped
+            params = init_params(config, 37)
+            got = forward_batch(rows, params, config)
+            want = forward_batch(np.ascontiguousarray(rows), params, config)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), mode
+
+
+def _assert_dot_products(core, adjoint, inputs, rng):
+    """<core(x + v) - core(x), g> = <v, adjoint(g)[name]> for every input.
+
+    ``core`` maps the dict ``inputs`` to an array and is affine in each
+    input on its own, so the identity is exact up to rounding.
+    """
+    out = core(inputs)
+    cotangent = rng.normal(size=out.shape)
+    adjoints = adjoint(cotangent)
+    for name, value in inputs.items():
+        delta = rng.normal(size=np.shape(value))
+        moved = core({**inputs, name: value + delta})
+        lhs = np.sum((moved - out) * cotangent)
+        rhs = np.sum(delta * adjoints[name])
+        scale = np.sum(np.abs(moved * cotangent)) + np.sum(np.abs(out * cotangent))
+        assert abs(lhs - rhs) <= 1e-12 * scale, name
+
+
+class TestAdjoints:
+    """Each stage's hand-written adjoint against its forward core."""
+
+    @staticmethod
+    def _branch_case(seed, mode):
+        rng = np.random.default_rng(seed)
+        config = replace(random_small_config(rng), mode=mode)
+        params = init_params(config, int(rng.integers(1000)))
+        rows = rng.normal(size=(int(rng.integers(1, 9)), config.plan.n_hat))
+        return rng, config, params, rows
+
+    @staticmethod
+    def _branch_dot_products(rng, params, rows, names, core, grads):
+        """Dot-product identities of ``core(rows, params, trace)`` in the rows
+        and the named parameters; ``grads(g, trace, grads_dict)`` returns the
+        rows' gradient and fills the parameters'."""
+
+        def forward_at(inputs):
+            moved = replace(params, **{n: inputs[n] for n in names})
+            return core(inputs["rows"], moved, None)
+
+        def adjoint(cotangent):
+            trace = ForwardTrace(None, None, rows_padded=rows)
+            core(rows, params, trace)
+            found = {}
+            found["rows"] = grads(cotangent, trace, found)
+            return found
+
+        inputs = {"rows": rows, **{n: getattr(params, n) for n in names}}
+        _assert_dot_products(forward_at, adjoint, inputs, rng)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([Mode.MIX, Mode.TIME_ONLY]))
+    @settings(max_examples=100, deadline=None)
+    def test_time_branch(self, seed, mode):
+        rng, config, params, rows = self._branch_case(seed, mode)
+        plan = config.plan
+        self._branch_dot_products(
+            rng, params, rows, ("w_intra", "b_intra", "w_inter", "b_inter"),
+            lambda r, p, t: forward_module._time_branch_core(r, p, plan, t),
+            lambda g, t, found: backward_module._time_branch_grads(g, t, params, plan,
+                                                                   found))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([Mode.MIX, Mode.FREQ_ONLY]))
+    @settings(max_examples=100, deadline=None)
+    def test_freq_branch(self, seed, mode):
+        rng, config, params, rows = self._branch_case(seed, mode)
+        self._branch_dot_products(
+            rng, params, rows, ("w_enc_re", "w_enc_im", "w_dec_re", "w_dec_im"),
+            lambda r, p, t: forward_module._freq_branch_core(r, p, config, t),
+            lambda g, t, found: backward_module._freq_branch_grads(g, t, params, config,
+                                                                   found))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_conv_through_folded_phase_block(self, seed):
+        # the identity rides in the centre tap, so the phase block is
+        # conv(x) by kernel + e_centre: its kernel gradient is the conv's
+        rng = np.random.default_rng(seed)
+        config = random_small_config(rng)
+        params = init_params(config, int(rng.integers(1000)))
+        x = rng.normal(size=(int(rng.integers(1, 6)), config.lookback))
+        width = config.period
+
+        def phase_at(inputs):
+            return forward_module._phase_block(x, replace(params, **inputs), config)[0]
+
+        def adjoint(cotangent):
+            # as _graph_grads: undo the de-interleave, drop the zero-filled tail
+            centred = forward_module._phase_block(x, params, config)[2]
+            grad_agg = cotangent.reshape(config.plan.n * width, -1)[:config.lookback]
+            return {"conv_kernel": backward_module._conv_kernel_grad(
+                        centred.T, grad_agg.T, width),
+                    "conv_bias": grad_agg.sum()}
+
+        inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias}
+        _assert_dot_products(phase_at, adjoint, inputs, rng)
