@@ -11,7 +11,7 @@ import pytest
 from mixlinear.cli import main
 from mixlinear.data import load_csv
 from mixlinear.evalbench import parse_report
-from mixlinear.model import load_checkpoint
+from mixlinear.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +259,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and "lookback must be an integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_prediction_exits_4(self, synth_csv, trained_run, tmp_path,
+                                            capsys):
+        # finite parameters whose squared errors overflow to inf
+        config, _, params = load_checkpoint(trained_run / "model.ckpt")
+        params.b_inter[:] = 1e300
+        bad = tmp_path / "overflow.ckpt"
+        save_checkpoint(bad, config, params)
+        rc = main(["eval", "--checkpoint", str(bad), "--data", str(synth_csv)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: non-finite evaluation error in windows [0, ")
         assert "Traceback" not in err
 
     def test_cross_dataset_eval_runs(self, trained_run, tmp_path, capsys):

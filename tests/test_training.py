@@ -294,8 +294,8 @@ class TestTrainLoop:
             train(train_ws, val_ws, config, tc)
 
     def test_non_finite_validation_window_raises_numeric_error(self):
-        # a NaN used to make every val_mse < best_val test False, so train
-        # returned its untrained initial parameters
+        # unreported, a NaN makes every val_mse < best_val test False, and
+        # train returns its untrained initial parameters
         config, train_ws, val_ws = self._tiny_setup()
         values = val_ws.base.copy()
         values[20, 1] = np.nan
@@ -374,7 +374,6 @@ class TestEvaluate:
                 targets.append(y[:, c])
         assert mse == pytest.approx(loop_mse(np.array(preds), np.array(targets)), rel=1e-10)
         assert mae == pytest.approx(loop_mae(np.array(preds), np.array(targets)), rel=1e-10)
-
 
     @pytest.mark.parametrize("config, count, block", [
         (ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1), 23, "[0, 23)"),
