@@ -7,6 +7,7 @@ activations the reverse pass needs.
 """
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -21,26 +22,49 @@ from .config import Mode, ModelConfig, ShapePlan
 from .params import MixLinearParams
 
 
+class Path(Enum):
+    """The exact path a forward of R flattened windows takes; see ``choose_path``."""
+
+    OWN_ROWS = "own rows"       # the branches run on every phase row
+    PHASE_MAP = "phase map"     # the graph, with the phase map as one GEMM
+    WINDOW_MAP = "window map"   # one GEMM with the (L, H) window map
+
+
+def choose_path(rows: int, config: ModelConfig) -> Path:
+    """The path a forward of ``rows`` flattened windows takes.
+
+    Past L+1 rows one GEMM with the (L, H) window map is cheaper than
+    running the rows through the graph.  On the graph, once the rows' R*w
+    phase rows outnumber the n+1 basis rows, the branches run on the basis
+    rows only and the phase map is applied to the whole phase block.
+    """
+    if rows > config.lookback + 1:
+        return Path.WINDOW_MAP
+    if rows * config.period > config.plan.n + 1:
+        return Path.PHASE_MAP
+    return Path.OWN_ROWS
+
+
 @dataclass
 class ForwardTrace:
     """Intermediate activations cached for the reverse pass.
 
-    The graph path runs time-major: its arrays keep time (or the phase
+    The graph paths run time-major: their arrays keep time (or the phase
     index j) on the first axis and the batch on the last, so the phase
     rows and the re-interleave are reshapes, not copies.  P is the number
-    of rows the branches ran on: the phase rows themselves, or the n+1
-    ``affine_basis(n)`` rows when a run has more phase rows than that or
-    takes the window map.
+    of rows the branches ran on: the phase rows themselves on
+    ``Path.OWN_ROWS``, else the n+1 basis rows of ``phase_map``.
     """
 
+    path: Path
     x_norm: np.ndarray                 # (B, L) mean-centred windows; on the graph
-                                       # path the .T view of a time-major array
-    branch_rows: np.ndarray            # (P, n) `rows`, or affine_basis(n)
+                                       # paths the .T view of a time-major array
     rows: np.ndarray | None = None     # (w*B, n) phase rows, row p*B + b the phase-p
                                        # row of window b; the .T view of the
                                        # (n, w*B) time-major phase block.  None on
                                        # the window map
-    gain: np.ndarray | None = None     # (n, m) phase map when P = n+1 < w*B, else None
+    branch_rows: np.ndarray | None = None   # (P, n) rows the branches ran on
+    gain: np.ndarray | None = None     # (n, m) phase map, on both map paths
     interleave: np.ndarray | None = None    # (L, H) phase map re-interleaved, window map only
     rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
     seg_inter_in: np.ndarray | None = None  # (P, seg_out, seg_in)
@@ -101,6 +125,8 @@ def _freq_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
 def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
               trace: ForwardTrace | None) -> np.ndarray:
     """(P, n) phase rows -> (P, m) through the mode's branches."""
+    if trace is not None:
+        trace.branch_rows = rows
     if config.mode is Mode.SPARSE_BASELINE:
         return rows @ params.w_point.T
     plan = config.plan
@@ -134,30 +160,21 @@ def _forward_impl(x2d, params, config, want_trace):
         raise ValueError(
             f"expected input of shape (batch, {config.lookback}), got {x2d.shape}"
         )
-    if uses_window_map(x2d.shape[0], config):
+    path = choose_path(x2d.shape[0], config)
+    if path is Path.WINDOW_MAP:
         return _window_map_forward(x2d, params, config, want_trace)
 
     batch = x2d.shape[0]
     w = config.period
     plan = config.plan
     phase, mean, centred = _phase_block(x2d, params, config)
-    rows = phase.T
-
-    # The branches are affine in each phase row, g(r) = r @ gain + offset.
-    # Past n+1 rows, run them on the n+1 basis rows only and apply the map
-    # to the whole phase block as one GEMM.
-    mapped = rows.shape[0] > plan.n + 1
-    branch_rows = affine_basis(plan.n) if mapped else rows
-    trace = ForwardTrace(centred.T, branch_rows, rows) if want_trace else None
-    images = _branches(branch_rows, params, config, trace)
-    if mapped:
-        gain, offset = affine_map(images)
+    trace = ForwardTrace(path, centred.T, phase.T) if want_trace else None
+    if path is Path.PHASE_MAP:
+        gain, offset = phase_map(params, config, trace)
         out = gain.T @ phase
         out += offset[:, None]
-        if trace is not None:
-            trace.gain = gain
     else:
-        out = images.T
+        out = _branches(phase.T, params, config, trace).T
 
     # Re-interleave: sequence[j*w + p] is out[j] of phase p, so the (m, w*B)
     # block read as (m*w, B) is the time-major forecast.
@@ -165,13 +182,20 @@ def _forward_impl(x2d, params, config, want_trace):
     return sequence.T, trace
 
 
-def uses_window_map(rows: int, config: ModelConfig) -> bool:
-    """Whether a forward of ``rows`` flattened windows takes the window map.
+def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace | None):
+    """(gain, offset) with g(r) = r @ gain + offset the branches' map of a phase row.
 
-    Past L+1 rows one GEMM with the (L, H) map is cheaper than running the
-    rows through the graph.
+    The branches are affine in each phase row, so their images of the n+1
+    basis rows [I; 0] fix the map: offset is the image of the zero row and
+    gain[i] = g(e_i) - offset.  Tracing records the gain.
     """
-    return rows > config.lookback + 1
+    n = config.plan.n
+    images = _branches(np.eye(n + 1, n), params, config, trace)
+    offset = images[-1]
+    gain = images[:-1] - offset
+    if trace is not None:
+        trace.gain = gain
+    return gain, offset
 
 
 def _window_map_forward(x2d, params, config, want_trace):
@@ -188,11 +212,10 @@ def _window_map_forward(x2d, params, config, want_trace):
         pred = window_gain.T @ x2d.T
         pred += window_offset[:, None]
         return pred.T, None
-    basis = affine_basis(config.plan.n)
     # centred rows keep the reverse pass free of the window level
     mean = x2d.mean(axis=1, keepdims=True)
-    trace = ForwardTrace(x2d - mean, basis)
-    gain, offset = affine_map(_branches(basis, params, config, trace))
+    trace = ForwardTrace(Path.WINDOW_MAP, x2d - mean)
+    gain, offset = phase_map(params, config, trace)
     window_gain, window_offset, trace.interleave = window_map(
         gain, offset, params.conv_kernel, float(params.conv_bias), config)
     # add the offset before the mean: at the window level its rounding
@@ -216,8 +239,7 @@ def forecast_map(params: MixLinearParams, config: ModelConfig):
     global _forecast_memo
     key = (config, tuple((name, arr.tobytes()) for name, arr in params.named_arrays()))
     if _forecast_memo is None or _forecast_memo[0] != key:
-        gain, offset = affine_map(
-            _branches(affine_basis(config.plan.n), params, config, None))
+        gain, offset = phase_map(params, config, None)
         window_gain, window_offset, _ = window_map(
             gain, offset, params.conv_kernel, float(params.conv_bias), config)
         window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback
@@ -242,25 +264,6 @@ def window_map(gain, offset, kernel, conv_bias: float, config: ModelConfig):
         interleave.T, conv_transpose_kernel(kernel), 0.0).T
     window_offset = conv_bias * interleave.sum(axis=0) + np.repeat(offset, w)[:horizon]
     return window_gain, window_offset, interleave
-
-
-def affine_basis(length: int) -> np.ndarray:
-    """The length+1 rows [I; 0] whose images fix an affine map f(x) = xM + c.
-
-    The branches are affine in each phase row, so their images of
-    ``affine_basis(n)`` give the phase map that ``window_map`` builds the
-    whole forecaster's map from.
-    """
-    return np.eye(length + 1, length)
-
-
-def affine_map(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, c) from the forecasts of the ``affine_basis`` rows.
-
-    c = f(0) is the image of the zero row and M[i] = f(e_i) - c.
-    """
-    offset = images[-1]
-    return images[:-1] - offset, offset
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
-from ..model.forward import ForwardTrace, forward_batch, forward_batch_with_trace
+from ..model.forward import ForwardTrace, Path, forward_batch, forward_batch_with_trace
 from ..model.params import MixLinearParams
 from ..numerics import conv1d_same_batch, conv_blocks, conv_taps, dft_matrix, idft_matrix
 
@@ -43,16 +43,15 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     Gradients are averaged over every predicted scalar, matching the
     returned loss = mean((forward(x) - y)^2).
 
-    The reverse pass mirrors the path ``forward_batch_with_trace`` took.
-    A flattened batch of more than L+1 rows went through the window map
-    f(x) = (x - mean)A + mean + c, built in closed form from the conv and
-    the phase map; its gradient flows back through that construction onto
-    the n+1 phase basis rows the branches ran on.  Smaller batches ran the
-    graph time-major on their own rows, and their gradient flows back the
-    same way: the (H, B) prediction gradient read as the (m, w*B) phase
-    block, the phase map's adjoint as one GEMM each for the gain's inputs
-    and the basis images (whenever the branches ran on the n+1 phase basis
-    rows), and the conv's kernel gradient as block GEMMs.
+    The reverse pass mirrors the path the trace records.  On
+    ``Path.WINDOW_MAP`` the prediction is f(x) = (x - mean)A + mean + c,
+    built in closed form from the conv and the phase map; its gradient
+    flows back through that construction onto the n+1 phase basis rows the
+    branches ran on.  The two graph paths ran time-major on the batch's own
+    rows, and their gradient flows back the same way: the (H, B) prediction
+    gradient read as the (m, w*B) phase block, on ``Path.PHASE_MAP`` the
+    phase map's adjoint as one GEMM each for the gain's inputs and the
+    basis images, and the conv's kernel gradient as block GEMMs.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -74,13 +73,8 @@ def backward(x_batch, y_batch, params: MixLinearParams,
 
 
 def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.ndarray:
-    """Gradient on the images from the gradient on (M, c) = affine_map(images)."""
+    """Gradient on the n+1 basis images from the gradient on ``phase_map``'s (gain, offset)."""
     return np.vstack([grad_gain, grad_offset - grad_gain.sum(axis=0)])
-
-
-def _pull_back_to_basis(x2d: np.ndarray, grad_pred: np.ndarray) -> np.ndarray:
-    """Adjoint of images -> X M + c, with (M, c) = affine_map(images), at fixed X."""
-    return _affine_map_adjoint(x2d.T @ grad_pred, grad_pred.sum(axis=0))
 
 
 def _conv_kernel_grad(inputs: np.ndarray, grad_out: np.ndarray, width: int) -> np.ndarray:
@@ -103,9 +97,7 @@ def _conv_kernel_grad(inputs: np.ndarray, grad_out: np.ndarray, width: int) -> n
 
 
 def _backprop(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
-    if trace.interleave is None:
-        grads = _graph_grads(grad_pred, trace, params, config)
-    else:
+    if trace.path is Path.WINDOW_MAP:
         # pred = x_norm A + c + mean, with (A, c) from window_map
         grads = {}
         grads["conv_kernel"], grads["conv_bias"], grad_gain, grad_offset = _window_map_adjoint(
@@ -113,6 +105,8 @@ def _backprop(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
             params.conv_kernel, float(params.conv_bias), config)
         grad_images = _affine_map_adjoint(grad_gain, grad_offset)
         _branch_grads(grad_images, trace, params, config, grads)
+    else:
+        grads = _graph_grads(grad_pred, trace, params, config)
     # keep checkpoint/declaration order
     return {name: grads[name] for name, _ in params.named_arrays()}
 
@@ -130,15 +124,15 @@ def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
     grad_out = grad_seq.reshape(plan.m, w * batch)
 
     grads: GradientSet = {}
-    if trace.gain is None:
-        grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
-        grad_phase = grad_rows.T
-    else:
+    if trace.path is Path.PHASE_MAP:
         # the branches ran on the n+1 basis rows; the phase block saw only
         # gain' @ phase + offset
-        grad_images = _pull_back_to_basis(trace.rows, grad_out.T)
+        grad_images = _affine_map_adjoint(trace.rows.T @ grad_out.T, grad_out.T.sum(axis=0))
         _branch_grads(grad_images, trace, params, config, grads)
         grad_phase = trace.gain @ grad_out
+    else:
+        grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
+        grad_phase = grad_rows.T
 
     # undo the de-interleave, drop the zero-filled tail
     grad_agg = grad_phase.reshape(plan.n * w, batch)[:config.lookback]

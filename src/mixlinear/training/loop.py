@@ -10,7 +10,7 @@ import numpy as np
 from ..data.windows import WindowSet
 from ..errors import ConfigError, NumericError
 from ..model.config import ModelConfig
-from ..model.forward import forward_batch, uses_window_map
+from ..model.forward import Path, choose_path, forward_batch
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
 from .backward import _flatten_windows, backward
@@ -154,14 +154,14 @@ def _eval_block_windows(channels: int, config: ModelConfig) -> int:
     """Windows per ``forward_batch`` call in ``evaluate``.
 
     ``EVAL_CHUNK_WINDOWS`` when such a chunk runs the graph; otherwise about
-    ``EVAL_BLOCK_ROWS`` rows, and at least L+2, so a full block still takes
-    the window map.
+    ``EVAL_BLOCK_ROWS`` rows, and at least the fewest windows that still take
+    the window map (at most ``EVAL_CHUNK_WINDOWS``).
     """
-    if not uses_window_map(EVAL_CHUNK_WINDOWS * channels, config):
+    if choose_path(EVAL_CHUNK_WINDOWS * channels, config) is not Path.WINDOW_MAP:
         return EVAL_CHUNK_WINDOWS
     block = max(1, EVAL_BLOCK_ROWS // channels)
-    if not uses_window_map(block * channels, config):
-        block = (config.lookback + 1) // channels + 1
+    while choose_path(block * channels, config) is not Path.WINDOW_MAP:
+        block += 1
     return block
 
 
@@ -192,8 +192,10 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
         err = forward_batch(rows, params, config)
         err -= _flatten_windows(y, config.horizon, "targets")
         flat = err.ravel(order="K")  # a view in either layout forward_batch returns
-        sq_sum += float(flat @ flat)
-        abs_sum += float(np.abs(flat, out=flat).sum())
+        # an overflow is reported as the NumericError below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_sum += float(flat @ flat)
+            abs_sum += float(np.abs(flat, out=flat).sum())
         if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
             raise NumericError(
                 f"non-finite evaluation error in windows [{lo}, {idx[-1] + 1})"

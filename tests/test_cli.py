@@ -261,7 +261,6 @@ class TestEval:
         assert err.startswith("error: ") and "lookback must be an integer" in err
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_prediction_exits_4(self, synth_csv, trained_run, tmp_path,
                                             capsys):
         # finite parameters whose squared errors overflow to inf

@@ -26,10 +26,10 @@ from mixlinear.model import (
 )
 from mixlinear.model.forward import (
     ForwardTrace,
-    affine_basis,
-    affine_map,
+    Path,
+    choose_path,
     forecast_map,
-    uses_window_map,
+    phase_map,
     window_map,
 )
 from mixlinear.training import (
@@ -43,7 +43,7 @@ from mixlinear.training import (
     train,
     write_history,
 )
-from mixlinear.training.backward import _pull_back_to_basis, _window_map_adjoint
+from mixlinear.training.backward import _affine_map_adjoint, _window_map_adjoint
 from oracles import decompose_trend_loop, forward_loop, loop_mae, loop_mse
 from test_model import zeroed
 
@@ -451,7 +451,7 @@ class TestAffineMap:
                 x = 5.0 + rng.normal(size=(rows, config.lookback))
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
                 traced, trace = forward_batch_with_trace(x, params, config)
-                assert trace.interleave is not None
+                assert trace.path is Path.WINDOW_MAP
                 for pred in (forward_batch(x, params, config), traced):
                     error = np.max(np.abs(pred - want))
                     assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
@@ -561,11 +561,11 @@ class TestAffineMap:
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
                                                            monkeypatch):
-        mapped = []
+        paths = []
 
         def recording(rows, *args):
             pred, trace = forward_batch_with_trace(rows, *args)
-            mapped.append(trace.interleave is not None)
+            paths.append(trace.path)
             return pred, trace
 
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
@@ -575,13 +575,14 @@ class TestAffineMap:
             rows = config.lookback + 1 + extra_rows
             x = rng.normal(size=(rows, config.lookback))
             y = rng.normal(size=(rows, config.horizon))
-            mapped.clear()
+            paths.clear()
             loss, grads = backward(x, y, params, config)
-            assert mapped == [rows > config.lookback + 1]
+            assert paths == [choose_path(rows, config)]
+            assert (paths[0] is Path.WINDOW_MAP) == (extra_rows > 0)
 
-            mapped.clear()
+            paths.clear()
             want_loss, want = _graph_backward(x, y, params, config)
-            assert not any(mapped)
+            assert Path.WINDOW_MAP not in paths
             assert loss == pytest.approx(want_loss, rel=1e-10, abs=0)
             assert grads.keys() == want.keys()
             for name, grad in grads.items():
@@ -639,17 +640,22 @@ class TestAffineMap:
             widths.add(config.period % 2)
         assert widths == {0, 1}
 
-    def test_pull_back_is_exact_adjoint(self):
+    def test_pull_back_is_exact_adjoint(self, monkeypatch):
+        # images -> rows @ gain + offset, with (gain, offset) from phase_map's
+        # split of the n+1 basis images, against the pull-back _graph_grads makes
         rng = np.random.default_rng(32)
         for _ in range(20):
-            rows, length, horizon = (int(v) for v in rng.integers(1, 40, size=3))
-            x = rng.normal(size=(rows, length))
-            images = rng.normal(size=(length + 1, horizon))
-            grad = rng.normal(size=(rows, horizon))
-            gain, offset = affine_map(images)
+            config = random_small_config(rng)
+            rows = int(rng.integers(1, 40))
+            x = rng.normal(size=(rows, config.plan.n))
+            images = rng.normal(size=(config.plan.n + 1, config.plan.m))
+            grad = rng.normal(size=(rows, config.plan.m))
+            with monkeypatch.context() as patch:
+                patch.setattr(forward_module, "_branches", lambda *_: images)
+                gain, offset = phase_map(None, config, None)
             pred = x @ gain + offset
             lhs = np.sum(pred * grad)
-            rhs = np.sum(images * _pull_back_to_basis(x, grad))
+            rhs = np.sum(images * _affine_map_adjoint(x.T @ grad, grad.sum(axis=0)))
             assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(pred * grad))
 
 
@@ -687,11 +693,11 @@ class TestPhaseMap:
                 assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, batch)
 
     def test_backward_above_switch_is_mean_of_single_windows(self, monkeypatch):
-        mapped = []
+        paths = []
 
         def recording(rows, *args):
             pred, trace = forward_batch_with_trace(rows, *args)
-            mapped.append(trace.gain is not None)
+            paths.append(trace.path)
             return pred, trace
 
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
@@ -707,11 +713,11 @@ class TestPhaseMap:
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(batch, config.lookback))
             y = rng.normal(size=(batch, config.horizon))
-            mapped.clear()
+            paths.clear()
             loss, grads = backward(x, y, params, config)
             singles = [backward(x[i:i + 1], y[i:i + 1], params, config)
                        for i in range(batch)]
-            assert mapped == [True] + [False] * batch
+            assert paths == [Path.PHASE_MAP] + [Path.OWN_ROWS] * batch
             assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-10, abs=0)
             for name, grad in grads.items():
                 want = np.mean([g[name] for _, g in singles], axis=0)
@@ -767,7 +773,7 @@ class TestPhaseMap:
                 phase_rows = np.stack(trends, axis=1).reshape(-1, plan.n)
                 assert len(seen) == 1
                 if phase_rows.shape[0] > plan.n + 1:
-                    np.testing.assert_array_equal(seen[0], affine_basis(plan.n))
+                    np.testing.assert_array_equal(seen[0], np.eye(plan.n + 1, plan.n))
                 else:
                     np.testing.assert_allclose(seen[0], phase_rows, rtol=0, atol=1e-13)
 
@@ -786,11 +792,46 @@ class TestViewRows:
         assert np.shares_memory(rows, ws.base)
         for mode in Mode:
             config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2, mode=mode)
-            assert uses_window_map(rows.shape[0], config) == mapped
+            assert (choose_path(rows.shape[0], config) is Path.WINDOW_MAP) == mapped
             params = init_params(config, 37)
             got = forward_batch(rows, params, config)
             want = forward_batch(np.ascontiguousarray(rows), params, config)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), mode
+
+
+class TestChoosePath:
+    """``choose_path`` decides the path of every forward, and the trace records it."""
+
+    @staticmethod
+    def _switch_rows(config):
+        """L+1 and L+2 rows, and the fewest windows whose R*w phase rows
+        exceed n+1 and one fewer."""
+        phase = (config.plan.n + 1) // config.period + 1
+        return sorted({config.lookback + 1, config.lookback + 2, phase, phase - 1} - {0})
+
+    def test_trace_records_the_planned_path(self):
+        rng = np.random.default_rng(38)
+        bases = [random_small_config(rng) for _ in range(60)] + [ModelConfig(720, 96, 24)]
+        reached = {mode: set() for mode in Mode}
+        for base in bases:
+            for mode in Mode:
+                config = replace(base, mode=mode)
+                params = init_params(config, int(rng.integers(1000)))
+                for _, arr in params.named_arrays():
+                    arr += 0.1 * rng.normal(size=arr.shape)
+                for rows in self._switch_rows(config):
+                    x = rng.normal(size=(rows, config.lookback))
+                    traced, trace = forward_batch_with_trace(x, params, config)
+                    assert trace.path is choose_path(rows, config), (config, rows)
+                    reached[mode].add(trace.path)
+                    # every row of a small config, a sample of the L=720 ones
+                    picks = range(rows) if rows <= 64 else rng.choice(rows, 4, replace=False)
+                    want = np.array([forward_loop(x[i], params, config, config.plan)
+                                     for i in picks])
+                    for pred in (forward_batch(x, params, config), traced):
+                        error = np.max(np.abs(pred[list(picks)] - want))
+                        assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
+        assert all(paths == set(Path) for paths in reached.values())
 
 
 def _assert_dot_products(core, adjoint, inputs, rng):
