@@ -8,8 +8,10 @@ activations the reverse pass needs.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..numerics import (
     conv1d_same_batch,
@@ -28,16 +30,43 @@ class Path(Enum):
     OWN_ROWS = "own rows"       # the branches run on every phase row
     PHASE_MAP = "phase map"     # the graph, with the phase map as one GEMM
     WINDOW_MAP = "window map"   # one GEMM with the (L, H) window map
+    SERIES = "series"           # consecutive windows, from their series; untraced
 
 
-def choose_path(rows: int, config: ModelConfig) -> Path:
+# floats in one channel group's series-length arrays on Path.SERIES
+SERIES_GROUP_FLOATS = 1 << 16
+
+
+def series_channels(x2d: np.ndarray) -> int:
+    """C when (R, L) rows are consecutive windows of one C-channel series, else 0.
+
+    Row k*C + c of b consecutive windows over a time-major series reads
+    steps k .. k+L-1 of channel c, so the rows have strides (s, C*s) and
+    x2d[r + C, i] is x2d[r, i + 1].  Rows with those strides alias memory
+    that way whatever made them, so the strides alone prove the layout, and
+    ``as_strided(x2d, (b + L - 1, C), (C*s, s))`` is the series.
+    """
+    step, across = x2d.strides
+    if step <= 0 or across <= 0 or across % step:
+        return 0
+    channels = across // step
+    return 0 if x2d.shape[0] % channels else channels
+
+
+def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     """The path a forward of ``rows`` flattened windows takes.
 
-    Past L+1 rows one GEMM with the (L, H) window map is cheaper than
-    running the rows through the graph.  On the graph, once the rows' R*w
-    phase rows outnumber the n+1 basis rows, the branches run on the basis
-    rows only and the phase map is applied to the whole phase block.
+    ``channels`` is the rows' ``series_channels``, or 0 when they are not
+    windows of one series or the forward is traced.  Two or more
+    consecutive windows are predicted from their series, which they share
+    all but one step of.  Otherwise, past L+1 rows one GEMM with the (L, H)
+    window map is cheaper than running the rows through the graph.  On the
+    graph, once the rows' R*w phase rows outnumber the n+1 basis rows, the
+    branches run on the basis rows only and the phase map is applied to the
+    whole phase block.
     """
+    if channels and rows >= 2 * channels:
+        return Path.SERIES
     if rows > config.lookback + 1:
         return Path.WINDOW_MAP
     if rows * config.period > config.plan.n + 1:
@@ -160,7 +189,10 @@ def _forward_impl(x2d, params, config, want_trace):
         raise ValueError(
             f"expected input of shape (batch, {config.lookback}), got {x2d.shape}"
         )
-    path = choose_path(x2d.shape[0], config)
+    channels = 0 if want_trace else series_channels(x2d)
+    path = choose_path(x2d.shape[0], config, channels)
+    if path is Path.SERIES:
+        return _series_forward(x2d, channels, params, config), None
     if path is Path.WINDOW_MAP:
         return _window_map_forward(x2d, params, config, want_trace)
 
@@ -198,14 +230,143 @@ def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace 
     return gain, offset
 
 
+class _SeriesTerms(NamedTuple):
+    """What ``_series_group`` needs of the parameters, computed once a forward."""
+
+    kernel: np.ndarray        # (w,) the conv kernel, plus the identity in its centre tap
+    gain: np.ndarray          # (n, m) the phase map W
+    level_gain: np.ndarray    # (m,) 1 - sum(kernel) sum_j W[j]: the weight of a window's mean
+    constant: np.ndarray      # (m,) conv_bias sum_j W[j] + b
+    conv_bias: float
+    before: np.ndarray        # (left, left) conv weights on the steps before a window
+    after: np.ndarray         # (right, right) conv weights on the steps after it
+
+
+def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
+                    config: ModelConfig) -> np.ndarray:
+    """Predict b >= 2 consecutive windows of a C-channel series from the series.
+
+    With kappa the kernel plus the identity in its centre tap, S the
+    series convolved once with kappa, and (W, b) the phase map, window k's
+    forecast at h = q*w + p is, for windows away from the series' edges,
+
+        sum_j S[k + p + j*w] W[j, q] + mean_k (1 - sum(kappa) sum_j W[j, q])
+            + conv_bias sum_j W[j, q] + b[q],
+
+    and VG[u] = sum_j S[u + j*w] W[j] serves every window and phase with
+    k + p = u.  What S read across each window's edges (the (w-1)//2 first
+    and w-1-(w-1)//2 last steps, and the n*w - L padded ones) is taken back
+    per window.  Each window and channel costs about n*m + (w-1)(m + w/2)
+    multiply-adds and m*w adds, plus its share of the conv of the series,
+    3w(b + L + w)/b, and of the branches on the n+1 basis rows; the window
+    map costs L*H.  The channels run in groups, so that the series-length
+    arrays stay small when the series is wide.  Returns the ``.T`` of a
+    C-contiguous (H, b*C) array.
+    """
+    rows, length = x2d.shape
+    windows = rows // channels
+    step = x2d.strides[0]
+    series = as_strided(x2d, (windows + length - 1, channels), (channels * step, step),
+                        writeable=False)
+    plan, w = config.plan, config.period
+    left, right = conv_pad_split(w)
+    gain, offset = phase_map(params, config, None)
+    kernel = params.conv_kernel.copy()
+    kernel[left] += 1.0
+    conv_bias = float(params.conv_bias)
+    gain_sums = gain.sum(axis=0)
+    taps = np.append(kernel, 0.0)
+    index = np.arange(left)
+    # step t < left of window k read kernel[i - t] * centred[k - left + i], t <= i < left
+    before = taps[np.where(index >= index[:, None], index - index[:, None], w)]
+    index = np.arange(right)
+    # step L - right + r read kernel[i + w-1 - r] * centred[k + L + i], i <= r
+    after = taps[np.where(index <= index[:, None], index + w - 1 - index[:, None], w)]
+    terms = _SeriesTerms(kernel, gain, 1.0 - kernel.sum() * gain_sums,
+                         offset + conv_bias * gain_sums, conv_bias, before, after)
+    out = np.empty((plan.m, w, windows, channels))
+    group = max(1, SERIES_GROUP_FLOATS // (windows + (plan.n + 1) * w))
+    for lo in range(0, channels, group):
+        _series_group(series[:, lo:lo + group], out[..., lo:lo + group], terms, config)
+    return out.reshape(plan.m * w, rows)[:config.horizon].T
+
+
+def _series_group(series: np.ndarray, out: np.ndarray, terms: _SeriesTerms,
+                  config: ModelConfig) -> None:
+    """Write the (m, w, b, G) phase-major forecast of b windows of a (U, G) series to ``out``."""
+    length, w, n = config.lookback, config.period, config.plan.n
+    windows, width = out.shape[2], out.shape[3]
+    steps, rows = series.shape[0], windows * width
+    left, right = terms.before.shape[0], terms.after.shape[0]
+    blocks = -(-(windows + w - 1) // w)     # w-step blocks of the u = k + p that VG holds
+    span = (blocks + n - 1) * w             # conv steps VG reads
+    # the series less its first window's mean, with zeros before and after it
+    level = series[:length].mean(axis=0)
+    padded = np.empty((left + max(span, steps + right), width))
+    padded[:left] = 0.0
+    padded[left + steps:] = 0.0
+    np.subtract(series, level, out=padded[left:left + steps])
+    centred = padded[left:]
+    # window means from running sums: window k+1 adds step k+L and drops step k
+    mean = np.empty((windows, width))
+    mean[0] = 0.0
+    np.subtract(centred[length:length + windows - 1], centred[:windows - 1], out=mean[1:])
+    np.cumsum(mean, axis=0, out=mean)
+    mean /= length
+
+    conv = conv1d_same_batch(centred[:span].T, terms.kernel, 0.0).T.reshape(-1, w * width)
+    # VG[q, u*G + c] = sum_j conv[u + j*w, c] W[j, q], one GEMM per w-step block of u
+    sums = np.empty((terms.gain.shape[1], blocks * w * width))
+    for block in range(blocks):
+        np.matmul(terms.gain.T, conv[block:block + n],
+                  out=sums[:, block * w * width:(block + 1) * w * width])
+    shift = np.multiply.outer(terms.level_gain, mean)[:, None]
+    shift += terms.constant[:, None, None, None]
+    shift += level
+    # out[q, p, k, c] = VG[q, (k + p)*G + c]
+    item = sums.itemsize
+    np.add(np.ndarray(out.shape, sums.dtype, sums, 0,
+                      (sums.strides[0], width * item, width * item, item)), shift, out=out)
+
+    # take back what the conv of the series read across each window's edges
+    mean = mean.reshape(rows)
+    if left:
+        read = np.ndarray((left, rows), padded.dtype, padded, 0, (width * item, item))
+        edge = terms.before @ np.ascontiguousarray(read)
+        edge -= np.multiply.outer(terms.before.sum(axis=1), mean)
+        _take_back(out, terms.gain, edge.reshape(left, windows, width), 0)
+    first = length - right
+    if n * w > first:
+        edge = np.empty((n * w - first, rows))
+        if right:
+            read = np.ndarray((right, rows), padded.dtype, padded,
+                              (left + length) * width * item, (width * item, item))
+            edge[:right] = terms.after @ np.ascontiguousarray(read)
+            edge[:right] -= np.multiply.outer(terms.after.sum(axis=1), mean)
+        if n * w > length:
+            # the graph's padded steps t >= L hold zero, the series conv[k + t]
+            tail = np.ndarray((n * w - length, rows), conv.dtype, conv, length * width * item,
+                              (width * item, item))
+            np.subtract(tail, terms.kernel.sum() * mean, out=edge[right:])
+            edge[right:] += terms.conv_bias
+        _take_back(out, terms.gain, edge.reshape(-1, windows, width), first)
+
+
+def _take_back(out, gain, edge, first: int):
+    """out[q, t % w] -= W[t // w, q] * edge[t - first] for steps t = first, first+1, ..."""
+    w = out.shape[1]
+    stop = first + edge.shape[0]
+    for j in range(first // w, -(-stop // w)):
+        lo, hi = max(first, j * w), min(stop, (j + 1) * w)
+        out[:, lo - j * w:hi - j * w] -= np.multiply.outer(gain[j], edge[lo - first:hi - first])
+
+
 def _window_map_forward(x2d, params, config, want_trace):
     """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c.
 
     Untraced, the prediction is computed time-major as (M' @ x')', with
-    (M, c) from ``forecast_map``.  The rows ``evaluate`` passes are the
-    ``.T`` of a time-major view of the series, so the copy BLAS needs is a
-    streaming row copy, and the (H, B) result lines up with the targets,
-    which are time-major views too.
+    (M, c) from ``forecast_map``, so the (H, B) result is time-major like
+    the rows' targets.
     """
     if not want_trace:
         window_gain, window_offset = forecast_map(params, config)
@@ -223,30 +384,16 @@ def _window_map_forward(x2d, params, config, want_trace):
     return trace.x_norm @ window_gain + window_offset + mean, trace
 
 
-# (key, M, c) of the last forecast_map build
-_forecast_memo = None
-
-
 def forecast_map(params: MixLinearParams, config: ModelConfig):
     """(M, c) with f(x) = xM + c for every raw window x.
 
     M = A + 1(1 - 1'A)/L folds the window mean into ``window_map``'s A.
-    Memoised with one entry, keyed on the config and the exact bytes of
-    every parameter array, so scoring many blocks with one parameter set
-    builds the map once, and an in-place edit of a parameter rebuilds it.
-    The returned arrays are shared, so they are read-only.
     """
-    global _forecast_memo
-    key = (config, tuple((name, arr.tobytes()) for name, arr in params.named_arrays()))
-    if _forecast_memo is None or _forecast_memo[0] != key:
-        gain, offset = phase_map(params, config, None)
-        window_gain, window_offset, _ = window_map(
-            gain, offset, params.conv_kernel, float(params.conv_bias), config)
-        window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback
-        window_gain.flags.writeable = False
-        window_offset.flags.writeable = False
-        _forecast_memo = key, window_gain, window_offset
-    return _forecast_memo[1:]
+    gain, offset = phase_map(params, config, None)
+    window_gain, window_offset, _ = window_map(
+        gain, offset, params.conv_kernel, float(params.conv_bias), config)
+    window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback
+    return window_gain, window_offset
 
 
 def window_map(gain, offset, kernel, conv_bias: float, config: ModelConfig):

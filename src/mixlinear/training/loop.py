@@ -10,21 +10,16 @@ import numpy as np
 from ..data.windows import WindowSet
 from ..errors import ConfigError, NumericError
 from ..model.config import ModelConfig
-from ..model.forward import Path, choose_path, forward_batch
+from ..model.forward import forward_batch
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
 from .backward import _flatten_windows, backward
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse", "seconds")
 
-# windows per forward_batch call in evaluate when such a chunk runs the graph
-EVAL_CHUNK_WINDOWS = 256
-# rows per forward_batch call in evaluate when the chunk would take the window
-# map: the copy BLAS makes of the block stays near cache size and the memory in
-# use does not grow with the channels.  At L=720, H=96 (2-vCPU Xeon, OpenBLAS)
-# blocks of 512-2048 rows ran within noise of each other; 4096 rows and up were
-# slower.
-EVAL_BLOCK_ROWS = 1024
+# predicted values and rows per forward_batch call in evaluate; see _eval_block_windows
+EVAL_BLOCK_VALUES = 1 << 18
+EVAL_BLOCK_ROWS = 1 << 12
 
 
 def batch_size_for_channels(channels: int) -> int:
@@ -151,18 +146,37 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
 
 
 def _eval_block_windows(channels: int, config: ModelConfig) -> int:
-    """Windows per ``forward_batch`` call in ``evaluate``.
+    """Most windows an ``evaluate`` block holds.
 
-    ``EVAL_CHUNK_WINDOWS`` when such a chunk runs the graph; otherwise about
-    ``EVAL_BLOCK_ROWS`` rows, and at least the fewest windows that still take
-    the window map (at most ``EVAL_CHUNK_WINDOWS``).
+    A block predicts at most ``EVAL_BLOCK_VALUES`` values (2 MB) from at
+    most ``EVAL_BLOCK_ROWS`` rows, the second bound for short horizons,
+    where each row's edge terms (up to 2w-2 values) outweigh its forecast.
+    It holds 2L/H windows when that is more: a block convolves its series,
+    L-1 steps longer than its windows, and this keeps those steps to at most
+    half the values it predicts per channel (at 321 channels, L=720 and
+    H=96, blocks of 15 windows, not 8).  At the three benchmark shapes
+    (L=720; H=96 over 7 and 321 channels, H=720 over 1) ``evaluate`` peaks
+    at 3.6, 5.1 and 3.3 MB (tracemalloc), against 4.5, 6.3 and 7.5 MB for
+    the window map in blocks of about 1024 rows.  A quarter of the values
+    per block ran the two ETTh1 shapes about 1.7x slower, half the 2L/H
+    bound ran Electricity's 1.5x slower, and twice that bound passed its
+    old peak (1 thread, 2-vCPU Xeon).
     """
-    if choose_path(EVAL_CHUNK_WINDOWS * channels, config) is not Path.WINDOW_MAP:
-        return EVAL_CHUNK_WINDOWS
-    block = max(1, EVAL_BLOCK_ROWS // channels)
-    while choose_path(block * channels, config) is not Path.WINDOW_MAP:
-        block += 1
-    return block
+    return max(1, min(EVAL_BLOCK_VALUES // (channels * config.horizon),
+                      EVAL_BLOCK_ROWS // channels),
+               2 * config.lookback // config.horizon)
+
+
+def _eval_blocks(count: int, channels: int, config: ModelConfig) -> list[tuple[int, int]]:
+    """The [lo, hi) window ranges ``evaluate`` predicts, one ``forward_batch`` call each.
+
+    As few near-equal blocks as keep within ``_eval_block_windows``, except
+    that no block holds a single window when there are two or more (under a
+    bound of one or two windows, blocks hold two or three), so that every
+    block takes ``Path.SERIES``.
+    """
+    parts = max(1, min(-(-count // _eval_block_windows(channels, config)), count // 2))
+    return [(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
 
 
 def evaluate(params: MixLinearParams, windows: WindowSet,
@@ -171,23 +185,19 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
 
     Streams the windows through ``forward_batch`` a block at a time, all
     channels at once: view a block of consecutive windows in place, predict
-    it, accumulate its errors.
-    When a chunk of ``EVAL_CHUNK_WINDOWS`` windows would run the graph, the
-    blocks are such chunks.  Otherwise each block has about
-    ``EVAL_BLOCK_ROWS`` rows (at least L+2) and goes through the window map
-    f(x) = xM + c, which ``forecast_map`` builds once for the parameter set,
-    so the memory in use is bounded by the block, not by the channel count.
+    it, accumulate its errors, free it.  ``_eval_blocks`` sizes the blocks by
+    the values they predict, so the memory in use is bounded by the block,
+    not by the channel count or the split length, and every block of two or
+    more windows is predicted from its series (``Path.SERIES``).
     Raises ``NumericError`` at the first block whose error sums are not
     finite, such as one that reads a NaN.
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
-    block = _eval_block_windows(windows.channels, config)
     sq_sum = 0.0
     abs_sum = 0.0
-    for lo in range(0, windows.count, block):
-        idx = np.arange(lo, min(lo + block, windows.count))
-        x, y = windows.batch(idx)
+    for lo, hi in _eval_blocks(windows.count, windows.channels, config):
+        x, y = windows.batch(np.arange(lo, hi))
         rows = _flatten_windows(x, config.lookback, "inputs")
         err = forward_batch(rows, params, config)
         err -= _flatten_windows(y, config.horizon, "targets")
@@ -198,7 +208,8 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
             abs_sum += float(np.abs(flat, out=flat).sum())
         if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
             raise NumericError(
-                f"non-finite evaluation error in windows [{lo}, {idx[-1] + 1})"
+                f"non-finite evaluation error in windows [{lo}, {hi})"
             )
+        del err, flat  # free this block's prediction before the next one is made
     count = windows.count * windows.channels * config.horizon
     return sq_sum / count, abs_sum / count

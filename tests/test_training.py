@@ -28,8 +28,8 @@ from mixlinear.model.forward import (
     ForwardTrace,
     Path,
     choose_path,
-    forecast_map,
     phase_map,
+    series_channels,
     window_map,
 )
 from mixlinear.training import (
@@ -377,13 +377,16 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("config, count, block", [
         (ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1), 23, "[0, 23)"),
-        # two graph blocks, the NaN in the second
+        # three blocks of 16-channel windows, the NaN in the last
         (ModelConfig(720, 96, 24), 385, "[256, 385)"),
     ])
     def test_non_finite_window_raises_numeric_error(self, config, count, block):
         lookback, horizon = config.lookback, config.horizon
-        values = np.random.default_rng(23).normal(size=(count + lookback + horizon - 1, 1))
+        values = np.random.default_rng(23).normal(size=(count + lookback + horizon - 1, 16))
+        # the last ten windows read this step, and only the last block holds them
         values[-10, 0] = np.nan
+        last = loop_module._eval_blocks(count, 16, config)[-1]
+        assert block == f"[{last[0]}, {last[1]})" and last[0] <= count - 10
         with pytest.raises(NumericError, match=re.escape(f"windows {block}")):
             evaluate(init_params(config, 23), _window_set(values, lookback, horizon),
                      config)
@@ -411,20 +414,23 @@ class TestAffineMap:
     """Past L+1 rows, forward_batch and backward run through the window map
     f(x) = (x - mean)A + mean + c, built in closed form from the parameters."""
 
-    @pytest.mark.parametrize("channels, count", [
-        # one full 256-window chunk, then 2 more windows
-        pytest.param(3, loop_module.EVAL_CHUNK_WINDOWS + 2, id="2"),
-        pytest.param(3, 2 * loop_module.EVAL_CHUNK_WINDOWS, id="256"),
-        # more channels than a block has rows: one window per call
-        pytest.param(loop_module.EVAL_BLOCK_ROWS + 1, 3, id="wide"),
-        # blocks of 16 windows, then a tail of 5
-        pytest.param(64, 3 * (loop_module.EVAL_BLOCK_ROWS // 64) + 5, id="ragged"),
-        pytest.param(3, 1, id="single"),
+    @pytest.mark.parametrize("channels, blocks, extra", [
+        # one full block, then 2 more windows
+        pytest.param(3, 1, 2, id="2"),
+        pytest.param(3, 2, 0, id="256"),
+        # one window alone predicts more values than a block may
+        pytest.param(1025, 0, 3, id="wide"),
+        # three full blocks, then a tail of 5
+        pytest.param(64, 3, 5, id="ragged"),
+        pytest.param(3, 0, 1, id="single"),
     ])
-    def test_evaluate_matches_per_window_forward(self, channels, count):
+    def test_evaluate_matches_per_window_forward(self, channels, blocks, extra, monkeypatch):
+        # a 1024-value budget makes blocks of tens of windows on these configs
+        monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 1024)
         for config, seed in _mode_configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
+            count = blocks * loop_module._eval_block_windows(channels, config) + extra
             values = rng.normal(size=(config.lookback + config.horizon + count - 1, channels))
             ws = _window_set(values, config.lookback, config.horizon)
             assert ws.count == count
@@ -459,12 +465,13 @@ class TestAffineMap:
         assert widths == {0, 1}
 
     @staticmethod
-    def _evaluate_call_sizes(monkeypatch, config, channels, count, params=None):
-        """Rows of every forward_batch call one evaluate makes."""
+    def _evaluate_calls(monkeypatch, config, channels, count, params=None):
+        """(rows, path) of every forward_batch call one evaluate makes."""
         seen = []
 
         def recording(rows, *args):
-            seen.append(rows.shape[0])
+            path = choose_path(rows.shape[0], config, series_channels(rows))
+            seen.append((rows.shape[0], path))
             return forward_batch(rows, *args)
 
         rng = np.random.default_rng(31)
@@ -476,35 +483,54 @@ class TestAffineMap:
             evaluate(params, _window_set(values, config.lookback, config.horizon), config)
         return seen
 
-    def test_evaluate_builds_map_in_bounded_chunks(self, monkeypatch):
-        # past the switch, full blocks take the window map and stay within
-        # the block bound, whatever the channel count
-        short = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
-        # L+1 > EVAL_BLOCK_ROWS: a block grows to the fewest windows past L+1 rows
-        long = ModelConfig(1100, 8, 100, lpf_cutoff=3, latent_width=2)
-        count = 1300
-        for config, channels in ((short, 2), (short, 64), (long, 10)):
-            seen = self._evaluate_call_sizes(monkeypatch, config, channels, count)
-            bound = max(loop_module.EVAL_BLOCK_ROWS, config.lookback + 1 + channels)
-            full, tail = seen[:-1], seen[-1]
-            assert len(full) >= 2 and len(set(full)) == 1, (config, channels)
-            assert config.lookback + 2 <= full[0] <= bound, (config, channels)
-            assert 0 < tail <= full[0]
-            assert sum(seen) == count * channels
+    def test_evaluate_blocks_are_bounded(self, monkeypatch):
+        # near-equal blocks within the block rule, whatever the channel
+        # count, and each one predicted from its series
+        values, rows = loop_module.EVAL_BLOCK_VALUES, loop_module.EVAL_BLOCK_ROWS
+        for config, channels, count, bound in (
+                # the predicted values bound the block
+                (ModelConfig(16, 96, 4, lpf_cutoff=3, latent_width=2), 2, 3000,
+                 values // (2 * 96)),
+                # the rows bound it
+                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 2, 20000, rows // 2),
+                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 64, 1300, rows // 64),
+                # 2L/H = 275 windows is more than either allows
+                (ModelConfig(1100, 8, 100, lpf_cutoff=3, latent_width=2), 64, 1300, 275)):
+            calls = self._evaluate_calls(monkeypatch, config, channels, count)
+            assert loop_module._eval_block_windows(channels, config) == bound
+            windows = [rows // channels for rows, _ in calls]
+            assert len(windows) == -(-count // bound) >= 2, (config, channels)
+            assert max(windows) <= bound and max(windows) - min(windows) <= 1
+            assert sum(windows) == count
+            assert {path for _, path in calls} == {Path.SERIES}
 
     @pytest.mark.parametrize("channels", [1, 2])
-    def test_evaluate_keeps_graph_chunks(self, monkeypatch, channels):
-        # 256 windows of 1 or 2 channels are at most L+1 rows: the chunks run
-        # the graph and keep EVAL_CHUNK_WINDOWS windows
+    def test_evaluate_blocks_take_series_path(self, monkeypatch, channels):
+        # two full blocks and two windows more make three near-equal blocks,
+        # each read as a view of the series and predicted from it
         config = ModelConfig(512, 8, 8, lpf_cutoff=3, latent_width=2)
-        chunk = loop_module.EVAL_CHUNK_WINDOWS
-        assert chunk * channels <= config.lookback + 1
-        seen = self._evaluate_call_sizes(monkeypatch, config, channels, 2 * chunk + 2)
-        assert seen == [chunk * channels] * 2 + [2 * channels]
+        bound = loop_module._eval_block_windows(channels, config)
+        assert bound == min(loop_module.EVAL_BLOCK_VALUES // (channels * config.horizon),
+                            loop_module.EVAL_BLOCK_ROWS // channels)
+        count = 2 * bound + 2
+        calls = self._evaluate_calls(monkeypatch, config, channels, count)
+        sizes = [count // 3 + (i < count % 3) for i in range(3)]
+        assert sorted(rows for rows, _ in calls) == sorted(s * channels for s in sizes)
+        assert [path for _, path in calls] == [Path.SERIES] * 3
+
+    @pytest.mark.parametrize("count, want", [(1, [1]), (2, [2]), (3, [3]), (5, [2, 3])])
+    def test_evaluate_leaves_no_single_window_block(self, monkeypatch, count, want):
+        # with a bound of one window, blocks hold two or three
+        config = ModelConfig(8, 32, 4, lpf_cutoff=3, latent_width=2)
+        monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 0)
+        assert loop_module._eval_block_windows(3, config) == 1
+        calls = self._evaluate_calls(monkeypatch, config, 3, count)
+        assert [rows // 3 for rows, _ in calls] == want
+        assert all(path is Path.SERIES for _, path in calls[count == 1:])
 
     def test_evaluate_memory_is_bounded_by_block(self):
         # 300 windows of 64 channels: gathering all 19200 rows at once peaks
-        # at 11.1 MB; blocks keep the peak near two gathered blocks
+        # at 11.1 MB; blocks keep the peak near one block's prediction
         config = ModelConfig(48, 12, 12, lpf_cutoff=2, latent_width=2)
         values = np.random.default_rng(32).normal(size=(48 + 12 + 300 - 1, 64))
         ws = _window_set(values, 48, 12)
@@ -514,28 +540,52 @@ class TestAffineMap:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * loop_module.EVAL_BLOCK_ROWS * (48 + 12) * 8
+        assert peak <= 3 * 1024 * (48 + 12) * 8
 
-    def test_evaluate_builds_window_map_once(self, monkeypatch):
+    @pytest.mark.parametrize("length, channels, horizon, count, parent_peak", [
+        # the test splits of the three benchmark workloads, and the peaks the
+        # window-map evaluate had on them
+        pytest.param(4204, 7, 96, None, 4.52e6, id="etth1-train"),
+        pytest.param(2000, 321, 96, 64, 6.25e6, id="electricity-eval"),
+        pytest.param(4204, 1, 720, None, 7.46e6, id="etth1-univariate-train"),
+    ])
+    def test_evaluate_memory_at_workload_shapes(self, length, channels, horizon, count,
+                                                parent_peak):
+        config = ModelConfig(720, horizon, 24)
+        rows = length if count is None else count + 720 + horizon - 1
+        values = np.random.default_rng(39).normal(size=(rows, channels))
+        ws = _window_set(values, 720, horizon)
+        params = init_params(config, 39)
+        tracemalloc.start()
+        try:
+            evaluate(params, ws, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_peak
+
+    def test_evaluate_builds_no_window_map(self, monkeypatch):
+        # every block runs the conv and the phase map on its own series
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
-        params = init_params(config, 0)
-        params.conv_kernel += 0.125  # parameters no earlier test has used
-        builds = []
+        builds, convs, phase_maps = [], [], []
 
-        def counting(*args):
-            builds.append(1)
-            return window_map(*args)
+        def counting(calls, fn):
+            def wrapper(*args):
+                calls.append(1)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(forward_module, "window_map", counting)
-        seen = self._evaluate_call_sizes(monkeypatch, config, 64, 100, params)
-        assert len(seen) >= 3 and len(builds) == 1
-        # the same parameter set scored again reuses the map
-        self._evaluate_call_sizes(monkeypatch, config, 64, 100, params)
-        assert len(builds) == 1
+        monkeypatch.setattr(forward_module, "window_map", counting(builds, window_map))
+        monkeypatch.setattr(forward_module, "conv1d_same_batch",
+                            counting(convs, forward_module.conv1d_same_batch))
+        monkeypatch.setattr(forward_module, "phase_map", counting(phase_maps, phase_map))
+        calls = self._evaluate_calls(monkeypatch, config, 64, 1000)
+        assert len(calls) >= 3 and builds == []
+        assert len(convs) == len(phase_maps) == len(calls)
 
     def test_forecast_map_follows_in_place_edits(self):
-        # an edit between two calls (as grad_check makes) changes the memo's
-        # key, so the second call predicts with the edited parameters
+        # an edit between two calls (as grad_check makes) changes the map,
+        # so the second call predicts with the edited parameters
         rng = np.random.default_rng(36)
         for config, seed in _mode_configs(count_per_mode=2):
             params = init_params(config, seed)
@@ -549,14 +599,6 @@ class TestAffineMap:
                 error = np.max(np.abs(pred - want))
                 assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), config
             assert not np.array_equal(pred, before)
-
-    def test_forecast_map_is_read_only(self):
-        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
-        window_gain, window_offset = forecast_map(init_params(config, 0), config)
-        for arr in (window_gain, window_offset):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
 
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
@@ -799,6 +841,76 @@ class TestViewRows:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), mode
 
 
+def _with_period(config: ModelConfig, period: int) -> ModelConfig:
+    """``config`` at another period, its cutoff clipped to the new spectrum."""
+    probe = replace(config, period=period, lpf_cutoff=1, latent_width=1)
+    return replace(probe, lpf_cutoff=min(config.lpf_cutoff, probe.plan.bins_in),
+                   latent_width=config.latent_width)
+
+
+class TestSeriesPath:
+    """Two or more consecutive windows of one series are predicted from the
+    series, exactly, and no other layout takes that path."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
+           channels=st.integers(1, 4), count=st.integers(1, 40),
+           level=st.sampled_from([0.0, 30.0]))
+    def test_series_path_matches_loop_oracle(self, seed, mode, period, channels, count,
+                                             level):
+        rng = np.random.default_rng(seed)
+        config = replace(random_small_config(rng), mode=mode)
+        lookback = config.lookback
+        chosen = {"drawn": config.period, "one": 1, "lookback": lookback,
+                  "even": 2 * max(1, lookback // 4),
+                  # L - 1 does not divide L once L > 2
+                  "ragged": lookback - 1 if lookback > 2 else config.period}[period]
+        config = _with_period(config, chosen)
+        params = init_params(config, seed % 1000)
+        for _, arr in params.named_arrays():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        steps = count + lookback + config.horizon - 1
+        # level 30: a random walk around it, so the window means differ
+        values = (level + np.cumsum(rng.normal(size=(steps, channels)), axis=0) if level
+                  else rng.normal(size=(steps, channels)))
+        ws = WindowSet(values, lookback, config.horizon)
+        x, _ = ws.batch(np.arange(count))
+        rows = backward_module._flatten_windows(x, lookback, "inputs")
+        path = choose_path(rows.shape[0], config, series_channels(rows))
+        assert (path is Path.SERIES) == (count >= 2)
+        pred = forward_batch(rows, params, config)
+        if path is Path.SERIES:
+            assert pred.T.flags.c_contiguous
+        want = np.array([forward_loop(row, params, config, config.plan) for row in rows])
+        error = np.max(np.abs(pred - want))
+        assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, channels, count)
+
+    def test_other_layouts_do_not_take_series_path(self):
+        rng = np.random.default_rng(40)
+        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+        params = init_params(config, 40)
+        for _, arr in params.named_arrays():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        ws = WindowSet(rng.normal(size=(60, 3)), 16, 8)
+        view = backward_module._flatten_windows(ws.batch(np.arange(20))[0], 16, "inputs")
+        gathered = backward_module._flatten_windows(
+            ws.batch(rng.permutation(20))[0], 16, "inputs")
+        layouts = {
+            "C-contiguous": np.ascontiguousarray(view),
+            "training gather": gathered,
+            "Fortran order": np.asfortranarray(view),
+            "stride-0 rows": np.broadcast_to(view[0], view.shape),
+            "reversed rows": view[::-1],
+        }
+        assert choose_path(view.shape[0], config, series_channels(view)) is Path.SERIES
+        for name, rows in layouts.items():
+            assert choose_path(rows.shape[0], config, series_channels(rows)) is not Path.SERIES
+            want = np.array([forward_loop(row, params, config, config.plan) for row in rows])
+            error = np.max(np.abs(forward_batch(rows, params, config) - want))
+            assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), name
+
+
 class TestChoosePath:
     """``choose_path`` decides the path of every forward, and the trace records it."""
 
@@ -831,7 +943,8 @@ class TestChoosePath:
                     for pred in (forward_batch(x, params, config), traced):
                         error = np.max(np.abs(pred[list(picks)] - want))
                         assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
-        assert all(paths == set(Path) for paths in reached.values())
+        # a traced forward never takes the series path, so backward never sees it
+        assert all(paths == set(Path) - {Path.SERIES} for paths in reached.values())
 
 
 def _assert_dot_products(core, adjoint, inputs, rng):
