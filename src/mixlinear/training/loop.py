@@ -185,10 +185,10 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
 
     Streams the windows through ``forward_batch`` a block at a time, all
     channels at once: view a block of consecutive windows in place, predict
-    it, accumulate its errors, free it.  ``_eval_blocks`` sizes the blocks by
-    the values they predict, so the memory in use is bounded by the block,
-    not by the channel count or the split length, and every block of two or
-    more windows is predicted from its series (``Path.SERIES``).
+    it, accumulate its errors, free it.  ``_eval_blocks`` sizes the blocks,
+    so the memory in use is bounded by the block, not by the channel count
+    or the split length, and every block of two or more windows is
+    predicted from its series (``Path.SERIES``).
     Raises ``NumericError`` at the first block whose error sums are not
     finite, such as one that reads a NaN.
     """

@@ -411,8 +411,10 @@ def _graph_backward(x, y, params, config):
 
 
 class TestAffineMap:
-    """Past L+1 rows, forward_batch and backward run through the window map
-    f(x) = (x - mean)A + mean + c, built in closed form from the parameters."""
+    """Past L+1 rows, backward and forward_batch on rows that are not a run
+    of windows go through the window map f(x) = (x - mean)A + mean + c,
+    built in closed form from the parameters; evaluate's blocks are runs of
+    windows and take the series path instead."""
 
     @pytest.mark.parametrize("channels, blocks, extra", [
         # one full block, then 2 more windows
@@ -486,14 +488,14 @@ class TestAffineMap:
     def test_evaluate_blocks_are_bounded(self, monkeypatch):
         # near-equal blocks within the block rule, whatever the channel
         # count, and each one predicted from its series
-        values, rows = loop_module.EVAL_BLOCK_VALUES, loop_module.EVAL_BLOCK_ROWS
+        most_values, most_rows = loop_module.EVAL_BLOCK_VALUES, loop_module.EVAL_BLOCK_ROWS
         for config, channels, count, bound in (
                 # the predicted values bound the block
                 (ModelConfig(16, 96, 4, lpf_cutoff=3, latent_width=2), 2, 3000,
-                 values // (2 * 96)),
+                 most_values // (2 * 96)),
                 # the rows bound it
-                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 2, 20000, rows // 2),
-                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 64, 1300, rows // 64),
+                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 2, 20000, most_rows // 2),
+                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 64, 1300, most_rows // 64),
                 # 2L/H = 275 windows is more than either allows
                 (ModelConfig(1100, 8, 100, lpf_cutoff=3, latent_width=2), 64, 1300, 275)):
             calls = self._evaluate_calls(monkeypatch, config, channels, count)
