@@ -8,7 +8,6 @@ activations the reverse pass needs.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -101,22 +100,31 @@ class ForwardTrace:
     latent: np.ndarray | None = None        # (P, latent) complex
 
 
+def aggregation_kernel(conv_kernel: np.ndarray) -> np.ndarray:
+    """kappa: the conv kernel plus the identity in its centre tap.
+
+    The centre tap maps each step onto itself, so the conv by kappa is the
+    aggregation conv(x) + x as one conv.
+    """
+    kernel = conv_kernel.copy()
+    kernel[conv_pad_split(kernel.size)[0]] += 1.0
+    return kernel
+
+
 def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig):
     """Mean-centre, aggregate and de-interleave (B, L) windows, time-major.
 
     Returns (phase, mean, centred): ``phase`` is the (n, w*B) block with
     phase[j, p*B + b] = aggregated[b, j*w + p], zero where j*w + p >= L,
     and ``centred`` the C-contiguous (L, B) mean-centred windows.  The
-    aggregation conv(x) + x is one conv: the identity rides in the kernel's
-    centre tap, the one that maps each step onto itself, so the conv's
+    aggregation is one conv by ``aggregation_kernel``, so the conv's
     time-major output is the phase block itself when w divides L.
     """
     batch, length = x2d.shape
     mean = x2d.mean(axis=1)
     centred = np.subtract(x2d.T, mean, order="C")
-    kernel = params.conv_kernel.copy()
-    kernel[conv_pad_split(kernel.size)[0]] += 1.0
-    aggregated = conv1d_same_batch(centred.T, kernel, float(params.conv_bias)).T
+    aggregated = conv1d_same_batch(centred.T, aggregation_kernel(params.conv_kernel),
+                                   float(params.conv_bias)).T
     tail = config.plan.n * config.period - length
     if tail:
         aggregated = np.vstack([aggregated, np.zeros((tail, batch))])
@@ -230,24 +238,12 @@ def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace 
     return gain, offset
 
 
-class _SeriesTerms(NamedTuple):
-    """What ``_series_group`` needs of the parameters, computed once a forward."""
-
-    kernel: np.ndarray        # (w,) the conv kernel, plus the identity in its centre tap
-    gain: np.ndarray          # (n, m) the phase map W
-    level_gain: np.ndarray    # (m,) 1 - sum(kernel) sum_j W[j]: the weight of a window's mean
-    constant: np.ndarray      # (m,) conv_bias sum_j W[j] + b
-    conv_bias: float
-    before: np.ndarray        # (left, left) conv weights on the steps before a window
-    after: np.ndarray         # (right, right) conv weights on the steps after it
-
-
 def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
                     config: ModelConfig) -> np.ndarray:
     """Predict b >= 2 consecutive windows of a C-channel series from the series.
 
-    With kappa the kernel plus the identity in its centre tap, S the
-    series convolved once with kappa, and (W, b) the phase map, window k's
+    With kappa the ``aggregation_kernel``, S the series convolved once
+    with kappa, and (W, b) the phase map, window k's
     forecast at h = q*w + p is, for windows away from the series' edges,
 
         sum_j S[k + p + j*w] W[j, q] + mean_k (1 - sum(kappa) sum_j W[j, q])
@@ -269,10 +265,26 @@ def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
     series = as_strided(x2d, (windows + length - 1, channels), (channels * step, step),
                         writeable=False)
     plan, w = config.plan, config.period
-    left, right = conv_pad_split(w)
     gain, offset = phase_map(params, config, None)
-    kernel = params.conv_kernel.copy()
-    kernel[left] += 1.0
+    out = np.empty((plan.m, w, windows, channels))
+    group = max(1, SERIES_GROUP_FLOATS // (windows + (plan.n + 1) * w))
+    for lo in range(0, channels, group):
+        _series_group(series[:, lo:lo + group], out[..., lo:lo + group], gain, offset,
+                      params, config)
+    return out.reshape(plan.m * w, rows)[:config.horizon].T
+
+
+def _series_group(series: np.ndarray, out: np.ndarray, gain: np.ndarray, offset: np.ndarray,
+                  params: MixLinearParams, config: ModelConfig) -> None:
+    """Write the (m, w, b, G) phase-major forecast of b windows of a (U, G) series to ``out``.
+
+    (gain, offset) is the phase map (W, b).
+    """
+    length, w, n = config.lookback, config.period, config.plan.n
+    windows, width = out.shape[2], out.shape[3]
+    steps, rows = series.shape[0], windows * width
+    left, right = conv_pad_split(w)
+    kernel = aggregation_kernel(params.conv_kernel)
     conv_bias = float(params.conv_bias)
     gain_sums = gain.sum(axis=0)
     taps = np.append(kernel, 0.0)
@@ -282,22 +294,6 @@ def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
     index = np.arange(right)
     # step L - right + r read kernel[i + w-1 - r] * centred[k + L + i], i <= r
     after = taps[np.where(index <= index[:, None], index + w - 1 - index[:, None], w)]
-    terms = _SeriesTerms(kernel, gain, 1.0 - kernel.sum() * gain_sums,
-                         offset + conv_bias * gain_sums, conv_bias, before, after)
-    out = np.empty((plan.m, w, windows, channels))
-    group = max(1, SERIES_GROUP_FLOATS // (windows + (plan.n + 1) * w))
-    for lo in range(0, channels, group):
-        _series_group(series[:, lo:lo + group], out[..., lo:lo + group], terms, config)
-    return out.reshape(plan.m * w, rows)[:config.horizon].T
-
-
-def _series_group(series: np.ndarray, out: np.ndarray, terms: _SeriesTerms,
-                  config: ModelConfig) -> None:
-    """Write the (m, w, b, G) phase-major forecast of b windows of a (U, G) series to ``out``."""
-    length, w, n = config.lookback, config.period, config.plan.n
-    windows, width = out.shape[2], out.shape[3]
-    steps, rows = series.shape[0], windows * width
-    left, right = terms.before.shape[0], terms.after.shape[0]
     blocks = -(-(windows + w - 1) // w)     # w-step blocks of the u = k + p that VG holds
     span = (blocks + n - 1) * w             # conv steps VG reads
     # the series less its first window's mean, with zeros before and after it
@@ -314,14 +310,15 @@ def _series_group(series: np.ndarray, out: np.ndarray, terms: _SeriesTerms,
     np.cumsum(mean, axis=0, out=mean)
     mean /= length
 
-    conv = conv1d_same_batch(centred[:span].T, terms.kernel, 0.0).T.reshape(-1, w * width)
+    conv = conv1d_same_batch(centred[:span].T, kernel, 0.0).T.reshape(-1, w * width)
     # VG[q, u*G + c] = sum_j conv[u + j*w, c] W[j, q], one GEMM per w-step block of u
-    sums = np.empty((terms.gain.shape[1], blocks * w * width))
+    sums = np.empty((gain.shape[1], blocks * w * width))
     for block in range(blocks):
-        np.matmul(terms.gain.T, conv[block:block + n],
+        np.matmul(gain.T, conv[block:block + n],
                   out=sums[:, block * w * width:(block + 1) * w * width])
-    shift = np.multiply.outer(terms.level_gain, mean)[:, None]
-    shift += terms.constant[:, None, None, None]
+    # a window's mean weighs 1 - sum(kappa) sum_j W[j]; the constant is conv_bias sum_j W[j] + b
+    shift = np.multiply.outer(1.0 - kernel.sum() * gain_sums, mean)[:, None]
+    shift += (offset + conv_bias * gain_sums)[:, None, None, None]
     shift += level
     # out[q, p, k, c] = VG[q, (k + p)*G + c]
     item = sums.itemsize
@@ -332,24 +329,24 @@ def _series_group(series: np.ndarray, out: np.ndarray, terms: _SeriesTerms,
     mean = mean.reshape(rows)
     if left:
         read = np.ndarray((left, rows), padded.dtype, padded, 0, (width * item, item))
-        edge = terms.before @ np.ascontiguousarray(read)
-        edge -= np.multiply.outer(terms.before.sum(axis=1), mean)
-        _take_back(out, terms.gain, edge.reshape(left, windows, width), 0)
+        edge = before @ np.ascontiguousarray(read)
+        edge -= np.multiply.outer(before.sum(axis=1), mean)
+        _take_back(out, gain, edge.reshape(left, windows, width), 0)
     first = length - right
     if n * w > first:
         edge = np.empty((n * w - first, rows))
         if right:
             read = np.ndarray((right, rows), padded.dtype, padded,
                               (left + length) * width * item, (width * item, item))
-            edge[:right] = terms.after @ np.ascontiguousarray(read)
-            edge[:right] -= np.multiply.outer(terms.after.sum(axis=1), mean)
+            edge[:right] = after @ np.ascontiguousarray(read)
+            edge[:right] -= np.multiply.outer(after.sum(axis=1), mean)
         if n * w > length:
             # the graph's padded steps t >= L hold zero, the series conv[k + t]
             tail = np.ndarray((n * w - length, rows), conv.dtype, conv, length * width * item,
                               (width * item, item))
-            np.subtract(tail, terms.kernel.sum() * mean, out=edge[right:])
-            edge[right:] += terms.conv_bias
-        _take_back(out, terms.gain, edge.reshape(-1, windows, width), first)
+            np.subtract(tail, kernel.sum() * mean, out=edge[right:])
+            edge[right:] += conv_bias
+        _take_back(out, gain, edge.reshape(-1, windows, width), first)
 
 
 def _take_back(out, gain, edge, first: int):
@@ -362,53 +359,35 @@ def _take_back(out, gain, edge, first: int):
 
 
 def _window_map_forward(x2d, params, config, want_trace):
-    """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c.
-
-    Untraced, the prediction is computed time-major as (M' @ x')', with
-    (M, c) from ``forecast_map``, so the (H, B) result is time-major like
-    the rows' targets.
-    """
-    if not want_trace:
-        window_gain, window_offset = forecast_map(params, config)
-        pred = window_gain.T @ x2d.T
-        pred += window_offset[:, None]
-        return pred.T, None
+    """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c."""
     # centred rows keep the reverse pass free of the window level
     mean = x2d.mean(axis=1, keepdims=True)
-    trace = ForwardTrace(Path.WINDOW_MAP, x2d - mean)
+    centred = x2d - mean
+    trace = ForwardTrace(Path.WINDOW_MAP, centred) if want_trace else None
     gain, offset = phase_map(params, config, trace)
-    window_gain, window_offset, trace.interleave = window_map(
+    window_gain, window_offset, interleave = window_map(
         gain, offset, params.conv_kernel, float(params.conv_bias), config)
+    if trace is not None:
+        trace.interleave = interleave
     # add the offset before the mean: at the window level its rounding
     # would bias every row of a column the same way
-    return trace.x_norm @ window_gain + window_offset + mean, trace
-
-
-def forecast_map(params: MixLinearParams, config: ModelConfig):
-    """(M, c) with f(x) = xM + c for every raw window x.
-
-    M = A + 1(1 - 1'A)/L folds the window mean into ``window_map``'s A.
-    """
-    gain, offset = phase_map(params, config, None)
-    window_gain, window_offset, _ = window_map(
-        gain, offset, params.conv_kernel, float(params.conv_bias), config)
-    window_gain += (1.0 - window_gain.sum(axis=0)) / config.lookback
-    return window_gain, window_offset
+    return centred @ window_gain + window_offset + mean, trace
 
 
 def window_map(gain, offset, kernel, conv_bias: float, config: ModelConfig):
     """(A, c, B) with f(x) = (x - mean)A + mean + c for every window x.
 
     B (L, H) re-interleaves the phase map r -> r @ gain + offset:
-    B[j*w + p, q*w + p] = gain[j, q].  The conv in front makes A = (I + K)B,
-    where conv1d_same_batch(rows, kernel) = rows @ K, and its bias and the
-    phase offset give c = conv_bias * 1'B + offset[q] at every q*w + p.
+    B[j*w + p, q*w + p] = gain[j, q].  The aggregation conv in front makes
+    A = K_kappa B, where conv1d_same_batch(rows, kappa) = rows @ K_kappa with
+    kappa = aggregation_kernel(kernel), and the conv's bias and the phase
+    offset give c = conv_bias * 1'B + offset[q] at every q*w + p.
     """
     length, horizon, w = config.lookback, config.horizon, config.period
     interleave = np.kron(gain, np.eye(w))[:length, :horizon]
-    # (KB)' = B'K' is the conv with the transposed kernel
-    window_gain = interleave + conv1d_same_batch(
-        interleave.T, conv_transpose_kernel(kernel), 0.0).T
+    # A' = B'K_kappa' is the conv of B's columns with the transposed kernel
+    window_gain = conv1d_same_batch(
+        interleave.T, conv_transpose_kernel(aggregation_kernel(kernel)), 0.0).T
     window_offset = conv_bias * interleave.sum(axis=0) + np.repeat(offset, w)[:horizon]
     return window_gain, window_offset, interleave
 

@@ -15,7 +15,13 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
-from ..model.forward import ForwardTrace, Path, forward_batch, forward_batch_with_trace
+from ..model.forward import (
+    ForwardTrace,
+    Path,
+    aggregation_kernel,
+    forward_batch,
+    forward_batch_with_trace,
+)
 from ..model.params import MixLinearParams
 from ..numerics import conv1d_same_batch, conv_blocks, conv_taps, dft_matrix, idft_matrix
 
@@ -147,17 +153,19 @@ def _window_map_adjoint(grad_gain, grad_offset, interleave, kernel, conv_bias: f
                         config):
     """Adjoint of ``window_map``: gradients on (A, c) -> on (kernel, conv_bias, gain, offset).
 
-    A = (I + K)B and c = conv_bias * 1'B + offset interleaved, where B
-    re-interleaves the phase gain and rows @ K is the conv by ``kernel``.
+    A = K_kappa B and c = conv_bias * 1'B + offset interleaved, where B
+    re-interleaves the phase gain and rows @ K_kappa is the conv by
+    kappa = aggregation_kernel(kernel).
     """
     w = config.period
     plan = config.plan
-    # the conv's inputs in A = B + KB are B's columns, its outputs A's
+    # <G_A, K_kappa B> = <G_A'K_kappa, B'>: the conv reads G_A's columns and B's
+    # take the place of its output gradient; kappa - kernel is a constant
     kernel_grad = _conv_kernel_grad(grad_gain.T, interleave.T, w)
     bias_grad = np.asarray(interleave.sum(axis=0) @ grad_offset)
-    # G_B = (I + K)'G_A + conv_bias 1 g_c', and G_A'K is the conv of G_A's columns
-    grad_interleave = (grad_gain + conv1d_same_batch(grad_gain.T, kernel, 0.0).T
-                       + conv_bias * grad_offset)
+    # G_B = K_kappa'G_A + conv_bias 1 g_c', and G_A'K_kappa is the conv of G_A's columns
+    grad_interleave = conv1d_same_batch(grad_gain.T, aggregation_kernel(kernel), 0.0).T
+    grad_interleave += conv_bias * grad_offset
     # gather gain[j, q] from its w copies B[j*w + p, q*w + p], offset[q] from c
     padded = np.zeros((plan.n * w, plan.m * w))
     padded[:config.lookback, :config.horizon] = grad_interleave

@@ -186,9 +186,11 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     Streams the windows through ``forward_batch`` a block at a time, all
     channels at once: view a block of consecutive windows in place, predict
     it, accumulate its errors, free it.  ``_eval_blocks`` sizes the blocks,
-    so the memory in use is bounded by the block, not by the channel count
-    or the split length, and every block of two or more windows is
-    predicted from its series (``Path.SERIES``).
+    so the memory in use is bounded by the block, not by the split length,
+    and every block of two or more windows is predicted from its series
+    (``Path.SERIES``).  A block holds every channel of at least 2L/H
+    windows, so past 2^18/(2L) channels (about 182 at L=720) its
+    prediction grows with the channel count.
     Raises ``NumericError`` at the first block whose error sums are not
     finite, such as one that reads a NaN.
     """

@@ -447,9 +447,10 @@ class TestAffineMap:
 
     def test_forward_matches_loop_oracle_past_switch(self):
         # every parameter perturbed, so the biases feed the map's offset, and
-        # windows at a level, so the mean folded into the untraced map counts
+        # windows at a level, so the centring both predictions share counts;
+        # untraced and traced rows run one formula, so they agree bit for bit
         rng = np.random.default_rng(35)
-        widths = set()
+        widths, modes = set(), set()
         for config, seed in _mode_configs():
             params = init_params(config, seed)
             for _, arr in params.named_arrays():
@@ -460,11 +461,13 @@ class TestAffineMap:
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
                 traced, trace = forward_batch_with_trace(x, params, config)
                 assert trace.path is Path.WINDOW_MAP
-                for pred in (forward_batch(x, params, config), traced):
-                    error = np.max(np.abs(pred - want))
-                    assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
+                untraced = forward_batch(x, params, config)
+                assert np.array_equal(untraced, traced), (config, rows)
+                error = np.max(np.abs(traced - want))
+                assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
             widths.add(config.period % 2)
-        assert widths == {0, 1}
+            modes.add(config.mode)
+        assert widths == {0, 1} and modes == set(Mode)
 
     @staticmethod
     def _evaluate_calls(monkeypatch, config, channels, count, params=None):
@@ -585,7 +588,7 @@ class TestAffineMap:
         assert len(calls) >= 3 and builds == []
         assert len(convs) == len(phase_maps) == len(calls)
 
-    def test_forecast_map_follows_in_place_edits(self):
+    def test_window_map_follows_in_place_edits(self):
         # an edit between two calls (as grad_check makes) changes the map,
         # so the second call predicts with the edited parameters
         rng = np.random.default_rng(36)
