@@ -2,10 +2,9 @@
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigError
 from .split import Segment
@@ -42,43 +41,35 @@ class WindowSet:
     def batch(self, indices) -> tuple[np.ndarray, np.ndarray]:
         """Stack windows into (b, L, C) and (b, H, C) arrays.
 
-        A run of consecutive indices i, i+1, ..., which is what ``evaluate``
-        asks for, gives read-only views of ``base``: x[k, t, c] = base[i+k+t, c].
-        Over a C-contiguous base their flattened (b*C, L) and (b*C, H) rows
-        are then the ``.T`` of time-major arrays with contiguous rows, so
-        the graph and the window map read them as they stand.  Any other
-        indices (training's shuffled batches) gather writable copies from
-        ``_spans``.
+        Both are read from one time-major block with block[t, k, c] =
+        base[idx[k] + t, c], the windows' steps in ``_view``.  A run of
+        consecutive indices i, i+1, ..., which is what ``evaluate`` asks
+        for, is a slice of that view: read-only views of ``base``, x[k, t,
+        c] = base[i+k+t, c].  Any other indices (training's shuffled
+        batches) gather one writable C-contiguous (L+H, b, C) copy, a single
+        ``take`` of base rows.  Over a C-contiguous base the flattened
+        (b*C, L) and (b*C, H) rows are then the ``.T`` of time-major
+        (L, b*C) and (H, b*C) arrays either way, which the forward reads as
+        they stand.
         """
         idx = np.asarray(indices, dtype=np.intp)
         bad = idx[(idx < 0) | (idx >= self.count)]
         if bad.size:
             raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
         if idx.size and (np.diff(idx) == 1).all():
-            return (self._run(idx[0], idx.size, 0, self.lookback),
-                    self._run(idx[0], idx.size, self.lookback, self.horizon))
-        block = self._spans[idx]                               # (b, C, L+H)
-        return (block[:, :, :self.lookback].transpose(0, 2, 1),
-                block[:, :, self.lookback:].transpose(0, 2, 1))
+            block = self._view[:, idx[0]:idx[-1] + 1]
+        else:
+            steps = np.arange(self.lookback + self.horizon)
+            block = self.base.take(np.add.outer(steps, idx), axis=0)
+        return (block[:self.lookback].transpose(1, 0, 2),
+                block[self.lookback:].transpose(1, 0, 2))
 
-    def _run(self, first: int, count: int, offset: int, length: int) -> np.ndarray:
-        """Read-only (count, length, C) view: [k, t, c] = base[first+offset+k+t, c]."""
+    @property
+    def _view(self) -> np.ndarray:
+        """Read-only (L+H, count, C) view of every window: [t, k, c] = base[k+t, c]."""
         step, across = self.base.strides
-        return as_strided(self.base[first + offset:], (count, length, self.channels),
+        return as_strided(self.base, (self.lookback + self.horizon, self.count, self.channels),
                           (step, step, across), writeable=False)
-
-    @cached_property
-    def _spans(self) -> np.ndarray:
-        """(count, C, L+H) view of every window over a channel-major copy.
-
-        Gathering channel-major puts both ``batch`` results over one
-        C-contiguous (b, C, L+H) block, which flattens to (b*C, T) rows
-        without a copy.  The copy is made once per window set, on the first
-        batch that is not a consecutive run.
-        """
-        series = np.ascontiguousarray(self.base.T)             # (C, rows)
-        spans = sliding_window_view(series, self.lookback + self.horizon, axis=1)
-        return spans.transpose(1, 0, 2)
 
     def content_hash(self) -> str:
         """Digest of the window geometry and the underlying data."""

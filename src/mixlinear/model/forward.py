@@ -10,15 +10,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from ..numerics import (
-    conv1d_same_batch,
-    conv_pad_split,
-    conv_transpose_kernel,
-    idft_matrix,
-    rfft_batch,
-)
+from ..numerics import band_taps, conv1d_same_batch, conv_pad_split, idft_matrix, rfft_batch
 from .config import Mode, ModelConfig, ShapePlan
 from .params import MixLinearParams
 
@@ -28,7 +22,7 @@ class Path(Enum):
 
     OWN_ROWS = "own rows"       # the branches run on every phase row
     PHASE_MAP = "phase map"     # the graph, with the phase map as one GEMM
-    WINDOW_MAP = "window map"   # one GEMM with the (L, H) window map
+    GAIN_FIRST = "gain first"   # the phase map on the period blocks, then the conv
     SERIES = "series"           # consecutive windows, from their series; untraced
 
 
@@ -58,19 +52,22 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     ``channels`` is the rows' ``series_channels``, or 0 when they are not
     windows of one series or the forward is traced.  Two or more
     consecutive windows are predicted from their series, which they share
-    all but one step of.  Otherwise, past L+1 rows one GEMM with the (L, H)
-    window map is cheaper than running the rows through the graph.  On the
-    graph, once the rows' R*w phase rows outnumber the n+1 basis rows, the
-    branches run on the basis rows only and the phase map is applied to the
-    whole phase block.
+    all but one step of.  Otherwise, while the rows' R*w phase rows number
+    at most the n+1 basis rows, every phase row runs through the branches.
+    Past that the branches run on the basis rows only, and the phase map
+    (W, b) is applied either after the conv, on the phase block (the graph,
+    3*L*w + L*m MACs per row), or before it, on the period blocks of the
+    centred windows (gain-first, 2*L*m + 2*H*w), whichever costs fewer.
     """
     if channels and rows >= 2 * channels:
         return Path.SERIES
-    if rows > config.lookback + 1:
-        return Path.WINDOW_MAP
-    if rows * config.period > config.plan.n + 1:
-        return Path.PHASE_MAP
-    return Path.OWN_ROWS
+    length, horizon, w = config.lookback, config.horizon, config.period
+    n, m = config.plan.n, config.plan.m
+    if rows * w <= n + 1:
+        return Path.OWN_ROWS
+    if 2 * length * m + 2 * horizon * w < 3 * length * w + length * m:
+        return Path.GAIN_FIRST
+    return Path.PHASE_MAP
 
 
 @dataclass
@@ -85,15 +82,16 @@ class ForwardTrace:
     """
 
     path: Path
-    x_norm: np.ndarray                 # (B, L) mean-centred windows; on the graph
-                                       # paths the .T view of a time-major array
+    x_norm: np.ndarray                 # (B, L) mean-centred windows, the .T view
+                                       # of a time-major array
     rows: np.ndarray | None = None     # (w*B, n) phase rows, row p*B + b the phase-p
                                        # row of window b; the .T view of the
-                                       # (n, w*B) time-major phase block.  None on
-                                       # the window map
+                                       # (n, w*B) time-major phase block.  Graph only
     branch_rows: np.ndarray | None = None   # (P, n) rows the branches ran on
-    gain: np.ndarray | None = None     # (n, m) phase map, on both map paths
-    interleave: np.ndarray | None = None    # (L, H) phase map re-interleaved, window map only
+    gain: np.ndarray | None = None     # (n, m) phase map, on the map paths
+    blocks: np.ndarray | None = None   # (n+1, w*B) period blocks Z, gain-first only
+    images: np.ndarray | None = None   # (2m, w*B) U = [W 0; 0 W]' Z, gain-first only;
+                                       # backward frees it once read
     rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
     seg_inter_in: np.ndarray | None = None  # (P, seg_out, seg_in)
     spec_lpf: np.ndarray | None = None      # (P, cutoff) complex
@@ -114,21 +112,39 @@ def aggregation_kernel(conv_kernel: np.ndarray) -> np.ndarray:
 def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig):
     """Mean-centre, aggregate and de-interleave (B, L) windows, time-major.
 
-    Returns (phase, mean, centred): ``phase`` is the (n, w*B) block with
-    phase[j, p*B + b] = aggregated[b, j*w + p], zero where j*w + p >= L,
-    and ``centred`` the C-contiguous (L, B) mean-centred windows.  The
-    aggregation is one conv by ``aggregation_kernel``, so the conv's
-    time-major output is the phase block itself when w divides L.
+    Returns (phase, mean, centred): ``phase`` is ``_deinterleave`` of the
+    aggregated windows and ``centred`` the C-contiguous (L, B) mean-centred
+    windows.  The aggregation is one conv by ``aggregation_kernel``, so the
+    conv's time-major output is the phase block itself when w divides L.
     """
-    batch, length = x2d.shape
     mean = x2d.mean(axis=1)
     centred = np.subtract(x2d.T, mean, order="C")
     aggregated = conv1d_same_batch(centred.T, aggregation_kernel(params.conv_kernel),
                                    float(params.conv_bias)).T
-    tail = config.plan.n * config.period - length
+    return _deinterleave(aggregated, config), mean, centred
+
+
+def _deinterleave(steps: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(L, B) time-major steps -> the (n, w*B) phase block.
+
+    phase[j, p*B + b] = steps[j*w + p, b], zero where j*w + p >= L.
+    """
+    tail = config.plan.n * config.period - config.lookback
     if tail:
-        aggregated = np.vstack([aggregated, np.zeros((tail, batch))])
-    return aggregated.reshape(config.plan.n, config.period * batch), mean, centred
+        steps = np.vstack([steps, np.zeros((tail, steps.shape[1]))])
+    return steps.reshape(config.plan.n, -1)
+
+
+def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(m, w*B) phase outputs and the B window means -> the (B, H) forecast.
+
+    sequence[j*w + p] is out[j] of phase p, so the block read as (m*w, B)
+    is the time-major forecast; the steps past H are dropped and the means
+    added in place.  Returns the ``.T`` of a time-major array.
+    """
+    sequence = out.reshape(-1, mean.size)[:config.horizon]
+    sequence += mean
+    return sequence.T
 
 
 def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
@@ -201,12 +217,9 @@ def _forward_impl(x2d, params, config, want_trace):
     path = choose_path(x2d.shape[0], config, channels)
     if path is Path.SERIES:
         return _series_forward(x2d, channels, params, config), None
-    if path is Path.WINDOW_MAP:
-        return _window_map_forward(x2d, params, config, want_trace)
+    if path is Path.GAIN_FIRST:
+        return _gain_first(x2d, params, config, want_trace)
 
-    batch = x2d.shape[0]
-    w = config.period
-    plan = config.plan
     phase, mean, centred = _phase_block(x2d, params, config)
     trace = ForwardTrace(path, centred.T, phase.T) if want_trace else None
     if path is Path.PHASE_MAP:
@@ -215,11 +228,7 @@ def _forward_impl(x2d, params, config, want_trace):
         out += offset[:, None]
     else:
         out = _branches(phase.T, params, config, trace).T
-
-    # Re-interleave: sequence[j*w + p] is out[j] of phase p, so the (m, w*B)
-    # block read as (m*w, B) is the time-major forecast.
-    sequence = out.reshape(plan.m * w, batch)[:config.horizon] + mean
-    return sequence.T, trace
+    return _reinterleave(out, mean, config), trace
 
 
 def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace | None):
@@ -358,38 +367,66 @@ def _take_back(out, gain, edge, first: int):
         out[:, lo - j * w:hi - j * w] -= np.multiply.outer(gain[j], edge[lo - first:hi - first])
 
 
-def _window_map_forward(x2d, params, config, want_trace):
-    """Predict more than L+1 windows through f(x) = (x - mean)A + mean + c."""
-    # centred rows keep the reverse pass free of the window level
-    mean = x2d.mean(axis=1, keepdims=True)
-    centred = x2d - mean
-    trace = ForwardTrace(Path.WINDOW_MAP, centred) if want_trace else None
-    gain, offset = phase_map(params, config, trace)
-    window_gain, window_offset, interleave = window_map(
-        gain, offset, params.conv_kernel, float(params.conv_bias), config)
-    if trace is not None:
-        trace.interleave = interleave
-    # add the offset before the mean: at the window level its rounding
-    # would bias every row of a column the same way
-    return centred @ window_gain + window_offset + mean, trace
+def _gain_first(x2d, params, config, want_trace):
+    """Predict (B, L) windows by the phase map on their period blocks, then the conv.
 
-
-def window_map(gain, offset, kernel, conv_bias: float, config: ModelConfig):
-    """(A, c, B) with f(x) = (x - mean)A + mean + c for every window x.
-
-    B (L, H) re-interleaves the phase map r -> r @ gain + offset:
-    B[j*w + p, q*w + p] = gain[j, q].  The aggregation conv in front makes
-    A = K_kappa B, where conv1d_same_batch(rows, kappa) = rows @ K_kappa with
-    kappa = aggregation_kernel(kernel), and the conv's bias and the phase
-    offset give c = conv_bias * 1'B + offset[q] at every q*w + p.
+    Z is a buffer of (n+1)*w steps, zero but for the centred windows, which
+    start at step left = (w-1)//2, cut into n+1 blocks of w steps.  With
+    kappa the ``aggregation_kernel``, the graph's phase block holds
+    sum_i kappa[i] Z[j*w + p + i] at (j, p), and p + i < 2w, so it reads
+    blocks j and j+1 only.  U = [W 0; 0 W]' Z, the phase map W on both, is
+    one (2m, n+1) @ (n+1, w*B) GEMM, with row 2q + h the image of blocks
+    j+h.  Output q at phase p is then sum_c T[p, c] U[q, c], with T[p, c] =
+    kappa[c - p] (``band_taps``) the conv's two w x w Toeplitz blocks side
+    by side.  The conv's bias and the phase offset add conv_bias times
+    ``counted_gain`` plus b[q].  When w does not divide L, what the conv read
+    for the n*w - L padded steps is taken back, since the graph zeroes them.
+    Costs about 2*L*m + 2*H*w multiply-adds per row.
     """
-    length, horizon, w = config.lookback, config.horizon, config.period
-    interleave = np.kron(gain, np.eye(w))[:length, :horizon]
-    # A' = B'K_kappa' is the conv of B's columns with the transposed kernel
-    window_gain = conv1d_same_batch(
-        interleave.T, conv_transpose_kernel(aggregation_kernel(kernel)), 0.0).T
-    window_offset = conv_bias * interleave.sum(axis=0) + np.repeat(offset, w)[:horizon]
-    return window_gain, window_offset, interleave
+    rows, length = x2d.shape
+    plan, w = config.plan, config.period
+    n, m = plan.n, plan.m
+    left = conv_pad_split(w)[0]
+    mean = x2d.mean(axis=1)
+    padded = np.empty(((n + 1) * w, rows))
+    padded[:left] = 0.0
+    padded[left + length:] = 0.0
+    np.subtract(x2d.T, mean, out=padded[left:left + length])
+    trace = ForwardTrace(Path.GAIN_FIRST, padded[left:left + length].T) if want_trace else None
+    gain, offset = phase_map(params, config, trace)
+    stacked = np.zeros((m, 2, n + 1))
+    stacked[:, 0, :n] = gain.T
+    stacked[:, 1, 1:] = gain.T
+    blocks = padded.reshape(n + 1, w * rows)
+    images = stacked.reshape(2 * m, n + 1) @ blocks
+    kernel = aggregation_kernel(params.conv_kernel)
+    out = np.append(kernel, 0.0)[band_taps(w)] @ images.reshape(m, 2 * w, rows)
+    out += (float(params.conv_bias) * counted_gain(gain, config) + offset[:, None])[..., None]
+    if n * w > length:
+        _take_back(out, gain, past_end(padded, config) @ kernel, length)
+    if trace is not None:
+        trace.blocks, trace.images = blocks, images
+    return _reinterleave(out, mean, config), trace
+
+
+def counted_gain(gain: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(m, w): sum_j W[j, q] over the blocks j whose step j*w + p is before L.
+
+    The steps of the last block past L are the graph's zero padding.
+    """
+    length, w = config.lookback, config.period
+    past = np.arange(w) >= length - (gain.shape[0] - 1) * w
+    return gain.sum(axis=0)[:, None] - np.multiply.outer(gain[-1], past)
+
+
+def past_end(padded: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(n*w - L, B, w) view of the steps the conv read for the n*w - L padded steps.
+
+    [t, b, i] = padded[L + t + i, b], so ``past_end(padded, config) @ kappa``
+    is what the conv by kappa gives at step L + t of the gain-first buffer.
+    """
+    length, w = config.lookback, config.period
+    return sliding_window_view(padded[length:config.plan.n * w + w - 1], w, axis=0)
 
 
 # ---------------------------------------------------------------------------

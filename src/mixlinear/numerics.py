@@ -109,16 +109,6 @@ def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray, bias: float) -> np.n
     return out.T
 
 
-def conv_transpose_kernel(kernel: np.ndarray) -> np.ndarray:
-    """The kernel whose conv1d_same_batch is the transpose of ``kernel``'s.
-
-    With rows @ K the conv by ``kernel``, rows @ K' is the conv by the
-    reversed kernel; an even width gets one zero tap appended so that its
-    padding splits as K' needs.
-    """
-    return np.append(kernel[::-1], np.zeros(1 - kernel.size % 2))
-
-
 def conv_blocks(rows: np.ndarray, width: int) -> np.ndarray:
     """(B, L) rows -> C-contiguous (ceil(L/width), width, B) blocks of the
     time-major columns, zero-filled past L; a view when L is a multiple of
@@ -147,6 +137,21 @@ def conv_taps(width: int) -> np.ndarray:
     steps = np.arange(width)
     taps = (np.arange(-1, 2)[:, None, None] * width
             + steps[None, None, :] - steps[None, :, None] + left)
+    taps[(taps < 0) | (taps >= width)] = width
+    taps.setflags(write=False)
+    return taps
+
+
+@lru_cache(maxsize=64)
+def band_taps(width: int) -> np.ndarray:
+    """Kernel tap of every entry of the (width, 2*width) band T[p, c] = kernel[c - p].
+
+    T maps the 2*width steps of two consecutive blocks, padded in front by
+    the conv's left padding, onto the conv's output at the first block's
+    width steps; entries with c - p outside [0, width) hold ``width``, which
+    ``np.append(kernel, 0.0)[taps]`` reads as zero.
+    """
+    taps = np.arange(2 * width) - np.arange(width)[:, None]
     taps[(taps < 0) | (taps >= width)] = width
     taps.setflags(write=False)
     return taps

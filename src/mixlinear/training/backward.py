@@ -18,12 +18,14 @@ from ..model.config import Mode, ModelConfig
 from ..model.forward import (
     ForwardTrace,
     Path,
+    counted_gain,
     aggregation_kernel,
     forward_batch,
     forward_batch_with_trace,
+    past_end,
 )
 from ..model.params import MixLinearParams
-from ..numerics import conv1d_same_batch, conv_blocks, conv_taps, dft_matrix, idft_matrix
+from ..numerics import band_taps, conv_blocks, conv_taps, dft_matrix, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
 
@@ -49,15 +51,17 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     Gradients are averaged over every predicted scalar, matching the
     returned loss = mean((forward(x) - y)^2).
 
-    The reverse pass mirrors the path the trace records.  On
-    ``Path.WINDOW_MAP`` the prediction is f(x) = (x - mean)A + mean + c,
-    built in closed form from the conv and the phase map; its gradient
-    flows back through that construction onto the n+1 phase basis rows the
-    branches ran on.  The two graph paths ran time-major on the batch's own
-    rows, and their gradient flows back the same way: the (H, B) prediction
-    gradient read as the (m, w*B) phase block, on ``Path.PHASE_MAP`` the
-    phase map's adjoint as one GEMM each for the gain's inputs and the
-    basis images, and the conv's kernel gradient as block GEMMs.
+    The reverse pass mirrors the path the trace records.  Every traced
+    path ran time-major on the batch's own rows, and the (H, B) prediction
+    gradient read as the (m, w*B) phase outputs undoes the re-interleave.
+    On ``Path.GAIN_FIRST`` it then runs the forward's GEMMs transposed: the
+    band's gradient sum_q G_q U_q', summed along its diagonals, gives the
+    conv kernel's, and one GEMM with the period blocks gives the phase
+    gain's.  On the graph paths it flows back through the phase map (one
+    GEMM each for the gain's inputs and the basis images on
+    ``Path.PHASE_MAP``) or the branches, then the de-interleave, and the
+    conv's kernel gradient is block GEMMs.  Both map paths end at the
+    gradient on the n+1 phase basis images the branches ran on.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -68,9 +72,9 @@ def backward(x_batch, y_batch, params: MixLinearParams,
             f"batch size mismatch: {x2d.shape[0]} inputs vs {y2d.shape[0]} targets"
         )
     pred, trace = forward_batch_with_trace(x2d, params, config)
-    # subtract in pred's layout: on the graph path pred is the .T view of a
-    # time-major (H, B) array, and diff.T is then time-major without a copy
-    diff = (pred.T - y2d.T).T
+    # the residual, in pred's buffer: pred is the .T view of a time-major
+    # (H, B) array, so diff.T is time-major without a copy
+    diff = np.subtract(pred, y2d, out=pred)
     flat = diff.ravel(order="K")
     loss = float(flat @ flat) / flat.size
     diff *= 2.0 / flat.size
@@ -103,31 +107,35 @@ def _conv_kernel_grad(inputs: np.ndarray, grad_out: np.ndarray, width: int) -> n
 
 
 def _backprop(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
-    if trace.path is Path.WINDOW_MAP:
-        # pred = x_norm A + c + mean, with (A, c) from window_map
-        grads = {}
-        grads["conv_kernel"], grads["conv_bias"], grad_gain, grad_offset = _window_map_adjoint(
-            trace.x_norm.T @ grad_pred, grad_pred.sum(axis=0), trace.interleave,
-            params.conv_kernel, float(params.conv_bias), config)
-        grad_images = _affine_map_adjoint(grad_gain, grad_offset)
-        _branch_grads(grad_images, trace, params, config, grads)
+    if trace.path is Path.GAIN_FIRST:
+        grads, grad_gain, grad_offset = _gain_first_adjoint(grad_pred, trace, params, config)
+        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), trace, params, config, grads)
     else:
         grads = _graph_grads(grad_pred, trace, params, config)
     # keep checkpoint/declaration order
     return {name: grads[name] for name, _ in params.named_arrays()}
 
 
-def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
-    batch = grad_pred.shape[0]
-    w = config.period
-    plan = config.plan
+def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Adjoint of ``_reinterleave``: (B, H) prediction gradient -> (m*w, B) time-major.
 
-    # undo horizon truncation; the time-major (m*w, B) gradient read as
-    # (m, w*B) undoes the re-interleave
+    The m*w - H steps past the horizon get zero gradient; when there are
+    none this is ``grad_pred.T`` itself, with no copy.
+    """
     grad_seq = grad_pred.T
-    if plan.m * w > config.horizon:
-        grad_seq = np.vstack([grad_seq, np.zeros((plan.m * w - config.horizon, batch))])
-    grad_out = grad_seq.reshape(plan.m, w * batch)
+    extra = config.plan.m * config.period - config.horizon
+    if extra:
+        grad_seq = np.vstack([grad_seq, np.zeros((extra, grad_seq.shape[1]))])
+    return grad_seq
+
+
+def _deinterleave_adjoint(grad_phase: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Adjoint of ``_deinterleave``: (n, w*B) -> (L, B), the zero-filled tail dropped."""
+    return grad_phase.reshape(config.plan.n * config.period, -1)[:config.lookback]
+
+
+def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
+    grad_out = _reinterleave_adjoint(grad_pred, config).reshape(config.plan.m, -1)
 
     grads: GradientSet = {}
     if trace.path is Path.PHASE_MAP:
@@ -140,40 +148,56 @@ def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
         grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
         grad_phase = grad_rows.T
 
-    # undo the de-interleave, drop the zero-filled tail
-    grad_agg = grad_phase.reshape(plan.n * w, batch)[:config.lookback]
-
+    grad_agg = _deinterleave_adjoint(grad_phase, config)
     # aggregated = conv(x_norm) + x_norm; only the conv path carries params
-    grads["conv_kernel"] = _conv_kernel_grad(trace.x_norm, grad_agg.T, w)
+    grads["conv_kernel"] = _conv_kernel_grad(trace.x_norm, grad_agg.T, config.period)
     grads["conv_bias"] = np.asarray(grad_agg.sum())
     return grads
 
 
-def _window_map_adjoint(grad_gain, grad_offset, interleave, kernel, conv_bias: float,
-                        config):
-    """Adjoint of ``window_map``: gradients on (A, c) -> on (kernel, conv_bias, gain, offset).
+def _gain_first_adjoint(grad_pred, trace: ForwardTrace, params, config):
+    """Adjoint of ``_gain_first`` in (kernel, conv_bias, W, b): its GEMMs transposed.
 
-    A = K_kappa B and c = conv_bias * 1'B + offset interleaved, where B
-    re-interleaves the phase gain and rows @ K_kappa is the conv by
-    kappa = aggregation_kernel(kernel).
+    Returns the conv's gradients and the gradients on the phase map (W, b).
+    With G the (m, w, B) gradient on the outputs, the band T gets
+    sum_q G_q U_q', and each kernel tap sums its diagonal of that; U gets
+    T'G_q, and the stacked phase map [W 0; 0 W]' gets G_U Z', whose two
+    halves add up to W's gradient.  U is freed before G_U is formed.
     """
-    w = config.period
-    plan = config.plan
-    # <G_A, K_kappa B> = <G_A'K_kappa, B'>: the conv reads G_A's columns and B's
-    # take the place of its output gradient; kappa - kernel is a constant
-    kernel_grad = _conv_kernel_grad(grad_gain.T, interleave.T, w)
-    bias_grad = np.asarray(interleave.sum(axis=0) @ grad_offset)
-    # G_B = K_kappa'G_A + conv_bias 1 g_c', and G_A'K_kappa is the conv of G_A's columns
-    grad_interleave = conv1d_same_batch(grad_gain.T, aggregation_kernel(kernel), 0.0).T
-    grad_interleave += conv_bias * grad_offset
-    # gather gain[j, q] from its w copies B[j*w + p, q*w + p], offset[q] from c
-    padded = np.zeros((plan.n * w, plan.m * w))
-    padded[:config.lookback, :config.horizon] = grad_interleave
-    grad_phase_gain = np.einsum("jpqp->jq", padded.reshape(plan.n, w, plan.m, w))
-    padded_offset = np.zeros(plan.m * w)
-    padded_offset[:config.horizon] = grad_offset
-    grad_phase_offset = padded_offset.reshape(plan.m, w).sum(axis=1)
-    return kernel_grad, bias_grad, grad_phase_gain, grad_phase_offset
+    batch = grad_pred.shape[0]
+    length, w = config.lookback, config.period
+    n, m = config.plan.n, config.plan.m
+    gain = trace.gain
+    taps = band_taps(w)
+    kernel = aggregation_kernel(params.conv_kernel)
+    grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, w, batch)
+
+    images, trace.images = trace.images, None
+    grad_band = np.matmul(grad_out, images.reshape(m, 2 * w, batch).swapaxes(1, 2)).sum(axis=0)
+    del images
+    kernel_grad = np.bincount(taps.ravel(), weights=grad_band.ravel(), minlength=w + 1)[:w]
+    grad_images = np.append(kernel, 0.0)[taps].T @ grad_out            # (m, 2w, B)
+    grad_stacked = grad_images.reshape(2 * m, w * batch) @ trace.blocks.T
+    del grad_images
+    grad_stacked = grad_stacked.reshape(m, 2, n + 1)
+    grad_gain = (grad_stacked[:, 0, :n] + grad_stacked[:, 1, 1:]).T
+
+    # the constant conv_bias * counted_gain + offset at every (q, p)
+    grad_const = grad_out.sum(axis=2)                                   # (m, w)
+    grad_offset = grad_const.sum(axis=1)
+    grads: GradientSet = {"conv_bias": np.asarray(np.sum(grad_const * counted_gain(gain, config)))}
+    conv_bias = float(params.conv_bias)
+    past = np.arange(w) >= length - (n - 1) * w
+    grad_gain += conv_bias * grad_offset
+    grad_gain[-1] -= conv_bias * (grad_const @ past)
+    if past.any():
+        # out[q, p] -= W[n-1, q] (steps @ kappa)[p - first] for the padded p >= first
+        steps = past_end(trace.blocks.reshape(-1, batch), config)      # (k, B, w)
+        tail = grad_out[:, past]                                        # (m, k, B)
+        grad_gain[-1] -= np.tensordot(tail, steps @ kernel, axes=([1, 2], [0, 1]))
+        kernel_grad -= np.einsum("tbi,tb->i", steps, np.tensordot(gain[-1], tail, axes=(0, 0)))
+    grads["conv_kernel"] = kernel_grad
+    return grads, grad_gain, grad_offset
 
 
 def _branch_grads(grad_out, trace, params, config, grads):
@@ -304,3 +328,31 @@ def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig,
                 worst = rel
                 worst_param = name
     return GradCheckResult(worst, worst_param)
+
+
+def single_window_gap(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -> float:
+    """Gap between a batch's gradient and the mean of its windows' own gradients.
+
+    The loss is the mean over the batch, so the two agree up to rounding
+    whatever path each ``backward`` takes; a lone window of at most n+1
+    phase rows runs the branches on its own rows, the graph that
+    :func:`grad_check` gates.  Returns the largest absolute difference over
+    every parameter entry, relative to the largest entry of the mean; a
+    non-finite gap counts as infinite.
+    """
+    x2d = _flatten_windows(x_batch, config.lookback, "inputs")
+    y2d = _flatten_windows(y_batch, config.horizon, "targets")
+    _, grads = backward(x2d, y2d, params, config)
+    singles = [backward(x2d[i:i + 1], y2d[i:i + 1], params, config)[1]
+               for i in range(x2d.shape[0])]
+    gaps, sizes = [], []
+    for name, grad in grads.items():
+        want = np.mean([single[name] for single in singles], axis=0)
+        gaps.append(np.max(np.abs(grad - want)))
+        sizes.append(np.max(np.abs(want)))
+    gap = float(np.max(gaps))
+    if gap == 0.0:
+        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(gap / np.max(sizes))
+    return ratio if math.isfinite(ratio) else math.inf

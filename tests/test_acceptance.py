@@ -86,9 +86,15 @@ def test_criterion_3_gradient_correctness(capsys):
     line = [l for l in out.splitlines() if "max relative discrepancy" in l][0]
     value = float(line.split("=")[1].split("(")[0])
     assert value < 1e-4
+    # batches past n+1 phase rows, on the map path each takes, against the
+    # mean of their single windows
+    gaps = [float(l.split("= ")[1].split()[0]) for l in out.splitlines()
+            if " past n+1 phase rows, " in l]
+    assert gaps and max(gaps) <= 1e-12
     assert elapsed < 30.0
     with capsys.disabled():
-        _pass(3, f"cmd_gradcheck over 20 configs: {value:.2e} in {elapsed:.1f}s")
+        _pass(3, f"cmd_gradcheck over 20 configs: {value:.2e}, map paths within "
+                 f"{max(gaps):.1e} of single windows, in {elapsed:.1f}s")
 
 
 def test_criterion_4_synthetic_oracle():

@@ -399,19 +399,25 @@ class TestBatchViews:
     def test_other_indices_gather_writable_copies(self, idx):
         base = _view_bases()["contiguous"]
         ws = WindowSet(base, 9, 5)
-        for got, want in zip(ws.batch(idx), zip(*(ws.window(k) for k in idx))):
+        for got, want, length in zip(ws.batch(idx), zip(*(ws.window(k) for k in idx)), (9, 5)):
             assert got.flags.writeable and not np.shares_memory(got, base)
             assert got.tobytes() == np.stack(want).tobytes()
+            # gathered time-major: the flattened rows are the .T of C-contiguous
+            # (T, b*C) steps, as the forward reads them
+            rows = _flatten_windows(got, length, "windows")
+            assert np.shares_memory(rows, got) and rows.T.flags.c_contiguous
 
     @pytest.mark.parametrize("channels", [1, 300])
-    def test_evaluate_never_builds_spans(self, channels):
+    def test_window_set_keeps_no_copy(self, channels):
+        # runs are views of the series and a gather copies its own windows
+        # only, so the window set holds nothing but the series
         config = ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1)
         values = np.random.default_rng(6).normal(size=(60, channels))
         ws = WindowSet(values, 12, 6)
+        fields = set(vars(ws))
         evaluate(init_params(config, 0), ws, config)
-        assert "_spans" not in vars(ws)
         ws.batch([1, 0])
-        assert "_spans" in vars(ws)
+        assert set(vars(ws)) == fields == {"base", "lookback", "horizon"}
 
 
 class TestSynthGenerate:

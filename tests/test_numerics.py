@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from mixlinear.numerics import (
     conv1d_same_batch,
-    conv_transpose_kernel,
     idft_matrix,
     rfft_batch,
     spectrum_bins,
@@ -24,6 +23,16 @@ from oracles import (
     naive_irfft,
     naive_rfft,
 )
+
+
+def conv_transpose_kernel(kernel: np.ndarray) -> np.ndarray:
+    """The kernel whose conv1d_same_batch is the transpose of ``kernel``'s.
+
+    With rows @ K the conv by ``kernel``, rows @ K' is the conv by the
+    reversed kernel; an even width gets one zero tap appended so that its
+    padding splits as K' needs.
+    """
+    return np.append(kernel[::-1], np.zeros(1 - kernel.size % 2))
 
 
 def rel_err(got, want):

@@ -30,7 +30,6 @@ from mixlinear.model.forward import (
     choose_path,
     phase_map,
     series_channels,
-    window_map,
 )
 from mixlinear.training import (
     TrainConfig,
@@ -43,7 +42,7 @@ from mixlinear.training import (
     train,
     write_history,
 )
-from mixlinear.training.backward import _affine_map_adjoint, _window_map_adjoint
+from mixlinear.training.backward import _affine_map_adjoint
 from oracles import decompose_trend_loop, forward_loop, loop_mae, loop_mse
 from test_model import zeroed
 
@@ -398,23 +397,36 @@ def _mode_configs(count_per_mode=4, seed=30):
             for mode in Mode for _ in range(count_per_mode)]
 
 
-def _graph_backward(x, y, params, config):
-    """backward on parts of at most L+1 rows, so that every part runs the
-    graph; the row-weighted mean is the whole batch's loss and gradient."""
-    parts = -(-x.shape[0] // (config.lookback + 1))
-    results = [(xs.shape[0], backward(xs, ys, params, config))
-               for xs, ys in zip(np.array_split(x, parts), np.array_split(y, parts))]
-    loss = sum(rows * part_loss for rows, (part_loss, _) in results) / x.shape[0]
-    grads = {name: sum(rows * part_grads[name] for rows, (_, part_grads) in results)
-             / x.shape[0] for name in results[0][1][1]}
-    return loss, grads
+def _map_paths_as(monkeypatch, path):
+    """Make every forward that ``choose_path`` sends down a map path take ``path``."""
+    choose = forward_module.choose_path
+
+    def forced(*args):
+        chosen = choose(*args)
+        return path if chosen in (Path.GAIN_FIRST, Path.PHASE_MAP) else chosen
+
+    monkeypatch.setattr(forward_module, "choose_path", forced)
+
+
+def _graph_backward(x, y, params, config, monkeypatch):
+    """backward with the map paths run on the graph (``Path.PHASE_MAP``)."""
+    with monkeypatch.context() as patch:
+        _map_paths_as(patch, Path.PHASE_MAP)
+        return backward(x, y, params, config)
+
+
+def _level_walks(rng, rows, config, level=30.0):
+    """(x, y) of random-walk windows around ``level``, so the window means differ."""
+    walks = level + np.cumsum(0.3 * rng.normal(size=(rows, config.lookback + config.horizon)),
+                              axis=1)
+    return walks[:, :config.lookback], walks[:, config.lookback:]
 
 
 class TestAffineMap:
-    """Past L+1 rows, backward and forward_batch on rows that are not a run
-    of windows go through the window map f(x) = (x - mean)A + mean + c,
-    built in closed form from the parameters; evaluate's blocks are runs of
-    windows and take the series path instead."""
+    """Past n+1 phase rows, backward and forward_batch on rows that are not a
+    run of windows apply the phase map before the conv (``Path.GAIN_FIRST``)
+    where that costs fewer MACs than the graph; evaluate's blocks are runs
+    of windows and take the series path instead."""
 
     @pytest.mark.parametrize("channels, blocks, extra", [
         # one full block, then 2 more windows
@@ -445,10 +457,11 @@ class TestAffineMap:
             assert mse == pytest.approx(np.mean(errors ** 2), rel=1e-12, abs=0), config
             assert mae == pytest.approx(np.mean(np.abs(errors)), rel=1e-12, abs=0), config
 
-    def test_forward_matches_loop_oracle_past_switch(self):
+    def test_forward_matches_loop_oracle_past_switch(self, monkeypatch):
         # every parameter perturbed, so the biases feed the map's offset, and
         # windows at a level, so the centring both predictions share counts;
         # untraced and traced rows run one formula, so they agree bit for bit
+        _map_paths_as(monkeypatch, Path.GAIN_FIRST)
         rng = np.random.default_rng(35)
         widths, modes = set(), set()
         for config, seed in _mode_configs():
@@ -456,11 +469,12 @@ class TestAffineMap:
             for _, arr in params.named_arrays():
                 arr += 0.1 * rng.normal(size=arr.shape)
             plan = plan_shapes(config)
-            for rows in (config.lookback + 2, 2 * config.lookback + 3):
+            fewest = (plan.n + 1) // config.period + 1
+            for rows in (fewest, config.lookback + 2, 2 * config.lookback + 3):
                 x = 5.0 + rng.normal(size=(rows, config.lookback))
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
                 traced, trace = forward_batch_with_trace(x, params, config)
-                assert trace.path is Path.WINDOW_MAP
+                assert trace.path is Path.GAIN_FIRST
                 untraced = forward_batch(x, params, config)
                 assert np.array_equal(untraced, traced), (config, rows)
                 error = np.max(np.abs(traced - want))
@@ -569,10 +583,11 @@ class TestAffineMap:
             tracemalloc.stop()
         assert peak <= parent_peak
 
-    def test_evaluate_builds_no_window_map(self, monkeypatch):
+    def test_evaluate_runs_no_gain_first(self, monkeypatch):
         # every block runs the conv and the phase map on its own series
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
-        builds, convs, phase_maps = [], [], []
+        assert choose_path(64 * 2, config) is Path.GAIN_FIRST
+        gain_firsts, convs, phase_maps = [], [], []
 
         def counting(calls, fn):
             def wrapper(*args):
@@ -580,22 +595,25 @@ class TestAffineMap:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(forward_module, "window_map", counting(builds, window_map))
+        monkeypatch.setattr(forward_module, "_gain_first",
+                            counting(gain_firsts, forward_module._gain_first))
         monkeypatch.setattr(forward_module, "conv1d_same_batch",
                             counting(convs, forward_module.conv1d_same_batch))
         monkeypatch.setattr(forward_module, "phase_map", counting(phase_maps, phase_map))
         calls = self._evaluate_calls(monkeypatch, config, 64, 1000)
-        assert len(calls) >= 3 and builds == []
+        assert len(calls) >= 3 and gain_firsts == []
         assert len(convs) == len(phase_maps) == len(calls)
 
-    def test_window_map_follows_in_place_edits(self):
+    def test_gain_first_follows_in_place_edits(self, monkeypatch):
         # an edit between two calls (as grad_check makes) changes the map,
         # so the second call predicts with the edited parameters
+        _map_paths_as(monkeypatch, Path.GAIN_FIRST)
         rng = np.random.default_rng(36)
         for config, seed in _mode_configs(count_per_mode=2):
             params = init_params(config, seed)
             plan = plan_shapes(config)
             x = rng.normal(size=(config.lookback + 2, config.lookback))
+            assert forward_batch_with_trace(x, params, config)[1].path is Path.GAIN_FIRST
             before = forward_batch(x, params, config)
             for _, arr in params.named_arrays():
                 arr += 0.1 * rng.normal(size=arr.shape)
@@ -608,6 +626,7 @@ class TestAffineMap:
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
                                                            monkeypatch):
+        # the fewest windows past n+1 phase rows, one fewer and one more
         paths = []
 
         def recording(rows, *args):
@@ -616,76 +635,115 @@ class TestAffineMap:
             return pred, trace
 
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
+        reached = set()
         for config, seed in _mode_configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
-            rows = config.lookback + 1 + extra_rows
+            rows = (config.plan.n + 1) // config.period + 1 + extra_rows
+            if rows < 1:
+                continue
             x = rng.normal(size=(rows, config.lookback))
             y = rng.normal(size=(rows, config.horizon))
             paths.clear()
             loss, grads = backward(x, y, params, config)
             assert paths == [choose_path(rows, config)]
-            assert (paths[0] is Path.WINDOW_MAP) == (extra_rows > 0)
+            assert (paths[0] is Path.OWN_ROWS) == (rows * config.period <= config.plan.n + 1)
+            reached.add(paths[0])
 
             paths.clear()
-            want_loss, want = _graph_backward(x, y, params, config)
-            assert Path.WINDOW_MAP not in paths
+            want_loss, want = _graph_backward(x, y, params, config, monkeypatch)
+            assert Path.GAIN_FIRST not in paths
             assert loss == pytest.approx(want_loss, rel=1e-10, abs=0)
             assert grads.keys() == want.keys()
             for name, grad in grads.items():
                 error = np.linalg.norm(grad - want[name])
                 assert error <= 1e-10 * np.linalg.norm(want[name]), (config, name)
+        assert (Path.GAIN_FIRST in reached) == (extra_rows >= 0)
 
-    def test_backward_on_level_shifted_windows_matches_graph(self):
-        # windows at a level of about 30: the map path centres them before
-        # its GEMMs, so the bias gradients do not cancel
+    @staticmethod
+    def _level_shifted_cases(rng):
+        """(config, x, y, params) at L=720, w=24: every mode, H 96 and 720,
+        1792 level-30 random-walk rows, perturbed parameters.  The tests
+        take the first 730 rows and all 1792."""
+        for horizon in (96, 720):
+            for mode in Mode:
+                config = ModelConfig(720, horizon, 24, mode=mode)
+                params = init_params(config, 33)
+                for _, arr in params.named_arrays():
+                    arr += 0.05 * rng.normal(size=arr.shape)
+                yield (config, *_level_walks(rng, 1792, config), params)
+
+    def test_backward_on_level_shifted_windows_matches_graph(self, monkeypatch):
+        # windows at a level of about 30: gain-first centres them before its
+        # GEMMs, so the bias gradients do not cancel; H=720 takes the graph,
+        # so gain-first is forced there
         rng = np.random.default_rng(33)
-        rows = 730
-        for mode in Mode:
-            config = ModelConfig(720, 96, 24, mode=mode)
-            params = init_params(config, 33)
-            for _, arr in params.named_arrays():
-                arr += 0.05 * rng.normal(size=arr.shape)
-            walks = 30.0 + np.cumsum(0.3 * rng.normal(size=(rows, 816)), axis=1)
-            x, y = walks[:, :720], walks[:, 720:]
-            assert rows > config.lookback + 1
-            loss, grads = backward(x, y, params, config)
-            want_loss, want = _graph_backward(x, y, params, config)
-            assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-            for name, grad in grads.items():
-                error = np.linalg.norm(grad - want[name])
-                assert error <= 1e-12 * np.linalg.norm(want[name]), (mode, name)
+        for config, walks_x, walks_y, params in self._level_shifted_cases(rng):
+            for rows in (730, 1792):
+                x, y = walks_x[:rows], walks_y[:rows]
+                with monkeypatch.context() as patch:
+                    _map_paths_as(patch, Path.GAIN_FIRST)
+                    loss, grads = backward(x, y, params, config)
+                want_loss, want = _graph_backward(x, y, params, config, monkeypatch)
+                assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+                for name, grad in grads.items():
+                    error = np.linalg.norm(grad - want[name])
+                    assert error <= 1e-12 * np.linalg.norm(want[name]), (config, rows, name)
 
-    def test_window_map_adjoint_is_exact(self):
-        # (kernel, conv_bias, gain, offset) -> (A, c) is bilinear, so the
-        # central difference with a unit step is its exact derivative
-        rng = np.random.default_rng(34)
-        widths = set()
-        for _ in range(60):
-            config = random_small_config(rng)
-            plan = plan_shapes(config)
-            shapes = [(config.period,), (), (plan.n, plan.m), (plan.m,)]
-            point = [rng.normal(size=shape) for shape in shapes]
-            delta = [rng.normal(size=shape) for shape in shapes]
+    def test_backward_on_level_shifted_windows_is_mean_of_single_windows(self, monkeypatch):
+        # one window alone (24 phase rows, no map) is the reference that
+        # does not cancel the zero-row image's gradient
+        rng = np.random.default_rng(41)
+        for config, walks_x, walks_y, params in self._level_shifted_cases(rng):
+            assert choose_path(1, config) is Path.OWN_ROWS
+            singles = [backward(walks_x[i:i + 1], walks_y[i:i + 1], params, config)
+                       for i in range(walks_x.shape[0])]
+            for rows in (730, 1792):
+                with monkeypatch.context() as patch:
+                    _map_paths_as(patch, Path.GAIN_FIRST)
+                    loss, grads = backward(walks_x[:rows], walks_y[:rows], params, config)
+                want_loss = np.mean([l for l, _ in singles[:rows]])
+                assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+                for name, grad in grads.items():
+                    want = np.mean([g[name] for _, g in singles[:rows]], axis=0)
+                    error = np.linalg.norm(grad - want)
+                    assert error <= 1e-12 * np.linalg.norm(want), (config, rows, name)
 
-            def window_map_at(values):
-                kernel, bias, gain, offset = values
-                return window_map(gain, offset, kernel, float(bias), config)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "even", "ragged"]),
+           rows=st.integers(1, 12), level=st.sampled_from([0.0, 30.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_gain_first_adjoint_is_exact(self, seed, mode, period, rows, level):
+        # the gain-first map is affine in each of (kernel, conv_bias, W, b)
+        # on its own; _gain_first_adjoint gives all four gradients
+        rng = np.random.default_rng(seed)
+        config = _drawn_config(rng, mode, period)
+        params = init_params(config, seed % 1000)
+        x = level + rng.normal(size=(rows, config.lookback))
+        plan = config.plan
+        images = rng.normal(size=(plan.n + 1, plan.m))
 
-            plus = window_map_at([p + d for p, d in zip(point, delta)])
-            minus = window_map_at([p - d for p, d in zip(point, delta)])
-            jvp = [(a - b) / 2 for a, b in zip(plus[:2], minus[:2])]
-            cotangent = [rng.normal(size=(config.lookback, config.horizon)),
-                         rng.normal(size=config.horizon)]
-            interleave = window_map_at(point)[2]
-            vjp = _window_map_adjoint(*cotangent, interleave, point[0], float(point[1]),
-                                      config)
-            lhs = sum(np.sum(j * c) for j, c in zip(jvp, cotangent))
-            rhs = sum(np.sum(d * v) for d, v in zip(delta, vjp))
-            scale = sum(np.sum(np.abs(j * c)) for j, c in zip(jvp, cotangent))
-            assert abs(lhs - rhs) <= 1e-12 * scale, config
-            widths.add(config.period % 2)
-        assert widths == {0, 1}
+        def gain_first(inputs, trace):
+            moved = replace(params, conv_kernel=inputs["conv_kernel"],
+                            conv_bias=inputs["conv_bias"])
+            with pytest.MonkeyPatch.context() as patch:
+                def fixed(_params, _config, record):
+                    if record is not None:
+                        record.gain = inputs["gain"]
+                    return inputs["gain"], inputs["offset"]
+                patch.setattr(forward_module, "phase_map", fixed)
+                return forward_module._gain_first(x, moved, config, trace)
+
+        def adjoint(cotangent):
+            _, trace = gain_first(inputs, True)
+            grads, grad_gain, grad_offset = backward_module._gain_first_adjoint(
+                cotangent, trace, params, config)
+            return {**grads, "gain": grad_gain, "offset": grad_offset}
+
+        inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias,
+                  "gain": images[:-1] - images[-1], "offset": images[-1]}
+        _assert_dot_products(lambda values: gain_first(values, False)[0], adjoint, inputs,
+                             rng)
 
     def test_pull_back_is_exact_adjoint(self, monkeypatch):
         # images -> rows @ gain + offset, with (gain, offset) from phase_map's
@@ -752,9 +810,8 @@ class TestPhaseMap:
         for config, seed in _phase_configs():
             plan = plan_shapes(config)
             batch = (plan.n + 1) // config.period + 1   # the fewest windows past n+1
-            if config.period > plan.n + 1 or batch > config.lookback + 1:
-                # one window alone is past the switch, or the batch would
-                # run through the window-level map on L+1 basis rows
+            if config.period > plan.n + 1:
+                # one window alone is past the switch
                 continue
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
@@ -764,7 +821,8 @@ class TestPhaseMap:
             loss, grads = backward(x, y, params, config)
             singles = [backward(x[i:i + 1], y[i:i + 1], params, config)
                        for i in range(batch)]
-            assert paths == [Path.PHASE_MAP] + [Path.OWN_ROWS] * batch
+            assert paths == [choose_path(batch, config)] + [Path.OWN_ROWS] * batch
+            assert paths[0] in (Path.GAIN_FIRST, Path.PHASE_MAP)
             assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-10, abs=0)
             for name, grad in grads.items():
                 want = np.mean([g[name] for _, g in singles], axis=0)
@@ -829,6 +887,8 @@ class TestViewRows:
     """``evaluate`` passes rows that view the series; the forward reads them
     as they stand and predicts what it predicts on C-ordered copies."""
 
+    # period 1 puts the switch past n+1 = L+1 = 17 phase rows, and at H=1
+    # gain-first costs fewer MACs than the graph, so the mapped rows take it
     @pytest.mark.parametrize("count, channels, mapped", [
         (1, 1, False), (2, 3, False), (5, 1, False), (40, 3, True), (300, 1, True)])
     def test_forward_on_view_rows_matches_contiguous_rows(self, count, channels, mapped):
@@ -838,8 +898,8 @@ class TestViewRows:
         rows = backward_module._flatten_windows(x, 16, "inputs")
         assert np.shares_memory(rows, ws.base)
         for mode in Mode:
-            config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2, mode=mode)
-            assert (choose_path(rows.shape[0], config) is Path.WINDOW_MAP) == mapped
+            config = ModelConfig(16, 1, 1, lpf_cutoff=3, latent_width=2, mode=mode)
+            assert (choose_path(rows.shape[0], config) is Path.GAIN_FIRST) == mapped
             params = init_params(config, 37)
             got = forward_batch(rows, params, config)
             want = forward_batch(np.ascontiguousarray(rows), params, config)
@@ -851,6 +911,17 @@ def _with_period(config: ModelConfig, period: int) -> ModelConfig:
     probe = replace(config, period=period, lpf_cutoff=1, latent_width=1)
     return replace(probe, lpf_cutoff=min(config.lpf_cutoff, probe.plan.bins_in),
                    latent_width=config.latent_width)
+
+
+def _drawn_config(rng, mode: Mode, period: str) -> ModelConfig:
+    """A ``random_small_config`` of ``mode`` at the named period: as drawn,
+    1, L, even, or L - 1, which does not divide L once L > 2."""
+    config = replace(random_small_config(rng), mode=mode)
+    lookback = config.lookback
+    chosen = {"drawn": config.period, "one": 1, "lookback": lookback,
+              "even": 2 * max(1, lookback // 4),
+              "ragged": lookback - 1 if lookback > 2 else config.period}[period]
+    return _with_period(config, chosen)
 
 
 class TestSeriesPath:
@@ -865,13 +936,8 @@ class TestSeriesPath:
     def test_series_path_matches_loop_oracle(self, seed, mode, period, channels, count,
                                              level):
         rng = np.random.default_rng(seed)
-        config = replace(random_small_config(rng), mode=mode)
+        config = _drawn_config(rng, mode, period)
         lookback = config.lookback
-        chosen = {"drawn": config.period, "one": 1, "lookback": lookback,
-                  "even": 2 * max(1, lookback // 4),
-                  # L - 1 does not divide L once L > 2
-                  "ragged": lookback - 1 if lookback > 2 else config.period}[period]
-        config = _with_period(config, chosen)
         params = init_params(config, seed % 1000)
         for _, arr in params.named_arrays():
             arr += 0.1 * rng.normal(size=arr.shape)
@@ -928,7 +994,8 @@ class TestChoosePath:
 
     def test_trace_records_the_planned_path(self):
         rng = np.random.default_rng(38)
-        bases = [random_small_config(rng) for _ in range(60)] + [ModelConfig(720, 96, 24)]
+        bases = [random_small_config(rng) for _ in range(60)] + [
+            ModelConfig(720, 96, 24), ModelConfig(720, 720, 24)]
         reached = {mode: set() for mode in Mode}
         for base in bases:
             for mode in Mode:
@@ -950,6 +1017,33 @@ class TestChoosePath:
                         assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
         # a traced forward never takes the series path, so backward never sees it
         assert all(paths == set(Path) - {Path.SERIES} for paths in reached.values())
+
+
+    def test_switches_at_both_boundaries(self):
+        # R*w = n+1 phase rows still run through the branches, one window
+        # more does not; past it the map goes where it costs fewer MACs,
+        # and a tie goes to the graph
+        for config, at in ((ModelConfig(9, 8, 1, lpf_cutoff=3, latent_width=2), 10),
+                           (ModelConfig(12, 8, 4, lpf_cutoff=2, latent_width=2), 1)):
+            assert at * config.period == config.plan.n + 1
+            assert choose_path(at, config) is Path.OWN_ROWS
+            assert choose_path(at + 1, config) is not Path.OWN_ROWS
+
+        def macs(config):
+            length, horizon, w, m = (config.lookback, config.horizon, config.period,
+                                     config.plan.m)
+            return 2 * length * m + 2 * horizon * w, 3 * length * w + length * m
+
+        for horizon, want in ((5, Path.GAIN_FIRST), (6, Path.PHASE_MAP), (7, Path.PHASE_MAP)):
+            config = ModelConfig(8, horizon, 2, lpf_cutoff=2, latent_width=2)
+            gain_first, graph = macs(config)
+            assert (gain_first < graph, gain_first == graph) == (horizon == 5, horizon == 6)
+            assert choose_path(9, config) is want
+        # the benchmark shapes: H=96 trains gain-first, H=720 on the graph
+        for horizon, want in ((96, Path.GAIN_FIRST), (720, Path.PHASE_MAP)):
+            config = ModelConfig(720, horizon, 24)
+            assert choose_path(2, config) is choose_path(1792, config) is want
+            assert choose_path(1, config) is Path.OWN_ROWS
 
 
 def _assert_dot_products(core, adjoint, inputs, rng):
@@ -1046,3 +1140,33 @@ class TestAdjoints:
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias}
         _assert_dot_products(phase_at, adjoint, inputs, rng)
+
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
+           batch=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_deinterleave(self, seed, mode, period, batch):
+        # (L, B) steps -> the (n, w*B) phase block with its n*w - L zero tail
+        rng = np.random.default_rng(seed)
+        config = _drawn_config(rng, mode, period)
+        steps = rng.normal(size=(config.lookback, batch))
+        _assert_dot_products(
+            lambda inputs: forward_module._deinterleave(inputs["steps"], config),
+            lambda g: {"steps": backward_module._deinterleave_adjoint(g, config)},
+            {"steps": steps}, rng)
+
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
+           batch=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_reinterleave(self, seed, mode, period, batch):
+        # the (m, w*B) phase outputs -> the (B, H) forecast, truncated at H
+        rng = np.random.default_rng(seed)
+        config = _drawn_config(rng, mode, period)
+        out = rng.normal(size=(config.plan.m, config.period * batch))
+        mean = rng.normal(size=batch)
+        _assert_dot_products(
+            lambda inputs: forward_module._reinterleave(inputs["out"].copy(), mean, config),
+            lambda g: {"out": backward_module._reinterleave_adjoint(g, config).reshape(
+                config.plan.m, -1)},
+            {"out": out}, rng)
