@@ -719,6 +719,9 @@ class TestAffineMap:
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
         params = init_params(config, seed % 1000)
+        # conv_bias starts at 0, where its terms in W's gradient vanish
+        for _, arr in params.named_arrays():
+            arr += 0.1 * rng.normal(size=arr.shape)
         x = level + rng.normal(size=(rows, config.lookback))
         plan = config.plan
         images = rng.normal(size=(plan.n + 1, plan.m))
@@ -994,8 +997,7 @@ class TestChoosePath:
 
     def test_trace_records_the_planned_path(self):
         rng = np.random.default_rng(38)
-        bases = [random_small_config(rng) for _ in range(60)] + [
-            ModelConfig(720, 96, 24), ModelConfig(720, 720, 24)]
+        bases = [random_small_config(rng) for _ in range(60)] + [ModelConfig(720, 96, 24)]
         reached = {mode: set() for mode in Mode}
         for base in bases:
             for mode in Mode:
