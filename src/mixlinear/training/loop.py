@@ -157,10 +157,10 @@ def _eval_block_windows(channels: int, config: ModelConfig) -> int:
     H=96, blocks of 15 windows, not 8).  At the three benchmark shapes
     (L=720; H=96 over 7 and 321 channels, H=720 over 1) ``evaluate`` peaks
     at 3.6, 5.1 and 3.3 MB (tracemalloc), against 4.5, 6.3 and 7.5 MB for
-    the window map in blocks of about 1024 rows.  A quarter of the values
-    per block ran the two ETTh1 shapes about 1.7x slower, half the 2L/H
-    bound ran Electricity's 1.5x slower, and twice that bound passed its
-    old peak (1 thread, 2-vCPU Xeon).
+    the dense (L, H) window map it once used, in blocks of about 1024 rows.
+    A quarter of the values per block ran the two ETTh1 shapes about 1.7x
+    slower, half the 2L/H bound ran Electricity's 1.5x slower, and twice
+    that bound passed its old peak (1 thread, 2-vCPU Xeon).
     """
     return max(1, min(EVAL_BLOCK_VALUES // (channels * config.horizon),
                       EVAL_BLOCK_ROWS // channels),
