@@ -138,7 +138,9 @@ def save_csv(series: RawSeries, path) -> None:
     Values are written with shortest round-trip precision, so
     load_csv(save_csv(s)) recovers the numeric content exactly.  A
     non-finite value, which load_csv would reject, is refused before any
-    file is written.
+    file is written.  The bytes are those ``csv.writer`` writes, but each
+    row is one join: the date cell, quoted as the writer quotes it, and
+    the ``repr`` of each value, which never needs quoting.
     """
     path = Path(path)
     bad = _first_non_finite(series.values)
@@ -147,9 +149,15 @@ def save_csv(series: RawSeries, path) -> None:
                         f"col {bad[1] + 2}")
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", *series.channel_names])
-            for ts, row in zip(series.timestamps, series.values):
-                writer.writerow([ts, *(repr(float(v)) for v in row)])
+            csv.writer(fh).writerow(["date", *series.channel_names])
+            for ts, row in zip(series.timestamps, np.asarray(series.values, np.float64).tolist()):
+                fh.write(",".join([_csv_cell(ts), *map(repr, row)]) + "\r\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer``'s default dialect writes it beside other cells."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

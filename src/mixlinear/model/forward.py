@@ -55,9 +55,9 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     all but one step of.  Otherwise, while the rows' R*w phase rows number
     at most the n+1 basis rows, every phase row runs through the branches.
     Past that the branches run on the basis rows only, and the phase map
-    (W, b) is applied either after the conv, on the phase block (the graph,
-    3*L*w + L*m MACs per row), or before it, on the period blocks of the
-    centred windows (gain-first, 2*L*m + 2*H*w), whichever costs fewer.
+    (W, b) is applied either after the band conv, on the phase block (the
+    graph, 2*L*w + L*m MACs per row), or before it, on the period blocks of
+    the centred windows (gain-first, 2*L*m + 2*H*w), whichever costs fewer.
     """
     if channels and rows >= 2 * channels:
         return Path.SERIES
@@ -65,7 +65,7 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     n, m = config.plan.n, config.plan.m
     if rows * w <= n + 1:
         return Path.OWN_ROWS
-    if 2 * length * m + 2 * horizon * w < 3 * length * w + length * m:
+    if 2 * length * m + 2 * horizon * w < 2 * length * w + length * m:
         return Path.GAIN_FIRST
     return Path.PHASE_MAP
 
@@ -82,14 +82,13 @@ class ForwardTrace:
     """
 
     path: Path
-    x_norm: np.ndarray                 # (B, L) mean-centred windows, the .T view
-                                       # of a time-major array
+    padded: np.ndarray                 # ((n+1)*w, B) conv buffer Z of the centred
+                                       # windows, see ``_conv_buffer``
     rows: np.ndarray | None = None     # (w*B, n) phase rows, row p*B + b the phase-p
                                        # row of window b; the .T view of the
                                        # (n, w*B) time-major phase block.  Graph only
     branch_rows: np.ndarray | None = None   # (P, n) rows the branches ran on
     gain: np.ndarray | None = None     # (n, m) phase map, on the map paths
-    blocks: np.ndarray | None = None   # (n+1, w*B) period blocks Z, gain-first only
     images: np.ndarray | None = None   # (2m, w*B) U = [W 0; 0 W]' Z, gain-first only;
                                        # backward frees it once read
     rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
@@ -109,30 +108,20 @@ def aggregation_kernel(conv_kernel: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _phase_block(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig):
-    """Mean-centre, aggregate and de-interleave (B, L) windows, time-major.
+def _conv_buffer(steps: np.ndarray, level: np.ndarray, blocks: int, w: int) -> np.ndarray:
+    """The zero-padded, time-major buffer Z that ``conv1d_same_batch`` reads.
 
-    Returns (phase, mean, centred): ``phase`` is ``_deinterleave`` of the
-    aggregated windows and ``centred`` the C-contiguous (L, B) mean-centred
-    windows.  The aggregation is one conv by ``aggregation_kernel``, so the
-    conv's time-major output is the phase block itself when w divides L.
+    (blocks*w, R): zero but for the (S, R) time-major ``steps`` less their
+    (R,) ``level``, which start at step left = (w-1)//2.  The conv of Z by
+    kappa at step t is then sum_i kappa[i] (steps - level)[t - left + i],
+    with zeros read outside the S steps, for every t < blocks*w - w.
     """
-    mean = x2d.mean(axis=1)
-    centred = np.subtract(x2d.T, mean, order="C")
-    aggregated = conv1d_same_batch(centred.T, aggregation_kernel(params.conv_kernel),
-                                   float(params.conv_bias)).T
-    return _deinterleave(aggregated, config), mean, centred
-
-
-def _deinterleave(steps: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(L, B) time-major steps -> the (n, w*B) phase block.
-
-    phase[j, p*B + b] = steps[j*w + p, b], zero where j*w + p >= L.
-    """
-    tail = config.plan.n * config.period - config.lookback
-    if tail:
-        steps = np.vstack([steps, np.zeros((tail, steps.shape[1]))])
-    return steps.reshape(config.plan.n, -1)
+    left = conv_pad_split(w)[0]
+    padded = np.empty((blocks * w, steps.shape[1]))
+    padded[:left] = 0.0
+    padded[left + steps.shape[0]:] = 0.0
+    np.subtract(steps, level, out=padded[left:left + steps.shape[0]])
+    return padded
 
 
 def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -220,8 +209,15 @@ def _forward_impl(x2d, params, config, want_trace):
     if path is Path.GAIN_FIRST:
         return _gain_first(x2d, params, config, want_trace)
 
-    phase, mean, centred = _phase_block(x2d, params, config)
-    trace = ForwardTrace(path, centred.T, phase.T) if want_trace else None
+    # the graph: the phase block is the band conv's output, the n*w - L
+    # padded steps zeroed
+    length, w, n = config.lookback, config.period, config.plan.n
+    mean = x2d.mean(axis=1)
+    padded = _conv_buffer(x2d.T, mean, n + 1, w)
+    phase = conv1d_same_batch(padded.T, aggregation_kernel(params.conv_kernel)).reshape(n, -1)
+    phase += float(params.conv_bias)
+    phase.reshape(n * w, -1)[length:] = 0.0
+    trace = ForwardTrace(path, padded, phase.T) if want_trace else None
     if path is Path.PHASE_MAP:
         gain, offset = phase_map(params, config, trace)
         out = gain.T @ phase
@@ -263,7 +259,7 @@ def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
     and w-1-(w-1)//2 last steps, and the n*w - L padded ones) is taken back
     per window.  Each window and channel costs about n*m + (w-1)(m + w/2)
     multiply-adds and m*w adds, plus its share of the conv of the series,
-    3w(b + L + w)/b, and of the branches on the n+1 basis rows; the window
+    2w(b + L + w)/b, and of the branches on the n+1 basis rows; the window
     map costs L*H.  The channels run in groups, so that the series-length
     arrays stay small when the series is wide.  Returns the ``.T`` of a
     C-contiguous (H, b*C) array.
@@ -291,7 +287,7 @@ def _series_group(series: np.ndarray, out: np.ndarray, gain: np.ndarray, offset:
     """
     length, w, n = config.lookback, config.period, config.plan.n
     windows, width = out.shape[2], out.shape[3]
-    steps, rows = series.shape[0], windows * width
+    rows = windows * width
     left, right = conv_pad_split(w)
     kernel = aggregation_kernel(params.conv_kernel)
     conv_bias = float(params.conv_bias)
@@ -304,13 +300,10 @@ def _series_group(series: np.ndarray, out: np.ndarray, gain: np.ndarray, offset:
     # step L - right + r read kernel[i + w-1 - r] * centred[k + L + i], i <= r
     after = taps[np.where(index <= index[:, None], index + w - 1 - index[:, None], w)]
     blocks = -(-(windows + w - 1) // w)     # w-step blocks of the u = k + p that VG holds
-    span = (blocks + n - 1) * w             # conv steps VG reads
-    # the series less its first window's mean, with zeros before and after it
+    # the series less its first window's mean; the conv of its buffer has the
+    # (blocks + n - 1)*w steps VG reads, which cover the whole series
     level = series[:length].mean(axis=0)
-    padded = np.empty((left + max(span, steps + right), width))
-    padded[:left] = 0.0
-    padded[left + steps:] = 0.0
-    np.subtract(series, level, out=padded[left:left + steps])
+    padded = _conv_buffer(series, level, blocks + n, w)
     centred = padded[left:]
     # window means from running sums: window k+1 adds step k+L and drops step k
     mean = np.empty((windows, width))
@@ -319,7 +312,7 @@ def _series_group(series: np.ndarray, out: np.ndarray, gain: np.ndarray, offset:
     np.cumsum(mean, axis=0, out=mean)
     mean /= length
 
-    conv = conv1d_same_batch(centred[:span].T, kernel, 0.0).T.reshape(-1, w * width)
+    conv = conv1d_same_batch(padded.T, kernel).reshape(-1, w * width)
     # VG[q, u*G + c] = sum_j conv[u + j*w, c] W[j, q], one GEMM per w-step block of u
     sums = np.empty((gain.shape[1], blocks * w * width))
     for block in range(blocks):
@@ -370,29 +363,24 @@ def _take_back(out, gain, edge, first: int):
 def _gain_first(x2d, params, config, want_trace):
     """Predict (B, L) windows by the phase map on their period blocks, then the conv.
 
-    Z is a buffer of (n+1)*w steps, zero but for the centred windows, which
-    start at step left = (w-1)//2, cut into n+1 blocks of w steps.  With
-    kappa the ``aggregation_kernel``, the graph's phase block holds
-    sum_i kappa[i] Z[j*w + p + i] at (j, p), and p + i < 2w, so it reads
-    blocks j and j+1 only.  U = [W 0; 0 W]' Z, the phase map W on both, is
-    one (2m, n+1) @ (n+1, w*B) GEMM, with row 2q + h the image of blocks
-    j+h.  Output q at phase p is then sum_c T[p, c] U[q, c], with T[p, c] =
-    kappa[c - p] (``band_taps``) the conv's two w x w Toeplitz blocks side
-    by side.  The conv's bias and the phase offset add conv_bias times
-    ``counted_gain`` plus b[q].  When w does not divide L, what the conv read
-    for the n*w - L padded steps is taken back, since the graph zeroes them.
+    Z is the windows' ``_conv_buffer`` of (n+1)*w steps, cut into n+1 blocks
+    of w steps.  The graph's phase block at block j is the band T[p, c] =
+    kappa[c - p] (``band_taps``), with kappa the ``aggregation_kernel``,
+    times Z's blocks j and j+1 (``conv1d_same_batch``), so W commutes past
+    T.  U = [W 0; 0 W]' Z, the phase map W on both blocks, is one
+    (2m, n+1) @ (n+1, w*B) GEMM, with row 2q + h the image of blocks j+h,
+    and output q at phase p is then sum_c T[p, c] U[q, c].  The conv's bias
+    and the phase offset add conv_bias times ``counted_gain`` plus b[q].
+    When w does not divide L, what the conv read for the n*w - L padded
+    steps is taken back, since the graph zeroes them.
     Costs about 2*L*m + 2*H*w multiply-adds per row.
     """
     rows, length = x2d.shape
     plan, w = config.plan, config.period
     n, m = plan.n, plan.m
-    left = conv_pad_split(w)[0]
     mean = x2d.mean(axis=1)
-    padded = np.empty(((n + 1) * w, rows))
-    padded[:left] = 0.0
-    padded[left + length:] = 0.0
-    np.subtract(x2d.T, mean, out=padded[left:left + length])
-    trace = ForwardTrace(Path.GAIN_FIRST, padded[left:left + length].T) if want_trace else None
+    padded = _conv_buffer(x2d.T, mean, n + 1, w)
+    trace = ForwardTrace(Path.GAIN_FIRST, padded) if want_trace else None
     gain, offset = phase_map(params, config, trace)
     stacked = np.zeros((m, 2, n + 1))
     stacked[:, 0, :n] = gain.T
@@ -405,7 +393,7 @@ def _gain_first(x2d, params, config, want_trace):
     if n * w > length:
         _take_back(out, gain, past_end(padded, config) @ kernel, length)
     if trace is not None:
-        trace.blocks, trace.images = blocks, images
+        trace.images = images
     return _reinterleave(out, mean, config), trace
 
 

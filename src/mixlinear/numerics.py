@@ -11,14 +11,16 @@ The DFT pair is evaluated as a product with a precomputed coefficient
 matrix.  Transform lengths in this model are tiny (a few dozen bins), so
 the direct O(N^2) matrix form is both the fastest practical choice once
 BLAS-batched and the one whose multiply count is exactly auditable for
-cost reporting.  The convolution runs time-major: the (L, B) columns are
-cut into blocks of ``width`` time steps, and the conv is three GEMMs of
-those blocks with the kernel's width x width Toeplitz blocks.
+cost reporting.  The convolution runs time-major on a zero-padded buffer
+cut into blocks of ``width`` time steps: each output block is the
+kernel's (width, 2*width) band times the two input blocks it overlaps,
+and every block is one slice of a single batched GEMM.
 """
 
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 # ---------------------------------------------------------------------------
@@ -84,62 +86,38 @@ def conv_pad_split(width: int) -> tuple[int, int]:
     return left, width - 1 - left
 
 
-def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray, bias: float) -> np.ndarray:
-    """Length-preserving cross-correlation over the last axis of (B, L) rows.
+def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Length-preserving cross-correlation of R signals, from their zero-padded buffer.
 
-    Pads floor((w-1)/2) zeros in front and ceil((w-1)/2) behind, then
-    out[t] = bias + sum_i kernel[i] * padded[t+i]; the kernel is not
-    flipped (deep-learning convention).
+    ``rows`` is the (R, (K+1)*w) ``.T`` view of a time-major buffer Z, with
+    w = kernel.size, that holds each signal from step left = (w-1)//2 on,
+    with zeros before it and at least w-1-left zeros after it.  Then
+    out[t] = sum_i kernel[i] * Z[t + i] is the signal padded by left zeros
+    in front and the rest behind and convolved, at its first K*w steps;
+    the kernel is not flipped (deep-learning convention).
 
-    Works on the time-major (L, B) view: with the columns cut into blocks
-    x[j] of width = kernel.size steps, out[j] = T[0] x[j-1] + T[1] x[j] +
-    T[2] x[j+1] (see ``conv_taps``), three batched GEMMs that cost 3·L·width
-    MACs per row.  The result is the transposed view of a C-contiguous
-    (L, B) array, so rows given as the ``.T`` view of time-major data stay
-    time-major without a copy; C-ordered rows give bitwise the same values.
+    Cut into blocks of w steps, output block j reads only Z's blocks j and
+    j+1, as the band T[p, c] = kernel[c - p] (``band_taps``) times their
+    2w steps.  ``band_pairs`` views those K overlapping pairs without a
+    copy, so the conv is one batched (w, 2w) @ (K, 2w, R) GEMM, 2*K*w*w
+    MACs per row, and allocates nothing but its output.  Returns the
+    C-contiguous (K, w, R) blocks: out[j, p, r] is step j*w + p of signal r.
     """
-    batch, length = rows.shape
-    blocks = conv_blocks(rows, kernel.size)
-    before, within, after = np.append(kernel, 0.0)[conv_taps(kernel.size)]
-    out = within @ blocks
-    out[1:] += before @ blocks[:-1]
-    out[:-1] += after @ blocks[1:]
-    out = out.reshape(-1, batch)[:length]
-    out += bias
-    return out.T
+    width = kernel.size
+    return np.append(kernel, 0.0)[band_taps(width)] @ band_pairs(rows.T, width)
 
 
-def conv_blocks(rows: np.ndarray, width: int) -> np.ndarray:
-    """(B, L) rows -> C-contiguous (ceil(L/width), width, B) blocks of the
-    time-major columns, zero-filled past L; a view when L is a multiple of
-    ``width`` and ``rows.T`` is already C-contiguous."""
-    batch, length = rows.shape
-    count = -(-length // width)
-    if count * width == length:
-        return np.ascontiguousarray(rows.T).reshape(count, width, batch)
-    blocks = np.zeros((count * width, batch))
-    blocks[:length] = rows.T
-    return blocks.reshape(count, width, batch)
+def band_pairs(steps: np.ndarray, width: int) -> np.ndarray:
+    """Read-only (K, 2*width, R) view of a ((K+1)*width, R) array's overlapping block pairs.
 
-
-@lru_cache(maxsize=64)
-def conv_taps(width: int) -> np.ndarray:
-    """Kernel tap of every entry of the conv's three Toeplitz blocks.
-
-    conv1d_same_batch maps input step s to output step t with weight
-    kernel[s - t + left].  Between the block of output steps j·width + a and
-    the block of input steps (j+d)·width + c, d = -1, 0, 1, that is
-    T[d+1][a, c] = kernel[d·width + c - a + left]; the entries ``taps`` sets
-    to ``width`` are zero, as ``np.append(kernel, 0.0)[taps]`` reads them.
-    No other block pair is linked, since left < width.
+    [j, c, r] = steps[j*width + c, r]: pair j is blocks j and j+1.  The
+    array is made C-contiguous first, a no-op for the conv's buffers.
     """
-    left, _ = conv_pad_split(width)
-    steps = np.arange(width)
-    taps = (np.arange(-1, 2)[:, None, None] * width
-            + steps[None, None, :] - steps[None, :, None] + left)
-    taps[(taps < 0) | (taps >= width)] = width
-    taps.setflags(write=False)
-    return taps
+    steps = np.ascontiguousarray(steps)
+    count = steps.shape[0] // width - 1
+    row, item = steps.strides
+    return as_strided(steps, (count, 2 * width, steps.shape[1]), (width * row, row, item),
+                      writeable=False)
 
 
 @lru_cache(maxsize=64)

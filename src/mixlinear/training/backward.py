@@ -25,7 +25,7 @@ from ..model.forward import (
     past_end,
 )
 from ..model.params import MixLinearParams
-from ..numerics import band_taps, conv_blocks, conv_taps, dft_matrix, idft_matrix
+from ..numerics import band_pairs, band_taps, dft_matrix, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
 
@@ -59,9 +59,11 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     conv kernel's, and one GEMM with the period blocks gives the phase
     gain's.  On the graph paths it flows back through the phase map (one
     GEMM each for the gain's inputs and the basis images on
-    ``Path.PHASE_MAP``) or the branches, then the de-interleave, and the
-    conv's kernel gradient is block GEMMs.  Both map paths end at the
-    gradient on the n+1 phase basis images the branches ran on.
+    ``Path.PHASE_MAP``) or the branches onto the phase block, which is the
+    band conv's output, so the kernel's gradient is the same diagonal sum
+    of the band's, sum_j G_j pairs_j' over the buffer's block pairs.  Both
+    map paths end at the gradient on the n+1 phase basis images the
+    branches ran on.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -87,22 +89,16 @@ def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.nd
     return np.vstack([grad_gain, grad_offset - grad_gain.sum(axis=0)])
 
 
-def _conv_kernel_grad(inputs: np.ndarray, grad_out: np.ndarray, width: int) -> np.ndarray:
-    """Kernel gradient of conv1d_same_batch(inputs, kernel) given grad_out on its output.
+def _band_kernel_grad(grad: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Kernel gradient of out[j] = T @ pairs[j], T the kernel's band, given grad[j] on out[j].
 
-    Both (B, L) arrays are cut into the conv's time-major blocks x[j] and
-    g[j].  Block d of the Toeplitz form gets sum_j g[j] x[j+d]', three
-    batched GEMMs, and each kernel tap sums its entries along the
-    diagonals that ``conv_taps`` assigns it.
+    ``grad`` is (K, w, R) and ``pairs`` (K, 2w, R).  T gets sum_j grad[j]
+    pairs[j]', one batched GEMM, and each kernel tap sums the entries of T
+    that ``band_taps`` assigns it, along T's diagonals.
     """
-    x = conv_blocks(inputs, width)
-    g = conv_blocks(grad_out, width)
-    block_grads = np.stack([
-        (g[1:] @ x[:-1].swapaxes(1, 2)).sum(axis=0),
-        (g @ x.swapaxes(1, 2)).sum(axis=0),
-        (g[:-1] @ x[1:].swapaxes(1, 2)).sum(axis=0),
-    ])
-    return np.bincount(conv_taps(width).ravel(), weights=block_grads.ravel(),
+    width = grad.shape[1]
+    band = np.matmul(grad, pairs.swapaxes(1, 2)).sum(axis=0)
+    return np.bincount(band_taps(width).ravel(), weights=band.ravel(),
                        minlength=width + 1)[:width]
 
 
@@ -129,11 +125,6 @@ def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndar
     return grad_seq
 
 
-def _deinterleave_adjoint(grad_phase: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Adjoint of ``_deinterleave``: (n, w*B) -> (L, B), the zero-filled tail dropped."""
-    return grad_phase.reshape(config.plan.n * config.period, -1)[:config.lookback]
-
-
 def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(config.plan.m, -1)
 
@@ -146,12 +137,15 @@ def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
         grad_phase = trace.gain @ grad_out
     else:
         grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
-        grad_phase = grad_rows.T
+        grad_phase = np.ascontiguousarray(grad_rows.T)
 
-    grad_agg = _deinterleave_adjoint(grad_phase, config)
-    # aggregated = conv(x_norm) + x_norm; only the conv path carries params
-    grads["conv_kernel"] = _conv_kernel_grad(trace.x_norm, grad_agg.T, config.period)
-    grads["conv_bias"] = np.asarray(grad_agg.sum())
+    # the phase block is the band conv of the buffer plus conv_bias, with the
+    # n*w - L padded steps zeroed, so those steps pass no gradient back
+    length, w, n = config.lookback, config.period, config.plan.n
+    grad_phase.reshape(n * w, -1)[length:] = 0.0
+    grads["conv_kernel"] = _band_kernel_grad(grad_phase.reshape(n, w, -1),
+                                             band_pairs(trace.padded, w))
+    grads["conv_bias"] = np.asarray(grad_phase.sum())
     return grads
 
 
@@ -168,16 +162,14 @@ def _gain_first_adjoint(grad_pred, trace: ForwardTrace, params, config):
     length, w = config.lookback, config.period
     n, m = config.plan.n, config.plan.m
     gain = trace.gain
-    taps = band_taps(w)
     kernel = aggregation_kernel(params.conv_kernel)
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, w, batch)
 
     images, trace.images = trace.images, None
-    grad_band = np.matmul(grad_out, images.reshape(m, 2 * w, batch).swapaxes(1, 2)).sum(axis=0)
+    kernel_grad = _band_kernel_grad(grad_out, images.reshape(m, 2 * w, batch))
     del images
-    kernel_grad = np.bincount(taps.ravel(), weights=grad_band.ravel(), minlength=w + 1)[:w]
-    grad_images = np.append(kernel, 0.0)[taps].T @ grad_out            # (m, 2w, B)
-    grad_stacked = grad_images.reshape(2 * m, w * batch) @ trace.blocks.T
+    grad_images = np.append(kernel, 0.0)[band_taps(w)].T @ grad_out     # (m, 2w, B)
+    grad_stacked = grad_images.reshape(2 * m, w * batch) @ trace.padded.reshape(n + 1, -1).T
     del grad_images
     grad_stacked = grad_stacked.reshape(m, 2, n + 1)
     grad_gain = (grad_stacked[:, 0, :n] + grad_stacked[:, 1, 1:]).T
@@ -192,7 +184,7 @@ def _gain_first_adjoint(grad_pred, trace: ForwardTrace, params, config):
     grad_gain[-1] -= conv_bias * (grad_const @ past)
     if past.any():
         # out[q, p] -= W[n-1, q] (steps @ kappa)[p - first] for the padded p >= first
-        steps = past_end(trace.blocks.reshape(-1, batch), config)      # (k, B, w)
+        steps = past_end(trace.padded, config)                          # (k, B, w)
         tail = grad_out[:, past]                                        # (m, k, B)
         grad_gain[-1] -= np.tensordot(tail, steps @ kernel, axes=([1, 2], [0, 1]))
         kernel_grad -= np.einsum("tbi,tb->i", steps, np.tensordot(gain[-1], tail, axes=(0, 0)))

@@ -1,5 +1,8 @@
 """CSV ingestion, splitting, standardization, windows, and synthesis."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +37,27 @@ def write_csv(path, header, rows):
 
 FINITE_CELLS = ["1", "-0.0", "2.5e-310", " 3 ", "1_0", "+7", "1E3"]
 BAD_CELLS = ["nan", "-inf", "Infinity", "1e999", "abc", "", "0x1", '"5,6"']
+
+
+def cell_by_cell_csv(series: RawSeries) -> bytes:
+    """The bytes of ``series`` written one cell at a time through ``csv.writer``."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["date", *series.channel_names])
+    for ts, row in zip(series.timestamps, series.values):
+        writer.writerow([ts, *(repr(float(v)) for v in row)])
+    return out.getvalue().encode("utf-8")
+
+
+@st.composite
+def raw_series(draw):
+    """A RawSeries of 1-20 rows and 1-5 channels: any text for the dates and
+    names, any finite values."""
+    rows, channels = draw(st.integers(1, 20)), draw(st.integers(1, 5))
+    values = draw(arrays(np.float64, (rows, channels),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return RawSeries(draw(st.lists(st.text(), min_size=rows, max_size=rows)), values,
+                     draw(st.lists(st.text(), min_size=channels, max_size=channels)))
 
 
 @st.composite
@@ -166,6 +190,17 @@ class TestLoadCsv:
         assert loaded.values.tobytes() == values.tobytes()  # -0.0 and subnormals too
         assert loaded.timestamps == series.timestamps
         assert loaded.channel_names == series.channel_names
+
+    @given(raw_series())
+    @example(RawSeries(["", "a,b", 'say "hi"', "x\r\ny", " t "],
+                       np.array([[-0.0, 1.5], [5e-324, 2.0], [1e16, -3.0], [1e-5, 0.1],
+                                 [123.0, 7.0]]), ['"', ",c"]))
+    @settings(max_examples=200, deadline=None)
+    def test_save_matches_cell_by_cell_writer(self, tmp_path_factory, series):
+        # one join per row writes the bytes csv.writer writes a cell at a time
+        path = tmp_path_factory.mktemp("save") / "series.csv"
+        save_csv(series, path)
+        assert path.read_bytes() == cell_by_cell_csv(series)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_save_refuses_non_finite_and_writes_nothing(self, bad, tmp_path):

@@ -1,6 +1,7 @@
 """Shape planning, initialization, branches, and the forward pass."""
 
 import hashlib
+import importlib
 import json
 import math
 from dataclasses import replace
@@ -24,10 +25,11 @@ from mixlinear.model import (
     save_checkpoint,
 )
 from mixlinear.model.forward import (
+    Path,
     _branches,
     _freq_branch_core,
-    _phase_block,
     _time_branch_core,
+    forward_batch_with_trace,
 )
 from mixlinear.model.params import _array_table
 from mixlinear.training import random_small_config
@@ -38,6 +40,8 @@ from oracles import (
     time_branch_loop,
 )
 
+forward_module = importlib.import_module("mixlinear.model.forward")
+
 
 def zeroed(params: MixLinearParams) -> MixLinearParams:
     for _, arr in params.named_arrays():
@@ -46,15 +50,17 @@ def zeroed(params: MixLinearParams) -> MixLinearParams:
 
 
 def decompose_trend(x, params, config):
-    """(trend, mean) of one window from the forward pass's trend stage.
+    """(trend, mean) of one window from the graph's trend stage.
 
     With one window, column p of the time-major (n, w) phase block is the
-    aggregated subsequence at phase offset p, so its transpose is the
-    (period, n) trend matrix.
+    aggregated subsequence at phase offset p, so the phase rows the trace
+    records are the (period, n) trend matrix.
     """
     x2d = np.asarray(x, dtype=np.float64)[None, :]
-    phase, mean, _ = _phase_block(x2d, params, config)
-    return phase.T, float(mean[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forward_module, "choose_path", lambda *_: Path.PHASE_MAP)
+        _, trace = forward_batch_with_trace(x2d, params, config)
+    return trace.rows, float(x2d.mean())
 
 
 def time_branch(row, params, plan):

@@ -2,7 +2,7 @@
 
 Every test runs the kernels the model calls, on (B, n) rows as the model
 passes them: ``rfft_batch``, the inverse ``(spectra @ idft_matrix(n).T).real``
-and ``conv1d_same_batch``.
+and ``conv1d_same_batch`` on the zero-padded time-major buffer of the rows.
 """
 
 import numpy as np
@@ -11,12 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mixlinear.numerics import (
+    band_pairs,
     conv1d_same_batch,
     idft_matrix,
     rfft_batch,
     spectrum_bins,
 )
-from mixlinear.training.backward import _conv_kernel_grad
+from mixlinear.training.backward import _band_kernel_grad
 from oracles import (
     hermitian_extend,
     loop_conv_same,
@@ -26,7 +27,7 @@ from oracles import (
 
 
 def conv_transpose_kernel(kernel: np.ndarray) -> np.ndarray:
-    """The kernel whose conv1d_same_batch is the transpose of ``kernel``'s.
+    """The kernel whose length-preserving conv is the transpose of ``kernel``'s.
 
     With rows @ K the conv by ``kernel``, rows @ K' is the conv by the
     reversed kernel; an even width gets one zero tap appended so that its
@@ -56,10 +57,29 @@ def irfft_row(spectrum, n):
     return irfft_rows(np.asarray(spectrum, dtype=np.complex128)[None, :], n)[0]
 
 
-def conv_row(x, kernel, bias):
-    """conv1d_same_batch of one signal, run as a one-row batch."""
+def padded_buffer(rows: np.ndarray, width: int) -> np.ndarray:
+    """The ((ceil(L/w)+1)*w, B) time-major buffer of (B, L) rows: each row
+    from step (w-1)//2 on, zeros elsewhere."""
+    batch, length = rows.shape
+    left = (width - 1) // 2
+    padded = np.zeros(((-(-length // width) + 1) * width, batch))
+    padded[left:left + length] = rows.T
+    return padded
+
+
+def band_conv(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The length-preserving conv of (B, L) rows: conv1d_same_batch of their
+    buffer's ``.T`` view, its (ceil(L/w), w, B) blocks cut back to (B, L)."""
+    batch, length = rows.shape
+    out = conv1d_same_batch(padded_buffer(rows, kernel.size).T, kernel)
+    assert out.shape == (-(-length // kernel.size), kernel.size, batch)
+    return out.reshape(-1, batch)[:length].T
+
+
+def conv_row(x, kernel):
+    """The band conv of one signal, run as a one-row batch."""
     rows = np.asarray(x, dtype=np.float64)[None, :]
-    return conv1d_same_batch(rows, np.asarray(kernel, dtype=np.float64), bias)[0]
+    return band_conv(rows, np.asarray(kernel, dtype=np.float64))[0]
 
 
 class TestRfft:
@@ -135,14 +155,10 @@ class TestIrfft:
 class TestConv1dSame:
     def test_identity_kernel(self):
         x = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(conv_row(x, [1.0], 0.0), x)
-
-    def test_zero_kernel_is_bias(self):
-        out = conv_row(np.arange(5.0), [0.0, 0.0, 0.0], 3.0)
-        assert np.allclose(out, np.full(5, 3.0))
+        assert np.allclose(conv_row(x, [1.0]), x)
 
     def test_moving_average_hand_case(self):
-        out = conv_row([0.0, 3.0, 6.0, 9.0], [1 / 3, 1 / 3, 1 / 3], 0.0)
+        out = conv_row([0.0, 3.0, 6.0, 9.0], [1 / 3, 1 / 3, 1 / 3])
         assert np.allclose(out, [1.0, 3.0, 6.0, 5.0], atol=1e-12)
 
     @pytest.mark.parametrize("length,width", [(5, 1), (6, 2), (9, 4), (16, 7), (24, 24)])
@@ -150,30 +166,33 @@ class TestConv1dSame:
         rng = np.random.default_rng(length * 31 + width)
         x = rng.normal(size=length)
         kernel = rng.normal(size=width)
-        bias = float(rng.normal())
-        got = conv_row(x, kernel, bias)
+        got = conv_row(x, kernel)
         assert got.shape == (length,)
-        assert rel_err(got, loop_conv_same(x, kernel, bias)) < 1e-10
+        assert rel_err(got, loop_conv_same(x, kernel, 0.0)) < 1e-10
 
 
 @st.composite
 def conv_cases(draw):
-    """(rows, kernel, cotangent): 1-6 rows of length 1-40, any width up to L."""
+    """(rows, kernel, cotangent): 1-6 rows of length 1-40 around level 0 or
+    30, any width up to L."""
     length = draw(st.integers(1, 40))
     width = draw(st.integers(1, length))
     batch = draw(st.integers(1, 6))
+    level = draw(st.sampled_from([0.0, 30.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return (rng.normal(size=(batch, length)), rng.normal(size=width),
+    return (level + rng.normal(size=(batch, length)), rng.normal(size=width),
             rng.normal(size=(batch, length)))
 
 
-# width 1, even widths, width = L, and L not a multiple of the width
-EDGE_SHAPES = [(4, 17, 1), (3, 24, 6), (2, 25, 4), (3, 12, 12), (1, 7, 7), (2, 9, 2)]
+# width 1, even widths, width = L, and L not a multiple of the width, at
+# levels 0 and 30
+EDGE_SHAPES = [(4, 17, 1, 0.0), (3, 24, 6, 0.0), (2, 25, 4, 0.0), (3, 12, 12, 0.0),
+               (1, 7, 7, 0.0), (2, 9, 2, 0.0), (3, 720, 24, 30.0), (2, 10, 3, 30.0)]
 
 
-def edge_case(batch, length, width):
+def edge_case(batch, length, width, level):
     rng = np.random.default_rng(batch * 1000 + length * 10 + width)
-    return (rng.normal(size=(batch, length)), rng.normal(size=width),
+    return (level + rng.normal(size=(batch, length)), rng.normal(size=width),
             rng.normal(size=(batch, length)))
 
 
@@ -183,16 +202,26 @@ def with_edge_examples(test):
     return test
 
 
+def buffer_cotangent(rows, kernel, g):
+    """The rows' buffer and a cotangent on all of the band conv's output
+    blocks: ``g`` on the L steps, more draws on the padded ones."""
+    padded = padded_buffer(rows, kernel.size)
+    steps = padded.shape[0] - kernel.size
+    cotangent = np.random.default_rng(g.size).normal(size=(steps, rows.shape[0]))
+    cotangent[:rows.shape[1]] = g.T
+    return padded, cotangent.reshape(-1, kernel.size, rows.shape[0])
+
+
 class TestConvAdjoint:
-    """The time-major conv and its kernel gradient as exact adjoints."""
+    """The band conv and its kernel gradient as exact adjoints."""
 
     @with_edge_examples
     @given(conv_cases())
     @settings(max_examples=150, deadline=None)
     def test_matches_loop_oracle_per_row(self, case):
         rows, kernel, _ = case
-        got = conv1d_same_batch(rows, kernel, 0.25)
-        want = np.array([loop_conv_same(row, kernel, 0.25) for row in rows])
+        got = band_conv(rows, kernel)
+        want = np.array([loop_conv_same(row, kernel, 0.0) for row in rows])
         assert got.shape == rows.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -200,10 +229,11 @@ class TestConvAdjoint:
     @given(conv_cases())
     @settings(max_examples=150, deadline=None)
     def test_transpose_kernel_gives_adjoint(self, case):
-        # <conv(x), g> = <x, conv'(g)>, with conv' the conv by the transposed kernel
+        # the input adjoint: <conv(x), g> = <x, conv'(g)>, with conv' the
+        # conv by the transposed kernel
         x, kernel, g = case
-        forward = conv1d_same_batch(x, kernel, 0.0)
-        adjoint = conv1d_same_batch(g, conv_transpose_kernel(kernel), 0.0)
+        forward = band_conv(x, kernel)
+        adjoint = band_conv(g, conv_transpose_kernel(kernel))
         lhs, rhs = np.sum(forward * g), np.sum(x * adjoint)
         assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(forward * g))
 
@@ -211,26 +241,28 @@ class TestConvAdjoint:
     @given(conv_cases())
     @settings(max_examples=150, deadline=None)
     def test_kernel_grad_is_adjoint(self, case):
-        # the conv is linear in its kernel: <conv_k(x), g> = <k, grad(x, g)>
-        x, kernel, g = case
-        forward = conv1d_same_batch(x, kernel, 0.0)
-        grad = _conv_kernel_grad(x, g, kernel.size)
+        # the conv is linear in its kernel: <conv_k(Z), G> = <k, grad(G, pairs of Z)>
+        # over every output block, the padded steps included
+        rows, kernel, g = case
+        padded, cotangent = buffer_cotangent(rows, kernel, g)
+        forward = conv1d_same_batch(padded.T, kernel)
+        grad = _band_kernel_grad(cotangent, band_pairs(padded, kernel.size))
         assert grad.shape == kernel.shape
-        lhs, rhs = np.sum(forward * g), np.sum(kernel * grad)
-        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(forward * g))
+        lhs, rhs = np.sum(forward * cotangent), np.sum(kernel * grad)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(forward * cotangent))
 
     @with_edge_examples
     @given(conv_cases())
     @settings(max_examples=100, deadline=None)
     def test_row_layout_does_not_change_bits(self, case):
-        # C-ordered rows and the .T view of time-major columns
+        # the .T view of the time-major buffer and a C-ordered copy of it
         rows, kernel, g = case
-        time_major = np.ascontiguousarray(rows.T).T
-        grad_time_major = np.ascontiguousarray(g.T).T
-        assert np.array_equal(conv1d_same_batch(rows, kernel, 0.5),
-                              conv1d_same_batch(time_major, kernel, 0.5))
-        assert np.array_equal(_conv_kernel_grad(rows, g, kernel.size),
-                              _conv_kernel_grad(time_major, grad_time_major, kernel.size))
+        padded, cotangent = buffer_cotangent(rows, kernel, g)
+        row_major = np.ascontiguousarray(padded.T)
+        assert np.array_equal(conv1d_same_batch(padded.T, kernel),
+                              conv1d_same_batch(row_major, kernel))
+        assert np.array_equal(_band_kernel_grad(cotangent, band_pairs(padded, kernel.size)),
+                              _band_kernel_grad(cotangent, band_pairs(row_major.T, kernel.size)))
 
 
 def test_all_primitives_against_oracles_random_sizes():
@@ -244,5 +276,4 @@ def test_all_primitives_against_oracles_random_sizes():
 
         width = int(rng.integers(1, n + 1))
         kernel = rng.normal(size=width)
-        bias = float(rng.normal())
-        assert rel_err(conv_row(x, kernel, bias), loop_conv_same(x, kernel, bias)) < 1e-10
+        assert rel_err(conv_row(x, kernel), loop_conv_same(x, kernel, 0.0)) < 1e-10
