@@ -45,9 +45,10 @@ class WindowSet:
         base[idx[k] + t, c], the windows' steps in ``_view``.  A run of
         consecutive indices i, i+1, ..., which is what ``evaluate`` asks
         for, is a slice of that view: read-only views of ``base``, x[k, t,
-        c] = base[i+k+t, c].  Any other indices (training's shuffled
-        batches) gather one writable C-contiguous (L+H, b, C) copy, a single
-        ``take`` of base rows.  Over a C-contiguous base the flattened
+        c] = base[i+k+t, c].  Any other indices (a block of a shuffled
+        training step, which ``backward`` gathers one block at a time) gather
+        one writable C-contiguous (L+H, b, C) copy, a single ``take`` of base
+        rows.  Over a C-contiguous base the flattened
         (b*C, L) and (b*C, H) rows are then the ``.T`` of time-major
         (L, b*C) and (H, b*C) arrays either way, which the forward reads as
         they stand.
@@ -79,6 +80,16 @@ class WindowSet:
         )
         digest.update(np.ascontiguousarray(self.base, dtype="<f8").tobytes())
         return digest.hexdigest()
+
+
+def window_runs(count: int, most: int, fewest: int) -> list[tuple[int, int]]:
+    """As few near-equal [lo, hi) runs of ``count`` windows as hold at most ``most`` each.
+
+    When there are ``fewest`` windows or more, no run holds fewer, even if
+    a run must then hold more than ``most``; fewer windows make one run.
+    """
+    parts = max(1, min(-(-count // most), count // fewest))
+    return [(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
 
 
 def make_windows(segment: Segment, lookback: int, horizon: int) -> WindowSet:

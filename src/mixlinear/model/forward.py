@@ -46,6 +46,11 @@ def series_channels(x2d: np.ndarray) -> int:
     return 0 if x2d.shape[0] % channels else channels
 
 
+def map_rows(config: ModelConfig) -> int:
+    """The fewest rows whose R*w phase rows outnumber the n+1 basis rows of ``phase_map``."""
+    return (config.plan.n + 1) // config.period + 1
+
+
 def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     """The path a forward of ``rows`` flattened windows takes.
 
@@ -53,7 +58,8 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     windows of one series or the forward is traced.  Two or more
     consecutive windows are predicted from their series, which they share
     all but one step of.  Otherwise, while the rows' R*w phase rows number
-    at most the n+1 basis rows, every phase row runs through the branches.
+    at most the n+1 basis rows (fewer than ``map_rows``), every phase row
+    runs through the branches.
     Past that the branches run on the basis rows only, and the phase map
     (W, b) is applied either after the band conv, on the phase block (the
     graph, 2*L*w + L*m MACs per row), or before it, on the period blocks of
@@ -62,8 +68,8 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     if channels and rows >= 2 * channels:
         return Path.SERIES
     length, horizon, w = config.lookback, config.horizon, config.period
-    n, m = config.plan.n, config.plan.m
-    if rows * w <= n + 1:
+    m = config.plan.m
+    if rows < map_rows(config):
         return Path.OWN_ROWS
     if 2 * length * m + 2 * horizon * w < 2 * length * w + length * m:
         return Path.GAIN_FIRST
@@ -78,11 +84,12 @@ class ForwardTrace:
     index j) on the first axis and the batch on the last, so the phase
     rows and the re-interleave are reshapes, not copies.  P is the number
     of rows the branches ran on: the phase rows themselves on
-    ``Path.OWN_ROWS``, else the n+1 basis rows of ``phase_map``.
+    ``Path.OWN_ROWS``, else the n+1 basis rows of ``phase_map``, whose
+    trace holds the branch activations alone.
     """
 
-    path: Path
-    padded: np.ndarray                 # ((n+1)*w, B) conv buffer Z of the centred
+    path: Path | None = None
+    padded: np.ndarray | None = None   # ((n+1)*w, B) conv buffer Z of the centred
                                        # windows, see ``_conv_buffer``
     rows: np.ndarray | None = None     # (w*B, n) phase rows, row p*B + b the phase-p
                                        # row of window b; the .T view of the
@@ -92,6 +99,8 @@ class ForwardTrace:
     images: np.ndarray | None = None   # (2m, w*B) U = [W 0; 0 W]' Z, gain-first only;
                                        # backward frees it once read
     rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
+    bias_from: int = 0                      # first of the P rows the time branch
+                                            # adds its biases to
     seg_inter_in: np.ndarray | None = None  # (P, seg_out, seg_in)
     spec_lpf: np.ndarray | None = None      # (P, cutoff) complex
     latent: np.ndarray | None = None        # (P, latent) complex
@@ -137,15 +146,22 @@ def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.
 
 
 def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
-                      plan: ShapePlan, trace: ForwardTrace | None):
-    """(P, n_hat) -> (P, m) through the two segment maps."""
+                      plan: ShapePlan, trace: ForwardTrace | None, bias_from: int = 0):
+    """(P, n_hat) -> (P, m) through the two segment maps.
+
+    Only the rows from ``bias_from`` on get the biases; the others get the
+    maps' linear part.
+    """
     count = rows_padded.shape[0]
     segments = rows_padded.reshape(count, plan.seg_in, plan.seg_in)
-    intra = segments @ params.w_intra.T + params.b_intra       # (P, seg_in, seg_out)
+    intra = segments @ params.w_intra.T                        # (P, seg_in, seg_out)
+    intra[bias_from:] += params.b_intra
     inter_in = np.ascontiguousarray(intra.swapaxes(-1, -2))    # (P, seg_out, seg_in)
     if trace is not None:
         trace.seg_inter_in = inter_in
-    inter = inter_in @ params.w_inter.T + params.b_inter       # (P, seg_out, seg_out)
+        trace.bias_from = bias_from
+    inter = inter_in @ params.w_inter.T                        # (P, seg_out, seg_out)
+    inter[bias_from:] += params.b_inter
     return inter.reshape(count, plan.m_hat)[:, :plan.m]
 
 
@@ -165,8 +181,12 @@ def _freq_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
 
 
 def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
-              trace: ForwardTrace | None) -> np.ndarray:
-    """(P, n) phase rows -> (P, m) through the mode's branches."""
+              trace: ForwardTrace | None, bias_from: int = 0) -> np.ndarray:
+    """(P, n) phase rows -> (P, m) through the mode's branches.
+
+    The time branch's biases go to the rows from ``bias_from`` on only; the
+    frequency branch and SparseBaseline have none.
+    """
     if trace is not None:
         trace.branch_rows = rows
     if config.mode is Mode.SPARSE_BASELINE:
@@ -178,7 +198,7 @@ def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
         trace.rows_padded = rows_padded
     out = np.zeros((rows.shape[0], plan.m))
     if config.has_time_branch:
-        out += _time_branch_core(rows_padded, params, plan, trace)
+        out += _time_branch_core(rows_padded, params, plan, trace, bias_from)
     if config.has_freq_branch:
         out += _freq_branch_core(rows_padded, params, config, trace)
     return out
@@ -192,11 +212,17 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams,
 
 
 def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
-                             config: ModelConfig):
-    return _forward_impl(x2d, params, config, want_trace=True)
+                             config: ModelConfig, phase=None):
+    """Predict (B, horizon) from (B, lookback) and record what the reverse pass needs.
+
+    On a map path the forward applies ``phase``, a ``phase_map`` result the
+    caller made once for many calls, or else makes its own and traces its
+    branches too.
+    """
+    return _forward_impl(x2d, params, config, want_trace=True, phase=phase)
 
 
-def _forward_impl(x2d, params, config, want_trace):
+def _forward_impl(x2d, params, config, want_trace, phase=None):
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
         raise ValueError(
@@ -207,40 +233,41 @@ def _forward_impl(x2d, params, config, want_trace):
     if path is Path.SERIES:
         return _series_forward(x2d, channels, params, config), None
     if path is Path.GAIN_FIRST:
-        return _gain_first(x2d, params, config, want_trace)
+        return _gain_first(x2d, params, config, want_trace, phase)
 
     # the graph: the phase block is the band conv's output, the n*w - L
     # padded steps zeroed
     length, w, n = config.lookback, config.period, config.plan.n
     mean = x2d.mean(axis=1)
     padded = _conv_buffer(x2d.T, mean, n + 1, w)
-    phase = conv1d_same_batch(padded.T, aggregation_kernel(params.conv_kernel)).reshape(n, -1)
-    phase += float(params.conv_bias)
-    phase.reshape(n * w, -1)[length:] = 0.0
-    trace = ForwardTrace(path, padded, phase.T) if want_trace else None
+    block = conv1d_same_batch(padded.T, aggregation_kernel(params.conv_kernel)).reshape(n, -1)
+    block += float(params.conv_bias)
+    block.reshape(n * w, -1)[length:] = 0.0
+    trace = ForwardTrace(path, padded, block.T) if want_trace else None
     if path is Path.PHASE_MAP:
-        gain, offset = phase_map(params, config, trace)
-        out = gain.T @ phase
+        gain, offset = phase_map(params, config, trace) if phase is None else phase
+        if trace is not None:
+            trace.gain = gain
+        out = gain.T @ block
         out += offset[:, None]
     else:
-        out = _branches(phase.T, params, config, trace).T
+        out = _branches(block.T, params, config, trace).T
     return _reinterleave(out, mean, config), trace
 
 
 def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace | None):
     """(gain, offset) with g(r) = r @ gain + offset the branches' map of a phase row.
 
-    The branches are affine in each phase row, so their images of the n+1
-    basis rows [I; 0] fix the map: offset is the image of the zero row and
-    gain[i] = g(e_i) - offset.  Tracing records the gain.
+    The branches are affine in each phase row, and only the time branch's
+    biases b_intra and b_inter are not linear in it.  So one run of the
+    branches on the n+1 basis rows [I; 0], with those biases added to the
+    zero row alone, fixes the map: gain[i] is the linear part's image of
+    e_i and offset the whole image of the zero row, and no image is taken
+    from another.  Tracing records the branches' activations.
     """
     n = config.plan.n
-    images = _branches(np.eye(n + 1, n), params, config, trace)
-    offset = images[-1]
-    gain = images[:-1] - offset
-    if trace is not None:
-        trace.gain = gain
-    return gain, offset
+    images = _branches(np.eye(n + 1, n), params, config, trace, n)
+    return images[:-1], images[-1]
 
 
 def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
@@ -360,7 +387,7 @@ def _take_back(out, gain, edge, first: int):
         out[:, lo - j * w:hi - j * w] -= np.multiply.outer(gain[j], edge[lo - first:hi - first])
 
 
-def _gain_first(x2d, params, config, want_trace):
+def _gain_first(x2d, params, config, want_trace, phase=None):
     """Predict (B, L) windows by the phase map on their period blocks, then the conv.
 
     Z is the windows' ``_conv_buffer`` of (n+1)*w steps, cut into n+1 blocks
@@ -381,7 +408,7 @@ def _gain_first(x2d, params, config, want_trace):
     mean = x2d.mean(axis=1)
     padded = _conv_buffer(x2d.T, mean, n + 1, w)
     trace = ForwardTrace(Path.GAIN_FIRST, padded) if want_trace else None
-    gain, offset = phase_map(params, config, trace)
+    gain, offset = phase_map(params, config, trace) if phase is None else phase
     stacked = np.zeros((m, 2, n + 1))
     stacked[:, 0, :n] = gain.T
     stacked[:, 1, 1:] = gain.T
@@ -393,6 +420,7 @@ def _gain_first(x2d, params, config, want_trace):
     if n * w > length:
         _take_back(out, gain, past_end(padded, config) @ kernel, length)
     if trace is not None:
+        trace.gain = gain
         trace.images = images
     return _reinterleave(out, mean, config), trace
 

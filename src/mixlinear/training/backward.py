@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..data.windows import WindowSet, window_runs
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
 from ..model.forward import (
@@ -22,12 +23,17 @@ from ..model.forward import (
     aggregation_kernel,
     forward_batch,
     forward_batch_with_trace,
+    map_rows,
     past_end,
+    phase_map,
 )
 from ..model.params import MixLinearParams
 from ..numerics import band_pairs, band_taps, dft_matrix, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
+
+# floats one block of a training step gathers; see _train_blocks
+TRAIN_BLOCK_FLOATS = 1 << 16
 
 
 def _flatten_windows(batch: np.ndarray, length: int, what: str) -> np.ndarray:
@@ -46,47 +52,119 @@ def backward(x_batch, y_batch, params: MixLinearParams,
              config: ModelConfig) -> tuple[float, GradientSet]:
     """Mean-squared-error loss of a window batch and its parameter gradients.
 
-    Accepts (B, L[, C]) inputs and (B, H[, C]) targets; channels are
-    flattened into the batch under the channel-independent strategy.
-    Gradients are averaged over every predicted scalar, matching the
-    returned loss = mean((forward(x) - y)^2).
+    Takes the step either as a ``WindowSet`` and the indices of its windows,
+    as ``train`` does, or as (B, L[, C]) inputs and (B, H[, C]) targets;
+    channels are flattened into the batch under the channel-independent
+    strategy.  Gradients are averaged over every predicted scalar, matching
+    the returned loss = mean((forward(x) - y)^2).
 
-    The reverse pass mirrors the path the trace records.  Every traced
-    path ran time-major on the batch's own rows, and the (H, B) prediction
-    gradient read as the (m, w*B) phase outputs undoes the re-interleave.
-    On ``Path.GAIN_FIRST`` it then runs the forward's GEMMs transposed: the
-    band's gradient sum_q G_q U_q', summed along its diagonals, gives the
-    conv kernel's, and one GEMM with the period blocks gives the phase
-    gain's.  On the graph paths it flows back through the phase map (one
-    GEMM each for the gain's inputs and the basis images on
-    ``Path.PHASE_MAP``) or the branches onto the phase block, which is the
-    band conv's output, so the kernel's gradient is the same diagonal sum
-    of the band's, sum_j G_j pairs_j' over the buffer's block pairs.  Both
-    map paths end at the gradient on the n+1 phase basis images the
-    branches ran on.
+    The step streams its windows: ``_train_blocks`` cuts them into runs of
+    whole windows, each gathered (``WindowSet.batch``, or sliced from the
+    arrays), run through a traced forward and back, and freed before the
+    next, so a step holds one block at a time.  A step too small for the
+    phase map is one block whose branches run on its own phase rows
+    (``Path.OWN_ROWS``).  Otherwise every block is past n+1 phase rows: the
+    branches run once per step, on the n+1 basis rows of ``phase_map``,
+    every block applies that one map on the path ``choose_path`` names,
+    each block adds its gradient on (W, b) to the step's, and the branches'
+    adjoint runs once at the end.  The squared errors are summed block by
+    block, in a fixed order and by ``einsum``, whose result does not depend
+    on the BLAS thread count.
+
+    Each block's reverse pass mirrors the path its trace records.  Every
+    traced path ran time-major on the block's rows, and the (H, B)
+    prediction gradient read as the (m, w*B) phase outputs undoes the
+    re-interleave.  On ``Path.GAIN_FIRST`` it then runs the forward's GEMMs
+    transposed: the band's gradient sum_q G_q U_q', summed along its
+    diagonals, gives the conv kernel's, and one GEMM with the period blocks
+    gives the phase gain's.  On the graph paths it flows back through the
+    phase map (one GEMM each for the gain's and the phase block's gradient
+    on ``Path.PHASE_MAP``) or the branches onto the phase block, which is
+    the band conv's output, so the kernel's gradient is the same diagonal
+    sum of the band's, sum_j G_j pairs_j' over the buffer's block pairs.
     """
-    x2d = _flatten_windows(x_batch, config.lookback, "inputs")
-    y2d = _flatten_windows(y_batch, config.horizon, "targets")
-    if x2d.shape[0] == 0:
+    if isinstance(x_batch, WindowSet):
+        windows, idx = x_batch, np.asarray(y_batch, dtype=np.intp)
+        count, channels = idx.size, windows.channels
+
+        def gather(lo, hi):
+            x, y = windows.batch(idx[lo:hi])
+            return (_flatten_windows(x, config.lookback, "inputs"),
+                    _flatten_windows(y, config.horizon, "targets"))
+    else:
+        x2d = _flatten_windows(x_batch, config.lookback, "inputs")
+        y2d = _flatten_windows(y_batch, config.horizon, "targets")
+        if x2d.shape[0] != y2d.shape[0]:
+            raise ValueError(
+                f"batch size mismatch: {x2d.shape[0]} inputs vs {y2d.shape[0]} targets"
+            )
+        channels = np.shape(x_batch)[2] if np.ndim(x_batch) == 3 else 1
+        count = x2d.shape[0] // channels
+
+        def gather(lo, hi):
+            return x2d[lo * channels:hi * channels], y2d[lo * channels:hi * channels]
+    if count == 0:
         raise ValueError("empty batch")
-    if x2d.shape[0] != y2d.shape[0]:
-        raise ValueError(
-            f"batch size mismatch: {x2d.shape[0]} inputs vs {y2d.shape[0]} targets"
-        )
-    pred, trace = forward_batch_with_trace(x2d, params, config)
-    # the residual, in pred's buffer: pred is the .T view of a time-major
-    # (H, B) array, so diff.T is time-major without a copy
-    diff = np.subtract(pred, y2d, out=pred)
-    flat = diff.ravel(order="K")
-    loss = float(flat @ flat) / flat.size
-    diff *= 2.0 / flat.size
-    grads = _backprop(diff, trace, params, config)
-    return loss, grads
+
+    blocks = _train_blocks(count, channels, config)
+    values = count * channels * config.horizon
+    phase = branches = None
+    if (blocks[0][1] - blocks[0][0]) * channels >= map_rows(config):
+        branches = ForwardTrace()
+        phase = phase_map(params, config, branches)
+    sq_sum = 0.0
+    grads = grad_gain = grad_offset = None
+    for lo, hi in blocks:
+        x_rows, y_rows = gather(lo, hi)
+        pred, trace = forward_batch_with_trace(x_rows, params, config, phase)
+        # the residual, in pred's buffer: pred is the .T view of a time-major
+        # (H, B) array, so diff.T is time-major without a copy
+        diff = np.subtract(pred, y_rows, out=pred)
+        flat = diff.ravel(order="K")
+        sq_sum += float(np.einsum("i,i->", flat, flat))
+        diff *= 2.0 / values
+        part, part_gain, part_offset = _block_grads(diff, trace, params, config)
+        if grads is None:
+            grads, grad_gain, grad_offset = part, part_gain, part_offset
+        else:
+            for name, grad in part.items():
+                grads[name] += grad
+            grad_gain += part_gain
+            grad_offset += part_offset
+    if branches is not None:
+        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), branches, params, config,
+                      grads)
+    # keep checkpoint/declaration order
+    return sq_sum / values, {name: grads[name] for name, _ in params.named_arrays()}
+
+
+def _train_blocks(count: int, channels: int, config: ModelConfig) -> list[tuple[int, int]]:
+    """The [lo, hi) runs of a step's ``count`` windows that ``backward`` streams.
+
+    As few near-equal runs of whole windows as gather at most
+    ``TRAIN_BLOCK_FLOATS`` floats, (L+H)*C per window, but at least one
+    window and never fewer than ``map_rows`` rows, so that every block
+    applies the step's phase map; a step of fewer rows is one block.  2^16
+    floats (512 KB) is 11 windows at L=720, H=96 and 7 channels, and 45 at
+    H=720 and 1 channel.  There a 256-window step peaks at 1.8 and 2.3 MB
+    (tracemalloc), against 26.6 and 9.2 MB as one block.  Over benchmark
+    passes (1 thread, 2-vCPU Xeon) 2^15 ran the 7-channel epoch about 1.4x
+    slower, and 2^17 and 2^18 made glibc trim and refault the heap every
+    block: 49k minor faults per pass at 1 channel and 2^17, 85k at 7
+    channels and 2^18, and slower epochs, where 2^16 took none after the
+    first pass.
+    """
+    most = max(1, TRAIN_BLOCK_FLOATS // ((config.lookback + config.horizon) * channels))
+    return window_runs(count, most, -(-map_rows(config) // channels))
 
 
 def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.ndarray:
-    """Gradient on the n+1 basis images from the gradient on ``phase_map``'s (gain, offset)."""
-    return np.vstack([grad_gain, grad_offset - grad_gain.sum(axis=0)])
+    """Gradient on the n+1 basis images from the gradient on ``phase_map``'s (gain, offset).
+
+    The gain is the first n images and the offset the last, so this only
+    stacks them; the biases see the offset's gradient alone.
+    """
+    return np.vstack([grad_gain, grad_offset])
 
 
 def _band_kernel_grad(grad: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -102,14 +180,15 @@ def _band_kernel_grad(grad: np.ndarray, pairs: np.ndarray) -> np.ndarray:
                        minlength=width + 1)[:width]
 
 
-def _backprop(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
+def _block_grads(grad_pred, trace: ForwardTrace, params, config):
+    """One block's gradients, and its gradients on the phase map (W, b) when it applied one.
+
+    Returns (grads, grad_gain, grad_offset); on ``Path.OWN_ROWS`` the
+    branches' gradients are in ``grads`` and the other two are None.
+    """
     if trace.path is Path.GAIN_FIRST:
-        grads, grad_gain, grad_offset = _gain_first_adjoint(grad_pred, trace, params, config)
-        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), trace, params, config, grads)
-    else:
-        grads = _graph_grads(grad_pred, trace, params, config)
-    # keep checkpoint/declaration order
-    return {name: grads[name] for name, _ in params.named_arrays()}
+        return _gain_first_adjoint(grad_pred, trace, params, config)
+    return _graph_grads(grad_pred, trace, params, config)
 
 
 def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -125,15 +204,15 @@ def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndar
     return grad_seq
 
 
-def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
+def _graph_grads(grad_pred, trace: ForwardTrace, params, config):
+    """``_block_grads`` on the graph paths."""
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(config.plan.m, -1)
 
     grads: GradientSet = {}
+    grad_gain = grad_offset = None
     if trace.path is Path.PHASE_MAP:
-        # the branches ran on the n+1 basis rows; the phase block saw only
-        # gain' @ phase + offset
-        grad_images = _affine_map_adjoint(trace.rows.T @ grad_out.T, grad_out.T.sum(axis=0))
-        _branch_grads(grad_images, trace, params, config, grads)
+        # the phase block saw only gain' @ phase + offset
+        grad_gain, grad_offset = trace.rows.T @ grad_out.T, grad_out.sum(axis=1)
         grad_phase = trace.gain @ grad_out
     else:
         grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
@@ -146,7 +225,7 @@ def _graph_grads(grad_pred, trace: ForwardTrace, params, config) -> GradientSet:
     grads["conv_kernel"] = _band_kernel_grad(grad_phase.reshape(n, w, -1),
                                              band_pairs(trace.padded, w))
     grads["conv_bias"] = np.asarray(grad_phase.sum())
-    return grads
+    return grads, grad_gain, grad_offset
 
 
 def _gain_first_adjoint(grad_pred, trace: ForwardTrace, params, config):
@@ -214,13 +293,13 @@ def _time_branch_grads(grad_out, trace, params, plan, grads):
 
     inter_in = trace.seg_inter_in
     grads["w_inter"] = np.einsum("bpq,bpr->qr", grad_tp, inter_in)
-    grads["b_inter"] = grad_tp.sum(axis=(0, 1))
+    grads["b_inter"] = grad_tp[trace.bias_from:].sum(axis=(0, 1))
     grad_inter_in = grad_tp @ params.w_inter                 # (P, seg_out, seg_in)
 
     grad_intra = grad_inter_in.swapaxes(-1, -2)              # (P, seg_in, seg_out)
     segments = trace.rows_padded.reshape(count, plan.seg_in, plan.seg_in)
     grads["w_intra"] = np.einsum("bpq,bpr->qr", grad_intra, segments)
-    grads["b_intra"] = grad_intra.sum(axis=(0, 1))
+    grads["b_intra"] = grad_intra[trace.bias_from:].sum(axis=(0, 1))
     grad_segments = grad_intra @ params.w_intra              # (P, seg_in, seg_in)
     return grad_segments.reshape(count, plan.n_hat)
 

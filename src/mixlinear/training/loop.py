@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.windows import WindowSet
+from ..data.windows import WindowSet, window_runs
 from ..errors import ConfigError, NumericError
 from ..model.config import ModelConfig
 from ..model.forward import forward_batch
@@ -89,6 +89,9 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
 
     Mini-batches are shuffled with a generator seeded from the train
     config, so identical (seed, data, config) reproduce the run exactly.
+    Each step hands ``backward`` the windows and the step's indices, and
+    ``backward`` gathers them a block at a time, so a step holds one block
+    of windows, not the whole batch.
     Training stops after ``patience`` epochs without validation
     improvement or at ``max_epochs``.
     """
@@ -114,8 +117,7 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
         weight_sum = 0
         for lo in range(0, order.size, batch_size):
             idx = order[lo:lo + batch_size]
-            x, y = train_windows.batch(idx)
-            loss, grads = backward(x, y, params, config)
+            loss, grads = backward(train_windows, idx, params, config)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch offset {lo}"
@@ -175,8 +177,7 @@ def _eval_blocks(count: int, channels: int, config: ModelConfig) -> list[tuple[i
     bound of one or two windows, blocks hold two or three), so that every
     block takes ``Path.SERIES``.
     """
-    parts = max(1, min(-(-count // _eval_block_windows(channels, config)), count // 2))
-    return [(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
+    return window_runs(count, _eval_block_windows(channels, config), 2)
 
 
 def evaluate(params: MixLinearParams, windows: WindowSet,
@@ -190,7 +191,9 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     and every block of two or more windows is predicted from its series
     (``Path.SERIES``).  A block holds every channel of at least 2L/H
     windows, so past 2^18/(2L) channels (about 182 at L=720) its
-    prediction grows with the channel count.
+    prediction grows with the channel count.  Each block's squared errors
+    are summed by ``einsum``, whose result, unlike a BLAS dot product's,
+    does not depend on the thread count.
     Raises ``NumericError`` at the first block whose error sums are not
     finite, such as one that reads a NaN.
     """
@@ -206,7 +209,7 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
         flat = err.ravel(order="K")  # a view in either layout forward_batch returns
         # an overflow is reported as the NumericError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            sq_sum += float(flat @ flat)
+            sq_sum += float(np.einsum("i,i->", flat, flat))
             abs_sum += float(np.abs(flat, out=flat).sum())
         if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
             raise NumericError(

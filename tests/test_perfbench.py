@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import REPO_ROOT
+from mixlinear.data.windows import WindowSet
 from mixlinear.model import ModelConfig, forward_batch, init_params
 from mixlinear.model.forward import Path, choose_path
+from mixlinear.training import TrainConfig, train
 
 
 @pytest.fixture
@@ -51,3 +53,30 @@ def test_conv_span_counts_rows(workloads, rows, channels, path):
         tracer.uninstall()
     convs = [span for span in tracer.spans if span.name == "numerics.conv1d"]
     assert [span.work["rows"] for span in convs] == [channels or rows]
+
+
+def test_training_spans_fire_per_step_and_block(workloads, monkeypatch):
+    # a step streams its windows: backward fires once per step, and the
+    # gather and the traced forward once per block, inside it
+    backward = importlib.import_module("mixlinear.training.backward")
+    config = ModelConfig(48, 12, 4, lpf_cutoff=3, latent_width=2)
+    values = np.random.default_rng(1).normal(size=(220, 3))
+    train_ws = WindowSet(values[:160], 48, 12)
+    val_ws = WindowSet(values[100:], 48, 12)
+    monkeypatch.setattr(backward, "TRAIN_BLOCK_FLOATS", 5 * (48 + 12) * 3)
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install(workloads.call_sites())
+    try:
+        train(train_ws, val_ws, config, TrainConfig(max_epochs=1, batch_size=32))
+    finally:
+        tracer.uninstall()
+    steps = [span for span in tracer.spans if span.name == "training.backward"]
+    sizes = [min(32, train_ws.count - lo) for lo in range(0, train_ws.count, 32)]
+    assert len(steps) == len(sizes)
+    blocks = [backward._train_blocks(size, 3, config) for size in sizes]
+    assert len(blocks[0]) > 1
+    for step, runs in zip(steps, blocks):
+        inside = [span for span in tracer.spans if span.parent == step.ident
+                  and span.name in ("data.batch", "model.trace_forward")]
+        assert [span.name for span in inside] == ["data.batch", "model.trace_forward"] * len(runs)
+        assert [span.work["windows"] for span in inside[::2]] == [hi - lo for lo, hi in runs]

@@ -2,7 +2,10 @@
 
 import csv
 import importlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -28,6 +31,7 @@ from mixlinear.model.forward import (
     ForwardTrace,
     Path,
     choose_path,
+    map_rows,
     phase_map,
     series_channels,
 )
@@ -43,6 +47,7 @@ from mixlinear.training import (
     write_history,
 )
 from mixlinear.training.backward import _affine_map_adjoint
+from conftest import REPO_ROOT
 from oracles import decompose_trend_loop, forward_loop, loop_mae, loop_mse
 from test_model import zeroed
 
@@ -886,6 +891,226 @@ class TestPhaseMap:
                     np.testing.assert_allclose(seen[0], phase_rows, rtol=0, atol=1e-13)
 
 
+class TestStreamedStep:
+    """``backward`` streams a step's windows in blocks of ``_train_blocks``:
+    one phase map and one branch adjoint per step, a forward and back per
+    block."""
+
+    @staticmethod
+    def _recorded_paths(patch):
+        """Record the path of every traced forward ``backward`` makes."""
+        paths = []
+
+        def recording(rows, *args):
+            pred, trace = forward_batch_with_trace(rows, *args)
+            paths.append(trace.path)
+            return pred, trace
+
+        patch.setattr(backward_module, "forward_batch_with_trace", recording)
+        return paths
+
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "even", "ragged"]),
+           path=st.sampled_from([Path.GAIN_FIRST, Path.PHASE_MAP]),
+           split=st.sampled_from(["one window", "two blocks", "many blocks"]),
+           channels=st.integers(1, 3), level=st.sampled_from([0.0, 30.0]))
+    @settings(max_examples=120, deadline=None)
+    def test_streamed_step_matches_one_block(self, seed, mode, period, path, split, channels,
+                                             level):
+        rng = np.random.default_rng(seed)
+        config = _drawn_config(rng, mode, period)
+        params = init_params(config, seed % 1000)
+        for _, arr in params.named_arrays():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        if split == "one window":
+            # enough channels that one window is past n+1 phase rows
+            channels = max(channels, map_rows(config))
+        fewest = -(-map_rows(config) // channels)
+        if split == "one window":
+            count = int(rng.integers(2, 6))
+            most, parts = 1, count
+        elif split == "two blocks":
+            count = 2 * fewest + int(rng.integers(0, fewest + 1))
+            most, parts = -(-count // 2), 2
+        else:
+            parts = int(rng.integers(3, 7))
+            count = parts * fewest + int(rng.integers(0, fewest))
+            most = fewest
+        width = config.lookback + config.horizon
+        x = level + rng.normal(size=(count, config.lookback, channels))
+        y = level + rng.normal(size=(count, config.horizon, channels))
+
+        with pytest.MonkeyPatch.context() as patch:
+            _map_paths_as(patch, path)
+            paths = self._recorded_paths(patch)
+            patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", most * width * channels)
+            loss, grads = backward(x, y, params, config)
+            assert paths == [path] * parts
+            patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", count * width * channels)
+            want_loss, want = backward(x, y, params, config)
+            assert paths[parts:] == [path]
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        largest = max(np.max(np.abs(grad)) for grad in want.values())
+        for name, grad in grads.items():
+            assert np.max(np.abs(grad - want[name])) <= 1e-12 * largest, (config, name)
+
+    @pytest.mark.parametrize("count, channels, horizon, blocks", [
+        # a full etth1-train step, and the epoch's partial last one
+        pytest.param(256, 7, 96, 24, id="etth1-train"),
+        pytest.param(165, 7, 96, 15, id="etth1-train-last"),
+        pytest.param(256, 1, 720, 6, id="etth1-univariate-train"),
+        pytest.param(165, 1, 720, 4, id="etth1-univariate-train-last"),
+        # one window is over the bound, so each block holds one
+        pytest.param(64, 321, 720, 64, id="321-channels"),
+    ])
+    def test_blocks_at_workload_shapes(self, count, channels, horizon, blocks):
+        config = ModelConfig(720, horizon, 24)
+        runs = backward_module._train_blocks(count, channels, config)
+        sizes = [hi - lo for lo, hi in runs]
+        assert len(runs) == blocks
+        assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+        assert runs[-1][1] == count and max(sizes) - min(sizes) <= 1
+        floats = (720 + horizon) * channels
+        assert max(sizes) * floats <= max(backward_module.TRAIN_BLOCK_FLOATS, floats)
+        assert {choose_path(size * channels, config) for size in sizes} == {
+            choose_path(count * channels, config)}
+
+    @pytest.mark.parametrize("count, blocks", [(500, [500]), (1000, [1000]),
+                                               (2000, [1000, 1000])])
+    def test_blocks_stay_past_the_basis_rows(self, count, blocks):
+        # at w=1 a block needs n+2 = 722 rows to apply the phase map, more
+        # than the 80 windows the float bound allows; fewer rows make one block
+        config = ModelConfig(720, 96, 1, lpf_cutoff=3)
+        assert map_rows(config) == 722
+        runs = backward_module._train_blocks(count, 1, config)
+        assert [hi - lo for lo, hi in runs] == blocks
+
+    def test_train_matches_whole_batch_loop(self, monkeypatch):
+        # train streams (windows, idx) in blocks of 5 windows; the reference
+        # gathers each batch whole and takes one block per step
+        config, train_ws, val_ws = TestTrainLoop()._tiny_setup()
+        width = (config.lookback + config.horizon) * train_ws.channels
+        tc = TrainConfig(max_epochs=2, patience=10, batch_size=32, seed=6)
+        steps = []
+        with monkeypatch.context() as patch:
+            patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", 5 * width)
+            paths = self._recorded_paths(patch)
+            params, history = train(train_ws, val_ws, config, tc)
+            assert len(paths) == 2 * sum(
+                len(backward_module._train_blocks(len(idx), 2, config))
+                for idx in np.array_split(np.arange(train_ws.count), range(32, train_ws.count, 32)))
+
+        monkeypatch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", train_ws.count * width)
+        want = init_params(config, tc.seed)
+        state = init_adam(want)
+        rng = np.random.default_rng(tc.seed)
+        for epoch in range(tc.max_epochs):
+            order = rng.permutation(train_ws.count)
+            losses = []
+            for lo in range(0, order.size, tc.batch_size):
+                idx = order[lo:lo + tc.batch_size]
+                loss, grads = backward(*train_ws.batch(idx), want, config)
+                want, state = adam_step(want, grads, state, tc.learning_rate)
+                losses.append(loss * idx.size)
+            assert history.train_mse[epoch] == pytest.approx(sum(losses) / order.size,
+                                                             rel=1e-12, abs=0)
+            steps.append(want.copy())
+        for (name, got), (_, arr) in zip(params.named_arrays(),
+                                         steps[history.best_epoch].named_arrays()):
+            assert np.max(np.abs(got - arr)) <= 1e-12 * max(np.max(np.abs(arr)), 1e-300), name
+
+    def test_step_memory_is_one_block(self):
+        # one 256-window step at the etth1-train shape (7 channels, L=720,
+        # H=96): gathered and run whole it peaked at 25.4 MB
+        config = ModelConfig(720, 96, 24)
+        rng = np.random.default_rng(45)
+        ws = WindowSet(rng.normal(size=(2000, 7)), 720, 96)
+        idx = rng.permutation(ws.count)[:256]
+        params = init_params(config, 45)
+        for _, arr in params.named_arrays():
+            arr += 0.05 * rng.normal(size=arr.shape)
+        backward(ws, idx, params, config)
+        tracemalloc.start()
+        try:
+            backward(ws, idx, params, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+
+class TestBiasGradients:
+    """The time branch's biases enter ``phase_map``'s offset alone, so their
+    gradients come from the offset's gradient G_b, not from the basis images."""
+
+    @pytest.mark.parametrize("path", [Path.GAIN_FIRST, Path.PHASE_MAP])
+    @pytest.mark.parametrize("horizon", [96, 720])
+    @pytest.mark.parametrize("mode", [Mode.MIX, Mode.TIME_ONLY])
+    def test_bias_gradients_match_long_double_reference(self, path, horizon, mode,
+                                                        monkeypatch):
+        # level-30 random walks, 256 windows; the reference sums the step's
+        # own residual in long double into G_b and routes G_b to the biases
+        config = ModelConfig(720, horizon, 24, mode=mode)
+        plan = config.plan
+        rng = np.random.default_rng(46)
+        params = init_params(config, 46)
+        for _, arr in params.named_arrays():
+            arr += 0.05 * rng.normal(size=arr.shape)
+        x, y = _level_walks(rng, 256, config)
+        preds = []
+
+        def recording(rows, *args):
+            pred, trace = forward_batch_with_trace(rows, *args)
+            preds.append(np.array(pred))
+            return pred, trace
+
+        _map_paths_as(monkeypatch, path)
+        monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
+        _, grads = backward(x, y, params, config)
+
+        wide = np.longdouble
+        residual = np.zeros((x.shape[0], plan.m * config.period), dtype=wide)
+        residual[:, :horizon] = np.concatenate(preds).astype(wide) - y.astype(wide)
+        residual *= 2 / wide(y.size)
+        grid = np.zeros(plan.m_hat, dtype=wide)
+        grid[:plan.m] = residual.reshape(-1, plan.m, config.period).sum(axis=(0, 2))
+        grid = grid.reshape(plan.seg_out, plan.seg_out)
+        want = {"b_inter": grid.sum(axis=0),
+                "b_intra": grid @ params.w_inter.astype(wide).sum(axis=1)}
+        for name, ref in want.items():
+            error = np.max(np.abs(grads[name] - ref)) / np.max(np.abs(ref))
+            assert error <= 1e-14, (name, float(error))
+
+
+def test_loss_and_evaluate_do_not_depend_on_blas_threads():
+    # one 256-window H=720 step (184,320 squared errors) and one evaluate,
+    # each in a process at 1 and at 2 OpenBLAS threads
+    script = """
+import numpy as np
+from mixlinear.data.windows import WindowSet
+from mixlinear.model import ModelConfig, init_params
+from mixlinear.training import backward, evaluate
+config = ModelConfig(720, 720, 24)
+rng = np.random.default_rng(44)
+params = init_params(config, 44)
+for _, arr in params.named_arrays():
+    arr += 0.05 * rng.normal(size=arr.shape)
+walks = np.cumsum(0.3 * rng.normal(size=(256, 1440)), axis=1)
+loss, _ = backward(walks[:, :720], walks[:, 720:], params, config)
+series = np.cumsum(0.3 * rng.normal(size=(4000, 1)), axis=0)
+print(repr(loss), *map(repr, evaluate(params, WindowSet(series, 720, 720), config)))
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
+                                              os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
 class TestViewRows:
     """``evaluate`` passes rows that view the series; the forward reads them
     as they stand and predicts what it predicts on C-ordered copies."""
@@ -1142,7 +1367,7 @@ class TestAdjoints:
             return pred, trace
 
         def adjoint(cotangent):
-            return backward_module._graph_grads(cotangent, graph(inputs)[1], params, config)
+            return backward_module._graph_grads(cotangent, graph(inputs)[1], params, config)[0]
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias}
         _assert_dot_products(lambda values: graph(values)[0], adjoint, inputs, rng)
