@@ -991,19 +991,20 @@ class TestStreamedStep:
         config, train_ws, val_ws = TestTrainLoop()._tiny_setup()
         width = (config.lookback + config.horizon) * train_ws.channels
         tc = TrainConfig(max_epochs=2, patience=10, batch_size=32, seed=6)
-        steps = []
         with monkeypatch.context() as patch:
             patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", 5 * width)
             paths = self._recorded_paths(patch)
             params, history = train(train_ws, val_ws, config, tc)
-            assert len(paths) == 2 * sum(
-                len(backward_module._train_blocks(len(idx), 2, config))
-                for idx in np.array_split(np.arange(train_ws.count), range(32, train_ws.count, 32)))
+            sizes = [min(32, train_ws.count - lo) for lo in range(0, train_ws.count, 32)]
+            blocks = [len(backward_module._train_blocks(size, train_ws.channels, config))
+                      for size in sizes]
+        assert blocks[0] > 1 and len(paths) == tc.max_epochs * sum(blocks)
 
         monkeypatch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", train_ws.count * width)
         want = init_params(config, tc.seed)
         state = init_adam(want)
         rng = np.random.default_rng(tc.seed)
+        ends = []
         for epoch in range(tc.max_epochs):
             order = rng.permutation(train_ws.count)
             losses = []
@@ -1014,9 +1015,9 @@ class TestStreamedStep:
                 losses.append(loss * idx.size)
             assert history.train_mse[epoch] == pytest.approx(sum(losses) / order.size,
                                                              rel=1e-12, abs=0)
-            steps.append(want.copy())
+            ends.append(want.copy())
         for (name, got), (_, arr) in zip(params.named_arrays(),
-                                         steps[history.best_epoch].named_arrays()):
+                                         ends[history.best_epoch].named_arrays()):
             assert np.max(np.abs(got - arr)) <= 1e-12 * max(np.max(np.abs(arr)), 1e-300), name
 
     def test_step_memory_is_one_block(self):
