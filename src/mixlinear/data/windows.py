@@ -38,32 +38,42 @@ class WindowSet:
         y = self.base[k + self.lookback:k + self.lookback + self.horizon]
         return x, y
 
-    def batch(self, indices) -> tuple[np.ndarray, np.ndarray]:
+    def batch(self, indices, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Stack windows into (b, L, C) and (b, H, C) arrays.
 
         Both are read from one time-major block with block[t, k, c] =
-        base[idx[k] + t, c], the windows' steps in ``_view``.  A run of
-        consecutive indices i, i+1, ..., which is what ``evaluate`` asks
-        for, is a slice of that view: read-only views of ``base``, x[k, t,
-        c] = base[i+k+t, c].  Any other indices (a block of a shuffled
-        training step, which ``backward`` gathers one block at a time) gather
-        one writable C-contiguous (L+H, b, C) copy, a single ``take`` of base
-        rows.  Over a C-contiguous base the flattened
-        (b*C, L) and (b*C, H) rows are then the ``.T`` of time-major
-        (L, b*C) and (H, b*C) arrays either way, which the forward reads as
-        they stand.
+        base[idx[k] + t, c], the windows' steps in ``_view``, and are the
+        (1, 0, 2) transposes of its first L and last H steps.  With ``out``,
+        a pair of writable C-contiguous (L, b, C) and (H, b, C) arrays, each
+        is gathered straight into its array, one ``take`` of base rows:
+        ``backward`` passes the rows of its step's conv buffer and target
+        block, so a block of a training step is never copied again.
+        Without it, a run of consecutive indices i, i+1, ..., which is what
+        ``evaluate`` asks for, is a slice of that view: read-only views of
+        ``base``, x[k, t, c] = base[i+k+t, c]; any other indices gather one
+        writable C-contiguous (L+H, b, C) copy.  Over a C-contiguous base
+        the flattened (b*C, L) and (b*C, H) rows are then the ``.T`` of
+        time-major (L, b*C) and (H, b*C) arrays either way, which the
+        forward reads as they stand.
         """
         idx = np.asarray(indices, dtype=np.intp)
         bad = idx[(idx < 0) | (idx >= self.count)]
         if bad.size:
             raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
-        if idx.size and (np.diff(idx) == 1).all():
+        if out is None and idx.size and (np.diff(idx) == 1).all():
             block = self._view[:, idx[0]:idx[-1] + 1]
+            x, y = block[:self.lookback], block[self.lookback:]
         else:
-            steps = np.arange(self.lookback + self.horizon)
-            block = self.base.take(np.add.outer(steps, idx), axis=0)
-        return (block[:self.lookback].transpose(1, 0, 2),
-                block[self.lookback:].transpose(1, 0, 2))
+            at = np.add.outer(np.arange(self.lookback + self.horizon), idx)
+            if out is None:
+                block = self.base.take(at, axis=0)
+                x, y = block[:self.lookback], block[self.lookback:]
+            else:
+                # indices checked above, so no step reads past base
+                x, y = out
+                self.base.take(at[:self.lookback], axis=0, out=x, mode="clip")
+                self.base.take(at[self.lookback:], axis=0, out=y, mode="clip")
+        return x.transpose(1, 0, 2), y.transpose(1, 0, 2)
 
     @property
     def _view(self) -> np.ndarray:

@@ -85,7 +85,10 @@ class ForwardTrace:
     rows and the re-interleave are reshapes, not copies.  P is the number
     of rows the branches ran on: the phase rows themselves on
     ``Path.OWN_ROWS``, else the n+1 basis rows of ``phase_map``, whose
-    trace holds the branch activations alone.
+    trace holds the branch activations alone.  ``padded``, ``rows`` and
+    ``images`` live in the ``StepSetup``'s workspace, so they hold until
+    the next forward through the same step; ``backward`` writes the phase
+    block's gradient over ``rows`` once it has read them.
     """
 
     path: Path | None = None
@@ -95,9 +98,7 @@ class ForwardTrace:
                                        # row of window b; the .T view of the
                                        # (n, w*B) time-major phase block.  Graph only
     branch_rows: np.ndarray | None = None   # (P, n) rows the branches ran on
-    gain: np.ndarray | None = None     # (n, m) phase map, on the map paths
-    images: np.ndarray | None = None   # (2m, w*B) U = [W 0; 0 W]' Z, gain-first only;
-                                       # backward frees it once read
+    images: np.ndarray | None = None   # (2m, w*B) U = [W 0; 0 W]' Z, gain-first only
     rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
     bias_from: int = 0                      # first of the P rows the time branch
                                             # adds its biases to
@@ -117,16 +118,17 @@ def aggregation_kernel(conv_kernel: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _conv_buffer(steps: np.ndarray, level: np.ndarray, blocks: int, w: int) -> np.ndarray:
-    """The zero-padded, time-major buffer Z that ``conv1d_same_batch`` reads.
+def _conv_buffer(steps: np.ndarray, level: np.ndarray, padded: np.ndarray, w: int) -> np.ndarray:
+    """Fill ``padded`` as the zero-padded time-major buffer Z that ``conv1d_same_batch`` reads.
 
-    (blocks*w, R): zero but for the (S, R) time-major ``steps`` less their
-    (R,) ``level``, which start at step left = (w-1)//2.  The conv of Z by
-    kappa at step t is then sum_i kappa[i] (steps - level)[t - left + i],
-    with zeros read outside the S steps, for every t < blocks*w - w.
+    ``padded`` is (blocks*w, R): it becomes zero but for the (S, R)
+    time-major ``steps`` less their (R,) ``level``, which start at step
+    left = (w-1)//2.  ``steps`` may be those very rows of ``padded``, which
+    are then centred in place.  The conv of Z by kappa at step t is then
+    sum_i kappa[i] (steps - level)[t - left + i], with zeros read outside
+    the S steps, for every t < blocks*w - w.
     """
     left = conv_pad_split(w)[0]
-    padded = np.empty((blocks * w, steps.shape[1]))
     padded[:left] = 0.0
     padded[left + steps.shape[0]:] = 0.0
     np.subtract(steps, level, out=padded[left:left + steps.shape[0]])
@@ -212,47 +214,111 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams,
 
 
 def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
-                             config: ModelConfig, phase=None):
+                             config: ModelConfig, step: "StepSetup | None" = None):
     """Predict (B, horizon) from (B, lookback) and record what the reverse pass needs.
 
-    On a map path the forward applies ``phase``, a ``phase_map`` result the
-    caller made once for many calls, or else makes its own and traces its
-    branches too.
+    ``step`` is the ``StepSetup`` a training step made once for all its
+    blocks: the forward reads its constants and writes into its workspace
+    (in place when ``x2d`` is the ``.T`` of its ``inputs``, where
+    ``backward`` gathers a block), and takes its path.  Without one the
+    forward makes its own, as ``forward_batch`` does.
     """
-    return _forward_impl(x2d, params, config, want_trace=True, phase=phase)
+    return _forward_impl(x2d, params, config, want_trace=True, step=step)
 
 
-def _forward_impl(x2d, params, config, want_trace, phase=None):
+def _forward_impl(x2d, params, config, want_trace, step=None):
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
         raise ValueError(
             f"expected input of shape (batch, {config.lookback}), got {x2d.shape}"
         )
+    rows = x2d.shape[0]
     channels = 0 if want_trace else series_channels(x2d)
-    path = choose_path(x2d.shape[0], config, channels)
-    if path is Path.SERIES:
+    if choose_path(rows, config, channels) is Path.SERIES:
         return _series_forward(x2d, channels, params, config), None
-    if path is Path.GAIN_FIRST:
-        return _gain_first(x2d, params, config, want_trace, phase)
+    if step is None:
+        step = StepSetup(params, config, rows)
+    # x2d.mean(axis=1) without its Python wrapper: the same sum, divided by L
+    mean = np.add.reduce(x2d, axis=1)
+    mean /= config.lookback
+    padded = _conv_buffer(x2d.T, mean, step.buffer(rows), config.period)
+    if step.path is Path.GAIN_FIRST:
+        return _gain_first(padded, mean, config, step, want_trace)
 
     # the graph: the phase block is the band conv's output, the n*w - L
     # padded steps zeroed
-    length, w, n = config.lookback, config.period, config.plan.n
-    mean = x2d.mean(axis=1)
-    padded = _conv_buffer(x2d.T, mean, n + 1, w)
-    block = conv1d_same_batch(padded.T, aggregation_kernel(params.conv_kernel)).reshape(n, -1)
-    block += float(params.conv_bias)
-    block.reshape(n * w, -1)[length:] = 0.0
-    trace = ForwardTrace(path, padded, block.T) if want_trace else None
-    if path is Path.PHASE_MAP:
-        gain, offset = phase_map(params, config, trace) if phase is None else phase
-        if trace is not None:
-            trace.gain = gain
-        out = gain.T @ block
-        out += offset[:, None]
+    length, n = config.lookback, config.plan.n
+    block = conv1d_same_batch(padded.T, step.kernel, step.block(rows)).reshape(n, -1)
+    block += step.conv_bias
+    block.reshape(-1, rows)[length:] = 0.0
+    trace = ForwardTrace(step.path, padded, block.T) if want_trace else None
+    if step.path is Path.PHASE_MAP:
+        out = step.gain.T @ block
+        out += step.offset[:, None]
     else:
         out = _branches(block.T, params, config, trace).T
     return _reinterleave(out, mean, config), trace
+
+
+class StepSetup:
+    """What every forward of one step shares: its constants and one workspace.
+
+    A training step makes one for all its blocks (``backward``); any other
+    forward makes its own.  Made for ``rows`` flattened windows, the most a
+    forward through it takes, it holds:
+
+    - ``path``, what ``choose_path`` names for ``rows`` off the series path;
+    - kappa, the ``aggregation_kernel``, and conv_bias;
+    - on the map paths, the phase map (W, b) of ``phase_map``, whose branch
+      activations go to ``branches`` when that trace is given;
+    - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``), the
+      stacked map [W 0; 0 W]' and the constant conv_bias * ``counted_gain``
+      + b that every output gets;
+    - the workspace: the conv buffer Z of (n+1)*w steps and the block the
+      conv's output (graph) or U (gain-first) is written to, both flat, so
+      that a forward of R <= ``rows`` rows uses their first entries as
+      C-contiguous arrays.  Each forward writes every entry it reads,
+      zero padding included.
+    """
+
+    def __init__(self, params: MixLinearParams, config: ModelConfig, rows: int,
+                 branches: ForwardTrace | None = None):
+        plan, w = config.plan, config.period
+        n, m = plan.n, plan.m
+        self.path = choose_path(rows, config)
+        self.kernel = aggregation_kernel(params.conv_kernel)
+        self.conv_bias = float(params.conv_bias)
+        self.branches = branches
+        self.gain = self.offset = None
+        if self.path is not Path.OWN_ROWS:
+            self.gain, self.offset = phase_map(params, config, branches)
+        lead = n
+        if self.path is Path.GAIN_FIRST:
+            self.band = np.append(self.kernel, 0.0)[band_taps(w)]
+            stacked = np.zeros((m, 2, n + 1))
+            stacked[:, 0, :n] = self.gain.T
+            stacked[:, 1, 1:] = self.gain.T
+            self.stacked = stacked.reshape(2 * m, n + 1)
+            self.const = self.conv_bias * counted_gain(self.gain, config) + self.offset[:, None]
+            lead = 2 * m
+        self._config, self._lead = config, lead
+        self._padded = np.empty((n + 1) * w * rows)
+        self._block = np.empty(lead * w * rows)
+
+    def buffer(self, rows: int) -> np.ndarray:
+        """The ((n+1)*w, rows) conv buffer Z."""
+        steps = (self._config.plan.n + 1) * self._config.period
+        return self._padded[:steps * rows].reshape(steps, rows)
+
+    def inputs(self, rows: int) -> np.ndarray:
+        """The (L, rows) steps of Z the windows fill, from step (w-1)//2 on."""
+        left = conv_pad_split(self._config.period)[0]
+        return self.buffer(rows)[left:left + self._config.lookback]
+
+    def block(self, rows: int) -> np.ndarray:
+        """The (n, w, rows) phase block (graph), or (2m, w, rows) U (gain-first)."""
+        w = self._config.period
+        return self._block[:self._lead * w * rows].reshape(self._lead, w, rows)
 
 
 def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace | None):
@@ -330,7 +396,7 @@ def _series_group(series: np.ndarray, out: np.ndarray, gain: np.ndarray, offset:
     # the series less its first window's mean; the conv of its buffer has the
     # (blocks + n - 1)*w steps VG reads, which cover the whole series
     level = series[:length].mean(axis=0)
-    padded = _conv_buffer(series, level, blocks + n, w)
+    padded = _conv_buffer(series, level, np.empty(((blocks + n) * w, width)), w)
     centred = padded[left:]
     # window means from running sums: window k+1 adds step k+L and drops step k
     mean = np.empty((windows, width))
@@ -387,41 +453,32 @@ def _take_back(out, gain, edge, first: int):
         out[:, lo - j * w:hi - j * w] -= np.multiply.outer(gain[j], edge[lo - first:hi - first])
 
 
-def _gain_first(x2d, params, config, want_trace, phase=None):
+def _gain_first(padded, mean, config, step: StepSetup, want_trace):
     """Predict (B, L) windows by the phase map on their period blocks, then the conv.
 
-    Z is the windows' ``_conv_buffer`` of (n+1)*w steps, cut into n+1 blocks
-    of w steps.  The graph's phase block at block j is the band T[p, c] =
-    kappa[c - p] (``band_taps``), with kappa the ``aggregation_kernel``,
-    times Z's blocks j and j+1 (``conv1d_same_batch``), so W commutes past
-    T.  U = [W 0; 0 W]' Z, the phase map W on both blocks, is one
-    (2m, n+1) @ (n+1, w*B) GEMM, with row 2q + h the image of blocks j+h,
-    and output q at phase p is then sum_c T[p, c] U[q, c].  The conv's bias
-    and the phase offset add conv_bias times ``counted_gain`` plus b[q].
-    When w does not divide L, what the conv read for the n*w - L padded
-    steps is taken back, since the graph zeroes them.
+    ``padded`` is the windows' conv buffer Z of (n+1)*w steps, centred by
+    their ``mean``, cut into n+1 blocks of w steps.  The graph's phase
+    block at block j is the band T[p, c] = kappa[c - p] (``band_taps``),
+    with kappa the ``aggregation_kernel``, times Z's blocks j and j+1
+    (``conv1d_same_batch``), so W commutes past T.  U = [W 0; 0 W]' Z, the
+    phase map W on both blocks, is one (2m, n+1) @ (n+1, w*B) GEMM, with
+    row 2q + h the image of blocks j+h, and output q at phase p is then
+    sum_c T[p, c] U[q, c].  The conv's bias and the phase offset add
+    conv_bias times ``counted_gain`` plus b[q].  When w does not divide L,
+    what the conv read for the n*w - L padded steps is taken back, since
+    the graph zeroes them.  The map, T and the constant are the ``step``'s.
     Costs about 2*L*m + 2*H*w multiply-adds per row.
     """
-    rows, length = x2d.shape
+    rows, length = padded.shape[1], config.lookback
     plan, w = config.plan, config.period
     n, m = plan.n, plan.m
-    mean = x2d.mean(axis=1)
-    padded = _conv_buffer(x2d.T, mean, n + 1, w)
-    trace = ForwardTrace(Path.GAIN_FIRST, padded) if want_trace else None
-    gain, offset = phase_map(params, config, trace) if phase is None else phase
-    stacked = np.zeros((m, 2, n + 1))
-    stacked[:, 0, :n] = gain.T
-    stacked[:, 1, 1:] = gain.T
-    blocks = padded.reshape(n + 1, w * rows)
-    images = stacked.reshape(2 * m, n + 1) @ blocks
-    kernel = aggregation_kernel(params.conv_kernel)
-    out = np.append(kernel, 0.0)[band_taps(w)] @ images.reshape(m, 2 * w, rows)
-    out += (float(params.conv_bias) * counted_gain(gain, config) + offset[:, None])[..., None]
+    images = np.matmul(step.stacked, padded.reshape(n + 1, w * rows),
+                       out=step.block(rows).reshape(2 * m, w * rows))
+    out = step.band @ images.reshape(m, 2 * w, rows)
+    out += step.const[..., None]
     if n * w > length:
-        _take_back(out, gain, past_end(padded, config) @ kernel, length)
-    if trace is not None:
-        trace.gain = gain
-        trace.images = images
+        _take_back(out, step.gain, past_end(padded, config) @ step.kernel, length)
+    trace = ForwardTrace(Path.GAIN_FIRST, padded, images=images) if want_trace else None
     return _reinterleave(out, mean, config), trace
 
 

@@ -86,7 +86,8 @@ def conv_pad_split(width: int) -> tuple[int, int]:
     return left, width - 1 - left
 
 
-def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Length-preserving cross-correlation of R signals, from their zero-padded buffer.
 
     ``rows`` is the (R, (K+1)*w) ``.T`` view of a time-major buffer Z, with
@@ -100,11 +101,13 @@ def conv1d_same_batch(rows: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     j+1, as the band T[p, c] = kernel[c - p] (``band_taps``) times their
     2w steps.  ``band_pairs`` views those K overlapping pairs without a
     copy, so the conv is one batched (w, 2w) @ (K, 2w, R) GEMM, 2*K*w*w
-    MACs per row, and allocates nothing but its output.  Returns the
-    C-contiguous (K, w, R) blocks: out[j, p, r] is step j*w + p of signal r.
+    MACs per row, and allocates nothing but its output, or writes it to
+    ``out``.  Returns the C-contiguous (K, w, R) blocks: out[j, p, r] is
+    step j*w + p of signal r.
     """
     width = kernel.size
-    return np.append(kernel, 0.0)[band_taps(width)] @ band_pairs(rows.T, width)
+    return np.matmul(np.append(kernel, 0.0)[band_taps(width)], band_pairs(rows.T, width),
+                     out=out)
 
 
 def band_pairs(steps: np.ndarray, width: int) -> np.ndarray:

@@ -19,13 +19,12 @@ from ..model.config import Mode, ModelConfig
 from ..model.forward import (
     ForwardTrace,
     Path,
+    StepSetup,
     counted_gain,
-    aggregation_kernel,
     forward_batch,
     forward_batch_with_trace,
     map_rows,
     past_end,
-    phase_map,
 )
 from ..model.params import MixLinearParams
 from ..numerics import band_pairs, band_taps, dft_matrix, idft_matrix
@@ -59,38 +58,38 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     the returned loss = mean((forward(x) - y)^2).
 
     The step streams its windows: ``_train_blocks`` cuts them into runs of
-    whole windows, each gathered (``WindowSet.batch``, or sliced from the
-    arrays), run through a traced forward and back, and freed before the
-    next, so a step holds one block at a time.  A step too small for the
-    phase map is one block whose branches run on its own phase rows
-    (``Path.OWN_ROWS``).  Otherwise every block is past n+1 phase rows: the
-    branches run once per step, on the n+1 basis rows of ``phase_map``,
-    every block applies that one map on the path ``choose_path`` names,
-    each block adds its gradient on (W, b) to the step's, and the branches'
-    adjoint runs once at the end.  The squared errors are summed block by
-    block, in a fixed order and by ``einsum``, whose result does not depend
-    on the BLAS thread count.
+    whole windows, and each block is run through a traced forward and back
+    before the next.  What the blocks share is set up once per step: one
+    ``StepSetup`` holds the constants and a workspace sized for the largest
+    block, and one ``_StepSums`` the gradient sums.  A ``WindowSet`` block
+    is gathered (``WindowSet.batch``) straight into the workspace's conv
+    buffer and target block, where the forward centres it in place; an
+    array block is centred into the buffer from the arrays.  A step too
+    small for the phase map is one block whose branches run on its own
+    phase rows (``Path.OWN_ROWS``).  Otherwise every block is past n+1
+    phase rows and applies the one map on the path ``choose_path`` names:
+    the branches run once per step, on the n+1 basis rows of ``phase_map``,
+    and their adjoint once at the end.  The squared errors are summed block
+    by block, in a fixed order and by ``einsum``, whose result does not
+    depend on the BLAS thread count.
 
-    Each block's reverse pass mirrors the path its trace records.  Every
-    traced path ran time-major on the block's rows, and the (H, B)
-    prediction gradient read as the (m, w*B) phase outputs undoes the
-    re-interleave.  On ``Path.GAIN_FIRST`` it then runs the forward's GEMMs
-    transposed: the band's gradient sum_q G_q U_q', summed along its
-    diagonals, gives the conv kernel's, and one GEMM with the period blocks
-    gives the phase gain's.  On the graph paths it flows back through the
-    phase map (one GEMM each for the gain's and the phase block's gradient
-    on ``Path.PHASE_MAP``) or the branches onto the phase block, which is
-    the band conv's output, so the kernel's gradient is the same diagonal
-    sum of the band's, sum_j G_j pairs_j' over the buffer's block pairs.
+    Each block's reverse pass (``_add_block``) mirrors the path its trace
+    records and adds raw sums only; ``_step_grads`` finishes them once per
+    step.  Every traced path ran time-major on the block's rows, and the
+    (H, B) prediction gradient read as the (m, w, B) phase outputs G undoes
+    the re-interleave.  On ``Path.GAIN_FIRST`` the block runs the forward's
+    GEMMs transposed: it adds sum_q G_q U_q', the band's gradient, and
+    G_U Z', the stacked map's.  On the graph paths it flows back through
+    the phase map (``Path.PHASE_MAP``: one GEMM each for the map's gradient
+    and the phase block's) or the branches onto the phase block, the band
+    conv's output, and adds the band's gradient sum_j G_j pairs_j' over the
+    buffer's block pairs.  Each block also adds G summed over its rows, from
+    which the step gets the offset's and conv_bias's gradients, and the
+    kernel's is the band's summed along its diagonals.
     """
     if isinstance(x_batch, WindowSet):
         windows, idx = x_batch, np.asarray(y_batch, dtype=np.intp)
         count, channels = idx.size, windows.channels
-
-        def gather(lo, hi):
-            x, y = windows.batch(idx[lo:hi])
-            return (_flatten_windows(x, config.lookback, "inputs"),
-                    _flatten_windows(y, config.horizon, "targets"))
     else:
         x2d = _flatten_windows(x_batch, config.lookback, "inputs")
         y2d = _flatten_windows(y_batch, config.horizon, "targets")
@@ -100,39 +99,42 @@ def backward(x_batch, y_batch, params: MixLinearParams,
             )
         channels = np.shape(x_batch)[2] if np.ndim(x_batch) == 3 else 1
         count = x2d.shape[0] // channels
-
-        def gather(lo, hi):
-            return x2d[lo * channels:hi * channels], y2d[lo * channels:hi * channels]
     if count == 0:
         raise ValueError("empty batch")
 
     blocks = _train_blocks(count, channels, config)
+    most = max(hi - lo for lo, hi in blocks) * channels
+    step = StepSetup(params, config, most, ForwardTrace())
+    sums = _StepSums(step, config)
+    if isinstance(x_batch, WindowSet):
+        length, horizon = config.lookback, config.horizon
+        targets = np.empty(horizon * most)
+
+        def gather(lo, hi):
+            rows = (hi - lo) * channels
+            x, y = windows.batch(idx[lo:hi], out=(
+                step.inputs(rows).reshape(length, hi - lo, channels),
+                targets[:horizon * rows].reshape(horizon, hi - lo, channels)))
+            return _flatten_windows(x, length, "inputs"), _flatten_windows(y, horizon, "targets")
+    else:
+        def gather(lo, hi):
+            return x2d[lo * channels:hi * channels], y2d[lo * channels:hi * channels]
+
     values = count * channels * config.horizon
-    phase = branches = None
-    if (blocks[0][1] - blocks[0][0]) * channels >= map_rows(config):
-        branches = ForwardTrace()
-        phase = phase_map(params, config, branches)
     sq_sum = 0.0
-    grads = grad_gain = grad_offset = None
     for lo, hi in blocks:
         x_rows, y_rows = gather(lo, hi)
-        pred, trace = forward_batch_with_trace(x_rows, params, config, phase)
+        pred, trace = forward_batch_with_trace(x_rows, params, config, step)
         # the residual, in pred's buffer: pred is the .T view of a time-major
         # (H, B) array, so diff.T is time-major without a copy
         diff = np.subtract(pred, y_rows, out=pred)
         flat = diff.ravel(order="K")
         sq_sum += float(np.einsum("i,i->", flat, flat))
         diff *= 2.0 / values
-        part, part_gain, part_offset = _block_grads(diff, trace, params, config)
-        if grads is None:
-            grads, grad_gain, grad_offset = part, part_gain, part_offset
-        else:
-            for name, grad in part.items():
-                grads[name] += grad
-            grad_gain += part_gain
-            grad_offset += part_offset
-    if branches is not None:
-        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), branches, params, config,
+        _add_block(diff, trace, step, sums, params, config)
+    grads, grad_gain, grad_offset = _step_grads(sums, step, config)
+    if step.path is not Path.OWN_ROWS:
+        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), step.branches, params, config,
                       grads)
     # keep checkpoint/declaration order
     return sq_sum / values, {name: grads[name] for name, _ in params.named_arrays()}
@@ -158,6 +160,33 @@ def _train_blocks(count: int, channels: int, config: ModelConfig) -> list[tuple[
     return window_runs(count, most, -(-map_rows(config) // channels))
 
 
+class _StepSums:
+    """The raw gradient sums every block of one step adds to; ``_step_grads`` finishes them.
+
+    With G a block's (m, w, B) gradient on its phase outputs:
+
+    - ``band``: the gradient on kappa's (w, 2w) band, sum_j G_j pairs_j';
+    - ``map``: gain-first's (2m, n+1) gradient G_U Z' on the stacked map,
+      or the graph's (n, m) gradient on W, phase block times G';
+    - ``outputs``: the (m, w) sums of G over the rows;
+    - ``take_gain``, ``take_kernel``: gain-first's take-back of the n*w - L
+      padded steps, (m,) on W's last row and (w,) on the kernel;
+    - on ``Path.OWN_ROWS``, ``bias``, the phase block's gradient summed, and
+      ``branches``, the branch weights' gradients.
+    """
+
+    def __init__(self, step: StepSetup, config: ModelConfig):
+        plan, w = config.plan, config.period
+        n, m = plan.n, plan.m
+        self.band = np.zeros((w, 2 * w))
+        self.map = np.zeros((2 * m, n + 1) if step.path is Path.GAIN_FIRST else (n, m))
+        self.outputs = np.zeros((m, w))
+        self.take_gain = np.zeros(m)
+        self.take_kernel = np.zeros(w)
+        self.bias = 0.0
+        self.branches: GradientSet = {}
+
+
 def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.ndarray:
     """Gradient on the n+1 basis images from the gradient on ``phase_map``'s (gain, offset).
 
@@ -167,28 +196,36 @@ def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.nd
     return np.vstack([grad_gain, grad_offset])
 
 
-def _band_kernel_grad(grad: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Kernel gradient of out[j] = T @ pairs[j], T the kernel's band, given grad[j] on out[j].
+def _band_grad(grad: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Gradient on the band T of out[j] = T @ pairs[j], given grad[j] on out[j].
 
-    ``grad`` is (K, w, R) and ``pairs`` (K, 2w, R).  T gets sum_j grad[j]
-    pairs[j]', one batched GEMM, and each kernel tap sums the entries of T
-    that ``band_taps`` assigns it, along T's diagonals.
+    ``grad`` is (K, w, R) and ``pairs`` (K, 2w, R); T gets sum_j grad[j]
+    pairs[j]', one batched GEMM summed over j.
     """
-    width = grad.shape[1]
-    band = np.matmul(grad, pairs.swapaxes(1, 2)).sum(axis=0)
+    return np.matmul(grad, pairs.swapaxes(1, 2)).sum(axis=0)
+
+
+def _band_kernel_grad(band: np.ndarray) -> np.ndarray:
+    """Kernel gradient from the gradient on its (w, 2w) band T[p, c] = kernel[c - p].
+
+    Each kernel tap sums the entries of T that ``band_taps`` assigns it,
+    along T's diagonals.
+    """
+    width = band.shape[0]
     return np.bincount(band_taps(width).ravel(), weights=band.ravel(),
                        minlength=width + 1)[:width]
 
 
-def _block_grads(grad_pred, trace: ForwardTrace, params, config):
-    """One block's gradients, and its gradients on the phase map (W, b) when it applied one.
+def _add_block(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, params,
+               config):
+    """Add one block's raw gradient sums to the step's ``sums``, by the path its trace records.
 
-    Returns (grads, grad_gain, grad_offset); on ``Path.OWN_ROWS`` the
-    branches' gradients are in ``grads`` and the other two are None.
+    ``grad_pred`` is the (B, H) gradient on the block's prediction.
     """
     if trace.path is Path.GAIN_FIRST:
-        return _gain_first_adjoint(grad_pred, trace, params, config)
-    return _graph_grads(grad_pred, trace, params, config)
+        _add_gain_first(grad_pred, trace, step, sums, config)
+    else:
+        _add_graph(grad_pred, trace, step, sums, params, config)
 
 
 def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -204,70 +241,84 @@ def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndar
     return grad_seq
 
 
-def _graph_grads(grad_pred, trace: ForwardTrace, params, config):
-    """``_block_grads`` on the graph paths."""
-    grad_out = _reinterleave_adjoint(grad_pred, config).reshape(config.plan.m, -1)
-
-    grads: GradientSet = {}
-    grad_gain = grad_offset = None
+def _add_graph(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, params,
+               config):
+    """``_add_block`` on the graph paths."""
+    batch = grad_pred.shape[0]
+    length, w, n, m = config.lookback, config.period, config.plan.n, config.plan.m
+    grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, -1)
     if trace.path is Path.PHASE_MAP:
-        # the phase block saw only gain' @ phase + offset
-        grad_gain, grad_offset = trace.rows.T @ grad_out.T, grad_out.sum(axis=1)
-        grad_phase = trace.gain @ grad_out
+        # the phase block saw only gain' @ phase + offset; once read, its
+        # workspace takes its gradient
+        sums.map += trace.rows.T @ grad_out.T
+        sums.outputs += grad_out.reshape(m, w, batch).sum(axis=2)
+        grad_phase = np.matmul(step.gain, grad_out, out=trace.rows.T)
     else:
+        grads: GradientSet = {}
         grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
+        for name, grad in grads.items():
+            sums.branches[name] = sums.branches.get(name, 0.0) + grad
         grad_phase = np.ascontiguousarray(grad_rows.T)
 
     # the phase block is the band conv of the buffer plus conv_bias, with the
     # n*w - L padded steps zeroed, so those steps pass no gradient back
-    length, w, n = config.lookback, config.period, config.plan.n
     grad_phase.reshape(n * w, -1)[length:] = 0.0
-    grads["conv_kernel"] = _band_kernel_grad(grad_phase.reshape(n, w, -1),
-                                             band_pairs(trace.padded, w))
-    grads["conv_bias"] = np.asarray(grad_phase.sum())
-    return grads, grad_gain, grad_offset
+    if trace.path is Path.OWN_ROWS:
+        sums.bias += grad_phase.sum()
+    sums.band += _band_grad(grad_phase.reshape(n, w, -1), band_pairs(trace.padded, w))
 
 
-def _gain_first_adjoint(grad_pred, trace: ForwardTrace, params, config):
-    """Adjoint of ``_gain_first`` in (kernel, conv_bias, W, b): its GEMMs transposed.
+def _add_gain_first(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, config):
+    """``_add_block`` on ``Path.GAIN_FIRST``: the adjoint of ``_gain_first``'s GEMMs.
 
-    Returns the conv's gradients and the gradients on the phase map (W, b).
     With G the (m, w, B) gradient on the outputs, the band T gets
-    sum_q G_q U_q', and each kernel tap sums its diagonal of that; U gets
-    T'G_q, and the stacked phase map [W 0; 0 W]' gets G_U Z', whose two
-    halves add up to W's gradient.  U is freed before G_U is formed.
+    sum_q G_q U_q', U gets G_U = T'G, and the stacked phase map
+    [W 0; 0 W]' gets G_U Z'.
     """
     batch = grad_pred.shape[0]
     length, w = config.lookback, config.period
     n, m = config.plan.n, config.plan.m
-    gain = trace.gain
-    kernel = aggregation_kernel(params.conv_kernel)
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, w, batch)
-
-    images, trace.images = trace.images, None
-    kernel_grad = _band_kernel_grad(grad_out, images.reshape(m, 2 * w, batch))
-    del images
-    grad_images = np.append(kernel, 0.0)[band_taps(w)].T @ grad_out     # (m, 2w, B)
-    grad_stacked = grad_images.reshape(2 * m, w * batch) @ trace.padded.reshape(n + 1, -1).T
-    del grad_images
-    grad_stacked = grad_stacked.reshape(m, 2, n + 1)
-    grad_gain = (grad_stacked[:, 0, :n] + grad_stacked[:, 1, 1:]).T
-
-    # the constant conv_bias * counted_gain + offset at every (q, p)
-    grad_const = grad_out.sum(axis=2)                                   # (m, w)
-    grad_offset = grad_const.sum(axis=1)
-    grads: GradientSet = {"conv_bias": np.asarray(np.sum(grad_const * counted_gain(gain, config)))}
-    conv_bias = float(params.conv_bias)
-    past = np.arange(w) >= length - (n - 1) * w
-    grad_gain += conv_bias * grad_offset
-    grad_gain[-1] -= conv_bias * (grad_const @ past)
-    if past.any():
+    sums.band += _band_grad(grad_out, trace.images.reshape(m, 2 * w, batch))
+    grad_images = step.band.T @ grad_out                                # (m, 2w, B)
+    sums.map += grad_images.reshape(2 * m, w * batch) @ trace.padded.reshape(n + 1, -1).T
+    sums.outputs += grad_out.sum(axis=2)
+    if n * w > length:
         # out[q, p] -= W[n-1, q] (steps @ kappa)[p - first] for the padded p >= first
+        past = np.arange(w) >= length - (n - 1) * w
         steps = past_end(trace.padded, config)                          # (k, B, w)
         tail = grad_out[:, past]                                        # (m, k, B)
-        grad_gain[-1] -= np.tensordot(tail, steps @ kernel, axes=([1, 2], [0, 1]))
-        kernel_grad -= np.einsum("tbi,tb->i", steps, np.tensordot(gain[-1], tail, axes=(0, 0)))
-    grads["conv_kernel"] = kernel_grad
+        sums.take_gain += np.tensordot(tail, steps @ step.kernel, axes=([1, 2], [0, 1]))
+        sums.take_kernel += np.einsum("tbi,tb->i", steps,
+                                      np.tensordot(step.gain[-1], tail, axes=(0, 0)))
+
+
+def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
+    """Finish a step's ``sums``: the conv's gradients, and the gradients on the phase map (W, b).
+
+    Returns (grads, grad_gain, grad_offset); on ``Path.OWN_ROWS`` the
+    branches' gradients are in ``grads`` and the other two are None.  The
+    output sums give b's gradient, summed over the phases, and conv_bias's,
+    weighted by ``counted_gain``: on the graph conv_bias rides every phase
+    step before L into W, and gain-first adds conv_bias * ``counted_gain``,
+    which gives W the further terms below.
+    """
+    w, n, m = config.period, config.plan.n, config.plan.m
+    grads = dict(sums.branches)
+    grads["conv_kernel"] = _band_kernel_grad(sums.band) - sums.take_kernel
+    if step.path is Path.OWN_ROWS:
+        grads["conv_bias"] = np.asarray(sums.bias)
+        return grads, None, None
+    grad_offset = sums.outputs.sum(axis=1)
+    grads["conv_bias"] = np.asarray(np.sum(sums.outputs * counted_gain(step.gain, config)))
+    if step.path is Path.PHASE_MAP:
+        return grads, sums.map, grad_offset
+    stacked = sums.map.reshape(m, 2, n + 1)
+    grad_gain = (stacked[:, 0, :n] + stacked[:, 1, 1:]).T
+    # the constant conv_bias * counted_gain + offset at every (q, p)
+    past = np.arange(w) >= config.lookback - (n - 1) * w
+    grad_gain += step.conv_bias * grad_offset
+    grad_gain[-1] -= step.conv_bias * (sums.outputs @ past) + sums.take_gain
     return grads, grad_gain, grad_offset
 
 

@@ -3,11 +3,15 @@
 import csv
 import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
 from mixlinear.cli import main
 from mixlinear.data import load_csv
 from mixlinear.evalbench import parse_report
@@ -84,6 +88,29 @@ class TestTrain:
         reports = list(trained_run.glob("*.report"))
         assert len(reports) == 1
         assert reports[0].name == "synthetic_Mix_h16_s3.report"
+
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the same 2-epoch run at the etth1-train shape (L=720, H=96, 7
+        # channels, so training takes gain-first), in a process at 1 and at
+        # 2 OpenBLAS threads, writes the same checkpoint bytes
+        data = tmp_path / "synth.csv"
+        assert main(["synth", "--out", str(data), "--length", "2400", "--period", "24",
+                     "--channels", "7", "--noise", "0.3", "--seed", "1"]) == 0
+        script = ("import sys; from mixlinear.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))")
+        checkpoints = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
+                                                  os.environ.get("PYTHONPATH", "")])}
+            env.pop("MIXLINEAR_THREADS", None)
+            subprocess.run([sys.executable, "-c", script, "train", "--data", str(data),
+                            "--out", str(out), "--horizon", "96", "--period", "24",
+                            "--epochs", "2", "--seed", "1"],
+                           env=env, capture_output=True, check=True)
+            checkpoints.append((out / "model.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
 
     def test_sparse_baseline_mode(self, synth_csv, tmp_path):
         out = tmp_path / "baseline"

@@ -420,6 +420,13 @@ def _graph_backward(x, y, params, config, monkeypatch):
         return backward(x, y, params, config)
 
 
+def _block_adjoint(grad_pred, trace, step, params, config):
+    """(grads, grad_gain, grad_offset) of one traced block, finished as a one-block step."""
+    sums = backward_module._StepSums(step, config)
+    backward_module._add_block(grad_pred, trace, step, sums, params, config)
+    return backward_module._step_grads(sums, step, config)
+
+
 def _level_walks(rng, rows, config, level=30.0):
     """(x, y) of random-walk windows around ``level``, so the window means differ."""
     walks = level + np.cumsum(0.3 * rng.normal(size=(rows, config.lookback + config.horizon)),
@@ -720,7 +727,7 @@ class TestAffineMap:
     @settings(max_examples=150, deadline=None)
     def test_gain_first_adjoint_is_exact(self, seed, mode, period, rows, level):
         # the gain-first map is affine in each of (kernel, conv_bias, W, b)
-        # on its own; _gain_first_adjoint gives all four gradients
+        # on its own; a block's sums, finished, give all four gradients
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
         params = init_params(config, seed % 1000)
@@ -731,31 +738,29 @@ class TestAffineMap:
         plan = config.plan
         images = rng.normal(size=(plan.n + 1, plan.m))
 
-        def gain_first(inputs, trace):
+        def gain_first(inputs):
             moved = replace(params, conv_kernel=inputs["conv_kernel"],
                             conv_bias=inputs["conv_bias"])
             with pytest.MonkeyPatch.context() as patch:
-                def fixed(_params, _config, record):
-                    if record is not None:
-                        record.gain = inputs["gain"]
-                    return inputs["gain"], inputs["offset"]
-                patch.setattr(forward_module, "phase_map", fixed)
-                return forward_module._gain_first(x, moved, config, trace)
+                patch.setattr(forward_module, "phase_map",
+                              lambda *_: (inputs["gain"], inputs["offset"]))
+                patch.setattr(forward_module, "choose_path", lambda *_: Path.GAIN_FIRST)
+                step = forward_module.StepSetup(moved, config, rows)
+                return (*forward_batch_with_trace(x, moved, config, step), step)
 
         def adjoint(cotangent):
-            _, trace = gain_first(inputs, True)
-            grads, grad_gain, grad_offset = backward_module._gain_first_adjoint(
-                cotangent, trace, params, config)
+            _, trace, step = gain_first(inputs)
+            grads, grad_gain, grad_offset = _block_adjoint(cotangent, trace, step, params,
+                                                           config)
             return {**grads, "gain": grad_gain, "offset": grad_offset}
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias,
                   "gain": images[:-1] - images[-1], "offset": images[-1]}
-        _assert_dot_products(lambda values: gain_first(values, False)[0], adjoint, inputs,
-                             rng)
+        _assert_dot_products(lambda values: gain_first(values)[0], adjoint, inputs, rng)
 
     def test_pull_back_is_exact_adjoint(self, monkeypatch):
         # images -> rows @ gain + offset, with (gain, offset) from phase_map's
-        # split of the n+1 basis images, against the pull-back _graph_grads makes
+        # split of the n+1 basis images, against the pull-back backward makes
         rng = np.random.default_rng(32)
         for _ in range(20):
             config = random_small_config(rng)
@@ -1020,6 +1025,52 @@ class TestStreamedStep:
                                          ends[history.best_epoch].named_arrays()):
             assert np.max(np.abs(got - arr)) <= 1e-12 * max(np.max(np.abs(arr)), 1e-300), name
 
+    @pytest.mark.parametrize("path", [Path.GAIN_FIRST, Path.PHASE_MAP])
+    @pytest.mark.parametrize("config, channels, most", [
+        # the etth1-train shape: blocks of 10 and 11 windows
+        pytest.param(ModelConfig(720, 96, 24), 7, None, id="etth1-train"),
+        # w does not divide L (n*w = 56 > 50) and m*w = 35 > H = 30: blocks
+        # of 3 and 4 windows
+        pytest.param(ModelConfig(50, 30, 7, lpf_cutoff=3, latent_width=2), 3, 4,
+                     id="ragged"),
+    ])
+    def test_step_does_not_depend_on_the_step_before(self, config, channels, most, path,
+                                                     monkeypatch):
+        # a step sets up its constants, workspace and sums afresh: the same
+        # windows give the same bits alone and right after a step of another
+        # size, and its blocks of unequal size, each gathered into the one
+        # workspace over what the block before left there, match the step
+        # run as one block
+        rng = np.random.default_rng(47)
+        params = init_params(config, 47)
+        for _, arr in params.named_arrays():
+            arr += 0.05 * rng.normal(size=arr.shape)
+        count = 256 if most is None else 61
+        width = config.lookback + config.horizon
+        values = 30.0 + np.cumsum(0.3 * rng.normal(size=(2 * count + width, channels)), axis=0)
+        ws = WindowSet(values, config.lookback, config.horizon)
+        order = rng.permutation(ws.count)
+        idx, other = order[:count], order[count:count + count * 2 // 3]
+        _map_paths_as(monkeypatch, path)
+        if most is not None:
+            monkeypatch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", most * width * channels)
+        sizes = [hi - lo for lo, hi in backward_module._train_blocks(count, channels, config)]
+        assert len(set(sizes)) == 2 and any(a > b for a, b in zip(sizes, sizes[1:]))
+
+        alone = backward(ws, idx, params, config)
+        backward(ws, other, params, config)
+        after = backward(ws, idx, params, config)
+        assert after[0] == alone[0]
+        for name, grad in alone[1].items():
+            assert np.array_equal(after[1][name], grad), name
+
+        monkeypatch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", count * width * channels)
+        want_loss, want = backward(ws, idx, params, config)
+        assert alone[0] == pytest.approx(want_loss, rel=1e-12, abs=0)
+        largest = max(np.max(np.abs(grad)) for grad in want.values())
+        for name, grad in alone[1].items():
+            assert np.max(np.abs(grad - want[name])) <= 1e-12 * largest, name
+
     def test_step_memory_is_one_block(self):
         # one 256-window step at the etth1-train shape (7 channels, L=720,
         # H=96): gathered and run whole it peaked at 25.4 MB
@@ -1101,15 +1152,51 @@ loss, _ = backward(walks[:, :720], walks[:, 720:], params, config)
 series = np.cumsum(0.3 * rng.normal(size=(4000, 1)), axis=0)
 print(repr(loss), *map(repr, evaluate(params, WindowSet(series, 720, 720), config)))
 """
+    outputs = _outputs_at_blas_threads([sys.executable, "-c", script])
+    assert outputs[0] == outputs[1]
+
+
+def test_step_gradients_do_not_depend_on_blas_threads():
+    # one streamed 256-window step, as train takes it, at the etth1-train
+    # shape (7 channels, H=96, gain-first) and the etth1-univariate-train
+    # one (1 channel, H=720, the graph), each in a process at 1 and at 2
+    # OpenBLAS threads: the loss and every gradient array, bit for bit
+    script = """
+import hashlib
+import numpy as np
+from mixlinear.data.windows import WindowSet
+from mixlinear.model import ModelConfig, init_params
+from mixlinear.model.forward import choose_path
+from mixlinear.training import backward
+for channels, horizon, path in ((7, 96, "gain first"), (1, 720, "phase map")):
+    config = ModelConfig(720, horizon, 24)
+    assert choose_path(256 * channels, config).value == path
+    rng = np.random.default_rng(48)
+    params = init_params(config, 48)
+    for _, arr in params.named_arrays():
+        arr += 0.05 * rng.normal(size=arr.shape)
+    ws = WindowSet(np.cumsum(0.3 * rng.normal(size=(2000, channels)), axis=0), 720, horizon)
+    loss, grads = backward(ws, rng.permutation(ws.count)[:256], params, config)
+    print(repr(loss), *(name + "=" + hashlib.sha256(grad.tobytes()).hexdigest()
+                        for name, grad in grads.items()))
+"""
+    outputs = _outputs_at_blas_threads([sys.executable, "-c", script])
+    assert outputs[0].count("=") == 2 * 10   # the ten arrays of Mix, at both shapes
+    assert outputs[0] == outputs[1]
+
+
+def _outputs_at_blas_threads(argv, cwd=None) -> list[str]:
+    """The stdout of ``argv`` run at 1 and at 2 OpenBLAS threads, with src importable."""
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"),
                                               os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, check=True)
+        env.pop("MIXLINEAR_THREADS", None)
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True,
+                              cwd=cwd)
         outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    return outputs
 
 
 class TestViewRows:
@@ -1352,7 +1439,7 @@ class TestAdjoints:
         # the identity rides in the centre tap, so the graph's phase block is
         # the band conv by kernel + e_centre plus conv_bias, zero past L; the
         # prediction is affine in each of kernel and conv_bias on both graph
-        # paths, and _graph_grads gives their gradients
+        # paths, and a block's sums, finished, give their gradients
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
         params = init_params(config, seed % 1000)
@@ -1361,14 +1448,17 @@ class TestAdjoints:
         x = level + rng.normal(size=(rows, config.lookback))
 
         def graph(inputs):
+            moved = replace(params, **inputs)
             with pytest.MonkeyPatch.context() as patch:
                 _map_paths_as(patch, Path.PHASE_MAP)
-                pred, trace = forward_batch_with_trace(x, replace(params, **inputs), config)
+                step = forward_module.StepSetup(moved, config, rows)
+                pred, trace = forward_batch_with_trace(x, moved, config, step)
             assert trace.path in (Path.OWN_ROWS, Path.PHASE_MAP)
-            return pred, trace
+            return pred, trace, step
 
         def adjoint(cotangent):
-            return backward_module._graph_grads(cotangent, graph(inputs)[1], params, config)[0]
+            _, trace, step = graph(inputs)
+            return _block_adjoint(cotangent, trace, step, params, config)[0]
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias}
         _assert_dot_products(lambda values: graph(values)[0], adjoint, inputs, rng)
