@@ -270,7 +270,7 @@ class StepSetup:
     - ``path``, what ``choose_path`` names for ``rows`` off the series path;
     - kappa, the ``aggregation_kernel``, and conv_bias;
     - on the map paths, the phase map (W, b) of ``phase_map``, whose branch
-      activations go to ``branches`` when that trace is given;
+      activations are traced into ``branches`` when that is given;
     - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``), the
       stacked map [W 0; 0 W]' and the constant conv_bias * ``counted_gain``
       + b that every output gets;
@@ -288,7 +288,6 @@ class StepSetup:
         self.path = choose_path(rows, config)
         self.kernel = aggregation_kernel(params.conv_kernel)
         self.conv_bias = float(params.conv_bias)
-        self.branches = branches
         self.gain = self.offset = None
         if self.path is not Path.OWN_ROWS:
             self.gain, self.offset = phase_map(params, config, branches)
@@ -482,14 +481,18 @@ def _gain_first(padded, mean, config, step: StepSetup, want_trace):
     return _reinterleave(out, mean, config), trace
 
 
-def counted_gain(gain: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(m, w): sum_j W[j, q] over the blocks j whose step j*w + p is before L.
+def padded_phases(config: ModelConfig) -> np.ndarray:
+    """(w,) bool: the phases p whose step (n-1)*w + p in the last block is past L.
 
-    The steps of the last block past L are the graph's zero padding.
+    Those steps are the graph's zero padding.
     """
-    length, w = config.lookback, config.period
-    past = np.arange(w) >= length - (gain.shape[0] - 1) * w
-    return gain.sum(axis=0)[:, None] - np.multiply.outer(gain[-1], past)
+    w = config.period
+    return np.arange(w) >= config.lookback - (config.plan.n - 1) * w
+
+
+def counted_gain(gain: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(m, w): sum_j W[j, q] over the blocks j whose step j*w + p is before L."""
+    return gain.sum(axis=0)[:, None] - np.multiply.outer(gain[-1], padded_phases(config))
 
 
 def past_end(padded: np.ndarray, config: ModelConfig) -> np.ndarray:

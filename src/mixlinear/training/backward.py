@@ -24,6 +24,7 @@ from ..model.forward import (
     forward_batch,
     forward_batch_with_trace,
     map_rows,
+    padded_phases,
     past_end,
 )
 from ..model.params import MixLinearParams
@@ -104,7 +105,8 @@ def backward(x_batch, y_batch, params: MixLinearParams,
 
     blocks = _train_blocks(count, channels, config)
     most = max(hi - lo for lo, hi in blocks) * channels
-    step = StepSetup(params, config, most, ForwardTrace())
+    branches = ForwardTrace()
+    step = StepSetup(params, config, most, branches)
     sums = _StepSums(step, config)
     if isinstance(x_batch, WindowSet):
         length, horizon = config.lookback, config.horizon
@@ -134,7 +136,7 @@ def backward(x_batch, y_batch, params: MixLinearParams,
         _add_block(diff, trace, step, sums, params, config)
     grads, grad_gain, grad_offset = _step_grads(sums, step, config)
     if step.path is not Path.OWN_ROWS:
-        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), step.branches, params, config,
+        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), branches, params, config,
                       grads)
     # keep checkpoint/declaration order
     return sq_sum / values, {name: grads[name] for name, _ in params.named_arrays()}
@@ -285,7 +287,7 @@ def _add_gain_first(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _Step
     sums.outputs += grad_out.sum(axis=2)
     if n * w > length:
         # out[q, p] -= W[n-1, q] (steps @ kappa)[p - first] for the padded p >= first
-        past = np.arange(w) >= length - (n - 1) * w
+        past = padded_phases(config)
         steps = past_end(trace.padded, config)                          # (k, B, w)
         tail = grad_out[:, past]                                        # (m, k, B)
         sums.take_gain += np.tensordot(tail, steps @ step.kernel, axes=([1, 2], [0, 1]))
@@ -303,7 +305,7 @@ def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
     step before L into W, and gain-first adds conv_bias * ``counted_gain``,
     which gives W the further terms below.
     """
-    w, n, m = config.period, config.plan.n, config.plan.m
+    n, m = config.plan.n, config.plan.m
     grads = dict(sums.branches)
     grads["conv_kernel"] = _band_kernel_grad(sums.band) - sums.take_kernel
     if step.path is Path.OWN_ROWS:
@@ -316,9 +318,8 @@ def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
     stacked = sums.map.reshape(m, 2, n + 1)
     grad_gain = (stacked[:, 0, :n] + stacked[:, 1, 1:]).T
     # the constant conv_bias * counted_gain + offset at every (q, p)
-    past = np.arange(w) >= config.lookback - (n - 1) * w
     grad_gain += step.conv_bias * grad_offset
-    grad_gain[-1] -= step.conv_bias * (sums.outputs @ past) + sums.take_gain
+    grad_gain[-1] -= step.conv_bias * (sums.outputs @ padded_phases(config)) + sums.take_gain
     return grads, grad_gain, grad_offset
 
 
