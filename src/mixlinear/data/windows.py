@@ -41,38 +41,35 @@ class WindowSet:
     def batch(self, indices, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Stack windows into (b, L, C) and (b, H, C) arrays.
 
-        Both are read from one time-major block with block[t, k, c] =
-        base[idx[k] + t, c], the windows' steps in ``_view``, and are the
-        (1, 0, 2) transposes of its first L and last H steps.  With ``out``,
-        a pair of writable C-contiguous (L, b, C) and (H, b, C) arrays, each
-        is gathered straight into its array, one ``take`` of base rows:
-        ``backward`` passes the rows of its step's conv buffer and target
-        block, so a block of a training step is never copied again.
-        Without it, a run of consecutive indices i, i+1, ..., which is what
-        ``evaluate`` asks for, is a slice of that view: read-only views of
-        ``base``, x[k, t, c] = base[i+k+t, c]; any other indices gather one
-        writable C-contiguous (L+H, b, C) copy.  Over a C-contiguous base
-        the flattened (b*C, L) and (b*C, H) rows are then the ``.T`` of
-        time-major (L, b*C) and (H, b*C) arrays either way, which the
-        forward reads as they stand.
+        Both are the (1, 0, 2) transposes of time-major (L, b, C) and
+        (H, b, C) arrays with x[t, k, c] = base[idx[k] + t, c].  A run of
+        consecutive indices i, i+1, ..., which is what ``evaluate`` asks
+        for, is a slice of the windows' steps in ``_view``: read-only views
+        of ``base``.  Any other indices are gathered, one ``take`` of base
+        rows each, into ``out``, a pair of writable C-contiguous (L, b, C)
+        and (H, b, C) arrays, or into a fresh pair of them: ``backward``
+        passes the rows of its step's conv buffer and target block, so a
+        block of a training step is never copied again.  Over a
+        C-contiguous base the flattened (b*C, L) and (b*C, H) rows are then
+        the ``.T`` of time-major (L, b*C) and (H, b*C) arrays either way,
+        which the forward reads as they stand.
         """
         idx = np.asarray(indices, dtype=np.intp)
         bad = idx[(idx < 0) | (idx >= self.count)]
         if bad.size:
             raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
+        length, horizon = self.lookback, self.horizon
         if out is None and idx.size and (np.diff(idx) == 1).all():
             block = self._view[:, idx[0]:idx[-1] + 1]
-            x, y = block[:self.lookback], block[self.lookback:]
+            x, y = block[:length], block[length:]
         else:
-            at = np.add.outer(np.arange(self.lookback + self.horizon), idx)
-            if out is None:
-                block = self.base.take(at, axis=0)
-                x, y = block[:self.lookback], block[self.lookback:]
-            else:
-                # indices checked above, so no step reads past base
-                x, y = out
-                self.base.take(at[:self.lookback], axis=0, out=x, mode="clip")
-                self.base.take(at[self.lookback:], axis=0, out=y, mode="clip")
+            x, y = out if out is not None else (
+                np.empty((length, idx.size, self.channels), self.base.dtype),
+                np.empty((horizon, idx.size, self.channels), self.base.dtype))
+            at = np.add.outer(np.arange(length + horizon), idx)
+            # indices checked above, so no step reads past base
+            self.base.take(at[:length], axis=0, out=x, mode="clip")
+            self.base.take(at[length:], axis=0, out=y, mode="clip")
         return x.transpose(1, 0, 2), y.transpose(1, 0, 2)
 
     @property

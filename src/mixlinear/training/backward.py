@@ -173,8 +173,9 @@ class _StepSums:
     - ``outputs``: the (m, w) sums of G over the rows;
     - ``take_gain``, ``take_kernel``: gain-first's take-back of the n*w - L
       padded steps, (m,) on W's last row and (w,) on the kernel;
-    - on ``Path.OWN_ROWS``, ``bias``, the phase block's gradient summed, and
-      ``branches``, the branch weights' gradients.
+    - on ``Path.OWN_ROWS``, whose step ``_train_blocks`` makes one block,
+      ``bias``, the phase block's gradient summed, and ``branches``, the
+      branch weights' gradients.
     """
 
     def __init__(self, step: StepSetup, config: ModelConfig):
@@ -256,17 +257,14 @@ def _add_graph(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums,
         sums.outputs += grad_out.reshape(m, w, batch).sum(axis=2)
         grad_phase = np.matmul(step.gain, grad_out, out=trace.rows.T)
     else:
-        grads: GradientSet = {}
-        grad_rows = _branch_grads(grad_out.T, trace, params, config, grads)
-        for name, grad in grads.items():
-            sums.branches[name] = sums.branches.get(name, 0.0) + grad
+        grad_rows = _branch_grads(grad_out.T, trace, params, config, sums.branches)
         grad_phase = np.ascontiguousarray(grad_rows.T)
 
     # the phase block is the band conv of the buffer plus conv_bias, with the
     # n*w - L padded steps zeroed, so those steps pass no gradient back
     grad_phase.reshape(n * w, -1)[length:] = 0.0
     if trace.path is Path.OWN_ROWS:
-        sums.bias += grad_phase.sum()
+        sums.bias = grad_phase.sum()
     sums.band += _band_grad(grad_phase.reshape(n, w, -1), band_pairs(trace.padded, w))
 
 
