@@ -442,6 +442,15 @@ class TestBatchViews:
             rows = _flatten_windows(got, length, "windows")
             assert np.shares_memory(rows, got) and rows.T.flags.c_contiguous
 
+    @pytest.mark.parametrize("idx", [[3, 4, 5], [7, 6, 5], []])
+    def test_gather_into_given_arrays(self, idx):
+        # with out, even a consecutive run is gathered, into the caller's rows
+        ws = WindowSet(_view_bases()["contiguous"], 9, 5)
+        out = np.full((9, len(idx), 3), np.nan), np.full((5, len(idx), 3), np.nan)
+        for got, given, want in zip(ws.batch(idx, out=out), out, ws.batch(idx)):
+            assert got.base is given
+            assert got.tobytes() == np.asarray(want).tobytes()
+
     @pytest.mark.parametrize("channels", [1, 300])
     def test_window_set_keeps_no_copy(self, channels):
         # runs are views of the series and a gather copies its own windows
