@@ -18,9 +18,14 @@ class WindowSet:
     target; windows never cross the segment's bounds.
     """
 
-    base: np.ndarray  # (rows, C)
+    base: np.ndarray  # (rows, C), made C-contiguous
     lookback: int
     horizon: int
+
+    def __post_init__(self):
+        # consecutive windows of a C-contiguous base are views that
+        # ``evaluate`` predicts from their series; a no-op for ``make_windows``
+        self.base = np.ascontiguousarray(self.base)
 
     @property
     def count(self) -> int:

@@ -6,6 +6,7 @@ engine that evaluates whole (batch, lookback) blocks with numpy matmuls.
 activations the reverse pass needs.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -206,10 +207,17 @@ def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
     return out
 
 
-def forward_batch(x2d: np.ndarray, params: MixLinearParams,
-                  config: ModelConfig) -> np.ndarray:
-    """Predict (B, horizon) from (B, lookback); no trace."""
-    pred, _ = _forward_impl(x2d, params, config, want_trace=False)
+def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
+                  series_setup: "SeriesSetup | None" = None) -> np.ndarray:
+    """Predict (B, horizon) from (B, lookback); no trace.
+
+    ``series_setup`` is the ``SeriesSetup`` an ``evaluate`` made once for
+    all its blocks: rows that take ``Path.SERIES`` read its constants and
+    are predicted into its forecast buffer, so the result holds until the
+    next forward through it.  Without one, or on any other path, the
+    forward makes what it needs itself.
+    """
+    pred, _ = _forward_impl(x2d, params, config, want_trace=False, series_setup=series_setup)
     return pred
 
 
@@ -226,7 +234,7 @@ def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
     return _forward_impl(x2d, params, config, want_trace=True, step=step)
 
 
-def _forward_impl(x2d, params, config, want_trace, step=None):
+def _forward_impl(x2d, params, config, want_trace, step=None, series_setup=None):
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
         raise ValueError(
@@ -235,7 +243,9 @@ def _forward_impl(x2d, params, config, want_trace, step=None):
     rows = x2d.shape[0]
     channels = 0 if want_trace else series_channels(x2d)
     if choose_path(rows, config, channels) is Path.SERIES:
-        return _series_forward(x2d, channels, params, config), None
+        if series_setup is None:
+            series_setup = SeriesSetup(params, config)
+        return _series_forward(x2d, channels, series_setup, config), None
     if step is None:
         step = StepSetup(params, config, rows)
     # x2d.mean(axis=1) without its Python wrapper: the same sum, divided by L
@@ -335,7 +345,85 @@ def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace 
     return images[:-1], images[-1]
 
 
-def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
+class SeriesSetup:
+    """What every ``Path.SERIES`` forward of one ``evaluate`` shares: its constants and buffers.
+
+    ``evaluate`` makes one for all its blocks; a forward given none makes
+    its own.  With kappa the ``aggregation_kernel`` and (W, b) the phase
+    map, it holds kappa, conv_bias, W, and:
+
+    - ``const`` = conv_bias sum_j W + b, which every output gets;
+    - the edge terms.  A window's first (w-1)//2 steps and its last
+      w-1-(w-1)//2 read the series across its edges, where its own conv
+      reads zeros, and its n*w - L padded steps, zero in the graph, read
+      the series conv.  What step t read is taken back from phase t % w
+      with weight W[t // w].  ``runs`` lists them as (start, taps, term,
+      phase, count): ``count`` steps, from ``phase`` on, that are term
+      ``term`` of their phase, and read ``taps`` times the conv buffer's
+      steps from ``start`` on, or, with no taps, the series conv's;
+    - ``coefs``, the (w, m, K) weights of each phase's K terms: term 0 is
+      the window means, the others its edge terms, zero where ``gaps``
+      says the phase has fewer;
+    - the buffers the forwards write to, grown to the largest forward's
+      size and reused, so a forecast holds until the next forward through
+      the setup.
+    """
+
+    def __init__(self, params: MixLinearParams, config: ModelConfig):
+        length, w, n = config.lookback, config.period, config.plan.n
+        left, right = conv_pad_split(w)
+        self.gain, offset = phase_map(params, config, None)
+        self.kernel = aggregation_kernel(params.conv_kernel)
+        self.conv_bias = float(params.conv_bias)
+        gain_sums = self.gain.sum(axis=0)
+        self.const = offset + self.conv_bias * gain_sums
+        taps = np.append(self.kernel, 0.0)
+        index = np.arange(left)
+        # step t < left of window k read kernel[i - t] * centred[k - left + i], t <= i < left
+        before = taps[np.where(index >= index[:, None], index - index[:, None], w)]
+        index = np.arange(right)
+        # step L - right + r read kernel[i + w-1 - r] * centred[k + L + i], i <= r
+        after = taps[np.where(index <= index[:, None], index + w - 1 - index[:, None], w)]
+        # (source, step t, start, taps): the series conv's step k + t read taps
+        # times the buffer from step start + k on, less the window's mean times
+        # their sum; past L, the series conv less the mean times sum(kappa)
+        first = length - right
+        edges = ([("before", t, 0, before[t]) for t in range(left)]
+                 + [("after", t, left + length, after[t - first]) for t in range(first, length)]
+                 + [("tail", t, t, None) for t in range(length, n * w)])
+        taken = np.bincount([t % w for _, t, _, _ in edges], minlength=w)
+        self.coefs = np.zeros((w, config.plan.m, 1 + taken.max(initial=0)))
+        self.coefs[:, :, 0] = 1.0 - self.kernel.sum() * gain_sums
+        self.gaps = [(term, phase) for phase in range(w)
+                     for term in range(1 + taken[phase], self.coefs.shape[2])]
+        runs = []   # [source, start, taps rows, term, first phase, count]
+        taken[:] = 0
+        for source, t, start, row in edges:
+            phase, weight = t % w, self.gain[t // w]
+            taken[phase] += 1
+            term = taken[phase]
+            self.coefs[phase, :, term] = -weight
+            self.coefs[phase, :, 0] += weight * (self.kernel.sum() if row is None else row.sum())
+            if runs and runs[-1][0] == source and runs[-1][3] == term \
+                    and runs[-1][4] + runs[-1][5] == phase:
+                runs[-1][2].append(row)
+                runs[-1][5] += 1
+            else:
+                runs.append([source, start, [row], term, phase, 1])
+        self.runs = [(start, None if source == "tail" else np.array(rows), term, phase, count)
+                     for source, start, rows, term, phase, count in runs]
+        self._buffers = {}
+
+    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous array of ``shape``, the first entries of the buffer ``name``."""
+        size = math.prod(shape)
+        if self._buffers.get(name, np.empty(0)).size < size:
+            self._buffers[name] = None   # free the smaller buffer first
+            self._buffers[name] = np.empty(size)
+        return self._buffers[name][:size].reshape(shape)
+
+
+def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
                     config: ModelConfig) -> np.ndarray:
     """Predict b >= 2 consecutive windows of a C-channel series from the series.
 
@@ -351,10 +439,11 @@ def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
     and w-1-(w-1)//2 last steps, and the n*w - L padded ones) is taken back
     per window.  Each window and channel costs about n*m + (w-1)(m + w/2)
     multiply-adds and m*w adds, plus its share of the conv of the series,
-    2w(b + L + w)/b, and of the branches on the n+1 basis rows; the window
-    map costs L*H.  The channels run in groups, so that the series-length
-    arrays stay small when the series is wide.  Returns the ``.T`` of a
-    C-contiguous (H, b*C) array.
+    2w(b + L + w)/b, and of the branches on the n+1 basis rows, which the
+    ``setup`` ran once; the window map costs L*H.  The channels run in
+    groups, so that the series-length arrays stay small when the series is
+    wide.  Returns the ``.T`` of a C-contiguous (H, b*C) array in the
+    setup's forecast buffer.
     """
     rows, length = x2d.shape
     windows = rows // channels
@@ -362,85 +451,84 @@ def _series_forward(x2d: np.ndarray, channels: int, params: MixLinearParams,
     series = as_strided(x2d, (windows + length - 1, channels), (channels * step, step),
                         writeable=False)
     plan, w = config.plan, config.period
-    gain, offset = phase_map(params, config, None)
-    out = np.empty((plan.m, w, windows, channels))
+    out = setup.buffer("forecast", (plan.m, w, windows, channels))
+    level = series[:length].mean(axis=0)    # each channel's first window's mean
     group = max(1, SERIES_GROUP_FLOATS // (windows + (plan.n + 1) * w))
     for lo in range(0, channels, group):
-        _series_group(series[:, lo:lo + group], out[..., lo:lo + group], gain, offset,
-                      params, config)
+        _series_group(series[:, lo:lo + group], level[lo:lo + group], out[..., lo:lo + group],
+                      setup, config)
     return out.reshape(plan.m * w, rows)[:config.horizon].T
 
 
-def _series_group(series: np.ndarray, out: np.ndarray, gain: np.ndarray, offset: np.ndarray,
-                  params: MixLinearParams, config: ModelConfig) -> None:
+def _series_group(series: np.ndarray, level: np.ndarray, out: np.ndarray, setup: SeriesSetup,
+                  config: ModelConfig) -> None:
     """Write the (m, w, b, G) phase-major forecast of b windows of a (U, G) series to ``out``.
 
-    (gain, offset) is the phase map (W, b).
+    The series is centred on ``level``, its first window's mean.  Output q
+    at phase p of window k is VG[q, (k + p)*G + c] plus a correction that
+    one batched GEMM writes for every phase at once, the setup's ``coefs``
+    times the phase's terms: the window means and the edge terms.  So the
+    output is written once and added to once, from arrays the size of the
+    series, with no temporary of its size.
     """
-    length, w, n = config.lookback, config.period, config.plan.n
+    length, w, n, m = config.lookback, config.period, config.plan.n, config.plan.m
     windows, width = out.shape[2], out.shape[3]
     rows = windows * width
-    left, right = conv_pad_split(w)
-    kernel = aggregation_kernel(params.conv_kernel)
-    conv_bias = float(params.conv_bias)
-    gain_sums = gain.sum(axis=0)
-    taps = np.append(kernel, 0.0)
-    index = np.arange(left)
-    # step t < left of window k read kernel[i - t] * centred[k - left + i], t <= i < left
-    before = taps[np.where(index >= index[:, None], index - index[:, None], w)]
-    index = np.arange(right)
-    # step L - right + r read kernel[i + w-1 - r] * centred[k + L + i], i <= r
-    after = taps[np.where(index <= index[:, None], index + w - 1 - index[:, None], w)]
+    left = conv_pad_split(w)[0]
     blocks = -(-(windows + w - 1) // w)     # w-step blocks of the u = k + p that VG holds
-    # the series less its first window's mean; the conv of its buffer has the
+    # the series less its level; the conv of its buffer has the
     # (blocks + n - 1)*w steps VG reads, which cover the whole series
-    level = series[:length].mean(axis=0)
-    padded = _conv_buffer(series, level, np.empty(((blocks + n) * w, width)), w)
+    padded = _conv_buffer(series, level, setup.buffer("padded", ((blocks + n) * w, width)), w)
     centred = padded[left:]
-    # window means from running sums: window k+1 adds step k+L and drops step k
-    mean = np.empty((windows, width))
+    # the (w, K, rows) terms, each phase's first row the window means, from
+    # running sums: window k+1 adds step k+L and drops step k
+    terms = setup.buffer("terms", (w, setup.coefs.shape[2], rows))
+    mean = terms[0, 0].reshape(windows, width)
     mean[0] = 0.0
     np.subtract(centred[length:length + windows - 1], centred[:windows - 1], out=mean[1:])
     np.cumsum(mean, axis=0, out=mean)
     mean /= length
+    terms[1:, 0] = terms[0, 0]
 
-    conv = conv1d_same_batch(padded.T, kernel).reshape(-1, w * width)
+    conv = conv1d_same_batch(padded.T, setup.kernel,
+                             setup.buffer("conv", (blocks + n - 1, w, width))).reshape(-1, w * width)
     # VG[q, u*G + c] = sum_j conv[u + j*w, c] W[j, q], one GEMM per w-step block of u
-    sums = np.empty((gain.shape[1], blocks * w * width))
+    sums = setup.buffer("vg", (m, blocks * w * width))
     for block in range(blocks):
-        np.matmul(gain.T, conv[block:block + n],
+        np.matmul(setup.gain.T, conv[block:block + n],
                   out=sums[:, block * w * width:(block + 1) * w * width])
-    # a window's mean weighs 1 - sum(kappa) sum_j W[j]; the constant is conv_bias sum_j W[j] + b
-    shift = np.multiply.outer(1.0 - kernel.sum() * gain_sums, mean)[:, None]
-    shift += (offset + conv_bias * gain_sums)[:, None, None, None]
-    shift += level
-    # out[q, p, k, c] = VG[q, (k + p)*G + c]
-    item = sums.itemsize
-    np.add(np.ndarray(out.shape, sums.dtype, sums, 0,
-                      (sums.strides[0], width * item, width * item, item)), shift, out=out)
+    vg = sums.reshape(m, -1, width)
+    vg += setup.const[:, None, None] + level
 
-    # take back what the conv of the series read across each window's edges
-    mean = mean.reshape(rows)
-    if left:
-        read = np.ndarray((left, rows), padded.dtype, padded, 0, (width * item, item))
-        edge = before @ np.ascontiguousarray(read)
-        edge -= np.multiply.outer(before.sum(axis=1), mean)
-        _take_back(out, gain, edge.reshape(left, windows, width), 0)
-    first = length - right
-    if n * w > first:
-        edge = np.empty((n * w - first, rows))
-        if right:
-            read = np.ndarray((right, rows), padded.dtype, padded,
-                              (left + length) * width * item, (width * item, item))
-            edge[:right] = after @ np.ascontiguousarray(read)
-            edge[:right] -= np.multiply.outer(after.sum(axis=1), mean)
-        if n * w > length:
-            # the graph's padded steps t >= L hold zero, the series conv[k + t]
-            tail = np.ndarray((n * w - length, rows), conv.dtype, conv, length * width * item,
-                              (width * item, item))
-            np.subtract(tail, kernel.sum() * mean, out=edge[right:])
-            edge[right:] += conv_bias
-        _take_back(out, gain, edge.reshape(-1, windows, width), first)
+    # the edge terms, from the conv buffer's or the series conv's steps
+    for start, taps, term, phase, count in setup.runs:
+        target = terms[phase:phase + count, term]
+        if taps is None:
+            np.add(_steps(conv.reshape(-1, width), start, count, windows), setup.conv_bias,
+                   out=target)
+        else:
+            np.matmul(taps, _steps(padded, start, taps.shape[1], windows), out=target)
+    for term, phase in setup.gaps:
+        terms[phase, term] = 0.0
+
+    # out[q, p, k, c] = the correction + VG[q, (k + p)*G + c]; the GEMM runs
+    # per phase, or per phase and window for a group of a wider series
+    split = 1 if out.flags.c_contiguous else windows
+    np.matmul(setup.coefs[:, None], terms.reshape(w, -1, split, rows // split).swapaxes(1, 2),
+              out=out.reshape(m, w, split, -1).transpose(1, 2, 0, 3))
+    item = sums.itemsize
+    out += np.ndarray(out.shape, sums.dtype, sums, 0,
+                      (sums.strides[0], width * item, width * item, item))
+
+
+def _steps(steps: np.ndarray, start: int, count: int, windows: int) -> np.ndarray:
+    """(count, b*G) view [i, k*G + c] = steps[start + i + k, c] of a C-contiguous (T, G) array.
+
+    Row i holds step start + i of each of b windows that start a step apart.
+    """
+    row = steps.strides[0]
+    return np.ndarray((count, windows * steps.shape[1]), steps.dtype, steps, start * row,
+                      (row, steps.itemsize))
 
 
 def _take_back(out, gain, edge, first: int):

@@ -10,7 +10,7 @@ import numpy as np
 from ..data.windows import WindowSet, window_runs
 from ..errors import ConfigError, NumericError
 from ..model.config import ModelConfig
-from ..model.forward import forward_batch
+from ..model.forward import SeriesSetup, forward_batch
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
 from .backward import _flatten_windows, backward
@@ -158,11 +158,13 @@ def _eval_block_windows(channels: int, config: ModelConfig) -> int:
     half the values it predicts per channel (at 321 channels, L=720 and
     H=96, blocks of 15 windows, not 8).  At the three benchmark shapes
     (L=720; H=96 over 7 and 321 channels, H=720 over 1) ``evaluate`` peaks
-    at 3.6, 5.1 and 3.3 MB (tracemalloc), against 4.5, 6.3 and 7.5 MB for
+    at 3.4, 5.0 and 2.3 MB (tracemalloc), against 4.5, 6.3 and 7.5 MB for
     the dense (L, H) window map it once used, in blocks of about 1024 rows.
-    A quarter of the values per block ran the two ETTh1 shapes about 1.7x
-    slower, half the 2L/H bound ran Electricity's 1.5x slower, and twice
-    that bound passed its old peak (1 thread, 2-vCPU Xeon).
+    With the series set up once per ``evaluate``, half the values per block
+    ran the 7-channel shape 1.7x slower and the 1-channel one about as fast,
+    and twice them ran both 1.4-2.0x slower (1 thread, 2-vCPU Xeon); half
+    the 2L/H bound ran Electricity's 1.5x slower, and twice it passed its
+    old peak, when the series was set up per block.
     """
     return max(1, min(EVAL_BLOCK_VALUES // (channels * config.horizon),
                       EVAL_BLOCK_ROWS // channels),
@@ -186,14 +188,18 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
 
     Streams the windows through ``forward_batch`` a block at a time, all
     channels at once: view a block of consecutive windows in place, predict
-    it, accumulate its errors, free it.  ``_eval_blocks`` sizes the blocks,
-    so the memory in use is bounded by the block, not by the split length,
-    and every block of two or more windows is predicted from its series
-    (``Path.SERIES``).  A block holds every channel of at least 2L/H
-    windows, so past 2^18/(2L) channels (about 182 at L=720) its
-    prediction grows with the channel count.  Each block's squared errors
-    are summed by ``einsum``, whose result, unlike a BLAS dot product's,
-    does not depend on the thread count.
+    it, accumulate its errors.  ``_eval_blocks`` sizes the blocks, so the
+    memory in use is bounded by the block, not by the split length, and
+    every block of two or more windows is predicted from its series
+    (``Path.SERIES``).  One ``SeriesSetup`` holds what the blocks share,
+    the phase map and the constants built from it, and the buffers each
+    block's forecast is written to.  The targets are subtracted in the
+    forecast's own time-major (H, b*C) layout, along which numpy runs
+    fastest whatever the channel count.  A block holds every channel of at
+    least 2L/H windows, so past 2^18/(2L) channels (about 182 at L=720)
+    its prediction grows with the channel count.  Each block's squared
+    errors are summed by ``einsum``, whose result, unlike a BLAS dot
+    product's, does not depend on the thread count.
     Raises ``NumericError`` at the first block whose error sums are not
     finite, such as one that reads a NaN.
     """
@@ -201,12 +207,14 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
         raise ConfigError("window set is empty")
     sq_sum = 0.0
     abs_sum = 0.0
+    setup = SeriesSetup(params, config)
     for lo, hi in _eval_blocks(windows.count, windows.channels, config):
         x, y = windows.batch(np.arange(lo, hi))
         rows = _flatten_windows(x, config.lookback, "inputs")
-        err = forward_batch(rows, params, config)
-        err -= _flatten_windows(y, config.horizon, "targets")
-        flat = err.ravel(order="K")  # a view in either layout forward_batch returns
+        err = forward_batch(rows, params, config, setup)
+        # in the forecast's time-major (H, b*C) layout
+        np.subtract(err.T, _flatten_windows(y, config.horizon, "targets").T, out=err.T)
+        flat = err.ravel(order="K")  # a view of that layout
         # an overflow is reported as the NumericError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             sq_sum += float(np.einsum("i,i->", flat, flat))
@@ -215,6 +223,6 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
             raise NumericError(
                 f"non-finite evaluation error in windows [{lo}, {hi})"
             )
-        del err, flat  # free this block's prediction before the next one is made
+        del err, flat  # so that a larger block can replace the buffer
     count = windows.count * windows.channels * config.horizon
     return sq_sum / count, abs_sum / count

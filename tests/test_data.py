@@ -417,18 +417,21 @@ class TestBatchViews:
     def test_consecutive_run_is_read_only_view(self, layout, first, count):
         base = _view_bases()[layout]
         ws = WindowSet(base, 9, 5)
+        # the set holds a C-contiguous base: the array itself, or a copy of
+        # the column slice
+        assert ws.base.flags.c_contiguous and (ws.base is base) == (layout == "contiguous")
+        assert np.array_equal(ws.base, base)
         idx = np.arange(first, first + count)
         views, gathered = ws.batch(idx), ws.batch(idx[::-1])
         for view, copy, length in zip(views, gathered, (9, 5)):
             copy = copy[::-1]
-            assert np.shares_memory(view, base) and not view.flags.writeable
+            assert np.shares_memory(view, ws.base) and not view.flags.writeable
             assert view.shape == copy.shape
             assert view.tobytes() == copy.tobytes()
             rows = _flatten_windows(view, length, "windows")
             assert rows.tobytes() == _flatten_windows(copy, length, "windows").tobytes()
-            if layout == "contiguous":
-                # the flattened rows are the .T of a time-major view
-                assert np.shares_memory(rows, base)
+            # the flattened rows are the .T of a time-major view
+            assert np.shares_memory(rows, ws.base)
 
     @pytest.mark.parametrize("idx", [[3, 5, 6], [2, 2, 3], [7, 6, 5], [1, 0], [4, 4]])
     def test_other_indices_gather_writable_copies(self, idx):

@@ -402,6 +402,12 @@ def _mode_configs(count_per_mode=4, seed=30):
             for mode in Mode for _ in range(count_per_mode)]
 
 
+def _ragged_period_configs():
+    """A config of each mode with w not dividing L and m*w > H: L=40, H=13, w=7."""
+    return [(ModelConfig(40, 13, 7, lpf_cutoff=3, latent_width=2, mode=mode), 50 + i)
+            for i, mode in enumerate(Mode)]
+
+
 def _map_paths_as(monkeypatch, path):
     """Make every forward that ``choose_path`` sends down a map path take ``path``."""
     choose = forward_module.choose_path
@@ -440,20 +446,27 @@ class TestAffineMap:
     where that costs fewer MACs than the graph; evaluate's blocks are runs
     of windows and take the series path instead."""
 
-    @pytest.mark.parametrize("channels, blocks, extra", [
+    @pytest.mark.parametrize("channels, blocks, extra, configs", [
         # one full block, then 2 more windows
-        pytest.param(3, 1, 2, id="2"),
-        pytest.param(3, 2, 0, id="256"),
+        pytest.param(3, 1, 2, _mode_configs, id="2"),
+        pytest.param(3, 2, 0, _mode_configs, id="256"),
         # one window alone predicts more values than a block may
-        pytest.param(1025, 0, 3, id="wide"),
+        pytest.param(1025, 0, 3, _mode_configs, id="wide"),
         # three full blocks, then a tail of 5
-        pytest.param(64, 3, 5, id="ragged"),
-        pytest.param(3, 0, 1, id="single"),
+        pytest.param(64, 3, 5, _mode_configs, id="ragged"),
+        pytest.param(3, 0, 1, _mode_configs, id="single"),
+        # one channel, whose targets are rows with strides (8, 8)
+        pytest.param(1, 2, 3, _mode_configs, id="one-channel"),
+        # w does not divide L and m*w > H, so the edges and the padded steps
+        # put two terms on some phases
+        pytest.param(1, 2, 3, _ragged_period_configs, id="ragged-period-one-channel"),
+        pytest.param(3, 2, 3, _ragged_period_configs, id="ragged-period"),
     ])
-    def test_evaluate_matches_per_window_forward(self, channels, blocks, extra, monkeypatch):
+    def test_evaluate_matches_per_window_forward(self, channels, blocks, extra, configs,
+                                                 monkeypatch):
         # a 1024-value budget makes blocks of tens of windows on these configs
         monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 1024)
-        for config, seed in _mode_configs():
+        for config, seed in configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
             count = blocks * loop_module._eval_block_windows(channels, config) + extra
@@ -559,6 +572,29 @@ class TestAffineMap:
         assert [rows // 3 for rows, _ in calls] == want
         assert all(path is Path.SERIES for _, path in calls[count == 1:])
 
+    def test_column_slice_evaluates_on_series_path(self, monkeypatch):
+        # a set over some columns of a wider series, as a checkpoint fit on
+        # a few channels makes, holds them C-contiguous, so its blocks are
+        # views of its series and every one is predicted from it
+        monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 1024)
+        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+        values = np.random.default_rng(41).normal(size=(300, 9))
+        sliced = WindowSet(values[:, :7], 16, 8)
+        assert sliced.base.flags.c_contiguous
+        params = init_params(config, 41)
+        paths = []
+
+        def recording(rows, *args):
+            paths.append(choose_path(rows.shape[0], config, series_channels(rows)))
+            return forward_batch(rows, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(loop_module, "forward_batch", recording)
+            got = evaluate(params, sliced, config)
+        assert len(paths) >= 3 and set(paths) == {Path.SERIES}
+        copy = WindowSet(np.ascontiguousarray(values[:, :7]), 16, 8)
+        assert got == evaluate(params, copy, config)
+
     def test_evaluate_memory_is_bounded_by_block(self):
         # 300 windows of 64 channels: gathering all 19200 rows at once peaks
         # at 11.1 MB; blocks keep the peak near one block's prediction
@@ -596,7 +632,8 @@ class TestAffineMap:
         assert peak <= parent_peak
 
     def test_evaluate_runs_no_gain_first(self, monkeypatch):
-        # every block runs the conv and the phase map on its own series
+        # every block runs the conv on its own series, and the phase map is
+        # built once for all of them
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
         assert choose_path(64 * 2, config) is Path.GAIN_FIRST
         gain_firsts, convs, phase_maps = [], [], []
@@ -614,7 +651,7 @@ class TestAffineMap:
         monkeypatch.setattr(forward_module, "phase_map", counting(phase_maps, phase_map))
         calls = self._evaluate_calls(monkeypatch, config, 64, 1000)
         assert len(calls) >= 3 and gain_firsts == []
-        assert len(convs) == len(phase_maps) == len(calls)
+        assert len(convs) == len(calls) and len(phase_maps) == 1
 
     def test_gain_first_follows_in_place_edits(self, monkeypatch):
         # an edit between two calls (as grad_check makes) changes the map,
