@@ -393,6 +393,7 @@ class SeriesSetup:
                  + [("tail", t, t, None) for t in range(length, n * w)])
         taken = np.bincount([t % w for _, t, _, _ in edges], minlength=w)
         self.coefs = np.zeros((w, config.plan.m, 1 + taken.max(initial=0)))
+        # away from its edges, a window's mean weighs 1 - sum(kappa) sum_j W[j]
         self.coefs[:, :, 0] = 1.0 - self.kernel.sum() * gain_sums
         self.gaps = [(term, phase) for phase in range(w)
                      for term in range(1 + taken[phase], self.coefs.shape[2])]
@@ -437,13 +438,14 @@ def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
     and VG[u] = sum_j S[u + j*w] W[j] serves every window and phase with
     k + p = u.  What S read across each window's edges (the (w-1)//2 first
     and w-1-(w-1)//2 last steps, and the n*w - L padded ones) is taken back
-    per window.  Each window and channel costs about n*m + (w-1)(m + w/2)
-    multiply-adds and m*w adds, plus its share of the conv of the series,
-    2w(b + L + w)/b, and of the branches on the n+1 basis rows, which the
-    ``setup`` ran once; the window map costs L*H.  The channels run in
-    groups, so that the series-length arrays stay small when the series is
-    wide.  Returns the ``.T`` of a C-contiguous (H, b*C) array in the
-    setup's forecast buffer.
+    per window.  Each window and channel costs about n*m + (w-1)*w/2 + K*m*w
+    multiply-adds, K the terms per phase (at most 2 when w divides L), and
+    m*w adds, plus its share of the conv of the series, 2w(b + L + w)/b,
+    and of the branches on the n+1 basis rows, which the ``setup`` ran
+    once; the window map costs L*H.  The channels run in groups, so that
+    the series-length arrays stay small when the series is wide.  Returns
+    the ``.T`` of a C-contiguous (H, b*C) array in the setup's forecast
+    buffer.
     """
     rows, length = x2d.shape
     windows = rows // channels

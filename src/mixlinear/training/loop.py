@@ -194,8 +194,8 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     (``Path.SERIES``).  One ``SeriesSetup`` holds what the blocks share,
     the phase map and the constants built from it, and the buffers each
     block's forecast is written to.  The targets are subtracted in the
-    forecast's own time-major (H, b*C) layout, along which numpy runs
-    fastest whatever the channel count.  A block holds every channel of at
+    forecast's own time-major (H, b*C) layout, which numpy iterates along
+    its rows whatever the channel count.  A block holds every channel of at
     least 2L/H windows, so past 2^18/(2L) channels (about 182 at L=720)
     its prediction grows with the channel count.  Each block's squared
     errors are summed by ``einsum``, whose result, unlike a BLAS dot
