@@ -369,20 +369,15 @@ def cmd_gradcheck(settings: dict) -> int:
         if result.max_rel_error > worst:
             worst = result.max_rel_error
             worst_param = result.worst_param
-        # a batch past n+1 phase rows takes a map path; its gradient against
-        # its windows' own, from a generator of its own so that the trials
-        # above draw the same configs whether or not this runs
-        rows = max(2, (config.plan.n + 1) // config.period + 1)
-        batch_rng = np.random.default_rng((settings["seed"], trial))
-        x = batch_rng.normal(size=(rows, config.lookback))
-        y = batch_rng.normal(size=(rows, config.horizon))
-        path = choose_path(rows, config)
+        # the batch's gradient against its windows' own, on the map path
+        # the config takes
+        path = choose_path(batch, config)
         gap, seen = gaps.get(path, (0.0, 0))
         gaps[path] = (max(gap, single_window_gap(params, x, y, config)), seen + 1)
     print(f"checked {settings['trials']} configs; "
           f"max relative discrepancy = {worst:.3e} (parameter {worst_param!r})")
     for path, (gap, seen) in sorted(gaps.items(), key=lambda item: item[0].value):
-        print(f"{path.value} past n+1 phase rows, {seen} configs: max gap to the mean of "
+        print(f"{path.value}, {seen} configs: max gap to the mean of "
               f"single windows = {gap:.3e} of the largest entry")
     failed = False
     if worst >= 1e-4:

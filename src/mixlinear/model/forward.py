@@ -21,7 +21,6 @@ from .params import MixLinearParams
 class Path(Enum):
     """The exact path a forward of R flattened windows takes; see ``choose_path``."""
 
-    OWN_ROWS = "own rows"       # the branches run on every phase row
     PHASE_MAP = "phase map"     # the graph, with the phase map as one GEMM
     GAIN_FIRST = "gain first"   # the phase map on the period blocks, then the conv
     SERIES = "series"           # consecutive windows, from their series; untraced
@@ -47,31 +46,22 @@ def series_channels(x2d: np.ndarray) -> int:
     return 0 if x2d.shape[0] % channels else channels
 
 
-def map_rows(config: ModelConfig) -> int:
-    """The fewest rows whose R*w phase rows outnumber the n+1 basis rows of ``phase_map``."""
-    return (config.plan.n + 1) // config.period + 1
-
-
 def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     """The path a forward of ``rows`` flattened windows takes.
 
     ``channels`` is the rows' ``series_channels``, or 0 when they are not
     windows of one series or the forward is traced.  Two or more
     consecutive windows are predicted from their series, which they share
-    all but one step of.  Otherwise, while the rows' R*w phase rows number
-    at most the n+1 basis rows (fewer than ``map_rows``), every phase row
-    runs through the branches.
-    Past that the branches run on the basis rows only, and the phase map
-    (W, b) is applied either after the band conv, on the phase block (the
-    graph, 2*L*w + L*m MACs per row), or before it, on the period blocks of
-    the centred windows (gain-first, 2*L*m + 2*H*w), whichever costs fewer.
+    all but one step of.  Otherwise the branches run on the n+1 basis rows
+    of ``phase_map`` only, and the phase map (W, b) is applied either after
+    the band conv, on the phase block (the graph, 2*L*w + L*m MACs per
+    row), or before it, on the period blocks of the centred windows
+    (gain-first, 2*L*m + 2*H*w), whichever costs fewer.
     """
     if channels and rows >= 2 * channels:
         return Path.SERIES
     length, horizon, w = config.lookback, config.horizon, config.period
     m = config.plan.m
-    if rows < map_rows(config):
-        return Path.OWN_ROWS
     if 2 * length * m + 2 * horizon * w < 2 * length * w + length * m:
         return Path.GAIN_FIRST
     return Path.PHASE_MAP
@@ -83,10 +73,9 @@ class ForwardTrace:
 
     The graph paths run time-major: their arrays keep time (or the phase
     index j) on the first axis and the batch on the last, so the phase
-    rows and the re-interleave are reshapes, not copies.  P is the number
-    of rows the branches ran on: the phase rows themselves on
-    ``Path.OWN_ROWS``, else the n+1 basis rows of ``phase_map``, whose
-    trace holds the branch activations alone.  ``padded``, ``rows`` and
+    rows and the re-interleave are reshapes, not copies.  P = n+1 is the
+    number of rows the branches ran on, the basis rows of ``phase_map``,
+    whose trace holds the branch activations alone.  ``padded``, ``rows`` and
     ``images`` live in the ``StepSetup``'s workspace, so they hold until
     the next forward through the same step; ``backward`` writes the phase
     block's gradient over ``rows`` once it has read them.
@@ -262,11 +251,8 @@ def _forward_impl(x2d, params, config, want_trace, step=None, series_setup=None)
     block += step.conv_bias
     block.reshape(-1, rows)[length:] = 0.0
     trace = ForwardTrace(step.path, padded, block.T) if want_trace else None
-    if step.path is Path.PHASE_MAP:
-        out = step.gain.T @ block
-        out += step.offset[:, None]
-    else:
-        out = _branches(block.T, params, config, trace).T
+    out = step.gain.T @ block
+    out += step.offset[:, None]
     return _reinterleave(out, mean, config), trace
 
 
@@ -279,8 +265,8 @@ class StepSetup:
 
     - ``path``, what ``choose_path`` names for ``rows`` off the series path;
     - kappa, the ``aggregation_kernel``, and conv_bias;
-    - on the map paths, the phase map (W, b) of ``phase_map``, whose branch
-      activations are traced into ``branches`` when that is given;
+    - the phase map (W, b) of ``phase_map``, whose branch activations are
+      traced into ``branches`` when that is given;
     - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``), the
       stacked map [W 0; 0 W]' and the constant conv_bias * ``counted_gain``
       + b that every output gets;
@@ -298,9 +284,7 @@ class StepSetup:
         self.path = choose_path(rows, config)
         self.kernel = aggregation_kernel(params.conv_kernel)
         self.conv_bias = float(params.conv_bias)
-        self.gain = self.offset = None
-        if self.path is not Path.OWN_ROWS:
-            self.gain, self.offset = phase_map(params, config, branches)
+        self.gain, self.offset = phase_map(params, config, branches)
         lead = n
         if self.path is Path.GAIN_FIRST:
             self.band = np.append(self.kernel, 0.0)[band_taps(w)]

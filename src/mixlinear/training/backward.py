@@ -23,12 +23,11 @@ from ..model.forward import (
     counted_gain,
     forward_batch,
     forward_batch_with_trace,
-    map_rows,
     padded_phases,
     past_end,
 )
 from ..model.params import MixLinearParams
-from ..numerics import band_pairs, band_taps, dft_matrix, idft_matrix
+from ..numerics import band_pairs, band_taps, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
 
@@ -65,12 +64,10 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     block, and one ``_StepSums`` the gradient sums.  A ``WindowSet`` block
     is gathered (``WindowSet.batch``) straight into the workspace's conv
     buffer and target block, where the forward centres it in place; an
-    array block is centred into the buffer from the arrays.  A step too
-    small for the phase map is one block whose branches run on its own
-    phase rows (``Path.OWN_ROWS``).  Otherwise every block is past n+1
-    phase rows and applies the one map on the path ``choose_path`` names:
-    the branches run once per step, on the n+1 basis rows of ``phase_map``,
-    and their adjoint once at the end.  The squared errors are summed block
+    array block is centred into the buffer from the arrays.  Every block
+    applies the one phase map on the path ``choose_path`` names: the
+    branches run once per step, on the n+1 basis rows of ``phase_map``, and
+    their adjoint once at the end.  The squared errors are summed block
     by block, in a fixed order and by ``einsum``, whose result does not
     depend on the BLAS thread count.
 
@@ -80,13 +77,13 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     (H, B) prediction gradient read as the (m, w, B) phase outputs G undoes
     the re-interleave.  On ``Path.GAIN_FIRST`` the block runs the forward's
     GEMMs transposed: it adds sum_q G_q U_q', the band's gradient, and
-    G_U Z', the stacked map's.  On the graph paths it flows back through
-    the phase map (``Path.PHASE_MAP``: one GEMM each for the map's gradient
-    and the phase block's) or the branches onto the phase block, the band
-    conv's output, and adds the band's gradient sum_j G_j pairs_j' over the
-    buffer's block pairs.  Each block also adds G summed over its rows, from
-    which the step gets the offset's and conv_bias's gradients, and the
-    kernel's is the band's summed along its diagonals.
+    G_U Z', the stacked map's.  On ``Path.PHASE_MAP`` it flows back through
+    the phase map, one GEMM each for the map's gradient and the phase
+    block's, onto the phase block, the band conv's output, and adds the
+    band's gradient sum_j G_j pairs_j' over the buffer's block pairs.  Each
+    block also adds G summed over its rows, from which the step gets the
+    offset's and conv_bias's gradients, and the kernel's is the band's
+    summed along its diagonals.
     """
     if isinstance(x_batch, WindowSet):
         windows, idx = x_batch, np.asarray(y_batch, dtype=np.intp)
@@ -133,11 +130,9 @@ def backward(x_batch, y_batch, params: MixLinearParams,
         flat = diff.ravel(order="K")
         sq_sum += float(np.einsum("i,i->", flat, flat))
         diff *= 2.0 / values
-        _add_block(diff, trace, step, sums, params, config)
+        _add_block(diff, trace, step, sums, config)
     grads, grad_gain, grad_offset = _step_grads(sums, step, config)
-    if step.path is not Path.OWN_ROWS:
-        _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), branches, params, config,
-                      grads)
+    _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), branches, params, config, grads)
     # keep checkpoint/declaration order
     return sq_sum / values, {name: grads[name] for name, _ in params.named_arrays()}
 
@@ -147,8 +142,7 @@ def _train_blocks(count: int, channels: int, config: ModelConfig) -> list[tuple[
 
     As few near-equal runs of whole windows as gather at most
     ``TRAIN_BLOCK_FLOATS`` floats, (L+H)*C per window, but at least one
-    window and never fewer than ``map_rows`` rows, so that every block
-    applies the step's phase map; a step of fewer rows is one block.  2^16
+    window; every block applies the step's phase map whatever its rows.  2^16
     floats (512 KB) is 11 windows at L=720, H=96 and 7 channels, and 45 at
     H=720 and 1 channel.  There a 256-window step peaks at 1.8 and 2.3 MB
     (tracemalloc), against 26.6 and 9.2 MB as one block.  Over benchmark
@@ -159,7 +153,7 @@ def _train_blocks(count: int, channels: int, config: ModelConfig) -> list[tuple[
     first pass.
     """
     most = max(1, TRAIN_BLOCK_FLOATS // ((config.lookback + config.horizon) * channels))
-    return window_runs(count, most, -(-map_rows(config) // channels))
+    return window_runs(count, most, 1)
 
 
 class _StepSums:
@@ -172,10 +166,7 @@ class _StepSums:
       or the graph's (n, m) gradient on W, phase block times G';
     - ``outputs``: the (m, w) sums of G over the rows;
     - ``take_gain``, ``take_kernel``: gain-first's take-back of the n*w - L
-      padded steps, (m,) on W's last row and (w,) on the kernel;
-    - on ``Path.OWN_ROWS``, whose step ``_train_blocks`` makes one block,
-      ``bias``, the phase block's gradient summed, and ``branches``, the
-      branch weights' gradients.
+      padded steps, (m,) on W's last row and (w,) on the kernel.
     """
 
     def __init__(self, step: StepSetup, config: ModelConfig):
@@ -186,8 +177,6 @@ class _StepSums:
         self.outputs = np.zeros((m, w))
         self.take_gain = np.zeros(m)
         self.take_kernel = np.zeros(w)
-        self.bias = 0.0
-        self.branches: GradientSet = {}
 
 
 def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.ndarray:
@@ -219,8 +208,7 @@ def _band_kernel_grad(band: np.ndarray) -> np.ndarray:
                        minlength=width + 1)[:width]
 
 
-def _add_block(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, params,
-               config):
+def _add_block(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, config):
     """Add one block's raw gradient sums to the step's ``sums``, by the path its trace records.
 
     ``grad_pred`` is the (B, H) gradient on the block's prediction.
@@ -228,7 +216,7 @@ def _add_block(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums,
     if trace.path is Path.GAIN_FIRST:
         _add_gain_first(grad_pred, trace, step, sums, config)
     else:
-        _add_graph(grad_pred, trace, step, sums, params, config)
+        _add_graph(grad_pred, trace, step, sums, config)
 
 
 def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -244,27 +232,20 @@ def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndar
     return grad_seq
 
 
-def _add_graph(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, params,
-               config):
-    """``_add_block`` on the graph paths."""
+def _add_graph(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, config):
+    """``_add_block`` on ``Path.PHASE_MAP``."""
     batch = grad_pred.shape[0]
     length, w, n, m = config.lookback, config.period, config.plan.n, config.plan.m
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, -1)
-    if trace.path is Path.PHASE_MAP:
-        # the phase block saw only gain' @ phase + offset; once read, its
-        # workspace takes its gradient
-        sums.map += trace.rows.T @ grad_out.T
-        sums.outputs += grad_out.reshape(m, w, batch).sum(axis=2)
-        grad_phase = np.matmul(step.gain, grad_out, out=trace.rows.T)
-    else:
-        grad_rows = _branch_grads(grad_out.T, trace, params, config, sums.branches)
-        grad_phase = np.ascontiguousarray(grad_rows.T)
+    # the phase block saw only gain' @ phase + offset; once read, its
+    # workspace takes its gradient
+    sums.map += trace.rows.T @ grad_out.T
+    sums.outputs += grad_out.reshape(m, w, batch).sum(axis=2)
+    grad_phase = np.matmul(step.gain, grad_out, out=trace.rows.T)
 
     # the phase block is the band conv of the buffer plus conv_bias, with the
     # n*w - L padded steps zeroed, so those steps pass no gradient back
     grad_phase.reshape(n * w, -1)[length:] = 0.0
-    if trace.path is Path.OWN_ROWS:
-        sums.bias = grad_phase.sum()
     sums.band += _band_grad(grad_phase.reshape(n, w, -1), band_pairs(trace.padded, w))
 
 
@@ -296,19 +277,15 @@ def _add_gain_first(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _Step
 def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
     """Finish a step's ``sums``: the conv's gradients, and the gradients on the phase map (W, b).
 
-    Returns (grads, grad_gain, grad_offset); on ``Path.OWN_ROWS`` the
-    branches' gradients are in ``grads`` and the other two are None.  The
-    output sums give b's gradient, summed over the phases, and conv_bias's,
-    weighted by ``counted_gain``: on the graph conv_bias rides every phase
-    step before L into W, and gain-first adds conv_bias * ``counted_gain``,
-    which gives W the further terms below.
+    Returns (grads, grad_gain, grad_offset), with the kernel's and
+    conv_bias's gradients in ``grads``.  The output sums give b's gradient,
+    summed over the phases, and conv_bias's, weighted by ``counted_gain``:
+    on the graph conv_bias rides every phase step before L into W, and
+    gain-first adds conv_bias * ``counted_gain``, which gives W the further
+    terms below.
     """
     n, m = config.plan.n, config.plan.m
-    grads = dict(sums.branches)
-    grads["conv_kernel"] = _band_kernel_grad(sums.band) - sums.take_kernel
-    if step.path is Path.OWN_ROWS:
-        grads["conv_bias"] = np.asarray(sums.bias)
-        return grads, None, None
+    grads = {"conv_kernel": _band_kernel_grad(sums.band) - sums.take_kernel}
     grad_offset = sums.outputs.sum(axis=1)
     grads["conv_bias"] = np.asarray(np.sum(sums.outputs * counted_gain(step.gain, config)))
     if step.path is Path.PHASE_MAP:
@@ -322,17 +299,18 @@ def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
 
 
 def _branch_grads(grad_out, trace, params, config, grads):
-    """Adjoint of ``_branches``: (P, m) -> (P, n); parameter grads into ``grads``."""
+    """Adjoint of ``_branches`` in their parameters: (P, m) gradient -> grads into ``grads``.
+
+    The rows the branches ran on are ``phase_map``'s constant basis rows, so
+    no gradient flows back to them.
+    """
     if config.mode is Mode.SPARSE_BASELINE:
         grads["w_point"] = grad_out.T @ trace.branch_rows
-        return grad_out @ params.w_point
-    plan = config.plan
-    grad_padded = np.zeros((grad_out.shape[0], plan.n_hat))
+        return
     if config.has_time_branch:
-        grad_padded += _time_branch_grads(grad_out, trace, params, plan, grads)
+        _time_branch_grads(grad_out, trace, params, config.plan, grads)
     if config.has_freq_branch:
-        grad_padded += _freq_branch_grads(grad_out, trace, params, config, grads)
-    return grad_padded[:, :plan.n]
+        _freq_branch_grads(grad_out, trace, params, config, grads)
 
 
 def _time_branch_grads(grad_out, trace, params, plan, grads):
@@ -350,8 +328,6 @@ def _time_branch_grads(grad_out, trace, params, plan, grads):
     segments = trace.rows_padded.reshape(count, plan.seg_in, plan.seg_in)
     grads["w_intra"] = np.einsum("bpq,bpr->qr", grad_intra, segments)
     grads["b_intra"] = grad_intra[trace.bias_from:].sum(axis=(0, 1))
-    grad_segments = grad_intra @ params.w_intra              # (P, seg_in, seg_in)
-    return grad_segments.reshape(count, plan.n_hat)
 
 
 def _freq_branch_grads(grad_out, trace, params, config, grads):
@@ -372,11 +348,6 @@ def _freq_branch_grads(grad_out, trace, params, config, grads):
     grad_enc = grad_latent.T @ trace.spec_lpf.conj()
     grads["w_enc_re"] = grad_enc.real
     grads["w_enc_im"] = grad_enc.imag
-    grad_lpf = grad_latent @ params.w_enc.conj()             # (P, cutoff)
-
-    grad_spectrum = np.zeros((count, plan.bins_in), dtype=np.complex128)
-    grad_spectrum[:, :config.lpf_cutoff] = grad_lpf
-    return (grad_spectrum @ dft_matrix(plan.n_hat).conj()).real
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +425,16 @@ def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig,
 def single_window_gap(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -> float:
     """Gap between a batch's gradient and the mean of its windows' own gradients.
 
-    The loss is the mean over the batch, so the two agree up to rounding
-    whatever path each ``backward`` takes; a lone window of at most n+1
-    phase rows runs the branches on its own rows, the graph that
-    :func:`grad_check` gates.  Returns the largest absolute difference over
-    every parameter entry, relative to the largest entry of the mean; a
-    non-finite gap counts as infinite.
+    The loss is the mean over the batch, so the two agree up to rounding.
+    The batch and each lone window apply the same phase map on the same
+    path, so the gap checks that a step's sums over its rows and blocks
+    add up, not the map's adjoint itself.  :func:`grad_check` checks that
+    by finite differences; at full size the tests check it against central
+    differences of the ``forward_batch`` loss, and ``forward_batch``
+    against ``tests/oracles.py``'s per-row ``forward_loop``, which runs no
+    map.  Returns the largest absolute difference over every parameter
+    entry, relative to the largest entry of the mean; a non-finite gap
+    counts as infinite.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")

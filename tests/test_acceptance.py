@@ -86,10 +86,10 @@ def test_criterion_3_gradient_correctness(capsys):
     line = [l for l in out.splitlines() if "max relative discrepancy" in l][0]
     value = float(line.split("=")[1].split("(")[0])
     assert value < 1e-4
-    # batches past n+1 phase rows, on the map path each takes, against the
-    # mean of their single windows
+    # each batch, on the map path its config takes, against the mean of its
+    # single windows
     gaps = [float(l.split("= ")[1].split()[0]) for l in out.splitlines()
-            if " past n+1 phase rows, " in l]
+            if ": max gap to the mean of " in l]
     assert gaps and max(gaps) <= 1e-12
     assert elapsed < 30.0
     with capsys.disabled():

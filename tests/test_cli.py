@@ -485,8 +485,8 @@ class TestGradcheck:
     @staticmethod
     def _map_path_lines(out):
         """{path name: gap} from the lines gradcheck prints per map path."""
-        lines = [line for line in out.splitlines() if " past n+1 phase rows, " in line]
-        return {line.split(" past ")[0]: float(line.split("= ")[1].split()[0])
+        lines = [line for line in out.splitlines() if ": max gap to the mean of " in line]
+        return {line.split(", ")[0]: float(line.split("= ")[1].split()[0])
                 for line in lines}
 
     def test_forty_trials_reach_both_map_paths(self, capsys):

@@ -31,7 +31,6 @@ from mixlinear.model.forward import (
     ForwardTrace,
     Path,
     choose_path,
-    map_rows,
     phase_map,
     series_channels,
 )
@@ -48,7 +47,7 @@ from mixlinear.training import (
 )
 from mixlinear.training.backward import _affine_map_adjoint
 from conftest import REPO_ROOT
-from oracles import decompose_trend_loop, forward_loop, loop_mae, loop_mse
+from oracles import forward_loop, loop_mae, loop_mse
 from test_model import zeroed
 
 # the package re-exports functions that shadow these module names
@@ -426,10 +425,10 @@ def _graph_backward(x, y, params, config, monkeypatch):
         return backward(x, y, params, config)
 
 
-def _block_adjoint(grad_pred, trace, step, params, config):
+def _block_adjoint(grad_pred, trace, step, config):
     """(grads, grad_gain, grad_offset) of one traced block, finished as a one-block step."""
     sums = backward_module._StepSums(step, config)
-    backward_module._add_block(grad_pred, trace, step, sums, params, config)
+    backward_module._add_block(grad_pred, trace, step, sums, config)
     return backward_module._step_grads(sums, step, config)
 
 
@@ -441,10 +440,10 @@ def _level_walks(rng, rows, config, level=30.0):
 
 
 class TestAffineMap:
-    """Past n+1 phase rows, backward and forward_batch on rows that are not a
-    run of windows apply the phase map before the conv (``Path.GAIN_FIRST``)
-    where that costs fewer MACs than the graph; evaluate's blocks are runs
-    of windows and take the series path instead."""
+    """backward and forward_batch on rows that are not a run of windows
+    apply the phase map before the conv (``Path.GAIN_FIRST``) where that
+    costs fewer MACs than the graph; evaluate's blocks are runs of windows
+    and take the series path instead."""
 
     @pytest.mark.parametrize("channels, blocks, extra, configs", [
         # one full block, then 2 more windows
@@ -495,7 +494,7 @@ class TestAffineMap:
                 arr += 0.1 * rng.normal(size=arr.shape)
             plan = plan_shapes(config)
             fewest = (plan.n + 1) // config.period + 1
-            for rows in (fewest, config.lookback + 2, 2 * config.lookback + 3):
+            for rows in (1, fewest, config.lookback + 2, 2 * config.lookback + 3):
                 x = 5.0 + rng.normal(size=(rows, config.lookback))
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
                 traced, trace = forward_batch_with_trace(x, params, config)
@@ -675,7 +674,9 @@ class TestAffineMap:
     @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
     def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
                                                            monkeypatch):
-        # the fewest windows past n+1 phase rows, one fewer and one more
+        # the fewest windows whose R*w phase rows outnumber the n+1 basis
+        # rows, one fewer and one more: on either side, the step applies the
+        # phase map on the path its MACs choose
         paths = []
 
         def recording(rows, *args):
@@ -695,8 +696,7 @@ class TestAffineMap:
             y = rng.normal(size=(rows, config.horizon))
             paths.clear()
             loss, grads = backward(x, y, params, config)
-            assert paths == [choose_path(rows, config)]
-            assert (paths[0] is Path.OWN_ROWS) == (rows * config.period <= config.plan.n + 1)
+            assert paths == [choose_path(rows, config)] == [choose_path(1, config)]
             reached.add(paths[0])
 
             paths.clear()
@@ -707,7 +707,7 @@ class TestAffineMap:
             for name, grad in grads.items():
                 error = np.linalg.norm(grad - want[name])
                 assert error <= 1e-10 * np.linalg.norm(want[name]), (config, name)
-        assert (Path.GAIN_FIRST in reached) == (extra_rows >= 0)
+        assert reached == {Path.GAIN_FIRST, Path.PHASE_MAP}
 
     @staticmethod
     def _level_shifted_cases(rng):
@@ -740,12 +740,12 @@ class TestAffineMap:
                     assert error <= 1e-12 * np.linalg.norm(want[name]), (config, rows, name)
 
     def test_backward_on_level_shifted_windows_is_mean_of_single_windows(self, monkeypatch):
-        # one window alone (24 phase rows, no map) is the reference that
-        # does not cancel the zero-row image's gradient
+        # gain-first steps of 730 and 1792 rows, in blocks, against the
+        # one-window steps on the graph, each its own block
         rng = np.random.default_rng(41)
         for config, walks_x, walks_y, params in self._level_shifted_cases(rng):
-            assert choose_path(1, config) is Path.OWN_ROWS
-            singles = [backward(walks_x[i:i + 1], walks_y[i:i + 1], params, config)
+            singles = [_graph_backward(walks_x[i:i + 1], walks_y[i:i + 1], params, config,
+                                       monkeypatch)
                        for i in range(walks_x.shape[0])]
             for rows in (730, 1792):
                 with monkeypatch.context() as patch:
@@ -757,6 +757,36 @@ class TestAffineMap:
                     want = np.mean([g[name] for _, g in singles[:rows]], axis=0)
                     error = np.linalg.norm(grad - want)
                     assert error <= 1e-12 * np.linalg.norm(want), (config, rows, name)
+
+    def test_backward_on_level_shifted_windows_matches_directional_differences(self):
+        # a reference that runs no adjoint: along a random direction v in one
+        # parameter array the prediction is affine, so the loss is quadratic
+        # in the step and its central difference is <grad, v> up to
+        # rounding.  v is scaled so that a unit step moves the predictions
+        # by about the residual, and the gate is relative to the terms'
+        # magnitudes, mean(|residual| |J v|): over 30 seeds the error
+        # reached 2.3e-15 of it, under an eighth of the gate.  H=96 takes
+        # gain-first, H=720 the graph
+        rng = np.random.default_rng(42)
+        for config, walks_x, walks_y, params in self._level_shifted_cases(rng):
+            for rows in (1, 256):
+                x, y = walks_x[:rows], walks_y[:rows]
+                _, grads = backward(x, y, params, config)
+                residual = forward_batch(x, params, config) - y
+
+                def moved(name, arr, v):
+                    return [forward_batch(x, replace(params, **{name: arr + t * v}), config)
+                            for t in (1.0, -1.0)]
+
+                for name, arr in params.named_arrays():
+                    v = rng.normal(size=arr.shape)
+                    plus, minus = moved(name, arr, v)
+                    v *= np.sqrt(np.mean(residual ** 2) / np.mean(((plus - minus) / 2) ** 2))
+                    plus, minus = moved(name, arr, v)
+                    numeric = (np.mean((plus - y) ** 2) - np.mean((minus - y) ** 2)) / 2
+                    scale = np.mean(np.abs(residual) * np.abs(plus - minus))
+                    error = abs(numeric - np.sum(grads[name] * v))
+                    assert error <= 2e-14 * scale, (config, rows, name, error / scale)
 
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
            period=st.sampled_from(["drawn", "even", "ragged"]),
@@ -787,8 +817,7 @@ class TestAffineMap:
 
         def adjoint(cotangent):
             _, trace, step = gain_first(inputs)
-            grads, grad_gain, grad_offset = _block_adjoint(cotangent, trace, step, params,
-                                                           config)
+            grads, grad_gain, grad_offset = _block_adjoint(cotangent, trace, step, config)
             return {**grads, "gain": grad_gain, "offset": grad_offset}
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias,
@@ -833,7 +862,7 @@ def _phase_switch_batches(config):
 
 
 class TestPhaseMap:
-    """Past n+1 phase rows the branches run on the n+1 basis rows only."""
+    """The branches run on the n+1 basis rows only, whatever the batch."""
 
     def test_forward_matches_loop_oracle_across_switch(self):
         for config, seed in _phase_configs():
@@ -859,10 +888,8 @@ class TestPhaseMap:
         checked = set()
         for config, seed in _phase_configs():
             plan = plan_shapes(config)
-            batch = (plan.n + 1) // config.period + 1   # the fewest windows past n+1
-            if config.period > plan.n + 1:
-                # one window alone is past the switch
-                continue
+            # the fewest windows whose phase rows outnumber the n+1 basis rows
+            batch = max(2, (plan.n + 1) // config.period + 1)
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
             x = rng.normal(size=(batch, config.lookback))
@@ -871,7 +898,7 @@ class TestPhaseMap:
             loss, grads = backward(x, y, params, config)
             singles = [backward(x[i:i + 1], y[i:i + 1], params, config)
                        for i in range(batch)]
-            assert paths == [choose_path(batch, config)] + [Path.OWN_ROWS] * batch
+            assert paths == [choose_path(batch, config)] * (batch + 1)
             assert paths[0] in (Path.GAIN_FIRST, Path.PHASE_MAP)
             assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-10, abs=0)
             for name, grad in grads.items():
@@ -882,9 +909,9 @@ class TestPhaseMap:
         assert checked == set(Mode)
 
     def test_backward_on_level_shifted_windows_is_mean_of_single_windows(self):
-        # windows at a level of about 30 through the phase map: the zero-row
-        # image's gradient g_b - sum_j G_W[j] cancels, and one window alone
-        # (24 phase rows, no map) is the reference that does not
+        # windows at a level of about 30 through the phase map, where the
+        # zero-row image's gradient g_b - sum_j G_W[j] cancels: one step of 64
+        # windows in blocks against 64 one-window steps
         rng = np.random.default_rng(36)
         rows = 64
         for mode in Mode:
@@ -903,7 +930,7 @@ class TestPhaseMap:
                 error = np.linalg.norm(grad - want)
                 assert error <= 1e-12 * np.linalg.norm(want), (mode, name)
 
-    def test_branches_see_rows_or_basis(self, monkeypatch):
+    def test_branches_see_the_basis_rows(self, monkeypatch):
         seen = []
 
         def recording(rows, *args):
@@ -920,17 +947,8 @@ class TestPhaseMap:
                 x = rng.normal(size=(batch, config.lookback))
                 seen.clear()
                 forward_batch(x, params, config)
-                # the graph runs time-major: phase row p*B + b is window b's
-                # subsequence at phase offset p
-                trends = [decompose_trend_loop(row, params.conv_kernel,
-                                               float(params.conv_bias), config.period,
-                                               plan.n)[0] for row in x]
-                phase_rows = np.stack(trends, axis=1).reshape(-1, plan.n)
                 assert len(seen) == 1
-                if phase_rows.shape[0] > plan.n + 1:
-                    np.testing.assert_array_equal(seen[0], np.eye(plan.n + 1, plan.n))
-                else:
-                    np.testing.assert_allclose(seen[0], phase_rows, rtol=0, atol=1e-13)
+                np.testing.assert_array_equal(seen[0], np.eye(plan.n + 1, plan.n))
 
 
 class TestStreamedStep:
@@ -964,20 +982,16 @@ class TestStreamedStep:
         params = init_params(config, seed % 1000)
         for _, arr in params.named_arrays():
             arr += 0.1 * rng.normal(size=arr.shape)
+        size = int(rng.integers(1, 4))     # windows in the smallest block
         if split == "one window":
-            # enough channels that one window is past n+1 phase rows
-            channels = max(channels, map_rows(config))
-        fewest = -(-map_rows(config) // channels)
-        if split == "one window":
-            count = int(rng.integers(2, 6))
-            most, parts = 1, count
+            count, most = int(rng.integers(2, 6)), 1
         elif split == "two blocks":
-            count = 2 * fewest + int(rng.integers(0, fewest + 1))
-            most, parts = -(-count // 2), 2
+            count = 2 * size + int(rng.integers(0, size + 1))
+            most = -(-count // 2)
         else:
-            parts = int(rng.integers(3, 7))
-            count = parts * fewest + int(rng.integers(0, fewest))
-            most = fewest
+            count = int(rng.integers(3, 7)) * size + int(rng.integers(0, size))
+            most = size
+        parts = -(-count // most)
         width = config.lookback + config.horizon
         x = level + rng.normal(size=(count, config.lookback, channels))
         y = level + rng.normal(size=(count, config.horizon, channels))
@@ -1016,16 +1030,6 @@ class TestStreamedStep:
         assert max(sizes) * floats <= max(backward_module.TRAIN_BLOCK_FLOATS, floats)
         assert {choose_path(size * channels, config) for size in sizes} == {
             choose_path(count * channels, config)}
-
-    @pytest.mark.parametrize("count, blocks", [(500, [500]), (1000, [1000]),
-                                               (2000, [1000, 1000])])
-    def test_blocks_stay_past_the_basis_rows(self, count, blocks):
-        # at w=1 a block needs n+2 = 722 rows to apply the phase map, more
-        # than the 80 windows the float bound allows; fewer rows make one block
-        config = ModelConfig(720, 96, 1, lpf_cutoff=3)
-        assert map_rows(config) == 722
-        runs = backward_module._train_blocks(count, 1, config)
-        assert [hi - lo for lo, hi in runs] == blocks
 
     def test_train_matches_whole_batch_loop(self, monkeypatch):
         # train streams (windows, idx) in blocks of 5 windows; the reference
@@ -1240,11 +1244,12 @@ class TestViewRows:
     """``evaluate`` passes rows that view the series; the forward reads them
     as they stand and predicts what it predicts on C-ordered copies."""
 
-    # period 1 puts the switch past n+1 = L+1 = 17 phase rows, and at H=1
-    # gain-first costs fewer MACs than the graph, so the mapped rows take it
-    @pytest.mark.parametrize("count, channels, mapped", [
+    # at H=1 gain-first costs fewer MACs than the graph, so the C-ordered
+    # copies take it at every count of rows, on either side of the
+    # n+1 = L+1 = 17 basis rows that period 1 has
+    @pytest.mark.parametrize("count, channels, past_basis", [
         (1, 1, False), (2, 3, False), (5, 1, False), (40, 3, True), (300, 1, True)])
-    def test_forward_on_view_rows_matches_contiguous_rows(self, count, channels, mapped):
+    def test_forward_on_view_rows_matches_contiguous_rows(self, count, channels, past_basis):
         rng = np.random.default_rng(37)
         ws = WindowSet(rng.normal(size=(count + 23, channels)), 16, 8)
         x, _ = ws.batch(np.arange(count))
@@ -1252,7 +1257,8 @@ class TestViewRows:
         assert np.shares_memory(rows, ws.base)
         for mode in Mode:
             config = ModelConfig(16, 1, 1, lpf_cutoff=3, latent_width=2, mode=mode)
-            assert (choose_path(rows.shape[0], config) is Path.GAIN_FIRST) == mapped
+            assert choose_path(rows.shape[0], config) is Path.GAIN_FIRST
+            assert (rows.shape[0] > config.plan.n + 1) == past_basis
             params = init_params(config, 37)
             got = forward_batch(rows, params, config)
             want = forward_batch(np.ascontiguousarray(rows), params, config)
@@ -1340,10 +1346,10 @@ class TestChoosePath:
 
     @staticmethod
     def _switch_rows(config):
-        """L+1 and L+2 rows, and the fewest windows whose R*w phase rows
-        exceed n+1 and one fewer."""
+        """One row, L+1 and L+2 rows, and the fewest windows whose R*w phase
+        rows outnumber the n+1 basis rows and one fewer."""
         phase = (config.plan.n + 1) // config.period + 1
-        return sorted({config.lookback + 1, config.lookback + 2, phase, phase - 1} - {0})
+        return sorted({1, config.lookback + 1, config.lookback + 2, phase, phase - 1} - {0})
 
     def test_trace_records_the_planned_path(self):
         rng = np.random.default_rng(38)
@@ -1372,14 +1378,14 @@ class TestChoosePath:
 
 
     def test_switches_at_both_boundaries(self):
-        # R*w = n+1 phase rows still run through the branches, one window
-        # more does not; past it the map goes where it costs fewer MACs,
-        # and a tie goes to the graph
-        for config, at in ((ModelConfig(9, 8, 1, lpf_cutoff=3, latent_width=2), 10),
-                           (ModelConfig(12, 8, 4, lpf_cutoff=2, latent_width=2), 1)):
-            assert at * config.period == config.plan.n + 1
-            assert choose_path(at, config) is Path.OWN_ROWS
-            assert choose_path(at + 1, config) is not Path.OWN_ROWS
+        # two windows of a series' C channels are predicted from the series,
+        # one window is not; off the series the map goes where it costs
+        # fewer MACs, and a tie goes to the graph, whatever the rows
+        config = ModelConfig(12, 8, 4, lpf_cutoff=2, latent_width=2)
+        for channels in (1, 3):
+            assert choose_path(2 * channels, config, channels) is Path.SERIES
+            assert choose_path(2 * channels - 1, config, channels) is Path.GAIN_FIRST
+            assert choose_path(2 * channels, config) is Path.GAIN_FIRST
 
         def macs(config):
             length, horizon, w, m = (config.lookback, config.horizon, config.period,
@@ -1390,12 +1396,11 @@ class TestChoosePath:
             config = ModelConfig(8, horizon, 2, lpf_cutoff=2, latent_width=2)
             gain_first, graph = macs(config)
             assert (gain_first < graph, gain_first == graph) == (horizon == 3, horizon == 4)
-            assert choose_path(9, config) is want
+            assert choose_path(1, config) is choose_path(9, config) is want
         # the benchmark shapes: H=96 trains gain-first, H=720 on the graph
         for horizon, want in ((96, Path.GAIN_FIRST), (720, Path.PHASE_MAP)):
             config = ModelConfig(720, horizon, 24)
-            assert choose_path(2, config) is choose_path(1792, config) is want
-            assert choose_path(1, config) is Path.OWN_ROWS
+            assert choose_path(1, config) is choose_path(1792, config) is want
 
 
 def _assert_dot_products(core, adjoint, inputs, rng):
@@ -1429,23 +1434,20 @@ class TestAdjoints:
 
     @staticmethod
     def _branch_dot_products(rng, params, rows, names, core, grads):
-        """Dot-product identities of ``core(rows, params, trace)`` in the rows
-        and the named parameters; ``grads(g, trace, grads_dict)`` returns the
-        rows' gradient and fills the parameters'."""
+        """Dot-product identities of ``core(rows, params, trace)`` in the named
+        parameters; ``grads(g, trace, grads_dict)`` fills their gradients."""
 
         def forward_at(inputs):
-            moved = replace(params, **{n: inputs[n] for n in names})
-            return core(inputs["rows"], moved, None)
+            return core(rows, replace(params, **inputs), None)
 
         def adjoint(cotangent):
             trace = ForwardTrace(None, None, rows_padded=rows)
             core(rows, params, trace)
             found = {}
-            found["rows"] = grads(cotangent, trace, found)
+            grads(cotangent, trace, found)
             return found
 
-        inputs = {"rows": rows, **{n: getattr(params, n) for n in names}}
-        _assert_dot_products(forward_at, adjoint, inputs, rng)
+        _assert_dot_products(forward_at, adjoint, {n: getattr(params, n) for n in names}, rng)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([Mode.MIX, Mode.TIME_ONLY]))
     @settings(max_examples=100, deadline=None)
@@ -1475,8 +1477,8 @@ class TestAdjoints:
     def test_conv_through_folded_phase_block(self, seed, mode, period, rows, level):
         # the identity rides in the centre tap, so the graph's phase block is
         # the band conv by kernel + e_centre plus conv_bias, zero past L; the
-        # prediction is affine in each of kernel and conv_bias on both graph
-        # paths, and a block's sums, finished, give their gradients
+        # prediction is affine in each of kernel and conv_bias, and a block's
+        # sums, finished, give their gradients
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
         params = init_params(config, seed % 1000)
@@ -1490,12 +1492,12 @@ class TestAdjoints:
                 _map_paths_as(patch, Path.PHASE_MAP)
                 step = forward_module.StepSetup(moved, config, rows)
                 pred, trace = forward_batch_with_trace(x, moved, config, step)
-            assert trace.path in (Path.OWN_ROWS, Path.PHASE_MAP)
+            assert trace.path is Path.PHASE_MAP
             return pred, trace, step
 
         def adjoint(cotangent):
             _, trace, step = graph(inputs)
-            return _block_adjoint(cotangent, trace, step, params, config)[0]
+            return _block_adjoint(cotangent, trace, step, config)[0]
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias}
         _assert_dot_products(lambda values: graph(values)[0], adjoint, inputs, rng)
