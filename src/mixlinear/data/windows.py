@@ -4,7 +4,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigError
 from .split import Segment
@@ -81,8 +80,10 @@ class WindowSet:
     def _view(self) -> np.ndarray:
         """Read-only (L+H, count, C) view of every window: [t, k, c] = base[k+t, c]."""
         step, across = self.base.strides
-        return as_strided(self.base, (self.lookback + self.horizon, self.count, self.channels),
-                          (step, step, across), writeable=False)
+        view = np.ndarray((self.lookback + self.horizon, self.count, self.channels),
+                          self.base.dtype, self.base, 0, (step, step, across))
+        view.flags.writeable = False
+        return view
 
     def content_hash(self) -> str:
         """Digest of the window geometry and the underlying data."""

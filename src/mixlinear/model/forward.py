@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..numerics import band_taps, conv1d_same_batch, conv_pad_split, idft_matrix, rfft_batch
-from .config import Mode, ModelConfig, ShapePlan
+from .config import Mode, ModelConfig
 from .params import MixLinearParams
 
 
@@ -52,11 +52,11 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     ``channels`` is the rows' ``series_channels``, or 0 when they are not
     windows of one series or the forward is traced.  Two or more
     consecutive windows are predicted from their series, which they share
-    all but one step of.  Otherwise the branches run on the n+1 basis rows
-    of ``phase_map`` only, and the phase map (W, b) is applied either after
-    the band conv, on the phase block (the graph, 2*L*w + L*m MACs per
-    row), or before it, on the period blocks of the centred windows
-    (gain-first, 2*L*m + 2*H*w), whichever costs fewer.
+    all but one step of.  Otherwise the phase map (W, b), which
+    ``phase_map`` writes from the weights, is applied either after the band
+    conv, on the phase block (the graph, 2*L*w + L*m MACs per row), or
+    before it, on the period blocks of the centred windows (gain-first,
+    2*L*m + 2*H*w), whichever costs fewer.
     """
     if channels and rows >= 2 * channels:
         return Path.SERIES
@@ -73,12 +73,12 @@ class ForwardTrace:
 
     The graph paths run time-major: their arrays keep time (or the phase
     index j) on the first axis and the batch on the last, so the phase
-    rows and the re-interleave are reshapes, not copies.  P = n+1 is the
-    number of rows the branches ran on, the basis rows of ``phase_map``,
-    whose trace holds the branch activations alone.  ``padded``, ``rows`` and
-    ``images`` live in the ``StepSetup``'s workspace, so they hold until
-    the next forward through the same step; ``backward`` writes the phase
-    block's gradient over ``rows`` once it has read them.
+    rows and the re-interleave are reshapes, not copies.  The phase map
+    (W, b) is built from the weights (``phase_map``), so nothing of it is
+    traced.  ``padded``, ``rows`` and ``images`` live in the
+    ``StepSetup``'s workspace, so they hold until the next forward through
+    the same step; ``backward`` writes the phase block's gradient over
+    ``rows`` once it has read them.
     """
 
     path: Path | None = None
@@ -87,14 +87,7 @@ class ForwardTrace:
     rows: np.ndarray | None = None     # (w*B, n) phase rows, row p*B + b the phase-p
                                        # row of window b; the .T view of the
                                        # (n, w*B) time-major phase block.  Graph only
-    branch_rows: np.ndarray | None = None   # (P, n) rows the branches ran on
     images: np.ndarray | None = None   # (2m, w*B) U = [W 0; 0 W]' Z, gain-first only
-    rows_padded: np.ndarray | None = None   # (P, n_hat) branch input (mix modes)
-    bias_from: int = 0                      # first of the P rows the time branch
-                                            # adds its biases to
-    seg_inter_in: np.ndarray | None = None  # (P, seg_out, seg_in)
-    spec_lpf: np.ndarray | None = None      # (P, cutoff) complex
-    latent: np.ndarray | None = None        # (P, latent) complex
 
 
 def aggregation_kernel(conv_kernel: np.ndarray) -> np.ndarray:
@@ -135,65 +128,6 @@ def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.
     sequence = out.reshape(-1, mean.size)[:config.horizon]
     sequence += mean
     return sequence.T
-
-
-def _time_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
-                      plan: ShapePlan, trace: ForwardTrace | None, bias_from: int = 0):
-    """(P, n_hat) -> (P, m) through the two segment maps.
-
-    Only the rows from ``bias_from`` on get the biases; the others get the
-    maps' linear part.
-    """
-    count = rows_padded.shape[0]
-    segments = rows_padded.reshape(count, plan.seg_in, plan.seg_in)
-    intra = segments @ params.w_intra.T                        # (P, seg_in, seg_out)
-    intra[bias_from:] += params.b_intra
-    inter_in = np.ascontiguousarray(intra.swapaxes(-1, -2))    # (P, seg_out, seg_in)
-    if trace is not None:
-        trace.seg_inter_in = inter_in
-        trace.bias_from = bias_from
-    inter = inter_in @ params.w_inter.T                        # (P, seg_out, seg_out)
-    inter[bias_from:] += params.b_inter
-    return inter.reshape(count, plan.m_hat)[:, :plan.m]
-
-
-def _freq_branch_core(rows_padded: np.ndarray, params: MixLinearParams,
-                      config: ModelConfig, trace: ForwardTrace | None):
-    """(P, n_hat) -> (P, m) through the latent spectral pipeline."""
-    plan = config.plan
-    spectrum = rfft_batch(rows_padded)                   # (P, bins_in)
-    spec_lpf = spectrum[:, :config.lpf_cutoff]
-    latent = spec_lpf @ params.w_enc.T                   # (P, latent)
-    recon = latent @ params.w_dec.T                      # (P, bins_out)
-    if trace is not None:
-        trace.spec_lpf = spec_lpf
-        trace.latent = latent
-    full = (recon @ idft_matrix(plan.m_hat).T).real      # (P, m_hat)
-    return full[:, :plan.m]
-
-
-def _branches(rows: np.ndarray, params: MixLinearParams, config: ModelConfig,
-              trace: ForwardTrace | None, bias_from: int = 0) -> np.ndarray:
-    """(P, n) phase rows -> (P, m) through the mode's branches.
-
-    The time branch's biases go to the rows from ``bias_from`` on only; the
-    frequency branch and SparseBaseline have none.
-    """
-    if trace is not None:
-        trace.branch_rows = rows
-    if config.mode is Mode.SPARSE_BASELINE:
-        return rows @ params.w_point.T
-    plan = config.plan
-    rows_padded = np.zeros((rows.shape[0], plan.n_hat))
-    rows_padded[:, :plan.n] = rows
-    if trace is not None:
-        trace.rows_padded = rows_padded
-    out = np.zeros((rows.shape[0], plan.m))
-    if config.has_time_branch:
-        out += _time_branch_core(rows_padded, params, plan, trace, bias_from)
-    if config.has_freq_branch:
-        out += _freq_branch_core(rows_padded, params, config, trace)
-    return out
 
 
 def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
@@ -265,8 +199,7 @@ class StepSetup:
 
     - ``path``, what ``choose_path`` names for ``rows`` off the series path;
     - kappa, the ``aggregation_kernel``, and conv_bias;
-    - the phase map (W, b) of ``phase_map``, whose branch activations are
-      traced into ``branches`` when that is given;
+    - the phase map (W, b) of ``phase_map``;
     - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``), the
       stacked map [W 0; 0 W]' and the constant conv_bias * ``counted_gain``
       + b that every output gets;
@@ -277,14 +210,13 @@ class StepSetup:
       zero padding included.
     """
 
-    def __init__(self, params: MixLinearParams, config: ModelConfig, rows: int,
-                 branches: ForwardTrace | None = None):
+    def __init__(self, params: MixLinearParams, config: ModelConfig, rows: int):
         plan, w = config.plan, config.period
         n, m = plan.n, plan.m
         self.path = choose_path(rows, config)
         self.kernel = aggregation_kernel(params.conv_kernel)
         self.conv_bias = float(params.conv_bias)
-        self.gain, self.offset = phase_map(params, config, branches)
+        self.gain, self.offset = phase_map(params, config)
         lead = n
         if self.path is Path.GAIN_FIRST:
             self.band = np.append(self.kernel, 0.0)[band_taps(w)]
@@ -314,19 +246,43 @@ class StepSetup:
         return self._block[:self._lead * w * rows].reshape(self._lead, w, rows)
 
 
-def phase_map(params: MixLinearParams, config: ModelConfig, trace: ForwardTrace | None):
+def phase_map(params: MixLinearParams, config: ModelConfig):
     """(gain, offset) with g(r) = r @ gain + offset the branches' map of a phase row.
 
-    The branches are affine in each phase row, and only the time branch's
-    biases b_intra and b_inter are not linear in it.  So one run of the
-    branches on the n+1 basis rows [I; 0], with those biases added to the
-    zero row alone, fixes the map: gain[i] is the linear part's image of
-    e_i and offset the whole image of the zero row, and no image is taken
-    from another.  Tracing records the branches' activations.
+    The branches are affine in each phase row r, zero-padded to n_hat, so
+    the (n, m) gain W and the (m,) offset b are written from the weights:
+
+    - the time branch cuts r into segments r[a*seg_in + j] and maps each by
+      w_intra, then each of their transposes by w_inter, so
+      W[a*seg_in + j, q*seg_out + s] = w_intra[q, j] w_inter[s, a], and its
+      biases give b[q*seg_out + s] = b_intra[q] sum_a w_inter[s, a] + b_inter[s];
+    - the frequency branch is linear: row i of W is the low-passed spectrum
+      of e_i (``basis_spectra``) times w_enc', times w_dec', times the
+      inverse DFT, real part;
+    - SparseBaseline's W is w_point', with no offset.
+
+    Both cut to n rows and m columns.
     """
-    n = config.plan.n
-    images = _branches(np.eye(n + 1, n), params, config, trace, n)
-    return images[:-1], images[-1]
+    plan = config.plan
+    n, m = plan.n, plan.m
+    if config.mode is Mode.SPARSE_BASELINE:
+        return np.ascontiguousarray(params.w_point.T), np.zeros(m)
+    gain, offset = np.zeros((n, m)), np.zeros(m)
+    if config.has_time_branch:
+        outer = np.einsum("qj,sa->ajqs", params.w_intra, params.w_inter)
+        gain += outer.reshape(plan.n_hat, plan.m_hat)[:n, :m]
+        biases = np.outer(params.b_intra, params.w_inter.sum(axis=1)) + params.b_inter
+        offset += biases.reshape(-1)[:m]
+    if config.has_freq_branch:
+        recon = basis_spectra(config) @ params.w_enc.T @ params.w_dec.T    # (n, bins_out)
+        gain += (recon @ idft_matrix(plan.m_hat).T).real[:, :m]
+    return gain, offset
+
+
+def basis_spectra(config: ModelConfig) -> np.ndarray:
+    """(n, cutoff): row i the low-passed half spectrum of e_i, zero-padded to n_hat."""
+    plan = config.plan
+    return rfft_batch(np.eye(plan.n, plan.n_hat))[:, :config.lpf_cutoff]
 
 
 class SeriesSetup:
@@ -356,7 +312,7 @@ class SeriesSetup:
     def __init__(self, params: MixLinearParams, config: ModelConfig):
         length, w, n = config.lookback, config.period, config.plan.n
         left, right = conv_pad_split(w)
-        self.gain, offset = phase_map(params, config, None)
+        self.gain, offset = phase_map(params, config)
         self.kernel = aggregation_kernel(params.conv_kernel)
         self.conv_bias = float(params.conv_bias)
         gain_sums = self.gain.sum(axis=0)
@@ -425,11 +381,10 @@ def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
     per window.  Each window and channel costs about n*m + (w-1)*w/2 + K*m*w
     multiply-adds, K the terms per phase (at most 2 when w divides L), and
     m*w adds, plus its share of the conv of the series, 2w(b + L + w)/b,
-    and of the branches on the n+1 basis rows, which the ``setup`` ran
-    once; the window map costs L*H.  The channels run in groups, so that
-    the series-length arrays stay small when the series is wide.  Returns
-    the ``.T`` of a C-contiguous (H, b*C) array in the setup's forecast
-    buffer.
+    and of the phase map, which the ``setup`` built once; the window map
+    costs L*H.  The channels run in groups, so that the series-length
+    arrays stay small when the series is wide.  Returns the ``.T`` of a
+    C-contiguous (H, b*C) array in the setup's forecast buffer.
     """
     rows, length = x2d.shape
     windows = rows // channels

@@ -20,7 +20,6 @@ and every block is one slice of a single batched GEMM.
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +118,10 @@ def band_pairs(steps: np.ndarray, width: int) -> np.ndarray:
     steps = np.ascontiguousarray(steps)
     count = steps.shape[0] // width - 1
     row, item = steps.strides
-    return as_strided(steps, (count, 2 * width, steps.shape[1]), (width * row, row, item),
-                      writeable=False)
+    pairs = np.ndarray((count, 2 * width, steps.shape[1]), steps.dtype, steps, 0,
+                       (width * row, row, item))
+    pairs.flags.writeable = False
+    return pairs
 
 
 @lru_cache(maxsize=64)

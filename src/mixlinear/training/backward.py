@@ -6,6 +6,9 @@ ones conjugate-transpose, with gradients taken with respect to the
 independent real/imaginary components), index moves (pad, truncate,
 reshape, interleave) route gradients by index, and the inverse-DFT
 adjoint picks up the Hermitian pairing weights of its coefficient matrix.
+The branches reach the graph only through the phase map (W, b) that
+``phase_map`` writes from their weights, so their gradients are the
+adjoint of that closed form, taken once per step.
 """
 
 import math
@@ -20,6 +23,7 @@ from ..model.forward import (
     ForwardTrace,
     Path,
     StepSetup,
+    basis_spectra,
     counted_gain,
     forward_batch,
     forward_batch_with_trace,
@@ -65,11 +69,11 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     is gathered (``WindowSet.batch``) straight into the workspace's conv
     buffer and target block, where the forward centres it in place; an
     array block is centred into the buffer from the arrays.  Every block
-    applies the one phase map on the path ``choose_path`` names: the
-    branches run once per step, on the n+1 basis rows of ``phase_map``, and
-    their adjoint once at the end.  The squared errors are summed block
-    by block, in a fixed order and by ``einsum``, whose result does not
-    depend on the BLAS thread count.
+    applies the one phase map on the path ``choose_path`` names:
+    ``phase_map`` writes it from the weights once per step, and
+    ``_phase_map_grads`` takes its gradient back to them once at the end.
+    The squared errors are summed block by block, in a fixed order and by
+    ``einsum``, whose result does not depend on the BLAS thread count.
 
     Each block's reverse pass (``_add_block``) mirrors the path its trace
     records and adds raw sums only; ``_step_grads`` finishes them once per
@@ -102,8 +106,7 @@ def backward(x_batch, y_batch, params: MixLinearParams,
 
     blocks = _train_blocks(count, channels, config)
     most = max(hi - lo for lo, hi in blocks) * channels
-    branches = ForwardTrace()
-    step = StepSetup(params, config, most, branches)
+    step = StepSetup(params, config, most)
     sums = _StepSums(step, config)
     if isinstance(x_batch, WindowSet):
         length, horizon = config.lookback, config.horizon
@@ -132,7 +135,7 @@ def backward(x_batch, y_batch, params: MixLinearParams,
         diff *= 2.0 / values
         _add_block(diff, trace, step, sums, config)
     grads, grad_gain, grad_offset = _step_grads(sums, step, config)
-    _branch_grads(_affine_map_adjoint(grad_gain, grad_offset), branches, params, config, grads)
+    _phase_map_grads(grad_gain, grad_offset, params, config, grads)
     # keep checkpoint/declaration order
     return sq_sum / values, {name: grads[name] for name, _ in params.named_arrays()}
 
@@ -177,15 +180,6 @@ class _StepSums:
         self.outputs = np.zeros((m, w))
         self.take_gain = np.zeros(m)
         self.take_kernel = np.zeros(w)
-
-
-def _affine_map_adjoint(grad_gain: np.ndarray, grad_offset: np.ndarray) -> np.ndarray:
-    """Gradient on the n+1 basis images from the gradient on ``phase_map``'s (gain, offset).
-
-    The gain is the first n images and the offset the last, so this only
-    stacks them; the biases see the offset's gradient alone.
-    """
-    return np.vstack([grad_gain, grad_offset])
 
 
 def _band_grad(grad: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -298,56 +292,44 @@ def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
     return grads, grad_gain, grad_offset
 
 
-def _branch_grads(grad_out, trace, params, config, grads):
-    """Adjoint of ``_branches`` in their parameters: (P, m) gradient -> grads into ``grads``.
+def _phase_map_grads(grad_gain, grad_offset, params, config, grads):
+    """Adjoint of ``phase_map`` in the parameters: the gradients on (W, b) into ``grads``.
 
-    The rows the branches ran on are ``phase_map``'s constant basis rows, so
-    no gradient flows back to them.
+    W and b are affine in each weight on its own, so each weight's
+    gradient contracts the gradient on (W, b), zero-padded to the (n_hat,
+    m_hat) segment grid, with the weights its entries are multiplied by.
     """
     if config.mode is Mode.SPARSE_BASELINE:
-        grads["w_point"] = grad_out.T @ trace.branch_rows
+        grads["w_point"] = grad_gain.T
         return
-    if config.has_time_branch:
-        _time_branch_grads(grad_out, trace, params, config.plan, grads)
-    if config.has_freq_branch:
-        _freq_branch_grads(grad_out, trace, params, config, grads)
-
-
-def _time_branch_grads(grad_out, trace, params, plan, grads):
-    count = grad_out.shape[0]
-    grad_tp_flat = np.zeros((count, plan.m_hat))
-    grad_tp_flat[:, :plan.m] = grad_out
-    grad_tp = grad_tp_flat.reshape(count, plan.seg_out, plan.seg_out)
-
-    inter_in = trace.seg_inter_in
-    grads["w_inter"] = np.einsum("bpq,bpr->qr", grad_tp, inter_in)
-    grads["b_inter"] = grad_tp[trace.bias_from:].sum(axis=(0, 1))
-    grad_inter_in = grad_tp @ params.w_inter                 # (P, seg_out, seg_in)
-
-    grad_intra = grad_inter_in.swapaxes(-1, -2)              # (P, seg_in, seg_out)
-    segments = trace.rows_padded.reshape(count, plan.seg_in, plan.seg_in)
-    grads["w_intra"] = np.einsum("bpq,bpr->qr", grad_intra, segments)
-    grads["b_intra"] = grad_intra[trace.bias_from:].sum(axis=(0, 1))
-
-
-def _freq_branch_grads(grad_out, trace, params, config, grads):
-    count = grad_out.shape[0]
     plan = config.plan
-    grad_full = np.zeros((count, plan.m_hat))
-    grad_full[:, :plan.m] = grad_out
-
-    # adjoint of x = real(recon @ G^T) is grad @ conj(G): paired bins get
-    # the doubled weight G carries, DC/Nyquist do not
-    grad_recon = grad_full @ idft_matrix(plan.m_hat).conj()  # (P, bins_out)
-
-    grad_dec = grad_recon.T @ trace.latent.conj()
-    grads["w_dec_re"] = grad_dec.real
-    grads["w_dec_im"] = grad_dec.imag
-    grad_latent = grad_recon @ params.w_dec.conj()           # (P, latent)
-
-    grad_enc = grad_latent.T @ trace.spec_lpf.conj()
-    grads["w_enc_re"] = grad_enc.real
-    grads["w_enc_im"] = grad_enc.imag
+    n, m = plan.n, plan.m
+    if config.has_time_branch:
+        # grid[a, j, q, s] on W[a*seg_in + j, q*seg_out + s]; bias[q, s] on b
+        grid = np.zeros((plan.n_hat, plan.m_hat))
+        grid[:n, :m] = grad_gain
+        grid = grid.reshape(plan.seg_in, plan.seg_in, plan.seg_out, plan.seg_out)
+        bias = np.zeros(plan.m_hat)
+        bias[:m] = grad_offset
+        bias = bias.reshape(plan.seg_out, plan.seg_out)
+        grads["w_intra"] = np.einsum("ajqs,sa->qj", grid, params.w_inter)
+        grads["w_inter"] = (np.einsum("ajqs,qj->sa", grid, params.w_intra)
+                            + (params.b_intra @ bias)[:, None])
+        grads["b_intra"] = bias @ params.w_inter.sum(axis=1)
+        grads["b_inter"] = bias.sum(axis=0)
+    if config.has_freq_branch:
+        grad_full = np.zeros((n, plan.m_hat))
+        grad_full[:, :m] = grad_gain
+        # adjoint of x = real(recon @ G^T) is grad @ conj(G): paired bins get
+        # the doubled weight G carries, DC/Nyquist do not
+        grad_recon = grad_full @ idft_matrix(plan.m_hat).conj()     # (n, bins_out)
+        spectra = basis_spectra(config)
+        grad_dec = grad_recon.T @ (spectra @ params.w_enc.T).conj()
+        grads["w_dec_re"] = grad_dec.real
+        grads["w_dec_im"] = grad_dec.imag
+        grad_enc = (grad_recon @ params.w_dec.conj()).T @ spectra.conj()
+        grads["w_enc_re"] = grad_enc.real
+        grads["w_enc_im"] = grad_enc.imag
 
 
 # ---------------------------------------------------------------------------

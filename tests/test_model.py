@@ -26,10 +26,8 @@ from mixlinear.model import (
 )
 from mixlinear.model.forward import (
     Path,
-    _branches,
-    _freq_branch_core,
-    _time_branch_core,
     forward_batch_with_trace,
+    phase_map,
 )
 from mixlinear.model.params import _array_table
 from mixlinear.training import random_small_config
@@ -63,16 +61,22 @@ def decompose_trend(x, params, config):
     return trace.rows, float(x2d.mean())
 
 
-def time_branch(row, params, plan):
-    """One length-n trend row through the time-branch core."""
-    padded = np.zeros((1, plan.n_hat))
-    padded[0, :plan.n] = row
-    return _time_branch_core(padded, params, plan, None)[0]
+def time_branch(row, params, config):
+    """One length-n trend row through the time branch: row @ W + b of its phase map."""
+    gain, offset = phase_map(params, replace(config, mode=Mode.TIME_ONLY))
+    return row @ gain + offset
 
 
 def freq_branch(padded_row, params, config):
-    """One padded (length n_hat) trend row through the freq-branch core."""
-    return _freq_branch_core(np.asarray(padded_row)[None, :], params, config, None)[0]
+    """One padded (length n_hat) trend row through the frequency branch, as row @ W + b.
+
+    The model pads its length-n phase rows with zeros, so the row must be
+    zero past n.
+    """
+    n = config.plan.n
+    assert not np.any(padded_row[n:])
+    gain, offset = phase_map(params, replace(config, mode=Mode.FREQ_ONLY))
+    return padded_row[:n] @ gain + offset
 
 
 class TestPlanShapes:
@@ -226,21 +230,19 @@ class TestDecomposeTrend:
 class TestTimeBranch:
     def test_identity_weights_square_case(self):
         config = ModelConfig(720, 720, 24)
-        plan = plan_shapes(config)
         params = zeroed(init_params(config, 0))
         params.w_intra[:] = np.eye(6)
         params.w_inter[:] = np.eye(6)
         row = np.random.default_rng(2).normal(size=30)
         padded = np.concatenate([row, np.zeros(6)])
         want = padded.reshape(6, 6).T.reshape(-1)[:30]
-        assert np.allclose(time_branch(row, params, plan), want, atol=1e-12)
+        assert np.allclose(time_branch(row, params, config), want, atol=1e-12)
 
     def test_constant_bias_output(self):
         config = ModelConfig(720, 720, 24)
-        plan = plan_shapes(config)
         params = zeroed(init_params(config, 0))
         params.b_inter[:] = 2.5
-        out = time_branch(np.random.default_rng(3).normal(size=30), params, plan)
+        out = time_branch(np.random.default_rng(3).normal(size=30), params, config)
         assert np.allclose(out, 2.5)
 
     def test_matches_loop_oracle_rectangular(self):
@@ -250,13 +252,7 @@ class TestTimeBranch:
         row = np.random.default_rng(4).normal(size=30)
         want = time_branch_loop(row, params.w_intra, params.b_intra,
                                 params.w_inter, params.b_inter, plan)
-        assert np.allclose(time_branch(row, params, plan), want, atol=1e-12)
-
-    def test_wrong_length_rejected(self):
-        config = ModelConfig(720, 96, 24)
-        params = init_params(config, 0)
-        with pytest.raises(ValueError):
-            _branches(np.zeros((1, 31)), params, config, None)
+        assert np.allclose(time_branch(row, params, config), want, atol=1e-12)
 
 
 class TestFreqBranch:
@@ -271,7 +267,9 @@ class TestFreqBranch:
         params = init_params(config, 0)
         params.w_enc_re[...] = 0.0
         params.w_enc_im[...] = 0.0
-        out = freq_branch(np.random.default_rng(5).normal(size=36), params, config)
+        row = np.random.default_rng(5).normal(size=36)
+        row[30:] = 0.0
+        out = freq_branch(row, params, config)
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_matches_composed_naive_oracle(self):
@@ -279,6 +277,7 @@ class TestFreqBranch:
         plan = plan_shapes(config)
         params = init_params(config, 13)
         row = np.random.default_rng(6).normal(size=36)
+        row[30:] = 0.0
         want = freq_branch_loop(row, params.w_enc, params.w_dec,
                                 config.lpf_cutoff, plan)
         got = freq_branch(row, params, config)
@@ -292,6 +291,7 @@ class TestFreqBranch:
         params = init_params(config, 14)
         assert params.w_enc.shape == (2, 1)
         row = np.random.default_rng(7).normal(size=36)
+        row[30:] = 0.0
         want = freq_branch_loop(row, params.w_enc, params.w_dec, 1, plan)
         got = freq_branch(row, params, config)
         assert np.max(np.abs(got - want)) < 1e-10

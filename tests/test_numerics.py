@@ -264,6 +264,15 @@ class TestConvAdjoint:
         assert np.array_equal(_band_grad(cotangent, band_pairs(padded, kernel.size)),
                               _band_grad(cotangent, band_pairs(row_major.T, kernel.size)))
 
+    def test_band_pairs_is_read_only_view(self):
+        # pair j of a C-contiguous buffer is its blocks j and j+1, uncopied
+        steps = np.arange(4 * 3 * 5, dtype=np.float64).reshape(4 * 3, 5)
+        pairs = band_pairs(steps, 3)
+        assert pairs.shape == (3, 6, 5)
+        assert np.shares_memory(pairs, steps) and not pairs.flags.writeable
+        for j in range(3):
+            np.testing.assert_array_equal(pairs[j], steps[3 * j:3 * j + 6])
+
 
 def test_all_primitives_against_oracles_random_sizes():
     rng = np.random.default_rng(99)

@@ -28,7 +28,6 @@ from mixlinear.model import (
     plan_shapes,
 )
 from mixlinear.model.forward import (
-    ForwardTrace,
     Path,
     choose_path,
     phase_map,
@@ -45,9 +44,15 @@ from mixlinear.training import (
     train,
     write_history,
 )
-from mixlinear.training.backward import _affine_map_adjoint
 from conftest import REPO_ROOT
-from oracles import forward_loop, loop_mae, loop_mse
+from oracles import (
+    forward_loop,
+    freq_branch_loop,
+    loop_mae,
+    loop_mse,
+    loop_real_affine,
+    time_branch_loop,
+)
 from test_model import zeroed
 
 # the package re-exports functions that shadow these module names
@@ -824,24 +829,6 @@ class TestAffineMap:
                   "gain": images[:-1] - images[-1], "offset": images[-1]}
         _assert_dot_products(lambda values: gain_first(values)[0], adjoint, inputs, rng)
 
-    def test_pull_back_is_exact_adjoint(self, monkeypatch):
-        # images -> rows @ gain + offset, with (gain, offset) from phase_map's
-        # split of the n+1 basis images, against the pull-back backward makes
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            config = random_small_config(rng)
-            rows = int(rng.integers(1, 40))
-            x = rng.normal(size=(rows, config.plan.n))
-            images = rng.normal(size=(config.plan.n + 1, config.plan.m))
-            grad = rng.normal(size=(rows, config.plan.m))
-            with monkeypatch.context() as patch:
-                patch.setattr(forward_module, "_branches", lambda *_: images)
-                gain, offset = phase_map(None, config, None)
-            pred = x @ gain + offset
-            lhs = np.sum(pred * grad)
-            rhs = np.sum(images * _affine_map_adjoint(x.T @ grad, grad.sum(axis=0)))
-            assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(pred * grad))
-
 
 def _phase_configs():
     """Random configs of every mode, plus one with period 1 per mode, where
@@ -862,7 +849,36 @@ def _phase_switch_batches(config):
 
 
 class TestPhaseMap:
-    """The branches run on the n+1 basis rows only, whatever the batch."""
+    """``phase_map`` writes the branches' map (W, b) from the weights, once per forward."""
+
+    @pytest.mark.parametrize("horizon", [96, 720])
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_map_matches_branch_oracles_on_basis_rows(self, horizon, mode):
+        # row i of W is the scalar-loop branches' image of e_i without their
+        # biases, and b the image of the zero row with them
+        config = ModelConfig(720, horizon, 24, mode=mode)
+        plan = config.plan
+        rng = np.random.default_rng(horizon)
+        params = init_params(config, 48)
+        for _, arr in params.named_arrays():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        want = []
+        for i, row in enumerate(np.eye(plan.n + 1, plan.n)):
+            image = np.zeros(plan.m)
+            if mode is Mode.SPARSE_BASELINE:
+                image = loop_real_affine(params.w_point, row, np.zeros(plan.m))
+            if config.has_time_branch:
+                biases = 1.0 if i == plan.n else 0.0
+                image = image + time_branch_loop(row, params.w_intra, biases * params.b_intra,
+                                                 params.w_inter, biases * params.b_inter, plan)
+            if config.has_freq_branch:
+                padded = np.concatenate([row, np.zeros(plan.n_hat - plan.n)])
+                image = image + freq_branch_loop(padded, params.w_enc, params.w_dec,
+                                                 config.lpf_cutoff, plan)
+            want.append(image)
+        want = np.array(want)
+        got = np.vstack(phase_map(params, config))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_forward_matches_loop_oracle_across_switch(self):
         for config, seed in _phase_configs():
@@ -930,25 +946,23 @@ class TestPhaseMap:
                 error = np.linalg.norm(grad - want)
                 assert error <= 1e-12 * np.linalg.norm(want), (mode, name)
 
-    def test_branches_see_the_basis_rows(self, monkeypatch):
-        seen = []
+    def test_one_phase_map_per_forward(self, monkeypatch):
+        built = []
 
-        def recording(rows, *args):
-            seen.append(rows.copy())
-            return branches(rows, *args)
+        def counting(*args):
+            built.append(args)
+            return build(*args)
 
-        branches = forward_module._branches
-        monkeypatch.setattr(forward_module, "_branches", recording)
+        build = forward_module.phase_map
+        monkeypatch.setattr(forward_module, "phase_map", counting)
         for config, seed in _phase_configs():
             params = init_params(config, seed)
-            plan = plan_shapes(config)
             rng = np.random.default_rng(seed)
             for batch in _phase_switch_batches(config):
                 x = rng.normal(size=(batch, config.lookback))
-                seen.clear()
+                built.clear()
                 forward_batch(x, params, config)
-                assert len(seen) == 1
-                np.testing.assert_array_equal(seen[0], np.eye(plan.n + 1, plan.n))
+                assert len(built) == 1, (config, batch)
 
 
 class TestStreamedStep:
@@ -1134,7 +1148,7 @@ class TestStreamedStep:
 
 class TestBiasGradients:
     """The time branch's biases enter ``phase_map``'s offset alone, so their
-    gradients come from the offset's gradient G_b, not from the basis images."""
+    gradients come from the offset's gradient G_b, not from W's."""
 
     @pytest.mark.parametrize("path", [Path.GAIN_FIRST, Path.PHASE_MAP])
     @pytest.mark.parametrize("horizon", [96, 720])
@@ -1424,51 +1438,30 @@ def _assert_dot_products(core, adjoint, inputs, rng):
 class TestAdjoints:
     """Each stage's hand-written adjoint against its forward core."""
 
-    @staticmethod
-    def _branch_case(seed, mode):
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)))
+    @settings(max_examples=150, deadline=None)
+    def test_phase_map(self, seed, mode):
+        # (W, b) stacked, in every array phase_map reads, against the
+        # gradients _phase_map_grads gives them from a cotangent on (W, b)
         rng = np.random.default_rng(seed)
         config = replace(random_small_config(rng), mode=mode)
         params = init_params(config, int(rng.integers(1000)))
-        rows = rng.normal(size=(int(rng.integers(1, 9)), config.plan.n_hat))
-        return rng, config, params, rows
-
-    @staticmethod
-    def _branch_dot_products(rng, params, rows, names, core, grads):
-        """Dot-product identities of ``core(rows, params, trace)`` in the named
-        parameters; ``grads(g, trace, grads_dict)`` fills their gradients."""
-
-        def forward_at(inputs):
-            return core(rows, replace(params, **inputs), None)
+        # the biases start at 0, where w_inter's term from b_intra vanishes
+        for _, arr in params.named_arrays():
+            arr += 0.1 * rng.normal(size=arr.shape)
+        inputs = {name: arr for name, arr in params.named_arrays()
+                  if name not in ("conv_kernel", "conv_bias")}
 
         def adjoint(cotangent):
-            trace = ForwardTrace(None, None, rows_padded=rows)
-            core(rows, params, trace)
-            found = {}
-            grads(cotangent, trace, found)
-            return found
+            grads = {}
+            backward_module._phase_map_grads(cotangent[:-1], cotangent[-1], params, config,
+                                             grads)
+            assert grads.keys() == inputs.keys()
+            return grads
 
-        _assert_dot_products(forward_at, adjoint, {n: getattr(params, n) for n in names}, rng)
-
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([Mode.MIX, Mode.TIME_ONLY]))
-    @settings(max_examples=100, deadline=None)
-    def test_time_branch(self, seed, mode):
-        rng, config, params, rows = self._branch_case(seed, mode)
-        plan = config.plan
-        self._branch_dot_products(
-            rng, params, rows, ("w_intra", "b_intra", "w_inter", "b_inter"),
-            lambda r, p, t: forward_module._time_branch_core(r, p, plan, t),
-            lambda g, t, found: backward_module._time_branch_grads(g, t, params, plan,
-                                                                   found))
-
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([Mode.MIX, Mode.FREQ_ONLY]))
-    @settings(max_examples=100, deadline=None)
-    def test_freq_branch(self, seed, mode):
-        rng, config, params, rows = self._branch_case(seed, mode)
-        self._branch_dot_products(
-            rng, params, rows, ("w_enc_re", "w_enc_im", "w_dec_re", "w_dec_im"),
-            lambda r, p, t: forward_module._freq_branch_core(r, p, config, t),
-            lambda g, t, found: backward_module._freq_branch_grads(g, t, params, config,
-                                                                   found))
+        _assert_dot_products(
+            lambda values: np.vstack(phase_map(replace(params, **values), config)),
+            adjoint, inputs, rng)
 
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
            period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
