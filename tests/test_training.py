@@ -829,6 +829,32 @@ class TestAffineMap:
                   "gain": images[:-1] - images[-1], "offset": images[-1]}
         _assert_dot_products(lambda values: gain_first(values)[0], adjoint, inputs, rng)
 
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)))
+    @settings(max_examples=150, deadline=None)
+    def test_pull_back_is_exact_adjoint(self, seed, mode):
+        # rows -> rows @ W + b, with (W, b) the phase map, in every array
+        # phase_map reads, against the pull-back backward makes: rows' @ G
+        # and G's column sums on (W, b), through _phase_map_grads
+        rng = np.random.default_rng(seed)
+        config = replace(random_small_config(rng), mode=mode)
+        params = _moved_params(rng, config)
+        rows = rng.normal(size=(int(rng.integers(1, 40)), config.plan.n))
+        inputs = {name: arr for name, arr in params.named_arrays()
+                  if name not in ("conv_kernel", "conv_bias")}
+
+        def core(values):
+            gain, offset = phase_map(replace(params, **values), config)
+            return rows @ gain + offset
+
+        def adjoint(cotangent):
+            grads = {}
+            backward_module._phase_map_grads(rows.T @ cotangent, cotangent.sum(axis=0), params,
+                                             config, grads)
+            assert grads.keys() == inputs.keys()
+            return grads
+
+        _assert_dot_products(core, adjoint, inputs, rng)
+
 
 def _phase_configs():
     """Random configs of every mode, plus one with period 1 per mode, where
@@ -1417,6 +1443,17 @@ class TestChoosePath:
             assert choose_path(1, config) is choose_path(1792, config) is want
 
 
+def _moved_params(rng, config):
+    """``init_params`` moved off its initial values.
+
+    The biases start at 0, where w_inter's term from b_intra vanishes.
+    """
+    params = init_params(config, int(rng.integers(1000)))
+    for _, arr in params.named_arrays():
+        arr += 0.1 * rng.normal(size=arr.shape)
+    return params
+
+
 def _assert_dot_products(core, adjoint, inputs, rng):
     """<core(x + v) - core(x), g> = <v, adjoint(g)[name]> for every input.
 
@@ -1438,30 +1475,33 @@ def _assert_dot_products(core, adjoint, inputs, rng):
 class TestAdjoints:
     """Each stage's hand-written adjoint against its forward core."""
 
-    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)))
-    @settings(max_examples=150, deadline=None)
-    def test_phase_map(self, seed, mode):
-        # (W, b) stacked, in every array phase_map reads, against the
+    @staticmethod
+    def _phase_map_dot_products(seed, mode, names):
+        # (W, b) stacked, in the named arrays phase_map reads, against the
         # gradients _phase_map_grads gives them from a cotangent on (W, b)
         rng = np.random.default_rng(seed)
         config = replace(random_small_config(rng), mode=mode)
-        params = init_params(config, int(rng.integers(1000)))
-        # the biases start at 0, where w_inter's term from b_intra vanishes
-        for _, arr in params.named_arrays():
-            arr += 0.1 * rng.normal(size=arr.shape)
-        inputs = {name: arr for name, arr in params.named_arrays()
-                  if name not in ("conv_kernel", "conv_bias")}
+        params = _moved_params(rng, config)
 
         def adjoint(cotangent):
             grads = {}
             backward_module._phase_map_grads(cotangent[:-1], cotangent[-1], params, config,
                                              grads)
-            assert grads.keys() == inputs.keys()
             return grads
 
         _assert_dot_products(
             lambda values: np.vstack(phase_map(replace(params, **values), config)),
-            adjoint, inputs, rng)
+            adjoint, {name: getattr(params, name) for name in names}, rng)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([Mode.MIX, Mode.TIME_ONLY]))
+    @settings(max_examples=100, deadline=None)
+    def test_time_branch(self, seed, mode):
+        self._phase_map_dot_products(seed, mode, ("w_intra", "b_intra", "w_inter", "b_inter"))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([Mode.MIX, Mode.FREQ_ONLY]))
+    @settings(max_examples=100, deadline=None)
+    def test_freq_branch(self, seed, mode):
+        self._phase_map_dot_products(seed, mode, ("w_enc_re", "w_enc_im", "w_dec_re", "w_dec_im"))
 
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
            period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
