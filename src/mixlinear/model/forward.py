@@ -26,10 +26,6 @@ class Path(Enum):
     SERIES = "series"           # consecutive windows, from their series; untraced
 
 
-# floats in one channel group's series-length arrays on Path.SERIES
-SERIES_GROUP_FLOATS = 1 << 16
-
-
 def series_channels(x2d: np.ndarray) -> int:
     """C when (R, L) rows are consecutive windows of one C-channel series, else 0.
 
@@ -167,7 +163,7 @@ def _forward_impl(x2d, params, config, want_trace, step=None, series_setup=None)
     channels = 0 if want_trace else series_channels(x2d)
     if choose_path(rows, config, channels) is Path.SERIES:
         if series_setup is None:
-            series_setup = SeriesSetup(params, config)
+            series_setup = SeriesSetup(params, config, rows // channels, channels)
         return _series_forward(x2d, channels, series_setup, config), None
     if step is None:
         step = StepSetup(params, config, rows)
@@ -288,9 +284,10 @@ def basis_spectra(config: ModelConfig) -> np.ndarray:
 class SeriesSetup:
     """What every ``Path.SERIES`` forward of one ``evaluate`` shares: its constants and buffers.
 
-    ``evaluate`` makes one for all its blocks; a forward given none makes
-    its own.  With kappa the ``aggregation_kernel`` and (W, b) the phase
-    map, it holds kappa, conv_bias, W, and:
+    ``evaluate`` makes one for all its blocks, sized for the most
+    ``windows`` and ``channels`` any of them holds; a forward given none
+    makes its own.  With kappa the ``aggregation_kernel`` and (W, b) the
+    phase map, it holds kappa, conv_bias, W, and:
 
     - ``const`` = conv_bias sum_j W + b, which every output gets;
     - the edge terms.  A window's first (w-1)//2 steps and its last
@@ -304,12 +301,13 @@ class SeriesSetup:
     - ``coefs``, the (w, m, K) weights of each phase's K terms: term 0 is
       the window means, the others its edge terms, zero where ``gaps``
       says the phase has fewer;
-    - the buffers the forwards write to, grown to the largest forward's
-      size and reused, so a forecast holds until the next forward through
-      the setup.
+    - the buffers the forwards write to, each allocated once, for the
+      largest forward, and reused, so a forecast holds until the next
+      forward through the setup.
     """
 
-    def __init__(self, params: MixLinearParams, config: ModelConfig):
+    def __init__(self, params: MixLinearParams, config: ModelConfig, windows: int,
+                 channels: int):
         length, w, n = config.lookback, config.period, config.plan.n
         left, right = conv_pad_split(w)
         self.gain, offset = phase_map(params, config)
@@ -353,15 +351,27 @@ class SeriesSetup:
                 runs.append([source, start, [row], term, phase, 1])
         self.runs = [(start, None if source == "tail" else np.array(rows), term, phase, count)
                      for source, start, rows, term, phase, count in runs]
-        self._buffers = {}
+        self._config = config
+        self._buffers = {name: np.empty(math.prod(shape))
+                         for name, shape in self._shapes(windows, channels).items()}
 
-    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A C-contiguous array of ``shape``, the first entries of the buffer ``name``."""
-        size = math.prod(shape)
-        if self._buffers.get(name, np.empty(0)).size < size:
-            self._buffers[name] = None   # free the smaller buffer first
-            self._buffers[name] = np.empty(size)
-        return self._buffers[name][:size].reshape(shape)
+    def _shapes(self, windows: int, channels: int) -> dict[str, tuple[int, ...]]:
+        """Each buffer's shape in a forward of ``windows`` windows of ``channels`` channels."""
+        w, n, m = self._config.period, self._config.plan.n, self._config.plan.m
+        blocks = -(-(windows + w - 1) // w)     # w-step blocks of the u = k + p that VG holds
+        return {"forecast": (m, w, windows, channels),
+                "padded": ((blocks + n) * w, channels),
+                "conv": (blocks + n - 1, w, channels),
+                "vg": (m, blocks * w * channels),
+                "terms": (w, self.coefs.shape[2], windows * channels)}
+
+    def buffers(self, windows: int, channels: int) -> dict[str, np.ndarray]:
+        """name -> C-contiguous array of its ``_shapes``, the first entries of that buffer.
+
+        A forward larger than the setup was made for raises ``ValueError``.
+        """
+        return {name: self._buffers[name][:math.prod(shape)].reshape(shape)
+                for name, shape in self._shapes(windows, channels).items()}
 
 
 def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
@@ -382,48 +392,42 @@ def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
     multiply-adds, K the terms per phase (at most 2 when w divides L), and
     m*w adds, plus its share of the conv of the series, 2w(b + L + w)/b,
     and of the phase map, which the ``setup`` built once; the window map
-    costs L*H.  The channels run in groups, so that the series-length
-    arrays stay small when the series is wide.  Returns the ``.T`` of a
-    C-contiguous (H, b*C) array in the setup's forecast buffer.
+    costs L*H.  Every channel of the rows is predicted at once, so the
+    series-length arrays grow with C: ``evaluate``'s block rule bounds them.
+    Returns the ``.T`` of a C-contiguous (H, b*C) array in the setup's
+    forecast buffer.
     """
     rows, length = x2d.shape
     windows = rows // channels
     step = x2d.strides[0]
     series = as_strided(x2d, (windows + length - 1, channels), (channels * step, step),
                         writeable=False)
-    plan, w = config.plan, config.period
-    out = setup.buffer("forecast", (plan.m, w, windows, channels))
-    level = series[:length].mean(axis=0)    # each channel's first window's mean
-    group = max(1, SERIES_GROUP_FLOATS // (windows + (plan.n + 1) * w))
-    for lo in range(0, channels, group):
-        _series_group(series[:, lo:lo + group], level[lo:lo + group], out[..., lo:lo + group],
-                      setup, config)
-    return out.reshape(plan.m * w, rows)[:config.horizon].T
+    return _series_group(series, setup, config).reshape(-1, rows)[:config.horizon].T
 
 
-def _series_group(series: np.ndarray, level: np.ndarray, out: np.ndarray, setup: SeriesSetup,
-                  config: ModelConfig) -> None:
-    """Write the (m, w, b, G) phase-major forecast of b windows of a (U, G) series to ``out``.
+def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig) -> np.ndarray:
+    """The C-contiguous (m, w, b, C) phase-major forecast of the b windows of a (U, C) series.
 
-    The series is centred on ``level``, its first window's mean.  Output q
-    at phase p of window k is VG[q, (k + p)*G + c] plus a correction that
-    one batched GEMM writes for every phase at once, the setup's ``coefs``
-    times the phase's terms: the window means and the edge terms.  So the
-    output is written once and added to once, from arrays the size of the
-    series, with no temporary of its size.
+    The series is centred on its first window's mean, its level.  Output q
+    at phase p of window k is VG[q, (k + p)*C + c] plus a correction that
+    one GEMM per phase writes, the setup's ``coefs`` times the phase's
+    terms: the window means and the edge terms.  So the output, in the
+    setup's forecast buffer, is written once and added to once, from
+    arrays the size of the series, with no temporary of its size.
     """
-    length, w, n, m = config.lookback, config.period, config.plan.n, config.plan.m
-    windows, width = out.shape[2], out.shape[3]
+    length, w, n = config.lookback, config.period, config.plan.n
+    windows, width = series.shape[0] - length + 1, series.shape[1]
     rows = windows * width
+    buffers = setup.buffers(windows, width)
     left = conv_pad_split(w)[0]
-    blocks = -(-(windows + w - 1) // w)     # w-step blocks of the u = k + p that VG holds
+    level = series[:length].mean(axis=0)
     # the series less its level; the conv of its buffer has the
     # (blocks + n - 1)*w steps VG reads, which cover the whole series
-    padded = _conv_buffer(series, level, setup.buffer("padded", ((blocks + n) * w, width)), w)
+    padded = _conv_buffer(series, level, buffers["padded"], w)
     centred = padded[left:]
     # the (w, K, rows) terms, each phase's first row the window means, from
     # running sums: window k+1 adds step k+L and drops step k
-    terms = setup.buffer("terms", (w, setup.coefs.shape[2], rows))
+    terms = buffers["terms"]
     mean = terms[0, 0].reshape(windows, width)
     mean[0] = 0.0
     np.subtract(centred[length:length + windows - 1], centred[:windows - 1], out=mean[1:])
@@ -431,14 +435,13 @@ def _series_group(series: np.ndarray, level: np.ndarray, out: np.ndarray, setup:
     mean /= length
     terms[1:, 0] = terms[0, 0]
 
-    conv = conv1d_same_batch(padded.T, setup.kernel,
-                             setup.buffer("conv", (blocks + n - 1, w, width))).reshape(-1, w * width)
-    # VG[q, u*G + c] = sum_j conv[u + j*w, c] W[j, q], one GEMM per w-step block of u
-    sums = setup.buffer("vg", (m, blocks * w * width))
-    for block in range(blocks):
-        np.matmul(setup.gain.T, conv[block:block + n],
-                  out=sums[:, block * w * width:(block + 1) * w * width])
-    vg = sums.reshape(m, -1, width)
+    conv = conv1d_same_batch(padded.T, setup.kernel, buffers["conv"]).reshape(-1, w * width)
+    # VG[q, u*C + c] = sum_j conv[u + j*w, c] W[j, q], one GEMM per w-step block of u
+    sums = buffers["vg"]
+    step = w * width
+    for block in range(sums.shape[1] // step):
+        np.matmul(setup.gain.T, conv[block:block + n], out=sums[:, block * step:(block + 1) * step])
+    vg = sums.reshape(sums.shape[0], -1, width)
     vg += setup.const[:, None, None] + level
 
     # the edge terms, from the conv buffer's or the series conv's steps
@@ -452,14 +455,13 @@ def _series_group(series: np.ndarray, level: np.ndarray, out: np.ndarray, setup:
     for term, phase in setup.gaps:
         terms[phase, term] = 0.0
 
-    # out[q, p, k, c] = the correction + VG[q, (k + p)*G + c]; the GEMM runs
-    # per phase, or per phase and window for a group of a wider series
-    split = 1 if out.flags.c_contiguous else windows
-    np.matmul(setup.coefs[:, None], terms.reshape(w, -1, split, rows // split).swapaxes(1, 2),
-              out=out.reshape(m, w, split, -1).transpose(1, 2, 0, 3))
+    # out[q, p, k, c] = the correction + VG[q, (k + p)*C + c]
+    out = buffers["forecast"]
+    np.matmul(setup.coefs, terms, out=out.reshape(out.shape[0], w, rows).transpose(1, 0, 2))
     item = sums.itemsize
     out += np.ndarray(out.shape, sums.dtype, sums, 0,
                       (sums.strides[0], width * item, width * item, item))
+    return out
 
 
 def _steps(steps: np.ndarray, start: int, count: int, windows: int) -> np.ndarray:

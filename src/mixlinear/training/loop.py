@@ -17,9 +17,11 @@ from .backward import _flatten_windows, backward
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse", "seconds")
 
-# predicted values and rows per forward_batch call in evaluate; see _eval_block_windows
+# predicted values, rows and series-length floats per forward_batch call in
+# evaluate; see _eval_block_shape
 EVAL_BLOCK_VALUES = 1 << 18
 EVAL_BLOCK_ROWS = 1 << 12
+EVAL_SERIES_FLOATS = 1 << 16
 
 
 def batch_size_for_channels(channels: int) -> int:
@@ -147,73 +149,94 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
     return best_params, history
 
 
-def _eval_block_windows(channels: int, config: ModelConfig) -> int:
-    """Most windows an ``evaluate`` block holds.
+def _eval_block_shape(count: int, channels: int, config: ModelConfig) -> tuple[int, int]:
+    """(windows, channels): the most of each an ``evaluate`` block of ``count`` windows holds.
 
-    A block predicts at most ``EVAL_BLOCK_VALUES`` values (2 MB) from at
-    most ``EVAL_BLOCK_ROWS`` rows, the second bound for short horizons,
-    where each row's edge terms (up to 2w-2 values) outweigh its forecast.
-    It holds 2L/H windows when that is more: a block convolves its series,
-    L-1 steps longer than its windows, and this keeps those steps to at most
-    half the values it predicts per channel (at 321 channels, L=720 and
-    H=96, blocks of 15 windows, not 8).  At the three benchmark shapes
-    (L=720; H=96 over 7 and 321 channels, H=720 over 1) ``evaluate`` peaks
-    at 3.4, 5.0 and 2.3 MB (tracemalloc), against 4.5, 6.3 and 7.5 MB for
-    the dense (L, H) window map it once used, in blocks of about 1024 rows.
-    With the series set up once per ``evaluate``, half the values per block
-    ran the 7-channel shape 1.7x slower and the 1-channel one about as fast,
-    and twice them ran both 1.4-2.0x slower (1 thread, 2-vCPU Xeon); half
-    the 2L/H bound ran Electricity's 1.5x slower, and twice it passed its
-    old peak, when the series was set up per block.
+    A block of b windows of G channels predicts b*G*H values from b*G rows
+    and convolves (b + (n+1)*w)*G steps of its series: at most
+    ``EVAL_BLOCK_VALUES`` (2 MB), ``EVAL_BLOCK_ROWS`` (the bound for short
+    horizons, where each row's edge terms, up to 2w-2 values, outweigh its
+    forecast) and ``EVAL_SERIES_FLOATS`` of them.  The group G is the
+    widest that holds min(count, L/2) windows within those bounds, and at
+    least one channel; its blocks then hold as many windows as those
+    bounds allow.  So a series with few windows is predicted in groups of
+    all of them, each channel's series convolved once, and a long one in
+    runs of at least L/2 windows where one channel's bounds allow that,
+    each convolving about three times the steps it predicts at most.  At
+    the three benchmark shapes (L=720; H=96 over 7 and 321 channels, H=720
+    over 1) the blocks are 376 or 377 windows of 7 channels, 64 windows of
+    42 channels (the last group 27) and 345 or 346 windows of 1 channel,
+    and ``evaluate`` peaks at 3.4, 4.4 and 2.3 MB (tracemalloc); at 200
+    windows over 321, 862 or 2000 channels, in groups of 13, at 3.5 MB.
+    Groups that held all of a long split's windows would be one channel
+    wide, and evaluated the 7-channel shape slower.
     """
-    return max(1, min(EVAL_BLOCK_VALUES // (channels * config.horizon),
-                      EVAL_BLOCK_ROWS // channels),
-               2 * config.lookback // config.horizon)
+    horizon = config.horizon
+    edge = (config.plan.n + 1) * config.period
+
+    def widest(windows):
+        return min(EVAL_BLOCK_VALUES // (windows * horizon), EVAL_BLOCK_ROWS // windows,
+                   EVAL_SERIES_FLOATS // (windows + edge))
+
+    group = max(1, min(channels, widest(max(1, min(count, config.lookback // 2)))))
+    most = min(EVAL_BLOCK_VALUES // (group * horizon), EVAL_BLOCK_ROWS // group,
+               EVAL_SERIES_FLOATS // group - edge)
+    return max(1, most), group
 
 
-def _eval_blocks(count: int, channels: int, config: ModelConfig) -> list[tuple[int, int]]:
-    """The [lo, hi) window ranges ``evaluate`` predicts, one ``forward_batch`` call each.
+def _eval_blocks(count: int, channels: int,
+                 config: ModelConfig) -> list[tuple[int, int, int, int]]:
+    """The (lo, hi, first, last) blocks ``evaluate`` predicts, one ``forward_batch`` call each.
 
-    As few near-equal blocks as keep within ``_eval_block_windows``, except
-    that no block holds a single window when there are two or more (under a
-    bound of one or two windows, blocks hold two or three), so that every
-    block takes ``Path.SERIES``.
+    Block (lo, hi, first, last) is windows [lo, hi) of channels [first,
+    last).  The channels are cut into groups of ``_eval_block_shape``'s
+    width, the last narrower, and each group's windows into as few
+    near-equal runs as keep within its window count, except that no run
+    holds a single window when there are two or more (under a bound of one
+    or two windows, runs hold two or three), so that every block takes
+    ``Path.SERIES``.
     """
-    return window_runs(count, _eval_block_windows(channels, config), 2)
+    most, group = _eval_block_shape(count, channels, config)
+    runs = window_runs(count, most, 2)
+    return [(lo, hi, first, min(first + group, channels))
+            for first in range(0, channels, group) for lo, hi in runs]
 
 
 def evaluate(params: MixLinearParams, windows: WindowSet,
              config: ModelConfig) -> tuple[float, float]:
     """Average MSE/MAE over every window and channel, standardized scale.
 
-    Streams the windows through ``forward_batch`` a block at a time, all
-    channels at once: view a block of consecutive windows in place, predict
-    it, accumulate its errors.  ``_eval_blocks`` sizes the blocks, so the
-    memory in use is bounded by the block, not by the split length, and
-    every block of two or more windows is predicted from its series
-    (``Path.SERIES``).  One ``SeriesSetup`` holds what the blocks share,
-    the phase map and the constants built from it, and the buffers each
-    block's forecast is written to.  The targets are subtracted in the
-    forecast's own time-major (H, b*C) layout, which numpy iterates along
-    its rows whatever the channel count.  A block holds every channel of at
-    least 2L/H windows, so past 2^18/(2L) channels (about 182 at L=720)
-    its prediction grows with the channel count.  Each block's squared
-    errors are summed by ``einsum``, whose result, unlike a BLAS dot
-    product's, does not depend on the thread count.
+    Streams the windows through ``forward_batch`` a block at a time:
+    ``_eval_blocks`` cuts the split into runs of windows of groups of
+    channels, so the memory in use is bounded by the block, not by the
+    split's length or width.  Each block is a ``WindowSet`` over its steps
+    of its channels, a C-contiguous copy when the group is narrower than
+    the split, so its windows are views of their series: each block is
+    predicted from its series (``Path.SERIES``), and its forecast is
+    C-contiguous.  One ``SeriesSetup``, sized for the largest block, holds
+    what the blocks share: the phase map, the constants built from it, and
+    the buffers each block's forecast is written to.  The targets are
+    subtracted in the forecast's own time-major (H, b*G) layout, which
+    numpy iterates along its rows.  Each block's squared errors are summed
+    by ``einsum``, whose result, unlike a BLAS dot product's, does not
+    depend on the thread count.
     Raises ``NumericError`` at the first block whose error sums are not
     finite, such as one that reads a NaN.
     """
     if windows.count < 1:
         raise ConfigError("window set is empty")
+    length, horizon = config.lookback, config.horizon
     sq_sum = 0.0
     abs_sum = 0.0
-    setup = SeriesSetup(params, config)
-    for lo, hi in _eval_blocks(windows.count, windows.channels, config):
-        x, y = windows.batch(np.arange(lo, hi))
-        rows = _flatten_windows(x, config.lookback, "inputs")
-        err = forward_batch(rows, params, config, setup)
-        # in the forecast's time-major (H, b*C) layout
-        np.subtract(err.T, _flatten_windows(y, config.horizon, "targets").T, out=err.T)
+    blocks = _eval_blocks(windows.count, windows.channels, config)
+    setup = SeriesSetup(params, config, max(hi - lo for lo, hi, _, _ in blocks),
+                        max(last - first for _, _, first, last in blocks))
+    for lo, hi, first, last in blocks:
+        block = WindowSet(windows.base[lo:hi + length + horizon - 1, first:last], length, horizon)
+        x, y = block.batch(np.arange(hi - lo))
+        err = forward_batch(_flatten_windows(x, length, "inputs"), params, config, setup)
+        # in the forecast's time-major (H, b*G) layout
+        np.subtract(err.T, _flatten_windows(y, horizon, "targets").T, out=err.T)
         flat = err.ravel(order="K")  # a view of that layout
         # an overflow is reported as the NumericError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
@@ -221,8 +244,8 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
             abs_sum += float(np.abs(flat, out=flat).sum())
         if not (math.isfinite(sq_sum) and math.isfinite(abs_sum)):
             raise NumericError(
-                f"non-finite evaluation error in windows [{lo}, {hi})"
+                f"non-finite evaluation error in windows [{lo}, {hi}) of channels "
+                f"[{first}, {last})"
             )
-        del err, flat  # so that a larger block can replace the buffer
-    count = windows.count * windows.channels * config.horizon
+    count = windows.count * windows.channels * horizon
     return sq_sum / count, abs_sum / count

@@ -385,17 +385,23 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("config, count, block", [
         (ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1), 23, "[0, 23)"),
-        # three blocks of 16-channel windows, the NaN in the last
+        # a 2^14-value budget cuts each channel's windows into three runs,
+        # the NaN in the last of channel 0
         (ModelConfig(720, 96, 24), 385, "[256, 385)"),
     ])
-    def test_non_finite_window_raises_numeric_error(self, config, count, block):
+    def test_non_finite_window_raises_numeric_error(self, config, count, block, monkeypatch):
         lookback, horizon = config.lookback, config.horizon
+        if count == 385:
+            monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 1 << 14)
         values = np.random.default_rng(23).normal(size=(count + lookback + horizon - 1, 16))
-        # the last ten windows read this step, and only the last block holds them
+        # the last ten windows read this step, and of channel 0's blocks only
+        # the last holds them
         values[-10, 0] = np.nan
-        last = loop_module._eval_blocks(count, 16, config)[-1]
-        assert block == f"[{last[0]}, {last[1]})" and last[0] <= count - 10
-        with pytest.raises(NumericError, match=re.escape(f"windows {block}")):
+        blocks = loop_module._eval_blocks(count, 16, config)
+        first = next(b for b in blocks if b[2] == 0 and b[1] > count - 10)
+        assert block == f"[{first[0]}, {first[1]})" and first[0] <= count - 10
+        message = f"windows {block} of channels [0, {first[3]})"
+        with pytest.raises(NumericError, match=re.escape(message)):
             evaluate(init_params(config, 23), _window_set(values, lookback, horizon),
                      config)
 
@@ -450,31 +456,42 @@ class TestAffineMap:
     costs fewer MACs than the graph; evaluate's blocks are runs of windows
     and take the series path instead."""
 
-    @pytest.mark.parametrize("channels, blocks, extra, configs", [
+    @pytest.mark.parametrize("channels, blocks, extra, configs, level", [
         # one full block, then 2 more windows
-        pytest.param(3, 1, 2, _mode_configs, id="2"),
-        pytest.param(3, 2, 0, _mode_configs, id="256"),
+        pytest.param(3, 1, 2, _mode_configs, None, id="2"),
+        pytest.param(3, 2, 0, _mode_configs, None, id="256"),
         # one window alone predicts more values than a block may
-        pytest.param(1025, 0, 3, _mode_configs, id="wide"),
+        pytest.param(1025, 0, 3, _mode_configs, None, id="wide"),
         # three full blocks, then a tail of 5
-        pytest.param(64, 3, 5, _mode_configs, id="ragged"),
-        pytest.param(3, 0, 1, _mode_configs, id="single"),
+        pytest.param(64, 3, 5, _mode_configs, None, id="ragged"),
+        pytest.param(3, 0, 1, _mode_configs, None, id="single"),
         # one channel, whose targets are rows with strides (8, 8)
-        pytest.param(1, 2, 3, _mode_configs, id="one-channel"),
+        pytest.param(1, 2, 3, _mode_configs, None, id="one-channel"),
         # w does not divide L and m*w > H, so the edges and the padded steps
         # put two terms on some phases
-        pytest.param(1, 2, 3, _ragged_period_configs, id="ragged-period-one-channel"),
-        pytest.param(3, 2, 3, _ragged_period_configs, id="ragged-period"),
+        pytest.param(1, 2, 3, _ragged_period_configs, None, id="ragged-period-one-channel"),
+        pytest.param(3, 2, 3, _ragged_period_configs, None, id="ragged-period"),
+        # groups of 3, 3 and 2 channels, each cut into four runs of 20 or 21
+        # windows, of random walks at level 30, so that a block's windows
+        # drift from the level its series is centred on
+        pytest.param(8, 3, 5, _ragged_period_configs, 30.0, id="groups"),
     ])
     def test_evaluate_matches_per_window_forward(self, channels, blocks, extra, configs,
-                                                 monkeypatch):
+                                                 level, monkeypatch):
         # a 1024-value budget makes blocks of tens of windows on these configs
         monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 1024)
         for config, seed in configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
-            count = blocks * loop_module._eval_block_windows(channels, config) + extra
-            values = rng.normal(size=(config.lookback + config.horizon + count - 1, channels))
+            # from L windows on, the block shape does not depend on the count
+            most, group = loop_module._eval_block_shape(config.lookback, channels, config)
+            count = blocks * most + extra
+            steps = config.lookback + config.horizon + count - 1
+            if level is not None:
+                assert (most, group) == (26, 3)
+                values = level + np.cumsum(0.3 * rng.normal(size=(steps, channels)), axis=0)
+            else:
+                values = rng.normal(size=(steps, channels))
             ws = _window_set(values, config.lookback, config.horizon)
             assert ws.count == count
             mse, mae = evaluate(params, ws, config)
@@ -532,32 +549,59 @@ class TestAffineMap:
         return seen
 
     def test_evaluate_blocks_are_bounded(self, monkeypatch):
-        # near-equal blocks within the block rule, whatever the channel
-        # count, and each one predicted from its series
+        # runs of windows of groups of channels within the block rule: the
+        # runs near-equal, the groups all but the last as wide as the rule
+        # allows, each window of each channel in one block, and every block
+        # predicted from its series
         most_values, most_rows = loop_module.EVAL_BLOCK_VALUES, loop_module.EVAL_BLOCK_ROWS
-        for config, channels, count, bound in (
-                # the predicted values bound the block
+        most_floats = loop_module.EVAL_SERIES_FLOATS
+        for config, channels, count, shape in (
+                # the predicted values bound the runs
                 (ModelConfig(16, 96, 4, lpf_cutoff=3, latent_width=2), 2, 3000,
-                 most_values // (2 * 96)),
-                # the rows bound it
-                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 2, 20000, most_rows // 2),
-                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 64, 1300, most_rows // 64),
-                # 2L/H = 275 windows is more than either allows
-                (ModelConfig(1100, 8, 100, lpf_cutoff=3, latent_width=2), 64, 1300, 275)):
+                 (most_values // (2 * 96), 2)),
+                # the rows bound them
+                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 2, 20000,
+                 (most_rows // 2, 2)),
+                (ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2), 64, 1300,
+                 (most_rows // 64, 64)),
+                # L/2 = 550 windows of 64 channels are more rows than a block
+                # holds: groups of 7 channels, in runs of 585 windows
+                (ModelConfig(1100, 8, 100, lpf_cutoff=3, latent_width=2), 64, 1300,
+                 (most_rows // 7, 7)),
+                # 10 windows convolve 2110 steps: the series floats bound the
+                # groups to 31 channels
+                (ModelConfig(2000, 8, 100, lpf_cutoff=3, latent_width=2), 64, 10, (14, 31))):
+            assert loop_module._eval_block_shape(count, channels, config) == shape
+            blocks = loop_module._eval_blocks(count, channels, config)
             calls = self._evaluate_calls(monkeypatch, config, channels, count)
-            assert loop_module._eval_block_windows(channels, config) == bound
-            windows = [rows // channels for rows, _ in calls]
-            assert len(windows) == -(-count // bound) >= 2, (config, channels)
-            assert max(windows) <= bound and max(windows) - min(windows) <= 1
-            assert sum(windows) == count
+            assert [rows for rows, _ in calls] == [(hi - lo) * (last - first)
+                                                   for lo, hi, first, last in blocks]
             assert {path for _, path in calls} == {Path.SERIES}
+            most, group = shape
+            runs = sorted({(lo, hi) for lo, hi, _, _ in blocks})
+            groups = sorted({(first, last) for _, _, first, last in blocks})
+            assert len(runs) == -(-count // most) and len(blocks) == len(runs) * len(groups)
+            assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+            assert runs[-1][1] == count
+            sizes = [hi - lo for lo, hi in runs]
+            assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+            assert groups == [(c, min(c + group, channels)) for c in range(0, channels, group)]
+            edge = (config.plan.n + 1) * config.period
+            for lo, hi, first, last in blocks:
+                windows, width = hi - lo, last - first
+                assert windows * width * config.horizon <= most_values
+                assert windows * width <= most_rows
+                assert (windows + edge) * width <= most_floats
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_evaluate_blocks_take_series_path(self, monkeypatch, channels):
-        # two full blocks and two windows more make three near-equal blocks,
-        # each read as a view of the series and predicted from it
+        # two full blocks and two windows more make three near-equal blocks
+        # of every channel, each read as a view of the series and predicted
+        # from it
         config = ModelConfig(512, 8, 8, lpf_cutoff=3, latent_width=2)
-        bound = loop_module._eval_block_windows(channels, config)
+        # from L windows on, the block shape does not depend on the count
+        bound, group = loop_module._eval_block_shape(config.lookback, channels, config)
+        assert group == channels
         assert bound == min(loop_module.EVAL_BLOCK_VALUES // (channels * config.horizon),
                             loop_module.EVAL_BLOCK_ROWS // channels)
         count = 2 * bound + 2
@@ -568,34 +612,40 @@ class TestAffineMap:
 
     @pytest.mark.parametrize("count, want", [(1, [1]), (2, [2]), (3, [3]), (5, [2, 3])])
     def test_evaluate_leaves_no_single_window_block(self, monkeypatch, count, want):
-        # with a bound of one window, blocks hold two or three
+        # with a bound of one window of one channel, each channel's runs
+        # hold two or three windows
         config = ModelConfig(8, 32, 4, lpf_cutoff=3, latent_width=2)
         monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 0)
-        assert loop_module._eval_block_windows(3, config) == 1
+        assert loop_module._eval_block_shape(count, 3, config) == (1, 1)
         calls = self._evaluate_calls(monkeypatch, config, 3, count)
-        assert [rows // 3 for rows, _ in calls] == want
-        assert all(path is Path.SERIES for _, path in calls[count == 1:])
+        assert [rows for rows, _ in calls] == want * 3
+        assert {path is Path.SERIES for _, path in calls} == {count > 1}
 
     def test_column_slice_evaluates_on_series_path(self, monkeypatch):
         # a set over some columns of a wider series, as a checkpoint fit on
-        # a few channels makes, holds them C-contiguous, so its blocks are
-        # views of its series and every one is predicted from it
-        monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 1024)
+        # a few channels makes, holds them C-contiguous; its blocks, groups
+        # of 4 and 3 of those channels, copy their steps C-contiguous too,
+        # so every block is a view of its series and predicted from it
+        monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 256)
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
         values = np.random.default_rng(41).normal(size=(300, 9))
         sliced = WindowSet(values[:, :7], 16, 8)
         assert sliced.base.flags.c_contiguous
+        assert loop_module._eval_block_shape(sliced.count, 7, config) == (8, 4)
         params = init_params(config, 41)
-        paths = []
+        calls = []
 
         def recording(rows, *args):
-            paths.append(choose_path(rows.shape[0], config, series_channels(rows)))
+            calls.append((rows.shape[0], series_channels(rows),
+                          choose_path(rows.shape[0], config, series_channels(rows))))
             return forward_batch(rows, *args)
 
         with monkeypatch.context() as patch:
             patch.setattr(loop_module, "forward_batch", recording)
             got = evaluate(params, sliced, config)
-        assert len(paths) >= 3 and set(paths) == {Path.SERIES}
+        assert len(calls) >= 3 and {path for _, _, path in calls} == {Path.SERIES}
+        assert {width for _, width, _ in calls} == {4, 3}
+        assert all(rows * config.horizon <= 256 for rows, _, _ in calls)
         copy = WindowSet(np.ascontiguousarray(values[:, :7]), 16, 8)
         assert got == evaluate(params, copy, config)
 
@@ -619,6 +669,9 @@ class TestAffineMap:
         pytest.param(4204, 7, 96, None, 4.52e6, id="etth1-train"),
         pytest.param(2000, 321, 96, 64, 6.25e6, id="electricity-eval"),
         pytest.param(4204, 1, 720, None, 7.46e6, id="etth1-univariate-train"),
+        # wider series in groups of 13 channels: no more than at 321
+        pytest.param(None, 862, 96, 200, 6.25e6, id="wide-862"),
+        pytest.param(None, 2000, 96, 200, 6.25e6, id="wide-2000"),
     ])
     def test_evaluate_memory_at_workload_shapes(self, length, channels, horizon, count,
                                                 parent_peak):
@@ -635,9 +688,36 @@ class TestAffineMap:
             tracemalloc.stop()
         assert peak <= parent_peak
 
+    def test_evaluate_allocates_each_buffer_once(self, monkeypatch):
+        # near-equal runs alternate sizes (here 376 and 377 windows), yet
+        # every buffer is made with the setup, for the largest block, and
+        # each block is written into those same buffers
+        config = ModelConfig(720, 96, 24)
+        count = 3389
+        assert {hi - lo for lo, hi, _, _ in loop_module._eval_blocks(count, 7, config)} \
+            == {376, 377}
+        made, forwards = [], []
+
+        class Recording(forward_module.SeriesSetup):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(dict(self._buffers))
+
+            def buffers(self, windows, channels):
+                views = super().buffers(windows, channels)
+                forwards.append(all(view.base is made[-1][name]
+                                    for name, view in views.items()))
+                return views
+
+        monkeypatch.setattr(loop_module, "SeriesSetup", Recording)
+        self._evaluate_calls(monkeypatch, config, 7, count)
+        assert len(made) == 1 and set(made[0]) == {"forecast", "padded", "conv", "vg", "terms"}
+        assert forwards == [True] * 9
+
     def test_evaluate_runs_no_gain_first(self, monkeypatch):
-        # every block runs the conv on its own series, and the phase map is
-        # built once for all of them
+        # every block, runs of 7 or 8 windows of groups of 512 and 88 channels,
+        # runs the conv on its own series, and the phase map is built once
+        # for all of them
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
         assert choose_path(64 * 2, config) is Path.GAIN_FIRST
         gain_firsts, convs, phase_maps = [], [], []
@@ -653,8 +733,10 @@ class TestAffineMap:
         monkeypatch.setattr(forward_module, "conv1d_same_batch",
                             counting(convs, forward_module.conv1d_same_batch))
         monkeypatch.setattr(forward_module, "phase_map", counting(phase_maps, phase_map))
-        calls = self._evaluate_calls(monkeypatch, config, 64, 1000)
-        assert len(calls) >= 3 and gain_firsts == []
+        assert loop_module._eval_block_shape(100, 600, config) == (8, 512)
+        calls = self._evaluate_calls(monkeypatch, config, 600, 100)
+        assert sorted({rows for rows, _ in calls}) == [7 * 88, 8 * 88, 7 * 512, 8 * 512]
+        assert {path for _, path in calls} == {Path.SERIES} and gain_firsts == []
         assert len(convs) == len(calls) and len(phase_maps) == 1
 
     def test_gain_first_follows_in_place_edits(self, monkeypatch):
