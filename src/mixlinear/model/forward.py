@@ -131,9 +131,9 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
     """Predict (B, horizon) from (B, lookback); no trace.
 
     ``series_setup`` is the ``SeriesSetup`` an ``evaluate`` made once for
-    all its blocks: rows that take ``Path.SERIES`` read its constants and
-    are predicted into its forecast buffer, so the result holds until the
-    next forward through it.  Without one, or on any other path, the
+    all its blocks, sized for the largest: rows that take ``Path.SERIES``
+    read its constants and are predicted into its forecast buffer, so the
+    result holds until the next forward through it.  Without one, or on any other path, the
     forward makes what it needs itself.
     """
     pred, _ = _forward_impl(x2d, params, config, want_trace=False, series_setup=series_setup)
@@ -421,8 +421,8 @@ def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig) -
     buffers = setup.buffers(windows, width)
     left = conv_pad_split(w)[0]
     level = series[:length].mean(axis=0)
-    # the series less its level; the conv of its buffer has the
-    # (blocks + n - 1)*w steps VG reads, which cover the whole series
+    # the series less its level; the conv of its buffer has every step VG
+    # reads, which cover the whole series
     padded = _conv_buffer(series, level, buffers["padded"], w)
     centred = padded[left:]
     # the (w, K, rows) terms, each phase's first row the window means, from
