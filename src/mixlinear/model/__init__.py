@@ -2,10 +2,8 @@
 
 from .config import Mode, ModelConfig, ShapePlan, plan_shapes
 from .forward import (
-    ForwardTrace,
     forward,
     forward_batch,
-    forward_batch_with_trace,
     forward_multichannel,
 )
 from .params import (
@@ -23,10 +21,8 @@ __all__ = [
     "ModelConfig",
     "ShapePlan",
     "plan_shapes",
-    "ForwardTrace",
     "forward",
     "forward_batch",
-    "forward_batch_with_trace",
     "forward_multichannel",
     "PARAM_NAMES",
     "MixLinearParams",

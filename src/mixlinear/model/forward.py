@@ -2,12 +2,11 @@
 
 The public single-series operations are thin wrappers over a batched
 engine that evaluates whole (batch, lookback) blocks with numpy matmuls.
-``forward_batch_with_trace`` additionally records the intermediate
-activations the reverse pass needs.
+``forward_batch_with_trace`` is the one map-path forward: it leaves in a
+``StepSetup``'s workspace what the reverse pass reads.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,7 +22,7 @@ class Path(Enum):
 
     PHASE_MAP = "phase map"     # the graph, with the phase map as one GEMM
     GAIN_FIRST = "gain first"   # the phase map on the period blocks, then the conv
-    SERIES = "series"           # consecutive windows, from their series; untraced
+    SERIES = "series"           # consecutive windows, from their series; no step
 
 
 def series_channels(x2d: np.ndarray) -> int:
@@ -46,9 +45,9 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     """The path a forward of ``rows`` flattened windows takes.
 
     ``channels`` is the rows' ``series_channels``, or 0 when they are not
-    windows of one series or the forward is traced.  Two or more
-    consecutive windows are predicted from their series, which they share
-    all but one step of.  Otherwise the phase map (W, b), which
+    windows of one series or a ``StepSetup`` plans their path.  Two or
+    more consecutive windows are predicted from their series, which they
+    share all but one step of.  Otherwise the phase map (W, b), which
     ``phase_map`` writes from the weights, is applied either after the band
     conv, on the phase block (the graph, 2*L*w + L*m MACs per row), or
     before it, on the period blocks of the centred windows (gain-first,
@@ -61,29 +60,6 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     if 2 * length * m + 2 * horizon * w < 2 * length * w + length * m:
         return Path.GAIN_FIRST
     return Path.PHASE_MAP
-
-
-@dataclass
-class ForwardTrace:
-    """Intermediate activations cached for the reverse pass.
-
-    The graph paths run time-major: their arrays keep time (or the phase
-    index j) on the first axis and the batch on the last, so the phase
-    rows and the re-interleave are reshapes, not copies.  The phase map
-    (W, b) is built from the weights (``phase_map``), so nothing of it is
-    traced.  ``padded``, ``rows`` and ``images`` live in the
-    ``StepSetup``'s workspace, so they hold until the next forward through
-    the same step; ``backward`` writes the phase block's gradient over
-    ``rows`` once it has read them.
-    """
-
-    path: Path | None = None
-    padded: np.ndarray | None = None   # ((n+1)*w, B) conv buffer Z of the centred
-                                       # windows, see ``_conv_buffer``
-    rows: np.ndarray | None = None     # (w*B, n) phase rows, row p*B + b the phase-p
-                                       # row of window b; the .T view of the
-                                       # (n, w*B) time-major phase block.  Graph only
-    images: np.ndarray | None = None   # (2m, w*B) U = [W 0; 0 W]' Z, gain-first only
 
 
 def aggregation_kernel(conv_kernel: np.ndarray) -> np.ndarray:
@@ -128,51 +104,48 @@ def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.
 
 def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
                   series_setup: "SeriesSetup | None" = None) -> np.ndarray:
-    """Predict (B, horizon) from (B, lookback); no trace.
+    """Predict (B, horizon) from (B, lookback).
 
     ``series_setup`` is the ``SeriesSetup`` an ``evaluate`` made once for
     all its blocks, sized for the largest: rows that take ``Path.SERIES``
     read its constants and are predicted into its forecast buffer, so the
-    result holds until the next forward through it.  Without one, or on any other path, the
-    forward makes what it needs itself.
+    result holds until the next forward through it.  Without one the forward
+    makes its own.  Other rows run ``forward_batch_with_trace`` through a
+    ``StepSetup`` of their own.
     """
-    pred, _ = _forward_impl(x2d, params, config, want_trace=False, series_setup=series_setup)
-    return pred
-
-
-def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
-                             config: ModelConfig, step: "StepSetup | None" = None):
-    """Predict (B, horizon) from (B, lookback) and record what the reverse pass needs.
-
-    ``step`` is the ``StepSetup`` a training step made once for all its
-    blocks: the forward reads its constants and writes into its workspace
-    (in place when ``x2d`` is the ``.T`` of its ``inputs``, where
-    ``backward`` gathers a block), and takes its path.  Without one the
-    forward makes its own, as ``forward_batch`` does.
-    """
-    return _forward_impl(x2d, params, config, want_trace=True, step=step)
-
-
-def _forward_impl(x2d, params, config, want_trace, step=None, series_setup=None):
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
         raise ValueError(
             f"expected input of shape (batch, {config.lookback}), got {x2d.shape}"
         )
     rows = x2d.shape[0]
-    channels = 0 if want_trace else series_channels(x2d)
+    channels = series_channels(x2d)
     if choose_path(rows, config, channels) is Path.SERIES:
         if series_setup is None:
             series_setup = SeriesSetup(params, config, rows // channels, channels)
-        return _series_forward(x2d, channels, series_setup, config), None
-    if step is None:
-        step = StepSetup(params, config, rows)
+        return _series_forward(x2d, channels, series_setup, config)
+    return forward_batch_with_trace(x2d, params, config, StepSetup(params, config, rows))
+
+
+def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
+                             config: ModelConfig, step: "StepSetup") -> np.ndarray:
+    """Predict (B, horizon) from (B, lookback) on ``step.path``, a map path.
+
+    ``step`` is the ``StepSetup`` made for at least B rows, once for all
+    the blocks of a training step: the forward reads its constants and
+    leaves in its workspace what the reverse pass reads, the conv buffer
+    Z (``step.buffer(B)``) and the phase block or U (``step.block(B)``).
+    Z is centred in place when ``x2d`` is the ``.T`` of the step's
+    ``inputs``, where ``backward`` gathers a block.  ``params`` reach the
+    forward through the step, which was made from them.
+    """
+    rows = x2d.shape[0]
     # x2d.mean(axis=1) without its Python wrapper: the same sum, divided by L
     mean = np.add.reduce(x2d, axis=1)
     mean /= config.lookback
     padded = _conv_buffer(x2d.T, mean, step.buffer(rows), config.period)
     if step.path is Path.GAIN_FIRST:
-        return _gain_first(padded, mean, config, step, want_trace)
+        return _gain_first(padded, mean, config, step)
 
     # the graph: the phase block is the band conv's output, the n*w - L
     # padded steps zeroed
@@ -180,18 +153,18 @@ def _forward_impl(x2d, params, config, want_trace, step=None, series_setup=None)
     block = conv1d_same_batch(padded.T, step.kernel, step.block(rows)).reshape(n, -1)
     block += step.conv_bias
     block.reshape(-1, rows)[length:] = 0.0
-    trace = ForwardTrace(step.path, padded, block.T) if want_trace else None
     out = step.gain.T @ block
     out += step.offset[:, None]
-    return _reinterleave(out, mean, config), trace
+    return _reinterleave(out, mean, config)
 
 
 class StepSetup:
     """What every forward of one step shares: its constants and one workspace.
 
     A training step makes one for all its blocks (``backward``); any other
-    forward makes its own.  Made for ``rows`` flattened windows, the most a
-    forward through it takes, it holds:
+    map-path forward makes its own.  It is the only record of a forward:
+    the reverse pass reads the path and the workspace.  Made for ``rows``
+    flattened windows, the most a forward through it takes, it holds:
 
     - ``path``, what ``choose_path`` names for ``rows`` off the series path;
     - kappa, the ``aggregation_kernel``, and conv_bias;
@@ -203,7 +176,11 @@ class StepSetup:
       conv's output (graph) or U (gain-first) is written to, both flat, so
       that a forward of R <= ``rows`` rows uses their first entries as
       C-contiguous arrays.  Each forward writes every entry it reads,
-      zero padding included.
+      zero padding included.  Both run time-major, time (or the phase
+      index j) on the first axis and the rows on the last, so the phase
+      rows and the re-interleave are reshapes, not copies.  What a forward
+      leaves there holds until the next forward through the step;
+      ``backward`` writes the phase block's gradient over it once read.
     """
 
     def __init__(self, params: MixLinearParams, config: ModelConfig, rows: int):
@@ -483,7 +460,7 @@ def _take_back(out, gain, edge, first: int):
         out[:, lo - j * w:hi - j * w] -= np.multiply.outer(gain[j], edge[lo - first:hi - first])
 
 
-def _gain_first(padded, mean, config, step: StepSetup, want_trace):
+def _gain_first(padded, mean, config, step: StepSetup):
     """Predict (B, L) windows by the phase map on their period blocks, then the conv.
 
     ``padded`` is the windows' conv buffer Z of (n+1)*w steps, centred by
@@ -508,8 +485,7 @@ def _gain_first(padded, mean, config, step: StepSetup, want_trace):
     out += step.const[..., None]
     if n * w > length:
         _take_back(out, step.gain, past_end(padded, config) @ step.kernel, length)
-    trace = ForwardTrace(Path.GAIN_FIRST, padded, images=images) if want_trace else None
-    return _reinterleave(out, mean, config), trace
+    return _reinterleave(out, mean, config)
 
 
 def padded_phases(config: ModelConfig) -> np.ndarray:

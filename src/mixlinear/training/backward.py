@@ -20,7 +20,6 @@ from ..data.windows import WindowSet, window_runs
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
 from ..model.forward import (
-    ForwardTrace,
     Path,
     StepSetup,
     basis_spectra,
@@ -62,32 +61,34 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     the returned loss = mean((forward(x) - y)^2).
 
     The step streams its windows: ``_train_blocks`` cuts them into runs of
-    whole windows, and each block is run through a traced forward and back
-    before the next.  What the blocks share is set up once per step: one
-    ``StepSetup`` holds the constants and a workspace sized for the largest
-    block, and one ``_StepSums`` the gradient sums.  A ``WindowSet`` block
-    is gathered (``WindowSet.batch``) straight into the workspace's conv
-    buffer and target block, where the forward centres it in place; an
-    array block is centred into the buffer from the arrays.  Every block
+    whole windows, and each block is run forward
+    (``forward_batch_with_trace``) and back before the next.  What the
+    blocks share is set up once per step: one ``StepSetup`` holds the
+    constants and a workspace sized for the largest block, and one
+    ``_StepSums`` the gradient sums.  A ``WindowSet`` block is gathered
+    (``WindowSet.batch``) straight into the workspace's conv buffer and
+    target block, where the forward centres it in place; an array block is
+    centred into the buffer from the arrays.  Every block
     applies the one phase map on the path ``choose_path`` names:
     ``phase_map`` writes it from the weights once per step, and
     ``_phase_map_grads`` takes its gradient back to them once at the end.
     The squared errors are summed block by block, in a fixed order and by
     ``einsum``, whose result does not depend on the BLAS thread count.
 
-    Each block's reverse pass (``_add_block``) mirrors the path its trace
-    records and adds raw sums only; ``_step_grads`` finishes them once per
-    step.  Every traced path ran time-major on the block's rows, and the
-    (H, B) prediction gradient read as the (m, w, B) phase outputs G undoes
-    the re-interleave.  On ``Path.GAIN_FIRST`` the block runs the forward's
-    GEMMs transposed: it adds sum_q G_q U_q', the band's gradient, and
-    G_U Z', the stacked map's.  On ``Path.PHASE_MAP`` it flows back through
-    the phase map, one GEMM each for the map's gradient and the phase
-    block's, onto the phase block, the band conv's output, and adds the
-    band's gradient sum_j G_j pairs_j' over the buffer's block pairs.  Each
-    block also adds G summed over its rows, from which the step gets the
-    offset's and conv_bias's gradients, and the kernel's is the band's
-    summed along its diagonals.
+    Each block's reverse pass (``_add_block``) mirrors the step's path and
+    reads what the forward left in the step's workspace; it adds raw sums
+    only, and ``_step_grads`` finishes them once per step.  Both map paths
+    run time-major on the block's rows, and the (H, B) prediction gradient
+    read as the (m, w, B) phase outputs G undoes the re-interleave.  On
+    ``Path.GAIN_FIRST`` the block runs the forward's GEMMs transposed: it
+    adds sum_q G_q U_q', the band's gradient, and G_U Z', the stacked
+    map's.  On ``Path.PHASE_MAP`` it flows back through the phase map, one
+    GEMM each for the map's gradient and the phase block's, onto the phase
+    block, the band conv's output, and adds the band's gradient
+    sum_j G_j pairs_j' over the buffer's block pairs.  Each block also adds
+    G summed over its rows, from which the step gets the offset's and
+    conv_bias's gradients, and the kernel's is the band's summed along its
+    diagonals.
     """
     if isinstance(x_batch, WindowSet):
         windows, idx = x_batch, np.asarray(y_batch, dtype=np.intp)
@@ -126,14 +127,14 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     sq_sum = 0.0
     for lo, hi in blocks:
         x_rows, y_rows = gather(lo, hi)
-        pred, trace = forward_batch_with_trace(x_rows, params, config, step)
+        pred = forward_batch_with_trace(x_rows, params, config, step)
         # the residual, in pred's buffer: pred is the .T view of a time-major
         # (H, B) array, so diff.T is time-major without a copy
         diff = np.subtract(pred, y_rows, out=pred)
         flat = diff.ravel(order="K")
         sq_sum += float(np.einsum("i,i->", flat, flat))
         diff *= 2.0 / values
-        _add_block(diff, trace, step, sums, config)
+        _add_block(diff, step, sums, config)
     grads, grad_gain, grad_offset = _step_grads(sums, step, config)
     _phase_map_grads(grad_gain, grad_offset, params, config, grads)
     # keep checkpoint/declaration order
@@ -202,15 +203,16 @@ def _band_kernel_grad(band: np.ndarray) -> np.ndarray:
                        minlength=width + 1)[:width]
 
 
-def _add_block(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, config):
-    """Add one block's raw gradient sums to the step's ``sums``, by the path its trace records.
+def _add_block(grad_pred, step: StepSetup, sums: _StepSums, config):
+    """Add one block's raw gradient sums to the step's ``sums``, on ``step.path``.
 
-    ``grad_pred`` is the (B, H) gradient on the block's prediction.
+    ``grad_pred`` is the (B, H) gradient on the prediction of the block's
+    forward through ``step``, whose workspace still holds what it left.
     """
-    if trace.path is Path.GAIN_FIRST:
-        _add_gain_first(grad_pred, trace, step, sums, config)
+    if step.path is Path.GAIN_FIRST:
+        _add_gain_first(grad_pred, step, sums, config)
     else:
-        _add_graph(grad_pred, trace, step, sums, config)
+        _add_graph(grad_pred, step, sums, config)
 
 
 def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -226,24 +228,25 @@ def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndar
     return grad_seq
 
 
-def _add_graph(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, config):
+def _add_graph(grad_pred, step: StepSetup, sums: _StepSums, config):
     """``_add_block`` on ``Path.PHASE_MAP``."""
     batch = grad_pred.shape[0]
     length, w, n, m = config.lookback, config.period, config.plan.n, config.plan.m
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, -1)
-    # the phase block saw only gain' @ phase + offset; once read, its
-    # workspace takes its gradient
-    sums.map += trace.rows.T @ grad_out.T
+    # the (n, w*B) phase block saw only gain' @ phase + offset; once read,
+    # its workspace takes its gradient
+    phase = step.block(batch).reshape(n, -1)
+    sums.map += phase @ grad_out.T
     sums.outputs += grad_out.reshape(m, w, batch).sum(axis=2)
-    grad_phase = np.matmul(step.gain, grad_out, out=trace.rows.T)
+    grad_phase = np.matmul(step.gain, grad_out, out=phase)
 
     # the phase block is the band conv of the buffer plus conv_bias, with the
     # n*w - L padded steps zeroed, so those steps pass no gradient back
     grad_phase.reshape(n * w, -1)[length:] = 0.0
-    sums.band += _band_grad(grad_phase.reshape(n, w, -1), band_pairs(trace.padded, w))
+    sums.band += _band_grad(grad_phase.reshape(n, w, -1), band_pairs(step.buffer(batch), w))
 
 
-def _add_gain_first(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _StepSums, config):
+def _add_gain_first(grad_pred, step: StepSetup, sums: _StepSums, config):
     """``_add_block`` on ``Path.GAIN_FIRST``: the adjoint of ``_gain_first``'s GEMMs.
 
     With G the (m, w, B) gradient on the outputs, the band T gets
@@ -253,15 +256,16 @@ def _add_gain_first(grad_pred, trace: ForwardTrace, step: StepSetup, sums: _Step
     batch = grad_pred.shape[0]
     length, w = config.lookback, config.period
     n, m = config.plan.n, config.plan.m
+    padded = step.buffer(batch)
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, w, batch)
-    sums.band += _band_grad(grad_out, trace.images.reshape(m, 2 * w, batch))
+    sums.band += _band_grad(grad_out, step.block(batch).reshape(m, 2 * w, batch))
     grad_images = step.band.T @ grad_out                                # (m, 2w, B)
-    sums.map += grad_images.reshape(2 * m, w * batch) @ trace.padded.reshape(n + 1, -1).T
+    sums.map += grad_images.reshape(2 * m, w * batch) @ padded.reshape(n + 1, -1).T
     sums.outputs += grad_out.sum(axis=2)
     if n * w > length:
         # out[q, p] -= W[n-1, q] (steps @ kappa)[p - first] for the padded p >= first
         past = padded_phases(config)
-        steps = past_end(trace.padded, config)                          # (k, B, w)
+        steps = past_end(padded, config)                                # (k, B, w)
         tail = grad_out[:, past]                                        # (m, k, B)
         sums.take_gain += np.tensordot(tail, steps @ step.kernel, axes=([1, 2], [0, 1]))
         sums.take_kernel += np.einsum("tbi,tb->i", steps,

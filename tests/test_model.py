@@ -51,14 +51,15 @@ def decompose_trend(x, params, config):
     """(trend, mean) of one window from the graph's trend stage.
 
     With one window, column p of the time-major (n, w) phase block is the
-    aggregated subsequence at phase offset p, so the phase rows the trace
-    records are the (period, n) trend matrix.
+    aggregated subsequence at phase offset p, so the phase rows the forward
+    leaves in its step's workspace are the (period, n) trend matrix.
     """
     x2d = np.asarray(x, dtype=np.float64)[None, :]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(forward_module, "choose_path", lambda *_: Path.PHASE_MAP)
-        _, trace = forward_batch_with_trace(x2d, params, config)
-    return trace.rows, float(x2d.mean())
+        step = forward_module.StepSetup(params, config, 1)
+        forward_batch_with_trace(x2d, params, config, step)
+    return step.block(1).reshape(config.plan.n, -1).T, float(x2d.mean())
 
 
 def time_branch(row, params, config):

@@ -57,7 +57,8 @@ def test_conv_span_counts_rows(workloads, rows, channels, path):
 
 def test_training_spans_fire_per_step_and_block(workloads, monkeypatch):
     # a step streams its windows: backward fires once per step, and the
-    # gather and the traced forward once per block, inside it
+    # gather and the block's forward (model.trace_forward) once per block,
+    # inside it, over the rows of its windows
     backward = importlib.import_module("mixlinear.training.backward")
     config = ModelConfig(48, 12, 4, lpf_cutoff=3, latent_width=2)
     values = np.random.default_rng(1).normal(size=(220, 3))
@@ -80,3 +81,4 @@ def test_training_spans_fire_per_step_and_block(workloads, monkeypatch):
                   and span.name in ("data.batch", "model.trace_forward")]
         assert [span.name for span in inside] == ["data.batch", "model.trace_forward"] * len(runs)
         assert [span.work["windows"] for span in inside[::2]] == [hi - lo for lo, hi in runs]
+        assert [span.work["rows"] for span in inside[1::2]] == [(hi - lo) * 3 for lo, hi in runs]

@@ -23,13 +23,14 @@ from mixlinear.model import (
     ModelConfig,
     forward,
     forward_batch,
-    forward_batch_with_trace,
     init_params,
     plan_shapes,
 )
 from mixlinear.model.forward import (
     Path,
+    StepSetup,
     choose_path,
+    forward_batch_with_trace,
     phase_map,
     series_channels,
 )
@@ -436,10 +437,17 @@ def _graph_backward(x, y, params, config, monkeypatch):
         return backward(x, y, params, config)
 
 
-def _block_adjoint(grad_pred, trace, step, config):
-    """(grads, grad_gain, grad_offset) of one traced block, finished as a one-block step."""
+def _step_forward(x, params, config):
+    """(prediction, step) of a map-path forward through a ``StepSetup`` of its own."""
+    step = StepSetup(params, config, x.shape[0])
+    return forward_batch_with_trace(x, params, config, step), step
+
+
+def _block_adjoint(grad_pred, step, config):
+    """(grads, grad_gain, grad_offset) of the block last run through ``step``,
+    finished as a one-block step."""
     sums = backward_module._StepSums(step, config)
-    backward_module._add_block(grad_pred, trace, step, sums, config)
+    backward_module._add_block(grad_pred, step, sums, config)
     return backward_module._step_grads(sums, step, config)
 
 
@@ -506,7 +514,8 @@ class TestAffineMap:
     def test_forward_matches_loop_oracle_past_switch(self, monkeypatch):
         # every parameter perturbed, so the biases feed the map's offset, and
         # windows at a level, so the centring both predictions share counts;
-        # untraced and traced rows run one formula, so they agree bit for bit
+        # forward_batch runs the rows through a step of its own, so it agrees
+        # bit for bit with the rows run through a step
         _map_paths_as(monkeypatch, Path.GAIN_FIRST)
         rng = np.random.default_rng(35)
         widths, modes = set(), set()
@@ -519,11 +528,10 @@ class TestAffineMap:
             for rows in (1, fewest, config.lookback + 2, 2 * config.lookback + 3):
                 x = 5.0 + rng.normal(size=(rows, config.lookback))
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
-                traced, trace = forward_batch_with_trace(x, params, config)
-                assert trace.path is Path.GAIN_FIRST
-                untraced = forward_batch(x, params, config)
-                assert np.array_equal(untraced, traced), (config, rows)
-                error = np.max(np.abs(traced - want))
+                stepped, step = _step_forward(x, params, config)
+                assert step.path is Path.GAIN_FIRST
+                assert np.array_equal(forward_batch(x, params, config), stepped), (config, rows)
+                error = np.max(np.abs(stepped - want))
                 assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
             widths.add(config.period % 2)
             modes.add(config.mode)
@@ -748,7 +756,7 @@ class TestAffineMap:
             params = init_params(config, seed)
             plan = plan_shapes(config)
             x = rng.normal(size=(config.lookback + 2, config.lookback))
-            assert forward_batch_with_trace(x, params, config)[1].path is Path.GAIN_FIRST
+            assert _step_forward(x, params, config)[1].path is Path.GAIN_FIRST
             before = forward_batch(x, params, config)
             for _, arr in params.named_arrays():
                 arr += 0.1 * rng.normal(size=arr.shape)
@@ -766,10 +774,10 @@ class TestAffineMap:
         # phase map on the path its MACs choose
         paths = []
 
-        def recording(rows, *args):
-            pred, trace = forward_batch_with_trace(rows, *args)
-            paths.append(trace.path)
-            return pred, trace
+        def recording(rows, params, config, step):
+            pred = forward_batch_with_trace(rows, params, config, step)
+            paths.append(step.path)
+            return pred
 
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
         reached = set()
@@ -899,12 +907,11 @@ class TestAffineMap:
                 patch.setattr(forward_module, "phase_map",
                               lambda *_: (inputs["gain"], inputs["offset"]))
                 patch.setattr(forward_module, "choose_path", lambda *_: Path.GAIN_FIRST)
-                step = forward_module.StepSetup(moved, config, rows)
-                return (*forward_batch_with_trace(x, moved, config, step), step)
+                return _step_forward(x, moved, config)
 
         def adjoint(cotangent):
-            _, trace, step = gain_first(inputs)
-            grads, grad_gain, grad_offset = _block_adjoint(cotangent, trace, step, config)
+            _, step = gain_first(inputs)
+            grads, grad_gain, grad_offset = _block_adjoint(cotangent, step, config)
             return {**grads, "gain": grad_gain, "offset": grad_offset}
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias,
@@ -1003,10 +1010,10 @@ class TestPhaseMap:
     def test_backward_above_switch_is_mean_of_single_windows(self, monkeypatch):
         paths = []
 
-        def recording(rows, *args):
-            pred, trace = forward_batch_with_trace(rows, *args)
-            paths.append(trace.path)
-            return pred, trace
+        def recording(rows, params, config, step):
+            pred = forward_batch_with_trace(rows, params, config, step)
+            paths.append(step.path)
+            return pred
 
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
         checked = set()
@@ -1080,13 +1087,13 @@ class TestStreamedStep:
 
     @staticmethod
     def _recorded_paths(patch):
-        """Record the path of every traced forward ``backward`` makes."""
+        """Record the path of every block forward ``backward`` runs through its step."""
         paths = []
 
-        def recording(rows, *args):
-            pred, trace = forward_batch_with_trace(rows, *args)
-            paths.append(trace.path)
-            return pred, trace
+        def recording(rows, params, config, step):
+            pred = forward_batch_with_trace(rows, params, config, step)
+            paths.append(step.path)
+            return pred
 
         patch.setattr(backward_module, "forward_batch_with_trace", recording)
         return paths
@@ -1274,10 +1281,10 @@ class TestBiasGradients:
         x, y = _level_walks(rng, 256, config)
         preds = []
 
-        def recording(rows, *args):
-            pred, trace = forward_batch_with_trace(rows, *args)
+        def recording(rows, params, config, step):
+            pred = forward_batch_with_trace(rows, params, config, step)
             preds.append(np.array(pred))
-            return pred, trace
+            return pred
 
         _map_paths_as(monkeypatch, path)
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
@@ -1464,7 +1471,7 @@ class TestSeriesPath:
 
 
 class TestChoosePath:
-    """``choose_path`` decides the path of every forward, and the trace records it."""
+    """``choose_path`` decides the path of every forward, and the step records it."""
 
     @staticmethod
     def _switch_rows(config):
@@ -1485,17 +1492,17 @@ class TestChoosePath:
                     arr += 0.1 * rng.normal(size=arr.shape)
                 for rows in self._switch_rows(config):
                     x = rng.normal(size=(rows, config.lookback))
-                    traced, trace = forward_batch_with_trace(x, params, config)
-                    assert trace.path is choose_path(rows, config), (config, rows)
-                    reached[mode].add(trace.path)
+                    stepped, step = _step_forward(x, params, config)
+                    assert step.path is choose_path(rows, config), (config, rows)
+                    reached[mode].add(step.path)
                     # every row of a small config, a sample of the L=720 ones
                     picks = range(rows) if rows <= 64 else rng.choice(rows, 4, replace=False)
                     want = np.array([forward_loop(x[i], params, config, config.plan)
                                      for i in picks])
-                    for pred in (forward_batch(x, params, config), traced):
+                    for pred in (forward_batch(x, params, config), stepped):
                         error = np.max(np.abs(pred[list(picks)] - want))
                         assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
-        # a traced forward never takes the series path, so backward never sees it
+        # a step never takes the series path, so backward never sees it
         assert all(paths == set(Path) - {Path.SERIES} for paths in reached.values())
 
 
@@ -1605,14 +1612,13 @@ class TestAdjoints:
             moved = replace(params, **inputs)
             with pytest.MonkeyPatch.context() as patch:
                 _map_paths_as(patch, Path.PHASE_MAP)
-                step = forward_module.StepSetup(moved, config, rows)
-                pred, trace = forward_batch_with_trace(x, moved, config, step)
-            assert trace.path is Path.PHASE_MAP
-            return pred, trace, step
+                pred, step = _step_forward(x, moved, config)
+            assert step.path is Path.PHASE_MAP
+            return pred, step
 
         def adjoint(cotangent):
-            _, trace, step = graph(inputs)
-            return _block_adjoint(cotangent, trace, step, config)[0]
+            _, step = graph(inputs)
+            return _block_adjoint(cotangent, step, config)[0]
 
         inputs = {"conv_kernel": params.conv_kernel, "conv_bias": params.conv_bias}
         _assert_dot_products(lambda values: graph(values)[0], adjoint, inputs, rng)
