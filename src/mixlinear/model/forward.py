@@ -10,7 +10,7 @@ import math
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from ..numerics import band_taps, conv1d_same_batch, conv_pad_split, idft_matrix, rfft_batch
 from .config import Mode, ModelConfig
@@ -51,13 +51,16 @@ def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
     ``phase_map`` writes from the weights, is applied either after the band
     conv, on the phase block (the graph, 2*L*w + L*m MACs per row), or
     before it, on the period blocks of the centred windows (gain-first,
-    2*L*m + 2*H*w), whichever costs fewer.
+    2*L*m + 2*H*w), whichever costs fewer.  Gain-first runs only where w
+    divides L: elsewhere the graph zeroes the n*w - L padded steps, which
+    gain-first's conv would read.
     """
     if channels and rows >= 2 * channels:
         return Path.SERIES
     length, horizon, w = config.lookback, config.horizon, config.period
     m = config.plan.m
-    if 2 * length * m + 2 * horizon * w < 2 * length * w + length * m:
+    if (config.plan.n * w == length
+            and 2 * length * m + 2 * horizon * w < 2 * length * w + length * m):
         return Path.GAIN_FIRST
     return Path.PHASE_MAP
 
@@ -124,11 +127,11 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
         if series_setup is None:
             series_setup = SeriesSetup(params, config, rows // channels, channels)
         return _series_forward(x2d, channels, series_setup, config)
-    return forward_batch_with_trace(x2d, params, config, StepSetup(params, config, rows))
+    return forward_batch_with_trace(x2d, config, StepSetup(params, config, rows))
 
 
-def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
-                             config: ModelConfig, step: "StepSetup") -> np.ndarray:
+def forward_batch_with_trace(x2d: np.ndarray, config: ModelConfig,
+                             step: "StepSetup") -> np.ndarray:
     """Predict (B, horizon) from (B, lookback) on ``step.path``, a map path.
 
     ``step`` is the ``StepSetup`` made for at least B rows, once for all
@@ -136,8 +139,8 @@ def forward_batch_with_trace(x2d: np.ndarray, params: MixLinearParams,
     leaves in its workspace what the reverse pass reads, the conv buffer
     Z (``step.buffer(B)``) and the phase block or U (``step.block(B)``).
     Z is centred in place when ``x2d`` is the ``.T`` of the step's
-    ``inputs``, where ``backward`` gathers a block.  ``params`` reach the
-    forward through the step, which was made from them.
+    ``inputs``, where ``backward`` gathers a block.  The parameters reach
+    the forward only through the step, which was made from them.
     """
     rows = x2d.shape[0]
     # x2d.mean(axis=1) without its Python wrapper: the same sum, divided by L
@@ -170,8 +173,8 @@ class StepSetup:
     - kappa, the ``aggregation_kernel``, and conv_bias;
     - the phase map (W, b) of ``phase_map``;
     - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``), the
-      stacked map [W 0; 0 W]' and the constant conv_bias * ``counted_gain``
-      + b that every output gets;
+      stacked map [W 0; 0 W]' and the (m,) constant conv_bias sum_j W + b
+      that every output gets;
     - the workspace: the conv buffer Z of (n+1)*w steps and the block the
       conv's output (graph) or U (gain-first) is written to, both flat, so
       that a forward of R <= ``rows`` rows uses their first entries as
@@ -197,7 +200,7 @@ class StepSetup:
             stacked[:, 0, :n] = self.gain.T
             stacked[:, 1, 1:] = self.gain.T
             self.stacked = stacked.reshape(2 * m, n + 1)
-            self.const = self.conv_bias * counted_gain(self.gain, config) + self.offset[:, None]
+            self.const = self.conv_bias * self.gain.sum(axis=0) + self.offset
             lead = 2 * m
         self._config, self._lead = config, lead
         self._padded = np.empty((n + 1) * w * rows)
@@ -451,65 +454,28 @@ def _steps(steps: np.ndarray, start: int, count: int, windows: int) -> np.ndarra
                       (row, steps.itemsize))
 
 
-def _take_back(out, gain, edge, first: int):
-    """out[q, t % w] -= W[t // w, q] * edge[t - first] for steps t = first, first+1, ..."""
-    w = out.shape[1]
-    stop = first + edge.shape[0]
-    for j in range(first // w, -(-stop // w)):
-        lo, hi = max(first, j * w), min(stop, (j + 1) * w)
-        out[:, lo - j * w:hi - j * w] -= np.multiply.outer(gain[j], edge[lo - first:hi - first])
-
-
 def _gain_first(padded, mean, config, step: StepSetup):
     """Predict (B, L) windows by the phase map on their period blocks, then the conv.
 
     ``padded`` is the windows' conv buffer Z of (n+1)*w steps, centred by
-    their ``mean``, cut into n+1 blocks of w steps.  The graph's phase
-    block at block j is the band T[p, c] = kappa[c - p] (``band_taps``),
-    with kappa the ``aggregation_kernel``, times Z's blocks j and j+1
+    their ``mean``, cut into n+1 blocks of w steps; w divides L, so n*w = L
+    and no step of the phase block is padding.  The graph's phase block at
+    block j is the band T[p, c] = kappa[c - p] (``band_taps``), with kappa
+    the ``aggregation_kernel``, times Z's blocks j and j+1
     (``conv1d_same_batch``), so W commutes past T.  U = [W 0; 0 W]' Z, the
     phase map W on both blocks, is one (2m, n+1) @ (n+1, w*B) GEMM, with
     row 2q + h the image of blocks j+h, and output q at phase p is then
     sum_c T[p, c] U[q, c].  The conv's bias and the phase offset add
-    conv_bias times ``counted_gain`` plus b[q].  When w does not divide L,
-    what the conv read for the n*w - L padded steps is taken back, since
-    the graph zeroes them.  The map, T and the constant are the ``step``'s.
-    Costs about 2*L*m + 2*H*w multiply-adds per row.
+    conv_bias sum_j W[j, q] + b[q].  The map, T and the constant are the
+    ``step``'s.  Costs about 2*L*m + 2*H*w multiply-adds per row.
     """
-    rows, length = padded.shape[1], config.lookback
-    plan, w = config.plan, config.period
-    n, m = plan.n, plan.m
+    rows, w = padded.shape[1], config.period
+    n, m = config.plan.n, config.plan.m
     images = np.matmul(step.stacked, padded.reshape(n + 1, w * rows),
                        out=step.block(rows).reshape(2 * m, w * rows))
     out = step.band @ images.reshape(m, 2 * w, rows)
-    out += step.const[..., None]
-    if n * w > length:
-        _take_back(out, step.gain, past_end(padded, config) @ step.kernel, length)
+    out += step.const[:, None, None]
     return _reinterleave(out, mean, config)
-
-
-def padded_phases(config: ModelConfig) -> np.ndarray:
-    """(w,) bool: the phases p whose step (n-1)*w + p in the last block is past L.
-
-    Those steps are the graph's zero padding.
-    """
-    w = config.period
-    return np.arange(w) >= config.lookback - (config.plan.n - 1) * w
-
-
-def counted_gain(gain: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(m, w): sum_j W[j, q] over the blocks j whose step j*w + p is before L."""
-    return gain.sum(axis=0)[:, None] - np.multiply.outer(gain[-1], padded_phases(config))
-
-
-def past_end(padded: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(n*w - L, B, w) view of the steps the conv read for the n*w - L padded steps.
-
-    [t, b, i] = padded[L + t + i, b], so ``past_end(padded, config) @ kappa``
-    is what the conv by kappa gives at step L + t of the gain-first buffer.
-    """
-    length, w = config.lookback, config.period
-    return sliding_window_view(padded[length:config.plan.n * w + w - 1], w, axis=0)
 
 
 # ---------------------------------------------------------------------------

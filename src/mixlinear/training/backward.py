@@ -19,16 +19,7 @@ import numpy as np
 from ..data.windows import WindowSet, window_runs
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
-from ..model.forward import (
-    Path,
-    StepSetup,
-    basis_spectra,
-    counted_gain,
-    forward_batch,
-    forward_batch_with_trace,
-    padded_phases,
-    past_end,
-)
+from ..model.forward import Path, StepSetup, basis_spectra, forward_batch, forward_batch_with_trace
 from ..model.params import MixLinearParams
 from ..numerics import band_pairs, band_taps, idft_matrix
 
@@ -50,14 +41,22 @@ def _flatten_windows(batch: np.ndarray, length: int, what: str) -> np.ndarray:
     return arr.transpose(0, 2, 1).reshape(-1, length)
 
 
+def _check_windows(windows: WindowSet, config: ModelConfig) -> None:
+    """Raise ``ConfigError`` unless ``windows`` cut the config's (lookback, horizon)."""
+    have, want = (windows.lookback, windows.horizon), (config.lookback, config.horizon)
+    if have != want:
+        raise ConfigError(f"windows of (lookback, horizon) {have} do not match the "
+                          f"config's {want}")
+
+
 def backward(x_batch, y_batch, params: MixLinearParams,
              config: ModelConfig) -> tuple[float, GradientSet]:
     """Mean-squared-error loss of a window batch and its parameter gradients.
 
-    Takes the step either as a ``WindowSet`` and the indices of its windows,
-    as ``train`` does, or as (B, L[, C]) inputs and (B, H[, C]) targets;
-    channels are flattened into the batch under the channel-independent
-    strategy.  Gradients are averaged over every predicted scalar, matching
+    Takes the step either as a ``WindowSet`` of the config's (L, H) and the
+    indices of its windows, as ``train`` does, or as (B, L[, C]) inputs and
+    (B, H[, C]) targets of the same B and C; channels are flattened into the
+    batch under the channel-independent strategy.  Gradients are averaged over every predicted scalar, matching
     the returned loss = mean((forward(x) - y)^2).
 
     The step streams its windows: ``_train_blocks`` cuts them into runs of
@@ -91,17 +90,18 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     diagonals.
     """
     if isinstance(x_batch, WindowSet):
+        _check_windows(x_batch, config)
         windows, idx = x_batch, np.asarray(y_batch, dtype=np.intp)
         count, channels = idx.size, windows.channels
     else:
         x2d = _flatten_windows(x_batch, config.lookback, "inputs")
         y2d = _flatten_windows(y_batch, config.horizon, "targets")
-        if x2d.shape[0] != y2d.shape[0]:
-            raise ValueError(
-                f"batch size mismatch: {x2d.shape[0]} inputs vs {y2d.shape[0]} targets"
-            )
-        channels = np.shape(x_batch)[2] if np.ndim(x_batch) == 3 else 1
-        count = x2d.shape[0] // channels
+        # rows pair only when the (B, C) match, a 2-D batch one channel wide
+        x_shape, y_shape = np.shape(x_batch), np.shape(y_batch)
+        count, channels = x_shape[::2] if len(x_shape) == 3 else (x_shape[0], 1)
+        if (count, channels) != (y_shape[::2] if len(y_shape) == 3 else (y_shape[0], 1)):
+            raise ValueError(f"inputs of shape {x_shape} and targets of shape {y_shape} "
+                             "differ in batch size or channels")
     if count == 0:
         raise ValueError("empty batch")
 
@@ -127,7 +127,7 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     sq_sum = 0.0
     for lo, hi in blocks:
         x_rows, y_rows = gather(lo, hi)
-        pred = forward_batch_with_trace(x_rows, params, config, step)
+        pred = forward_batch_with_trace(x_rows, config, step)
         # the residual, in pred's buffer: pred is the .T view of a time-major
         # (H, B) array, so diff.T is time-major without a copy
         diff = np.subtract(pred, y_rows, out=pred)
@@ -168,9 +168,7 @@ class _StepSums:
     - ``band``: the gradient on kappa's (w, 2w) band, sum_j G_j pairs_j';
     - ``map``: gain-first's (2m, n+1) gradient G_U Z' on the stacked map,
       or the graph's (n, m) gradient on W, phase block times G';
-    - ``outputs``: the (m, w) sums of G over the rows;
-    - ``take_gain``, ``take_kernel``: gain-first's take-back of the n*w - L
-      padded steps, (m,) on W's last row and (w,) on the kernel.
+    - ``outputs``: the (m, w) sums of G over the rows.
     """
 
     def __init__(self, step: StepSetup, config: ModelConfig):
@@ -179,8 +177,6 @@ class _StepSums:
         self.band = np.zeros((w, 2 * w))
         self.map = np.zeros((2 * m, n + 1) if step.path is Path.GAIN_FIRST else (n, m))
         self.outputs = np.zeros((m, w))
-        self.take_gain = np.zeros(m)
-        self.take_kernel = np.zeros(w)
 
 
 def _band_grad(grad: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -254,22 +250,23 @@ def _add_gain_first(grad_pred, step: StepSetup, sums: _StepSums, config):
     [W 0; 0 W]' gets G_U Z'.
     """
     batch = grad_pred.shape[0]
-    length, w = config.lookback, config.period
-    n, m = config.plan.n, config.plan.m
-    padded = step.buffer(batch)
+    w, n, m = config.period, config.plan.n, config.plan.m
     grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, w, batch)
     sums.band += _band_grad(grad_out, step.block(batch).reshape(m, 2 * w, batch))
     grad_images = step.band.T @ grad_out                                # (m, 2w, B)
-    sums.map += grad_images.reshape(2 * m, w * batch) @ padded.reshape(n + 1, -1).T
+    sums.map += grad_images.reshape(2 * m, w * batch) @ step.buffer(batch).reshape(n + 1, -1).T
     sums.outputs += grad_out.sum(axis=2)
-    if n * w > length:
-        # out[q, p] -= W[n-1, q] (steps @ kappa)[p - first] for the padded p >= first
-        past = padded_phases(config)
-        steps = past_end(padded, config)                                # (k, B, w)
-        tail = grad_out[:, past]                                        # (m, k, B)
-        sums.take_gain += np.tensordot(tail, steps @ step.kernel, axes=([1, 2], [0, 1]))
-        sums.take_kernel += np.einsum("tbi,tb->i", steps,
-                                      np.tensordot(step.gain[-1], tail, axes=(0, 0)))
+
+
+def _counted_gain(gain: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """(m, w): sum_j W[j, q] over the blocks j whose step j*w + p is before L.
+
+    The phases p whose step (n-1)*w + p in the last block is past L are the
+    graph's zero padding; where w divides L there are none.
+    """
+    w = config.period
+    padded = np.arange(w) >= config.lookback - (config.plan.n - 1) * w
+    return gain.sum(axis=0)[:, None] - np.multiply.outer(gain[-1], padded)
 
 
 def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
@@ -277,22 +274,22 @@ def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
 
     Returns (grads, grad_gain, grad_offset), with the kernel's and
     conv_bias's gradients in ``grads``.  The output sums give b's gradient,
-    summed over the phases, and conv_bias's, weighted by ``counted_gain``:
-    on the graph conv_bias rides every phase step before L into W, and
-    gain-first adds conv_bias * ``counted_gain``, which gives W the further
-    terms below.
+    summed over the phases, and conv_bias's, weighted by ``_counted_gain``:
+    on the graph conv_bias rides every phase step before L into W.
+    Gain-first, which runs only where w divides L, adds the constant
+    conv_bias sum_j W + b to every output, which gives W the further term
+    below.
     """
     n, m = config.plan.n, config.plan.m
-    grads = {"conv_kernel": _band_kernel_grad(sums.band) - sums.take_kernel}
+    grads = {"conv_kernel": _band_kernel_grad(sums.band)}
     grad_offset = sums.outputs.sum(axis=1)
-    grads["conv_bias"] = np.asarray(np.sum(sums.outputs * counted_gain(step.gain, config)))
+    grads["conv_bias"] = np.asarray(np.sum(sums.outputs * _counted_gain(step.gain, config)))
     if step.path is Path.PHASE_MAP:
         return grads, sums.map, grad_offset
     stacked = sums.map.reshape(m, 2, n + 1)
     grad_gain = (stacked[:, 0, :n] + stacked[:, 1, 1:]).T
-    # the constant conv_bias * counted_gain + offset at every (q, p)
+    # the constant conv_bias sum_j W + b at every (q, p)
     grad_gain += step.conv_bias * grad_offset
-    grad_gain[-1] -= step.conv_bias * (sums.outputs @ padded_phases(config)) + sums.take_gain
     return grads, grad_gain, grad_offset
 
 

@@ -13,7 +13,7 @@ from ..model.config import ModelConfig
 from ..model.forward import SeriesSetup, forward_batch
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
-from .backward import _flatten_windows, backward
+from .backward import _check_windows, _flatten_windows, backward
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse", "seconds")
 
@@ -220,9 +220,11 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     numpy iterates along its rows.  Each block's squared errors are summed
     by ``einsum``, whose result, unlike a BLAS dot product's, does not
     depend on the thread count.
-    Raises ``NumericError`` at the first block whose error sums are not
-    finite, such as one that reads a NaN.
+    Raises ``ConfigError`` when the windows' (lookback, horizon) is not
+    the config's, and ``NumericError`` at the first block whose error sums
+    are not finite, such as one that reads a NaN.
     """
+    _check_windows(windows, config)
     if windows.count < 1:
         raise ConfigError("window set is empty")
     length, horizon = config.lookback, config.horizon

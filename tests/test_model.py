@@ -58,7 +58,7 @@ def decompose_trend(x, params, config):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(forward_module, "choose_path", lambda *_: Path.PHASE_MAP)
         step = forward_module.StepSetup(params, config, 1)
-        forward_batch_with_trace(x2d, params, config, step)
+        forward_batch_with_trace(x2d, config, step)
     return step.block(1).reshape(config.plan.n, -1).T, float(x2d.mean())
 
 

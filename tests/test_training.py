@@ -107,6 +107,20 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(np.zeros((0, 8)), np.zeros((0, 4)), params, config)
 
+    def test_inputs_and_targets_of_other_windows_rejected(self):
+        # each pair flattens to 6 rows, but row r of the inputs and of the
+        # targets are other windows or channels, so the loss would mis-pair them
+        config = ModelConfig(16, 4, 4, lpf_cutoff=2, latent_width=1)
+        params = init_params(config, 0)
+        rng = np.random.default_rng(1)
+        for x_shape, y_shape in (((2, 16, 3), (3, 4, 2)), ((6, 16), (2, 4, 3))):
+            message = f"inputs of shape {x_shape} and targets of shape {y_shape}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                backward(rng.normal(size=x_shape), rng.normal(size=y_shape), params, config)
+        # a 2-D batch is one channel wide
+        x, y = rng.normal(size=(3, 16)), rng.normal(size=(3, 4))
+        assert backward(x, y[:, :, None], params, config)[0] == backward(x, y, params, config)[0]
+
 
 class TestGradCheck:
     def test_minimal_square_config(self):
@@ -280,6 +294,22 @@ class TestTrainLoop:
                                              params_b.named_arrays()):
             assert arr_a.tobytes() == arr_b.tobytes(), name
 
+    @pytest.mark.parametrize("lookback, horizon", [(20, 8), (16, 4), (12, 8)])
+    def test_windows_of_another_shape_rejected(self, lookback, horizon):
+        # windows cut at another (lookback, horizon) than the config's would
+        # be read at the config's: a wrong MSE or an error from deep inside
+        config, train_ws, _ = self._tiny_setup()
+        other = WindowSet(train_ws.base, lookback, horizon)
+        params = init_params(config, 0)
+        message = re.escape(f"({lookback}, {horizon}) do not match the config's (16, 8)")
+        with pytest.raises(ConfigError, match=message):
+            evaluate(params, other, config)
+        with pytest.raises(ConfigError, match=message):
+            backward(other, np.arange(8), params, config)
+        for windows in ((other, train_ws), (train_ws, other)):
+            with pytest.raises(ConfigError, match=message):
+                train(*windows, config, TrainConfig(max_epochs=1))
+
     def test_empty_split_rejected(self):
         config, train_ws, _ = self._tiny_setup()
         too_short = Segment(np.zeros((10, 1)), "val", standardized=True)
@@ -419,13 +449,31 @@ def _ragged_period_configs():
             for i, mode in enumerate(Mode)]
 
 
+def _gain_first_configs():
+    """Two configs of each mode where w divides L and gain-first costs fewer
+    MACs than the graph: L=15, H=6, w=3 and L=24, H=8, w=4."""
+    return [(ModelConfig(length, horizon, w, lpf_cutoff=2, latent_width=2, mode=mode), 60 + i)
+            for i, mode in enumerate(Mode) for length, horizon, w in ((15, 6, 3), (24, 8, 4))]
+
+
+def _forced(path, config):
+    """The map path ``_map_paths_as(path)`` gives ``config``'s forwards.
+
+    Gain-first runs only where w divides L, as ``choose_path`` has it, so
+    forcing it elsewhere leaves the graph.
+    """
+    if path is Path.GAIN_FIRST and config.plan.n * config.period != config.lookback:
+        return Path.PHASE_MAP
+    return path
+
+
 def _map_paths_as(monkeypatch, path):
-    """Make every forward that ``choose_path`` sends down a map path take ``path``."""
+    """Make every forward that ``choose_path`` sends down a map path take ``_forced(path)``."""
     choose = forward_module.choose_path
 
-    def forced(*args):
-        chosen = choose(*args)
-        return path if chosen in (Path.GAIN_FIRST, Path.PHASE_MAP) else chosen
+    def forced(rows, config, channels=0):
+        chosen = choose(rows, config, channels)
+        return chosen if chosen is Path.SERIES else _forced(path, config)
 
     monkeypatch.setattr(forward_module, "choose_path", forced)
 
@@ -440,7 +488,7 @@ def _graph_backward(x, y, params, config, monkeypatch):
 def _step_forward(x, params, config):
     """(prediction, step) of a map-path forward through a ``StepSetup`` of its own."""
     step = StepSetup(params, config, x.shape[0])
-    return forward_batch_with_trace(x, params, config, step), step
+    return forward_batch_with_trace(x, config, step), step
 
 
 def _block_adjoint(grad_pred, step, config):
@@ -515,11 +563,12 @@ class TestAffineMap:
         # every parameter perturbed, so the biases feed the map's offset, and
         # windows at a level, so the centring both predictions share counts;
         # forward_batch runs the rows through a step of its own, so it agrees
-        # bit for bit with the rows run through a step
+        # bit for bit with the rows run through a step; configs where w does
+        # not divide L stay on the graph
         _map_paths_as(monkeypatch, Path.GAIN_FIRST)
         rng = np.random.default_rng(35)
         widths, modes = set(), set()
-        for config, seed in _mode_configs():
+        for config, seed in _mode_configs() + _gain_first_configs():
             params = init_params(config, seed)
             for _, arr in params.named_arrays():
                 arr += 0.1 * rng.normal(size=arr.shape)
@@ -529,12 +578,13 @@ class TestAffineMap:
                 x = 5.0 + rng.normal(size=(rows, config.lookback))
                 want = np.array([forward_loop(row, params, config, plan) for row in x])
                 stepped, step = _step_forward(x, params, config)
-                assert step.path is Path.GAIN_FIRST
+                assert step.path is _forced(Path.GAIN_FIRST, config)
                 assert np.array_equal(forward_batch(x, params, config), stepped), (config, rows)
                 error = np.max(np.abs(stepped - want))
                 assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
-            widths.add(config.period % 2)
-            modes.add(config.mode)
+            if step.path is Path.GAIN_FIRST:
+                widths.add(config.period % 2)
+                modes.add(config.mode)
         assert widths == {0, 1} and modes == set(Mode)
 
     @staticmethod
@@ -752,11 +802,11 @@ class TestAffineMap:
         # so the second call predicts with the edited parameters
         _map_paths_as(monkeypatch, Path.GAIN_FIRST)
         rng = np.random.default_rng(36)
-        for config, seed in _mode_configs(count_per_mode=2):
+        for config, seed in _mode_configs(count_per_mode=2) + _gain_first_configs():
             params = init_params(config, seed)
             plan = plan_shapes(config)
             x = rng.normal(size=(config.lookback + 2, config.lookback))
-            assert _step_forward(x, params, config)[1].path is Path.GAIN_FIRST
+            assert _step_forward(x, params, config)[1].path is _forced(Path.GAIN_FIRST, config)
             before = forward_batch(x, params, config)
             for _, arr in params.named_arrays():
                 arr += 0.1 * rng.normal(size=arr.shape)
@@ -774,14 +824,14 @@ class TestAffineMap:
         # phase map on the path its MACs choose
         paths = []
 
-        def recording(rows, params, config, step):
-            pred = forward_batch_with_trace(rows, params, config, step)
+        def recording(rows, config, step):
+            pred = forward_batch_with_trace(rows, config, step)
             paths.append(step.path)
             return pred
 
         monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
         reached = set()
-        for config, seed in _mode_configs():
+        for config, seed in _mode_configs() + _gain_first_configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
             rows = (config.plan.n + 1) // config.period + 1 + extra_rows
@@ -805,17 +855,16 @@ class TestAffineMap:
         assert reached == {Path.GAIN_FIRST, Path.PHASE_MAP}
 
     @staticmethod
-    def _level_shifted_cases(rng):
+    def _level_shifted_cases(rng, configs=()):
         """(config, x, y, params) at L=720, w=24: every mode, H 96 and 720,
-        1792 level-30 random-walk rows, perturbed parameters.  The tests
-        take the first 730 rows and all 1792."""
-        for horizon in (96, 720):
-            for mode in Mode:
-                config = ModelConfig(720, horizon, 24, mode=mode)
-                params = init_params(config, 33)
-                for _, arr in params.named_arrays():
-                    arr += 0.05 * rng.normal(size=arr.shape)
-                yield (config, *_level_walks(rng, 1792, config), params)
+        then each of ``configs``; 1792 level-30 random-walk rows, perturbed
+        parameters.  The tests take the first 730 rows and all 1792."""
+        for config in [ModelConfig(720, horizon, 24, mode=mode)
+                       for horizon in (96, 720) for mode in Mode] + list(configs):
+            params = init_params(config, 33)
+            for _, arr in params.named_arrays():
+                arr += 0.05 * rng.normal(size=arr.shape)
+            yield (config, *_level_walks(rng, 1792, config), params)
 
     def test_backward_on_level_shifted_windows_matches_graph(self, monkeypatch):
         # windows at a level of about 30: gain-first centres them before its
@@ -861,9 +910,12 @@ class TestAffineMap:
         # by about the residual, and the gate is relative to the terms'
         # magnitudes, mean(|residual| |J v|): over 30 seeds the error
         # reached 2.3e-15 of it, under an eighth of the gate.  H=96 takes
-        # gain-first, H=720 the graph
+        # gain-first, H=720 the graph, and so does w=25, which does not
+        # divide L, with its 5 padded steps
         rng = np.random.default_rng(42)
-        for config, walks_x, walks_y, params in self._level_shifted_cases(rng):
+        ragged = ModelConfig(720, 96, 25)
+        assert choose_path(256, ragged) is Path.PHASE_MAP
+        for config, walks_x, walks_y, params in self._level_shifted_cases(rng, [ragged]):
             for rows in (1, 256):
                 x, y = walks_x[:rows], walks_y[:rows]
                 _, grads = backward(x, y, params, config)
@@ -884,12 +936,13 @@ class TestAffineMap:
                     assert error <= 2e-14 * scale, (config, rows, name, error / scale)
 
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
-           period=st.sampled_from(["drawn", "even", "ragged"]),
+           period=st.sampled_from(["drawn", "lookback", "even"]),
            rows=st.integers(1, 12), level=st.sampled_from([0.0, 30.0]))
     @settings(max_examples=150, deadline=None)
     def test_gain_first_adjoint_is_exact(self, seed, mode, period, rows, level):
         # the gain-first map is affine in each of (kernel, conv_bias, W, b)
-        # on its own; a block's sums, finished, give all four gradients
+        # on its own; a block's sums, finished, give all four gradients.  A
+        # drawn or even w that does not divide L runs the graph's adjoint
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
         params = init_params(config, seed % 1000)
@@ -906,8 +959,10 @@ class TestAffineMap:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(forward_module, "phase_map",
                               lambda *_: (inputs["gain"], inputs["offset"]))
-                patch.setattr(forward_module, "choose_path", lambda *_: Path.GAIN_FIRST)
-                return _step_forward(x, moved, config)
+                _map_paths_as(patch, Path.GAIN_FIRST)
+                pred, step = _step_forward(x, moved, config)
+            assert step.path is _forced(Path.GAIN_FIRST, config)
+            return pred, step
 
         def adjoint(cotangent):
             _, step = gain_first(inputs)
@@ -1010,8 +1065,8 @@ class TestPhaseMap:
     def test_backward_above_switch_is_mean_of_single_windows(self, monkeypatch):
         paths = []
 
-        def recording(rows, params, config, step):
-            pred = forward_batch_with_trace(rows, params, config, step)
+        def recording(rows, config, step):
+            pred = forward_batch_with_trace(rows, config, step)
             paths.append(step.path)
             return pred
 
@@ -1090,8 +1145,8 @@ class TestStreamedStep:
         """Record the path of every block forward ``backward`` runs through its step."""
         paths = []
 
-        def recording(rows, params, config, step):
-            pred = forward_batch_with_trace(rows, params, config, step)
+        def recording(rows, config, step):
+            pred = forward_batch_with_trace(rows, config, step)
             paths.append(step.path)
             return pred
 
@@ -1130,10 +1185,10 @@ class TestStreamedStep:
             paths = self._recorded_paths(patch)
             patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", most * width * channels)
             loss, grads = backward(x, y, params, config)
-            assert paths == [path] * parts
+            assert paths == [_forced(path, config)] * parts
             patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", count * width * channels)
             want_loss, want = backward(x, y, params, config)
-            assert paths[parts:] == [path]
+            assert paths[parts:] == [_forced(path, config)]
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
         largest = max(np.max(np.abs(grad)) for grad in want.values())
         for name, grad in grads.items():
@@ -1281,8 +1336,8 @@ class TestBiasGradients:
         x, y = _level_walks(rng, 256, config)
         preds = []
 
-        def recording(rows, params, config, step):
-            pred = forward_batch_with_trace(rows, params, config, step)
+        def recording(rows, config, step):
+            pred = forward_batch_with_trace(rows, config, step)
             preds.append(np.array(pred))
             return pred
 
@@ -1506,6 +1561,12 @@ class TestChoosePath:
         assert all(paths == set(Path) - {Path.SERIES} for paths in reached.values())
 
 
+    @staticmethod
+    def _macs(config):
+        """(gain-first, graph) MACs per row."""
+        length, horizon, w, m = config.lookback, config.horizon, config.period, config.plan.m
+        return 2 * length * m + 2 * horizon * w, 2 * length * w + length * m
+
     def test_switches_at_both_boundaries(self):
         # two windows of a series' C channels are predicted from the series,
         # one window is not; off the series the map goes where it costs
@@ -1516,20 +1577,31 @@ class TestChoosePath:
             assert choose_path(2 * channels - 1, config, channels) is Path.GAIN_FIRST
             assert choose_path(2 * channels, config) is Path.GAIN_FIRST
 
-        def macs(config):
-            length, horizon, w, m = (config.lookback, config.horizon, config.period,
-                                     config.plan.m)
-            return 2 * length * m + 2 * horizon * w, 2 * length * w + length * m
-
         for horizon, want in ((3, Path.GAIN_FIRST), (4, Path.PHASE_MAP), (5, Path.PHASE_MAP)):
             config = ModelConfig(8, horizon, 2, lpf_cutoff=2, latent_width=2)
-            gain_first, graph = macs(config)
+            gain_first, graph = self._macs(config)
             assert (gain_first < graph, gain_first == graph) == (horizon == 3, horizon == 4)
             assert choose_path(1, config) is choose_path(9, config) is want
         # the benchmark shapes: H=96 trains gain-first, H=720 on the graph
         for horizon, want in ((96, Path.GAIN_FIRST), (720, Path.PHASE_MAP)):
             config = ModelConfig(720, horizon, 24)
             assert choose_path(1, config) is choose_path(1792, config) is want
+        # w does not divide L: the graph, though gain-first costs fewer MACs
+        for config, _ in _ragged_period_configs():
+            gain_first, graph = self._macs(config)
+            assert gain_first < graph and choose_path(1, config) is Path.PHASE_MAP
+
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
+           rows=st.integers(1, 4096))
+    @settings(max_examples=200, deadline=None)
+    def test_gain_first_only_where_period_divides_lookback(self, seed, mode, period, rows):
+        # the graph zeroes the n*w - L padded steps; gain-first runs where
+        # there are none and it costs fewer MACs
+        config = _drawn_config(np.random.default_rng(seed), mode, period)
+        gain_first, graph = self._macs(config)
+        divides = config.plan.n * config.period == config.lookback
+        assert (choose_path(rows, config) is Path.GAIN_FIRST) == (divides and gain_first < graph)
 
 
 def _moved_params(rng, config):
