@@ -371,7 +371,7 @@ def cmd_gradcheck(settings: dict) -> int:
             worst_param = result.worst_param
         # the batch's gradient against its windows' own, on the map path
         # the config takes
-        path = choose_path(batch, config)
+        path = choose_path(config)
         gap, seen = gaps.get(path, (0.0, 0))
         gaps[path] = (max(gap, single_window_gap(params, x, y, config)), seen + 1)
     print(f"checked {settings['trials']} configs; "

@@ -18,45 +18,41 @@ from .params import MixLinearParams
 
 
 class Path(Enum):
-    """The exact path a forward of R flattened windows takes; see ``choose_path``."""
+    """Where a forward off the series path applies the phase map; see ``choose_path``."""
 
     PHASE_MAP = "phase map"     # the graph, with the phase map as one GEMM
     GAIN_FIRST = "gain first"   # the phase map on the period blocks, then the conv
-    SERIES = "series"           # consecutive windows, from their series; no step
 
 
 def series_channels(x2d: np.ndarray) -> int:
-    """C when (R, L) rows are consecutive windows of one C-channel series, else 0.
+    """C when (R, L) rows are b >= 2 consecutive windows of one C-channel series, else 0.
 
-    Row k*C + c of b consecutive windows over a time-major series reads
-    steps k .. k+L-1 of channel c, so the rows have strides (s, C*s) and
-    x2d[r + C, i] is x2d[r, i + 1].  Rows with those strides alias memory
-    that way whatever made them, so the strides alone prove the layout, and
-    ``as_strided(x2d, (b + L - 1, C), (C*s, s))`` is the series.
+    Such rows are predicted from their series, which they share all but
+    one step of.  Row k*C + c reads steps k .. k+L-1 of channel c, so the
+    rows have strides (s, C*s) and x2d[r + C, i] is x2d[r, i + 1].  Rows
+    with those strides alias memory that way whatever made them, so the
+    strides alone prove the layout, and ``as_strided(x2d, (b + L - 1, C),
+    (C*s, s))`` is the series.
     """
     step, across = x2d.strides
     if step <= 0 or across <= 0 or across % step:
         return 0
     channels = across // step
-    return 0 if x2d.shape[0] % channels else channels
+    rows = x2d.shape[0]
+    return channels if rows % channels == 0 and rows >= 2 * channels else 0
 
 
-def choose_path(rows: int, config: ModelConfig, channels: int = 0) -> Path:
-    """The path a forward of ``rows`` flattened windows takes.
+def choose_path(config: ModelConfig) -> Path:
+    """Where every forward off the series path applies the phase map, from the config alone.
 
-    ``channels`` is the rows' ``series_channels``, or 0 when they are not
-    windows of one series or a ``StepSetup`` plans their path.  Two or
-    more consecutive windows are predicted from their series, which they
-    share all but one step of.  Otherwise the phase map (W, b), which
-    ``phase_map`` writes from the weights, is applied either after the band
-    conv, on the phase block (the graph, 2*L*w + L*m MACs per row), or
-    before it, on the period blocks of the centred windows (gain-first,
-    2*L*m + 2*H*w), whichever costs fewer.  Gain-first runs only where w
-    divides L: elsewhere the graph zeroes the n*w - L padded steps, which
-    gain-first's conv would read.
+    The phase map (W, b), which ``phase_map`` writes from the weights, is
+    applied either after the band conv, on the phase block (the graph,
+    2*L*w + L*m MACs per row), or before it, on the period blocks of the
+    centred windows (gain-first, 2*L*m + 2*H*w), whichever costs fewer; a
+    tie goes to the graph.  Gain-first runs only where w divides L:
+    elsewhere the graph zeroes the n*w - L padded steps, which gain-first's
+    conv would read.
     """
-    if channels and rows >= 2 * channels:
-        return Path.SERIES
     length, horizon, w = config.lookback, config.horizon, config.period
     m = config.plan.m
     if (config.plan.n * w == length
@@ -110,11 +106,11 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
     """Predict (B, horizon) from (B, lookback).
 
     ``series_setup`` is the ``SeriesSetup`` an ``evaluate`` made once for
-    all its blocks, sized for the largest: rows that take ``Path.SERIES``
-    read its constants and are predicted into its forecast buffer, so the
-    result holds until the next forward through it.  Without one the forward
-    makes its own.  Other rows run ``forward_batch_with_trace`` through a
-    ``StepSetup`` of their own.
+    all its blocks, sized for the largest: rows of consecutive windows
+    (``series_channels``) read its constants and are predicted into its
+    forecast buffer, so the result holds until the next forward through
+    it.  Without one the forward makes its own.  Other rows run
+    ``forward_batch_with_trace`` through a ``StepSetup`` of their own.
     """
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
@@ -123,7 +119,7 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
         )
     rows = x2d.shape[0]
     channels = series_channels(x2d)
-    if choose_path(rows, config, channels) is Path.SERIES:
+    if channels:
         if series_setup is None:
             series_setup = SeriesSetup(params, config, rows // channels, channels)
         return _series_forward(x2d, channels, series_setup, config)
@@ -169,7 +165,7 @@ class StepSetup:
     the reverse pass reads the path and the workspace.  Made for ``rows``
     flattened windows, the most a forward through it takes, it holds:
 
-    - ``path``, what ``choose_path`` names for ``rows`` off the series path;
+    - ``path``, what ``choose_path`` names for the config;
     - kappa, the ``aggregation_kernel``, and conv_bias;
     - the phase map (W, b) of ``phase_map``;
     - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``), the
@@ -189,7 +185,7 @@ class StepSetup:
     def __init__(self, params: MixLinearParams, config: ModelConfig, rows: int):
         plan, w = config.plan, config.period
         n, m = plan.n, plan.m
-        self.path = choose_path(rows, config)
+        self.path = choose_path(config)
         self.kernel = aggregation_kernel(params.conv_kernel)
         self.conv_bias = float(params.conv_bias)
         self.gain, self.offset = phase_map(params, config)
@@ -262,7 +258,7 @@ def basis_spectra(config: ModelConfig) -> np.ndarray:
 
 
 class SeriesSetup:
-    """What every ``Path.SERIES`` forward of one ``evaluate`` shares: its constants and buffers.
+    """What every series-path forward of one ``evaluate`` shares: its constants and buffers.
 
     ``evaluate`` makes one for all its blocks, sized for the most
     ``windows`` and ``channels`` any of them holds; a forward given none

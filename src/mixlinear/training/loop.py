@@ -95,8 +95,11 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
     ``backward`` gathers them a block at a time, so a step holds one block
     of windows, not the whole batch.
     Training stops after ``patience`` epochs without validation
-    improvement or at ``max_epochs``.
+    improvement or at ``max_epochs``.  Either set cut at another
+    (lookback, horizon) than the config's raises ``ConfigError`` at once.
     """
+    _check_windows(train_windows, config)
+    _check_windows(val_windows, config)
     if train_windows.count < 1:
         raise ConfigError("train split yields no windows")
     if val_windows.count < 1:
@@ -193,8 +196,8 @@ def _eval_blocks(count: int, channels: int,
     width, the last narrower, and each group's windows into as few
     near-equal runs as keep within its window count, except that no run
     holds a single window when there are two or more (under a bound of one
-    or two windows, runs hold two or three), so that every block takes
-    ``Path.SERIES``.
+    or two windows, runs hold two or three), so that ``series_channels``
+    finds every block to be a run of windows of its group's series.
     """
     most, group = _eval_block_shape(count, channels, config)
     runs = window_runs(count, most, 2)
@@ -211,15 +214,15 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     channels, so the memory in use is bounded by the block, not by the
     split's length or width.  Each block is a ``WindowSet`` over its steps
     of its channels, a C-contiguous copy when the group is narrower than
-    the split, so its windows are views of their series: each block is
-    predicted from its series (``Path.SERIES``), and its forecast is
-    C-contiguous.  One ``SeriesSetup``, sized for the largest block, holds
-    what the blocks share: the phase map, the constants built from it, and
-    the buffers each block's forecast is written to.  The targets are
-    subtracted in the forecast's own time-major (H, b*G) layout, which
-    numpy iterates along its rows.  Each block's squared errors are summed
-    by ``einsum``, whose result, unlike a BLAS dot product's, does not
-    depend on the thread count.
+    the split, so its windows are views of their series: each block of two
+    or more windows is predicted from its series (``series_channels``), and
+    its forecast is C-contiguous.  One ``SeriesSetup``, sized for the
+    largest block, holds what the blocks share: the phase map, the
+    constants built from it, and the buffers each block's forecast is
+    written to.  The targets are subtracted in the forecast's own
+    time-major (H, b*G) layout, which numpy iterates along its rows.  Each
+    block's squared errors are summed by ``einsum``, whose result, unlike
+    a BLAS dot product's, does not depend on the thread count.
     Raises ``ConfigError`` when the windows' (lookback, horizon) is not
     the config's, and ``NumericError`` at the first block whose error sums
     are not finite, such as one that reads a NaN.

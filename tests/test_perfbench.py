@@ -13,7 +13,7 @@ import pytest
 from conftest import REPO_ROOT
 from mixlinear.data.windows import WindowSet
 from mixlinear.model import ModelConfig, forward_batch, init_params
-from mixlinear.model.forward import Path, choose_path
+from mixlinear.model.forward import Path, choose_path, series_channels
 from mixlinear.training import TrainConfig, train
 
 
@@ -30,8 +30,8 @@ def test_every_call_site_resolves(workloads):
         assert callable(getattr(site.owner, site.attr, None)), (site.owner, site.attr)
 
 
-@pytest.mark.parametrize("rows,channels,path", [(64, 0, Path.PHASE_MAP), (64, 4, Path.SERIES)])
-def test_conv_span_counts_rows(workloads, rows, channels, path):
+@pytest.mark.parametrize("rows,channels", [(64, 0), (64, 4)])
+def test_conv_span_counts_rows(workloads, rows, channels):
     # the graph and the series path call the band conv through the forward
     # module's namespace, so the traced span fires and counts the rows the
     # conv runs on: every window on the graph, every channel of the series
@@ -44,7 +44,7 @@ def test_conv_span_counts_rows(workloads, rows, channels, path):
         x = x.reshape(-1, config.lookback)
     else:
         x = rng.normal(size=(rows, config.lookback))
-    assert choose_path(rows, config, channels) is path
+    assert series_channels(x) == channels and choose_path(config) is Path.PHASE_MAP
     tracer = importlib.import_module("tracer").Tracer()
     tracer.install(workloads.call_sites())
     try:

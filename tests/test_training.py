@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixlinear.data.split import Segment
@@ -295,9 +295,10 @@ class TestTrainLoop:
             assert arr_a.tobytes() == arr_b.tobytes(), name
 
     @pytest.mark.parametrize("lookback, horizon", [(20, 8), (16, 4), (12, 8)])
-    def test_windows_of_another_shape_rejected(self, lookback, horizon):
+    def test_windows_of_another_shape_rejected(self, lookback, horizon, monkeypatch):
         # windows cut at another (lookback, horizon) than the config's would
-        # be read at the config's: a wrong MSE or an error from deep inside
+        # be read at the config's: a wrong MSE or an error from deep inside;
+        # train rejects either set before its first step
         config, train_ws, _ = self._tiny_setup()
         other = WindowSet(train_ws.base, lookback, horizon)
         params = init_params(config, 0)
@@ -306,6 +307,10 @@ class TestTrainLoop:
             evaluate(params, other, config)
         with pytest.raises(ConfigError, match=message):
             backward(other, np.arange(8), params, config)
+        def step(*_):
+            raise AssertionError("train ran a step before it checked both window sets")
+
+        monkeypatch.setattr(loop_module, "backward", step)
         for windows in ((other, train_ws), (train_ws, other)):
             with pytest.raises(ConfigError, match=message):
                 train(*windows, config, TrainConfig(max_epochs=1))
@@ -450,39 +455,36 @@ def _ragged_period_configs():
 
 
 def _gain_first_configs():
-    """Two configs of each mode where w divides L and gain-first costs fewer
-    MACs than the graph: L=15, H=6, w=3 and L=24, H=8, w=4."""
+    """Configs of each mode where w divides L and gain-first costs fewer MACs than the graph."""
     return [(ModelConfig(length, horizon, w, lpf_cutoff=2, latent_width=2, mode=mode), 60 + i)
             for i, mode in enumerate(Mode) for length, horizon, w in ((15, 6, 3), (24, 8, 4))]
 
 
 def _forced(path, config):
-    """The map path ``_map_paths_as(path)`` gives ``config``'s forwards.
-
-    Gain-first runs only where w divides L, as ``choose_path`` has it, so
-    forcing it elsewhere leaves the graph.
-    """
+    """The map path ``_map_paths_as(path)`` gives ``config``'s forwards: gain-first
+    runs only where w divides L, as ``choose_path`` has it, elsewhere the graph."""
     if path is Path.GAIN_FIRST and config.plan.n * config.period != config.lookback:
         return Path.PHASE_MAP
     return path
 
 
 def _map_paths_as(monkeypatch, path):
-    """Make every forward that ``choose_path`` sends down a map path take ``_forced(path)``."""
-    choose = forward_module.choose_path
-
-    def forced(rows, config, channels=0):
-        chosen = choose(rows, config, channels)
-        return chosen if chosen is Path.SERIES else _forced(path, config)
-
-    monkeypatch.setattr(forward_module, "choose_path", forced)
+    """Make every map-path forward take ``_forced(path)``."""
+    monkeypatch.setattr(forward_module, "choose_path", lambda config: _forced(path, config))
 
 
-def _graph_backward(x, y, params, config, monkeypatch):
-    """backward with the map paths run on the graph (``Path.PHASE_MAP``)."""
-    with monkeypatch.context() as patch:
-        _map_paths_as(patch, Path.PHASE_MAP)
-        return backward(x, y, params, config)
+def _recorded_paths(monkeypatch, *modules):
+    """Record the path of every forward the ``modules`` (``backward``'s) run through a step."""
+    paths = []
+
+    def recording(rows, config, step):
+        pred = forward_batch_with_trace(rows, config, step)
+        paths.append(step.path)
+        return pred
+
+    for module in modules or (backward_module,):
+        monkeypatch.setattr(module, "forward_batch_with_trace", recording)
+    return paths
 
 
 def _step_forward(x, params, config):
@@ -497,6 +499,17 @@ def _block_adjoint(grad_pred, step, config):
     sums = backward_module._StepSums(step, config)
     backward_module._add_block(grad_pred, step, sums, config)
     return backward_module._step_grads(sums, step, config)
+
+
+def _assert_gradients_match(grads, want, context):
+    """Each gradient array within 1e-12 of its reference's norm, or of the largest
+    entry over all arrays where that is larger: an array can be a cancellation of
+    larger terms, or exactly zero (the one-tap kernel's under a DC-only FreqOnly cutoff)."""
+    assert grads.keys() == want.keys()
+    largest = max(np.max(np.abs(ref)) for ref in want.values())
+    for name, grad in grads.items():
+        scale = max(np.linalg.norm(want[name]), largest)
+        assert np.linalg.norm(grad - want[name]) <= 1e-12 * scale, (*context, name)
 
 
 def _level_walks(rng, rows, config, level=30.0):
@@ -559,51 +572,49 @@ class TestAffineMap:
             assert mse == pytest.approx(np.mean(errors ** 2), rel=1e-12, abs=0), config
             assert mae == pytest.approx(np.mean(np.abs(errors)), rel=1e-12, abs=0), config
 
-    def test_forward_matches_loop_oracle_past_switch(self, monkeypatch):
-        # every parameter perturbed, so the biases feed the map's offset, and
-        # windows at a level, so the centring both predictions share counts;
-        # forward_batch runs the rows through a step of its own, so it agrees
-        # bit for bit with the rows run through a step; configs where w does
-        # not divide L stay on the graph
-        _map_paths_as(monkeypatch, Path.GAIN_FIRST)
-        rng = np.random.default_rng(35)
-        widths, modes = set(), set()
-        for config, seed in _mode_configs() + _gain_first_configs():
-            params = init_params(config, seed)
-            for _, arr in params.named_arrays():
-                arr += 0.1 * rng.normal(size=arr.shape)
-            plan = plan_shapes(config)
-            fewest = (plan.n + 1) // config.period + 1
-            for rows in (1, fewest, config.lookback + 2, 2 * config.lookback + 3):
-                x = 5.0 + rng.normal(size=(rows, config.lookback))
-                want = np.array([forward_loop(row, params, config, plan) for row in x])
-                stepped, step = _step_forward(x, params, config)
-                assert step.path is _forced(Path.GAIN_FIRST, config)
-                assert np.array_equal(forward_batch(x, params, config), stepped), (config, rows)
-                error = np.max(np.abs(stepped - want))
-                assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
-            if step.path is Path.GAIN_FIRST:
-                widths.add(config.period % 2)
-                modes.add(config.mode)
-        assert widths == {0, 1} and modes == set(Mode)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged", "H=96",
+                                   "H=720"]),
+           path=st.sampled_from(list(Path)), rows=st.integers(1, 40),
+           level=st.sampled_from([0.0, 30.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_forward_matches_loop_oracle_past_switch(self, seed, mode, period, path, rows,
+                                                      level):
+        # every map-path forward against the per-row forward_loop, which runs
+        # no map: every parameter moved, so the biases feed the map's offset,
+        # and windows at a level, so the centring both predictions share
+        # counts.  forward_batch runs the rows through a step of its own, so
+        # it agrees bit for bit with the rows run through a step; gain-first
+        # runs only where w divides L.  At L=720 two rows meet the oracle
+        rng = np.random.default_rng(seed)
+        config = _drawn_config(rng, mode, period)
+        params = _moved_params(rng, config)
+        x = level + rng.normal(size=(rows, config.lookback))
+        with pytest.MonkeyPatch.context() as patch:
+            _map_paths_as(patch, path)
+            stepped, step = _step_forward(x, params, config)
+            assert np.array_equal(forward_batch(x, params, config), stepped)
+        assert step.path is _forced(path, config)
+        picks = rng.choice(rows, min(rows, 2), replace=False) if period[0] == "H" else range(rows)
+        want = np.array([forward_loop(x[i], params, config, config.plan) for i in picks])
+        error = np.max(np.abs(stepped[list(picks)] - want))
+        assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
 
     @staticmethod
-    def _evaluate_calls(monkeypatch, config, channels, count, params=None):
-        """(rows, path) of every forward_batch call one evaluate makes."""
+    def _evaluate_calls(monkeypatch, config, channels, count):
+        """(rows, series_channels) of every forward_batch call one evaluate makes."""
         seen = []
 
         def recording(rows, *args):
-            path = choose_path(rows.shape[0], config, series_channels(rows))
-            seen.append((rows.shape[0], path))
+            seen.append((rows.shape[0], series_channels(rows)))
             return forward_batch(rows, *args)
 
         rng = np.random.default_rng(31)
         values = rng.normal(size=(config.lookback + config.horizon + count - 1, channels))
-        if params is None:
-            params = init_params(config, 0)
         with monkeypatch.context() as patch:
             patch.setattr(loop_module, "forward_batch", recording)
-            evaluate(params, _window_set(values, config.lookback, config.horizon), config)
+            evaluate(init_params(config, 0), _window_set(values, config.lookback,
+                                                         config.horizon), config)
         return seen
 
     def test_evaluate_blocks_are_bounded(self, monkeypatch):
@@ -634,7 +645,7 @@ class TestAffineMap:
             calls = self._evaluate_calls(monkeypatch, config, channels, count)
             assert [rows for rows, _ in calls] == [(hi - lo) * (last - first)
                                                    for lo, hi, first, last in blocks]
-            assert {path for _, path in calls} == {Path.SERIES}
+            assert all(series for _, series in calls)
             most, group = shape
             runs = sorted({(lo, hi) for lo, hi, _, _ in blocks})
             groups = sorted({(first, last) for _, _, first, last in blocks})
@@ -666,7 +677,7 @@ class TestAffineMap:
         calls = self._evaluate_calls(monkeypatch, config, channels, count)
         sizes = [count // 3 + (i < count % 3) for i in range(3)]
         assert sorted(rows for rows, _ in calls) == sorted(s * channels for s in sizes)
-        assert [path for _, path in calls] == [Path.SERIES] * 3
+        assert [series for _, series in calls] == [channels] * 3
 
     @pytest.mark.parametrize("count, want", [(1, [1]), (2, [2]), (3, [3]), (5, [2, 3])])
     def test_evaluate_leaves_no_single_window_block(self, monkeypatch, count, want):
@@ -677,7 +688,7 @@ class TestAffineMap:
         assert loop_module._eval_block_shape(count, 3, config) == (1, 1)
         calls = self._evaluate_calls(monkeypatch, config, 3, count)
         assert [rows for rows, _ in calls] == want * 3
-        assert {path is Path.SERIES for _, path in calls} == {count > 1}
+        assert {series > 0 for _, series in calls} == {count > 1}
 
     def test_column_slice_evaluates_on_series_path(self, monkeypatch):
         # a set over some columns of a wider series, as a checkpoint fit on
@@ -694,16 +705,14 @@ class TestAffineMap:
         calls = []
 
         def recording(rows, *args):
-            calls.append((rows.shape[0], series_channels(rows),
-                          choose_path(rows.shape[0], config, series_channels(rows))))
+            calls.append((rows.shape[0], series_channels(rows)))
             return forward_batch(rows, *args)
 
         with monkeypatch.context() as patch:
             patch.setattr(loop_module, "forward_batch", recording)
             got = evaluate(params, sliced, config)
-        assert len(calls) >= 3 and {path for _, _, path in calls} == {Path.SERIES}
-        assert {width for _, width, _ in calls} == {4, 3}
-        assert all(rows * config.horizon <= 256 for rows, _, _ in calls)
+        assert len(calls) >= 3 and {width for _, width in calls} == {4, 3}
+        assert all(rows * config.horizon <= 256 for rows, _ in calls)
         copy = WindowSet(np.ascontiguousarray(values[:, :7]), 16, 8)
         assert got == evaluate(params, copy, config)
 
@@ -777,7 +786,7 @@ class TestAffineMap:
         # runs the conv on its own series, and the phase map is built once
         # for all of them
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
-        assert choose_path(64 * 2, config) is Path.GAIN_FIRST
+        assert choose_path(config) is Path.GAIN_FIRST
         gain_firsts, convs, phase_maps = [], [], []
 
         def counting(calls, fn):
@@ -794,7 +803,7 @@ class TestAffineMap:
         assert loop_module._eval_block_shape(100, 600, config) == (8, 512)
         calls = self._evaluate_calls(monkeypatch, config, 600, 100)
         assert sorted({rows for rows, _ in calls}) == [7 * 88, 8 * 88, 7 * 512, 8 * 512]
-        assert {path for _, path in calls} == {Path.SERIES} and gain_firsts == []
+        assert all(series for _, series in calls) and gain_firsts == []
         assert len(convs) == len(calls) and len(phase_maps) == 1
 
     def test_gain_first_follows_in_place_edits(self, monkeypatch):
@@ -804,103 +813,67 @@ class TestAffineMap:
         rng = np.random.default_rng(36)
         for config, seed in _mode_configs(count_per_mode=2) + _gain_first_configs():
             params = init_params(config, seed)
-            plan = plan_shapes(config)
             x = rng.normal(size=(config.lookback + 2, config.lookback))
-            assert _step_forward(x, params, config)[1].path is _forced(Path.GAIN_FIRST, config)
             before = forward_batch(x, params, config)
             for _, arr in params.named_arrays():
                 arr += 0.1 * rng.normal(size=arr.shape)
                 pred = forward_batch(x, params, config)
-                want = np.array([forward_loop(row, params, config, plan) for row in x])
+                want = np.array([forward_loop(row, params, config, config.plan) for row in x])
                 error = np.max(np.abs(pred - want))
                 assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), config
             assert not np.array_equal(pred, before)
 
-    @pytest.mark.parametrize("extra_rows", [-1, 0, 1])
-    def test_backward_matches_graph_on_both_sides_of_switch(self, extra_rows,
-                                                           monkeypatch):
-        # the fewest windows whose R*w phase rows outnumber the n+1 basis
-        # rows, one fewer and one more: on either side, the step applies the
-        # phase map on the path its MACs choose
-        paths = []
-
-        def recording(rows, config, step):
-            pred = forward_batch_with_trace(rows, config, step)
-            paths.append(step.path)
-            return pred
-
-        monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
-        reached = set()
-        for config, seed in _mode_configs() + _gain_first_configs():
-            params = init_params(config, seed)
-            rng = np.random.default_rng(seed)
-            rows = (config.plan.n + 1) // config.period + 1 + extra_rows
-            if rows < 1:
-                continue
-            x = rng.normal(size=(rows, config.lookback))
-            y = rng.normal(size=(rows, config.horizon))
-            paths.clear()
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "H=96", "H=720"]),
+           rows=st.sampled_from([1, 2, 7, 64, 730, 1792]), level=st.sampled_from([0.0, 30.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_backward_on_level_shifted_windows_matches_graph(self, seed, mode, period, rows,
+                                                             level):
+        # gain-first against the phase-map graph, each forced, where w
+        # divides L, the only configs gain-first runs on.  At a level of
+        # about 30 gain-first centres the windows before its GEMMs, so the
+        # bias gradients do not cancel; at L=720 and H=96, 730 and 1792
+        # rows run in 10 and 23 blocks
+        rng = np.random.default_rng(seed)
+        config = _drawn_config(rng, mode, period)
+        assume(_forced(Path.GAIN_FIRST, config) is Path.GAIN_FIRST)
+        params = _moved_params(rng, config)
+        x, y = _level_walks(rng, rows, config, level)
+        with pytest.MonkeyPatch.context() as patch:
+            paths = _recorded_paths(patch)
+            _map_paths_as(patch, Path.GAIN_FIRST)
             loss, grads = backward(x, y, params, config)
-            assert paths == [choose_path(rows, config)] == [choose_path(1, config)]
-            reached.add(paths[0])
+            _map_paths_as(patch, Path.PHASE_MAP)
+            want_loss, want = backward(x, y, params, config)
+        assert set(paths) == set(Path)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
+        _assert_gradients_match(grads, want, (config, rows))
 
-            paths.clear()
-            want_loss, want = _graph_backward(x, y, params, config, monkeypatch)
-            assert Path.GAIN_FIRST not in paths
-            assert loss == pytest.approx(want_loss, rel=1e-10, abs=0)
-            assert grads.keys() == want.keys()
-            for name, grad in grads.items():
-                error = np.linalg.norm(grad - want[name])
-                assert error <= 1e-10 * np.linalg.norm(want[name]), (config, name)
-        assert reached == {Path.GAIN_FIRST, Path.PHASE_MAP}
-
-    @staticmethod
-    def _level_shifted_cases(rng, configs=()):
-        """(config, x, y, params) at L=720, w=24: every mode, H 96 and 720,
-        then each of ``configs``; 1792 level-30 random-walk rows, perturbed
-        parameters.  The tests take the first 730 rows and all 1792."""
-        for config in [ModelConfig(720, horizon, 24, mode=mode)
-                       for horizon in (96, 720) for mode in Mode] + list(configs):
-            params = init_params(config, 33)
-            for _, arr in params.named_arrays():
-                arr += 0.05 * rng.normal(size=arr.shape)
-            yield (config, *_level_walks(rng, 1792, config), params)
-
-    def test_backward_on_level_shifted_windows_matches_graph(self, monkeypatch):
-        # windows at a level of about 30: gain-first centres them before its
-        # GEMMs, so the bias gradients do not cancel; H=720 takes the graph,
-        # so gain-first is forced there
-        rng = np.random.default_rng(33)
-        for config, walks_x, walks_y, params in self._level_shifted_cases(rng):
-            for rows in (730, 1792):
-                x, y = walks_x[:rows], walks_y[:rows]
-                with monkeypatch.context() as patch:
-                    _map_paths_as(patch, Path.GAIN_FIRST)
-                    loss, grads = backward(x, y, params, config)
-                want_loss, want = _graph_backward(x, y, params, config, monkeypatch)
-                assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-                for name, grad in grads.items():
-                    error = np.linalg.norm(grad - want[name])
-                    assert error <= 1e-12 * np.linalg.norm(want[name]), (config, rows, name)
-
-    def test_backward_on_level_shifted_windows_is_mean_of_single_windows(self, monkeypatch):
-        # gain-first steps of 730 and 1792 rows, in blocks, against the
-        # one-window steps on the graph, each its own block
-        rng = np.random.default_rng(41)
-        for config, walks_x, walks_y, params in self._level_shifted_cases(rng):
-            singles = [_graph_backward(walks_x[i:i + 1], walks_y[i:i + 1], params, config,
-                                       monkeypatch)
-                       for i in range(walks_x.shape[0])]
-            for rows in (730, 1792):
-                with monkeypatch.context() as patch:
-                    _map_paths_as(patch, Path.GAIN_FIRST)
-                    loss, grads = backward(walks_x[:rows], walks_y[:rows], params, config)
-                want_loss = np.mean([l for l, _ in singles[:rows]])
-                assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
-                for name, grad in grads.items():
-                    want = np.mean([g[name] for _, g in singles[:rows]], axis=0)
-                    error = np.linalg.norm(grad - want)
-                    assert error <= 1e-12 * np.linalg.norm(want), (config, rows, name)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged", "H=96",
+                                   "H=720"]),
+           path=st.sampled_from(list(Path)), rows=st.integers(2, 160),
+           level=st.sampled_from([0.0, 30.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_backward_on_level_shifted_windows_is_mean_of_single_windows(self, seed, mode,
+                                                                          period, path, rows,
+                                                                          level):
+        # the loss is the mean over the windows, so a step's gradient is the
+        # mean of its one-window steps' gradients, here taken on the graph,
+        # each its own block; at L=720 a step of more than 80 rows (H=96) or
+        # 45 (H=720) runs in blocks
+        rng = np.random.default_rng(seed)
+        config = _drawn_config(rng, mode, period)
+        params = _moved_params(rng, config)
+        x, y = _level_walks(rng, rows, config, level)
+        with pytest.MonkeyPatch.context() as patch:
+            _map_paths_as(patch, Path.PHASE_MAP)
+            singles = [backward(x[i:i + 1], y[i:i + 1], params, config) for i in range(rows)]
+            _map_paths_as(patch, path)
+            loss, grads = backward(x, y, params, config)
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12, abs=0)
+        want = {name: np.mean([g[name] for _, g in singles], axis=0) for name in grads}
+        _assert_gradients_match(grads, want, (config, rows))
 
     def test_backward_on_level_shifted_windows_matches_directional_differences(self):
         # a reference that runs no adjoint: along a random direction v in one
@@ -911,11 +884,16 @@ class TestAffineMap:
         # magnitudes, mean(|residual| |J v|): over 30 seeds the error
         # reached 2.3e-15 of it, under an eighth of the gate.  H=96 takes
         # gain-first, H=720 the graph, and so does w=25, which does not
-        # divide L, with its 5 padded steps
+        # divide L, with its 5 padded steps; every mode at L=720, w=24
         rng = np.random.default_rng(42)
         ragged = ModelConfig(720, 96, 25)
-        assert choose_path(256, ragged) is Path.PHASE_MAP
-        for config, walks_x, walks_y, params in self._level_shifted_cases(rng, [ragged]):
+        assert choose_path(ragged) is Path.PHASE_MAP
+        for config in [ModelConfig(720, horizon, 24, mode=mode)
+                       for horizon in (96, 720) for mode in Mode] + [ragged]:
+            params = init_params(config, 33)
+            for _, arr in params.named_arrays():
+                arr += 0.05 * rng.normal(size=arr.shape)
+            walks_x, walks_y = _level_walks(rng, 1792, config)
             for rows in (1, 256):
                 x, y = walks_x[:rows], walks_y[:rows]
                 _, grads = backward(x, y, params, config)
@@ -945,10 +923,8 @@ class TestAffineMap:
         # drawn or even w that does not divide L runs the graph's adjoint
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
-        params = init_params(config, seed % 1000)
         # conv_bias starts at 0, where its terms in W's gradient vanish
-        for _, arr in params.named_arrays():
-            arr += 0.1 * rng.normal(size=arr.shape)
+        params = _moved_params(rng, config)
         x = level + rng.normal(size=(rows, config.lookback))
         plan = config.plan
         images = rng.normal(size=(plan.n + 1, plan.m))
@@ -1000,24 +976,6 @@ class TestAffineMap:
         _assert_dot_products(core, adjoint, inputs, rng)
 
 
-def _phase_configs():
-    """Random configs of every mode, plus one with period 1 per mode, where
-    the batch size alone sets the phase-row count."""
-    return _mode_configs() + [
-        (ModelConfig(9, 8, 1, lpf_cutoff=3, latent_width=2, mode=mode), 40 + i)
-        for i, mode in enumerate(Mode)
-    ]
-
-
-def _phase_switch_batches(config):
-    """Batch sizes whose B*w phase rows lie at and either side of n+1.
-
-    With period 1 these are exactly n, n+1 and n+2 phase rows.
-    """
-    below = max((plan_shapes(config).n + 1) // config.period, 1)
-    return sorted({below - 1, below, below + 1} - {0})
-
-
 class TestPhaseMap:
     """``phase_map`` writes the branches' map (W, b) from the weights, once per forward."""
 
@@ -1050,72 +1008,6 @@ class TestPhaseMap:
         got = np.vstack(phase_map(params, config))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_forward_matches_loop_oracle_across_switch(self):
-        for config, seed in _phase_configs():
-            params = init_params(config, seed)
-            plan = plan_shapes(config)
-            rng = np.random.default_rng(seed)
-            for batch in _phase_switch_batches(config):
-                x = rng.normal(size=(batch, config.lookback))
-                pred = forward_batch(x, params, config)
-                want = np.array([forward_loop(row, params, config, plan) for row in x])
-                error = np.max(np.abs(pred - want))
-                assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, batch)
-
-    def test_backward_above_switch_is_mean_of_single_windows(self, monkeypatch):
-        paths = []
-
-        def recording(rows, config, step):
-            pred = forward_batch_with_trace(rows, config, step)
-            paths.append(step.path)
-            return pred
-
-        monkeypatch.setattr(backward_module, "forward_batch_with_trace", recording)
-        checked = set()
-        for config, seed in _phase_configs():
-            plan = plan_shapes(config)
-            # the fewest windows whose phase rows outnumber the n+1 basis rows
-            batch = max(2, (plan.n + 1) // config.period + 1)
-            params = init_params(config, seed)
-            rng = np.random.default_rng(seed)
-            x = rng.normal(size=(batch, config.lookback))
-            y = rng.normal(size=(batch, config.horizon))
-            paths.clear()
-            loss, grads = backward(x, y, params, config)
-            singles = [backward(x[i:i + 1], y[i:i + 1], params, config)
-                       for i in range(batch)]
-            assert paths == [choose_path(batch, config)] * (batch + 1)
-            assert paths[0] in (Path.GAIN_FIRST, Path.PHASE_MAP)
-            assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-10, abs=0)
-            for name, grad in grads.items():
-                want = np.mean([g[name] for _, g in singles], axis=0)
-                error = np.max(np.abs(grad - want))
-                assert error <= 1e-10 * max(np.max(np.abs(want)), 1e-300), (config, name)
-            checked.add(config.mode)
-        assert checked == set(Mode)
-
-    def test_backward_on_level_shifted_windows_is_mean_of_single_windows(self):
-        # windows at a level of about 30 through the phase map, where the
-        # zero-row image's gradient g_b - sum_j G_W[j] cancels: one step of 64
-        # windows in blocks against 64 one-window steps
-        rng = np.random.default_rng(36)
-        rows = 64
-        for mode in Mode:
-            config = ModelConfig(720, 720, 24, mode=mode)
-            params = init_params(config, 36)
-            for _, arr in params.named_arrays():
-                arr += 0.05 * rng.normal(size=arr.shape)
-            walks = 30.0 + np.cumsum(0.3 * rng.normal(size=(rows, 1440)), axis=1)
-            x, y = walks[:, :720], walks[:, 720:]
-            loss, grads = backward(x, y, params, config)
-            singles = [backward(x[i:i + 1], y[i:i + 1], params, config)
-                       for i in range(rows)]
-            assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12, abs=0)
-            for name, grad in grads.items():
-                want = np.mean([g[name] for _, g in singles], axis=0)
-                error = np.linalg.norm(grad - want)
-                assert error <= 1e-12 * np.linalg.norm(want), (mode, name)
-
     def test_one_phase_map_per_forward(self, monkeypatch):
         built = []
 
@@ -1125,10 +1017,10 @@ class TestPhaseMap:
 
         build = forward_module.phase_map
         monkeypatch.setattr(forward_module, "phase_map", counting)
-        for config, seed in _phase_configs():
+        for config, seed in _mode_configs():
             params = init_params(config, seed)
             rng = np.random.default_rng(seed)
-            for batch in _phase_switch_batches(config):
+            for batch in (1, 5):
                 x = rng.normal(size=(batch, config.lookback))
                 built.clear()
                 forward_batch(x, params, config)
@@ -1140,19 +1032,6 @@ class TestStreamedStep:
     one phase map and one branch adjoint per step, a forward and back per
     block."""
 
-    @staticmethod
-    def _recorded_paths(patch):
-        """Record the path of every block forward ``backward`` runs through its step."""
-        paths = []
-
-        def recording(rows, config, step):
-            pred = forward_batch_with_trace(rows, config, step)
-            paths.append(step.path)
-            return pred
-
-        patch.setattr(backward_module, "forward_batch_with_trace", recording)
-        return paths
-
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
            period=st.sampled_from(["drawn", "one", "even", "ragged"]),
            path=st.sampled_from([Path.GAIN_FIRST, Path.PHASE_MAP]),
@@ -1161,11 +1040,11 @@ class TestStreamedStep:
     @settings(max_examples=120, deadline=None)
     def test_streamed_step_matches_one_block(self, seed, mode, period, path, split, channels,
                                              level):
+        # gain-first is drawn only where w divides L, where it runs
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
-        params = init_params(config, seed % 1000)
-        for _, arr in params.named_arrays():
-            arr += 0.1 * rng.normal(size=arr.shape)
+        assume(_forced(path, config) is path)
+        params = _moved_params(rng, config)
         size = int(rng.integers(1, 4))     # windows in the smallest block
         if split == "one window":
             count, most = int(rng.integers(2, 6)), 1
@@ -1182,13 +1061,13 @@ class TestStreamedStep:
 
         with pytest.MonkeyPatch.context() as patch:
             _map_paths_as(patch, path)
-            paths = self._recorded_paths(patch)
+            paths = _recorded_paths(patch)
             patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", most * width * channels)
             loss, grads = backward(x, y, params, config)
-            assert paths == [_forced(path, config)] * parts
+            assert paths == [path] * parts
             patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", count * width * channels)
             want_loss, want = backward(x, y, params, config)
-            assert paths[parts:] == [_forced(path, config)]
+            assert paths[parts:] == [path]
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=0)
         largest = max(np.max(np.abs(grad)) for grad in want.values())
         for name, grad in grads.items():
@@ -1212,8 +1091,6 @@ class TestStreamedStep:
         assert runs[-1][1] == count and max(sizes) - min(sizes) <= 1
         floats = (720 + horizon) * channels
         assert max(sizes) * floats <= max(backward_module.TRAIN_BLOCK_FLOATS, floats)
-        assert {choose_path(size * channels, config) for size in sizes} == {
-            choose_path(count * channels, config)}
 
     def test_train_matches_whole_batch_loop(self, monkeypatch):
         # train streams (windows, idx) in blocks of 5 windows; the reference
@@ -1223,7 +1100,7 @@ class TestStreamedStep:
         tc = TrainConfig(max_epochs=2, patience=10, batch_size=32, seed=6)
         with monkeypatch.context() as patch:
             patch.setattr(backward_module, "TRAIN_BLOCK_FLOATS", 5 * width)
-            paths = self._recorded_paths(patch)
+            paths = _recorded_paths(patch)
             params, history = train(train_ws, val_ws, config, tc)
             sizes = [min(32, train_ws.count - lo) for lo in range(0, train_ws.count, 32)]
             blocks = [len(backward_module._train_blocks(size, train_ws.channels, config))
@@ -1250,14 +1127,14 @@ class TestStreamedStep:
                                          ends[history.best_epoch].named_arrays()):
             assert np.max(np.abs(got - arr)) <= 1e-12 * max(np.max(np.abs(arr)), 1e-300), name
 
-    @pytest.mark.parametrize("path", [Path.GAIN_FIRST, Path.PHASE_MAP])
-    @pytest.mark.parametrize("config, channels, most", [
+    @pytest.mark.parametrize("config, channels, most, path", [
         # the etth1-train shape: blocks of 10 and 11 windows
-        pytest.param(ModelConfig(720, 96, 24), 7, None, id="etth1-train"),
-        # w does not divide L (n*w = 56 > 50) and m*w = 35 > H = 30: blocks
-        # of 3 and 4 windows
+        *(pytest.param(ModelConfig(720, 96, 24), 7, None, path, id=f"etth1-train-{path}")
+          for path in Path),
+        # w does not divide L (n*w = 56 > 50) and m*w = 35 > H = 30, so the
+        # step runs the graph: blocks of 3 and 4 windows
         pytest.param(ModelConfig(50, 30, 7, lpf_cutoff=3, latent_width=2), 3, 4,
-                     id="ragged"),
+                     Path.PHASE_MAP, id=f"ragged-{Path.PHASE_MAP}"),
     ])
     def test_step_does_not_depend_on_the_step_before(self, config, channels, most, path,
                                                      monkeypatch):
@@ -1395,7 +1272,7 @@ from mixlinear.model.forward import choose_path
 from mixlinear.training import backward
 for channels, horizon, path in ((7, 96, "gain first"), (1, 720, "phase map")):
     config = ModelConfig(720, horizon, 24)
-    assert choose_path(256 * channels, config).value == path
+    assert choose_path(config).value == path
     rng = np.random.default_rng(48)
     params = init_params(config, 48)
     for _, arr in params.named_arrays():
@@ -1429,11 +1306,9 @@ class TestViewRows:
     as they stand and predicts what it predicts on C-ordered copies."""
 
     # at H=1 gain-first costs fewer MACs than the graph, so the C-ordered
-    # copies take it at every count of rows, on either side of the
-    # n+1 = L+1 = 17 basis rows that period 1 has
-    @pytest.mark.parametrize("count, channels, past_basis", [
-        (1, 1, False), (2, 3, False), (5, 1, False), (40, 3, True), (300, 1, True)])
-    def test_forward_on_view_rows_matches_contiguous_rows(self, count, channels, past_basis):
+    # copies take it; the views of two or more windows take the series path
+    @pytest.mark.parametrize("count, channels", [(1, 1), (2, 3), (5, 1), (40, 3), (300, 1)])
+    def test_forward_on_view_rows_matches_contiguous_rows(self, count, channels):
         rng = np.random.default_rng(37)
         ws = WindowSet(rng.normal(size=(count + 23, channels)), 16, 8)
         x, _ = ws.batch(np.arange(count))
@@ -1441,8 +1316,7 @@ class TestViewRows:
         assert np.shares_memory(rows, ws.base)
         for mode in Mode:
             config = ModelConfig(16, 1, 1, lpf_cutoff=3, latent_width=2, mode=mode)
-            assert choose_path(rows.shape[0], config) is Path.GAIN_FIRST
-            assert (rows.shape[0] > config.plan.n + 1) == past_basis
+            assert choose_path(config) is Path.GAIN_FIRST
             params = init_params(config, 37)
             got = forward_batch(rows, params, config)
             want = forward_batch(np.ascontiguousarray(rows), params, config)
@@ -1458,7 +1332,10 @@ def _with_period(config: ModelConfig, period: int) -> ModelConfig:
 
 def _drawn_config(rng, mode: Mode, period: str) -> ModelConfig:
     """A ``random_small_config`` of ``mode`` at the named period: as drawn,
-    1, L, even, or L - 1, which does not divide L once L > 2."""
+    1, L, even, or L - 1, which does not divide L once L > 2; "H=96" and
+    "H=720" name the L=720, w=24 config of the benchmark shapes."""
+    if period in ("H=96", "H=720"):
+        return ModelConfig(720, int(period[2:]), 24, mode=mode)
     config = replace(random_small_config(rng), mode=mode)
     lookback = config.lookback
     chosen = {"drawn": config.period, "one": 1, "lookback": lookback,
@@ -1481,9 +1358,7 @@ class TestSeriesPath:
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
         lookback = config.lookback
-        params = init_params(config, seed % 1000)
-        for _, arr in params.named_arrays():
-            arr += 0.1 * rng.normal(size=arr.shape)
+        params = _moved_params(rng, config)
         steps = count + lookback + config.horizon - 1
         # level 30: a random walk around it, so the window means differ
         values = (level + np.cumsum(rng.normal(size=(steps, channels)), axis=0) if level
@@ -1491,10 +1366,13 @@ class TestSeriesPath:
         ws = WindowSet(values, lookback, config.horizon)
         x, _ = ws.batch(np.arange(count))
         rows = backward_module._flatten_windows(x, lookback, "inputs")
-        path = choose_path(rows.shape[0], config, series_channels(rows))
-        assert (path is Path.SERIES) == (count >= 2)
-        pred = forward_batch(rows, params, config)
-        if path is Path.SERIES:
+        assert series_channels(rows) == (channels if count >= 2 else 0)
+        # through a setup whose buffers hold NaN: a forward writes every entry it reads
+        setup = forward_module.SeriesSetup(params, config, count, channels)
+        for buffer in setup._buffers.values():
+            buffer.fill(np.nan)
+        pred = forward_batch(rows, params, config, setup)
+        if count >= 2:
             assert pred.T.flags.c_contiguous
         want = np.array([forward_loop(row, params, config, config.plan) for row in rows])
         error = np.max(np.abs(pred - want))
@@ -1517,9 +1395,9 @@ class TestSeriesPath:
             "stride-0 rows": np.broadcast_to(view[0], view.shape),
             "reversed rows": view[::-1],
         }
-        assert choose_path(view.shape[0], config, series_channels(view)) is Path.SERIES
+        assert series_channels(view) == 3
         for name, rows in layouts.items():
-            assert choose_path(rows.shape[0], config, series_channels(rows)) is not Path.SERIES
+            assert series_channels(rows) == 0, name
             want = np.array([forward_loop(row, params, config, config.plan) for row in rows])
             error = np.max(np.abs(forward_batch(rows, params, config) - want))
             assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), name
@@ -1528,38 +1406,25 @@ class TestSeriesPath:
 class TestChoosePath:
     """``choose_path`` decides the path of every forward, and the step records it."""
 
-    @staticmethod
-    def _switch_rows(config):
-        """One row, L+1 and L+2 rows, and the fewest windows whose R*w phase
-        rows outnumber the n+1 basis rows and one fewer."""
-        phase = (config.plan.n + 1) // config.period + 1
-        return sorted({1, config.lookback + 1, config.lookback + 2, phase, phase - 1} - {0})
-
-    def test_trace_records_the_planned_path(self):
+    def test_trace_records_the_planned_path(self, monkeypatch):
+        # rows that are not a run of windows go through a step of their own,
+        # forward_batch's or a training step's, which records the config's
+        # path, whatever the rows; over these configs every mode reaches both
+        paths = _recorded_paths(monkeypatch, forward_module, backward_module)
         rng = np.random.default_rng(38)
-        bases = [random_small_config(rng) for _ in range(60)] + [ModelConfig(720, 96, 24)]
         reached = {mode: set() for mode in Mode}
-        for base in bases:
+        for base in [random_small_config(rng) for _ in range(60)] + [ModelConfig(720, 96, 24)]:
             for mode in Mode:
                 config = replace(base, mode=mode)
-                params = init_params(config, int(rng.integers(1000)))
-                for _, arr in params.named_arrays():
-                    arr += 0.1 * rng.normal(size=arr.shape)
-                for rows in self._switch_rows(config):
+                params = init_params(config, 0)
+                paths.clear()
+                for rows in (1, 3, config.lookback + 2):
                     x = rng.normal(size=(rows, config.lookback))
-                    stepped, step = _step_forward(x, params, config)
-                    assert step.path is choose_path(rows, config), (config, rows)
-                    reached[mode].add(step.path)
-                    # every row of a small config, a sample of the L=720 ones
-                    picks = range(rows) if rows <= 64 else rng.choice(rows, 4, replace=False)
-                    want = np.array([forward_loop(x[i], params, config, config.plan)
-                                     for i in picks])
-                    for pred in (forward_batch(x, params, config), stepped):
-                        error = np.max(np.abs(pred[list(picks)] - want))
-                        assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, rows)
-        # a step never takes the series path, so backward never sees it
-        assert all(paths == set(Path) - {Path.SERIES} for paths in reached.values())
-
+                    forward_batch(x, params, config)
+                backward(x, rng.normal(size=(rows, config.horizon)), params, config)
+                assert len(paths) > 3 and set(paths) == {choose_path(config)}, config
+                reached[mode].add(paths[0])
+        assert all(paths == set(Path) for paths in reached.values())
 
     @staticmethod
     def _macs(config):
@@ -1570,38 +1435,39 @@ class TestChoosePath:
     def test_switches_at_both_boundaries(self):
         # two windows of a series' C channels are predicted from the series,
         # one window is not; off the series the map goes where it costs
-        # fewer MACs, and a tie goes to the graph, whatever the rows
+        # fewer MACs, and a tie goes to the graph
         config = ModelConfig(12, 8, 4, lpf_cutoff=2, latent_width=2)
         for channels in (1, 3):
-            assert choose_path(2 * channels, config, channels) is Path.SERIES
-            assert choose_path(2 * channels - 1, config, channels) is Path.GAIN_FIRST
-            assert choose_path(2 * channels, config) is Path.GAIN_FIRST
+            ws = WindowSet(np.zeros((config.lookback + config.horizon + 1, channels)), 12, 8)
+            rows = backward_module._flatten_windows(ws.batch(np.arange(2))[0], 12, "inputs")
+            assert series_channels(rows) == channels
+            assert series_channels(rows[:2 * channels - 1]) == series_channels(rows[:1]) == 0
+        assert choose_path(config) is Path.GAIN_FIRST
 
         for horizon, want in ((3, Path.GAIN_FIRST), (4, Path.PHASE_MAP), (5, Path.PHASE_MAP)):
             config = ModelConfig(8, horizon, 2, lpf_cutoff=2, latent_width=2)
             gain_first, graph = self._macs(config)
             assert (gain_first < graph, gain_first == graph) == (horizon == 3, horizon == 4)
-            assert choose_path(1, config) is choose_path(9, config) is want
+            assert choose_path(config) is want
         # the benchmark shapes: H=96 trains gain-first, H=720 on the graph
         for horizon, want in ((96, Path.GAIN_FIRST), (720, Path.PHASE_MAP)):
             config = ModelConfig(720, horizon, 24)
-            assert choose_path(1, config) is choose_path(1792, config) is want
+            assert choose_path(config) is want
         # w does not divide L: the graph, though gain-first costs fewer MACs
         for config, _ in _ragged_period_configs():
             gain_first, graph = self._macs(config)
-            assert gain_first < graph and choose_path(1, config) is Path.PHASE_MAP
+            assert gain_first < graph and choose_path(config) is Path.PHASE_MAP
 
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
-           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
-           rows=st.integers(1, 4096))
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]))
     @settings(max_examples=200, deadline=None)
-    def test_gain_first_only_where_period_divides_lookback(self, seed, mode, period, rows):
+    def test_gain_first_only_where_period_divides_lookback(self, seed, mode, period):
         # the graph zeroes the n*w - L padded steps; gain-first runs where
         # there are none and it costs fewer MACs
         config = _drawn_config(np.random.default_rng(seed), mode, period)
         gain_first, graph = self._macs(config)
         divides = config.plan.n * config.period == config.lookback
-        assert (choose_path(rows, config) is Path.GAIN_FIRST) == (divides and gain_first < graph)
+        assert (choose_path(config) is Path.GAIN_FIRST) == (divides and gain_first < graph)
 
 
 def _moved_params(rng, config):
@@ -1675,9 +1541,7 @@ class TestAdjoints:
         # sums, finished, give their gradients
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
-        params = init_params(config, seed % 1000)
-        for _, arr in params.named_arrays():
-            arr += 0.1 * rng.normal(size=arr.shape)
+        params = _moved_params(rng, config)
         x = level + rng.normal(size=(rows, config.lookback))
 
         def graph(inputs):
