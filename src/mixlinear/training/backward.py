@@ -362,46 +362,47 @@ def random_small_config(rng: np.random.Generator) -> ModelConfig:
                        latent_width=latent, mode=mode)
 
 
-def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig,
-               step: float = 1e-5) -> GradCheckResult:
+def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -> GradCheckResult:
     """Compare every analytic gradient entry against central differences.
 
-    Relative discrepancy uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator; a non-finite discrepancy counts as infinite, so it fails
-    any gate.
+    The prediction is affine in each parameter on its own, so the loss is
+    quadratic along each coordinate, and its central difference at step 1
+    is its derivative up to round-off.  An entry's discrepancy is
+    |analytic - numeric| over the largest |analytic| or |numeric| of any
+    entry of any array; it is 0 when every entry is 0, and a non-finite
+    discrepancy counts as infinite, so it fails any gate.
     """
-    if not 0 < step < math.inf:
-        raise ConfigError(f"step must be finite and positive, got {step}")
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")
 
-    def loss_now() -> float:
-        pred = forward_batch(x2d, params, config)
-        d = pred - y2d
+    def loss_at(flat, idx, value) -> float:
+        flat[idx] = value
+        d = forward_batch(x2d, params, config) - y2d
         return float(np.mean(d * d))
 
     _, grads = backward(x_batch, y_batch, params, config)
 
+    pairs = {}  # name -> (analytic, numeric)
+    for name, arr in params.named_arrays():
+        flat = arr.reshape(-1)
+        numeric = np.empty(flat.size)
+        for idx, original in enumerate(flat.copy()):
+            numeric[idx] = (loss_at(flat, idx, original + 1.0)
+                            - loss_at(flat, idx, original - 1.0)) / 2.0
+            flat[idx] = original
+        pairs[name] = (np.reshape(grads[name], -1), numeric)
+    # the scale is over finite entries, so that a non-finite entry names its
+    # own array; a finite nonzero error is at most twice it, so it is > 0
+    entries = np.abs(np.concatenate([np.concatenate(pair) for pair in pairs.values()]))
+    scale = float(np.max(entries, where=np.isfinite(entries), initial=0.0))
     worst = 0.0
     worst_param = ""
-    for name, arr in params.named_arrays():
-        analytic = np.asarray(grads[name]).reshape(-1)
-        flat = arr.reshape(-1)
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + step
-            plus = loss_now()
-            flat[idx] = original - step
-            minus = loss_now()
-            flat[idx] = original
-            numeric = (plus - minus) / (2.0 * step)
-            a = float(analytic[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if not math.isfinite(rel):
-                rel = math.inf
-            if rel > worst:
-                worst = rel
-                worst_param = name
+    for name, (analytic, numeric) in pairs.items():
+        error = float(np.max(np.abs(analytic - numeric)))
+        rel = 0.0 if error == 0.0 else error / scale if math.isfinite(error) else math.inf
+        if rel > worst:
+            worst = rel
+            worst_param = name
     return GradCheckResult(worst, worst_param)
 
 
@@ -412,12 +413,13 @@ def single_window_gap(params: MixLinearParams, x_batch, y_batch, config: ModelCo
     The batch and each lone window apply the same phase map on the same
     path, so the gap checks that a step's sums over its rows and blocks
     add up, not the map's adjoint itself.  :func:`grad_check` checks that
-    by finite differences; at full size the tests check it against central
-    differences of the ``forward_batch`` loss, and ``forward_batch``
-    against ``tests/oracles.py``'s per-row ``forward_loop``, which runs no
-    map.  Returns the largest absolute difference over every parameter
-    entry, relative to the largest entry of the mean; a non-finite gap
-    counts as infinite.
+    by central differences, exact up to round-off on a loss that is
+    quadratic along each coordinate; at full size the tests check it
+    against directional differences of the ``forward_batch`` loss, and
+    ``forward_batch`` against ``tests/oracles.py``'s per-row
+    ``forward_loop``, which runs no map.  Returns the largest absolute
+    difference over every parameter entry, relative to the largest entry of
+    the mean; a non-finite gap counts as infinite.
     """
     x2d = _flatten_windows(x_batch, config.lookback, "inputs")
     y2d = _flatten_windows(y_batch, config.horizon, "targets")

@@ -75,6 +75,14 @@ MUTANTS = [
      "if (config.plan.n * w == length\n            and", "if (True\n            and"),
     ("series_channels without the two-window rule", FORWARD,
      "rows % channels == 0 and rows >= 2 * channels", "rows % channels == 0"),
+    ("grad_check differencing at 1e-5", BACKWARD,
+     "(loss_at(flat, idx, original + 1.0)\n"
+     "                            - loss_at(flat, idx, original - 1.0)) / 2.0",
+     "(loss_at(flat, idx, original + 1e-5)\n"
+     "                            - loss_at(flat, idx, original - 1e-5)) / 2e-5"),
+    ("forward quadratic in b_inter", FORWARD,
+     "params.w_inter.sum(axis=1)) + params.b_inter",
+     "params.w_inter.sum(axis=1)) + params.b_inter * (1 + params.b_inter)"),
 ]
 
 

@@ -498,14 +498,14 @@ class TestGradcheck:
         assert all(gap <= 1e-12 for gap in gaps.values())
 
     def test_batch_gradient_off_by_more_than_round_off_fails(self, monkeypatch, capsys):
-        # 1e-9 on every batch's kernel gradient passes the finite differences
-        # but not the gate against the batch's single windows
+        # 1e-9 on every one-window kernel gradient, which grad_check never
+        # differences, fails only the gate against the batch's single windows
         module = importlib.import_module("mixlinear.training.backward")
         original = module.backward
 
         def shifted(x, *args):
             loss, grads = original(x, *args)
-            if len(x) > 1:
+            if len(x) == 1:
                 grads = {**grads, "conv_kernel": grads["conv_kernel"] + 1e-9}
             return loss, grads
 
@@ -517,8 +517,7 @@ class TestGradcheck:
         assert "gradient check failed" not in captured.err
         assert "from the mean of single windows (gate 1e-12)" in captured.err
 
-    @pytest.mark.parametrize("flag,value", [("--step", "nan"), ("--step", "inf"),
-                                            ("--trials", "0")])
+    @pytest.mark.parametrize("flag,value", [("--trials", "0")])
     def test_setting_that_checks_nothing_exits_2(self, flag, value, capsys):
         rc = main(["gradcheck", flag, value])
         captured = capsys.readouterr()
