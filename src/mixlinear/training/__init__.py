@@ -5,7 +5,9 @@ from .backward import (
     GradCheckResult,
     GradientSet,
     backward,
+    draw_biases,
     grad_check,
+    gradcheck_trials,
     random_small_config,
 )
 from .loop import (
@@ -24,7 +26,9 @@ __all__ = [
     "GradCheckResult",
     "GradientSet",
     "backward",
+    "draw_biases",
     "grad_check",
+    "gradcheck_trials",
     "random_small_config",
     "TrainConfig",
     "TrainHistory",

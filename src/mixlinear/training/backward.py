@@ -20,7 +20,7 @@ from ..data.windows import WindowSet, window_runs
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
 from ..model.forward import Path, StepSetup, basis_spectra, forward_batch, forward_batch_with_trace
-from ..model.params import MixLinearParams
+from ..model.params import MixLinearParams, init_params
 from ..numerics import band_pairs, band_taps, idft_matrix
 
 GradientSet = dict[str, np.ndarray]
@@ -362,6 +362,35 @@ def random_small_config(rng: np.random.Generator) -> ModelConfig:
                        latent_width=latent, mode=mode)
 
 
+def draw_biases(params: MixLinearParams, rng: np.random.Generator) -> MixLinearParams:
+    """``params`` with conv_bias and every b_* drawn at standard deviation 0.1.
+
+    ``init_params`` zeroes the biases, and a gradient term proportional to
+    a bias, such as gain-first's ``conv_bias * G_b``, is differenced only
+    when they are nonzero.
+    """
+    for name, arr in params.named_arrays():
+        if name == "conv_bias" or name.startswith("b_"):
+            arr[...] = 0.1 * rng.normal(size=arr.shape)
+    return params
+
+
+def gradcheck_trials(seed: int, trials: int):
+    """(config, params, x, y) of each trial of ``mixlinear gradcheck``.
+
+    A :func:`random_small_config`, its parameters with the biases drawn by
+    :func:`draw_biases` from a generator of the trial's own, so that they
+    leave the configs unchanged, and a batch of 3 windows.
+    """
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        config = random_small_config(rng)
+        params = init_params(config, seed=int(rng.integers(0, 2**31)))
+        draw_biases(params, np.random.default_rng((seed, trial, 1)))
+        yield (config, params, rng.normal(size=(3, config.lookback)),
+               rng.normal(size=(3, config.horizon)))
+
+
 def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -> GradCheckResult:
     """Compare every analytic gradient entry against central differences.
 
@@ -404,36 +433,3 @@ def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -
             worst = rel
             worst_param = name
     return GradCheckResult(worst, worst_param)
-
-
-def single_window_gap(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -> float:
-    """Gap between a batch's gradient and the mean of its windows' own gradients.
-
-    The loss is the mean over the batch, so the two agree up to rounding.
-    The batch and each lone window apply the same phase map on the same
-    path, so the gap checks that a step's sums over its rows and blocks
-    add up, not the map's adjoint itself.  :func:`grad_check` checks that
-    by central differences, exact up to round-off on a loss that is
-    quadratic along each coordinate; at full size the tests check it
-    against directional differences of the ``forward_batch`` loss, and
-    ``forward_batch`` against ``tests/oracles.py``'s per-row
-    ``forward_loop``, which runs no map.  Returns the largest absolute
-    difference over every parameter entry, relative to the largest entry of
-    the mean; a non-finite gap counts as infinite.
-    """
-    x2d = _flatten_windows(x_batch, config.lookback, "inputs")
-    y2d = _flatten_windows(y_batch, config.horizon, "targets")
-    _, grads = backward(x2d, y2d, params, config)
-    singles = [backward(x2d[i:i + 1], y2d[i:i + 1], params, config)[1]
-               for i in range(x2d.shape[0])]
-    gaps, sizes = [], []
-    for name, grad in grads.items():
-        want = np.mean([single[name] for single in singles], axis=0)
-        gaps.append(np.max(np.abs(grad - want)))
-        sizes.append(np.max(np.abs(want)))
-    gap = float(np.max(gaps))
-    if gap == 0.0:
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = float(gap / np.max(sizes))
-    return ratio if math.isfinite(ratio) else math.inf

@@ -80,6 +80,8 @@ MUTANTS = [
      "                            - loss_at(flat, idx, original - 1.0)) / 2.0",
      "(loss_at(flat, idx, original + 1e-5)\n"
      "                            - loss_at(flat, idx, original - 1e-5)) / 2e-5"),
+    ("gradcheck draws its biases at 0", BACKWARD,
+     "arr[...] = 0.1 * rng.normal(size=arr.shape)", "arr[...] = 0.0 * rng.normal(size=arr.shape)"),
     ("forward quadratic in b_inter", FORWARD,
      "params.w_inter.sum(axis=1)) + params.b_inter",
      "params.w_inter.sum(axis=1)) + params.b_inter * (1 + params.b_inter)"),

@@ -16,6 +16,8 @@ from mixlinear.cli import main
 from mixlinear.data import load_csv
 from mixlinear.evalbench import parse_report
 from mixlinear.model import load_checkpoint, save_checkpoint
+from mixlinear.model.forward import Path, choose_path
+from mixlinear.training import gradcheck_trials
 
 
 @pytest.fixture(scope="module")
@@ -482,40 +484,9 @@ class TestGradcheck:
         assert rc == 1
         assert "discrepancy = inf" in captured.out and "conv_bias" in captured.err
 
-    @staticmethod
-    def _map_path_lines(out):
-        """{path name: gap} from the lines gradcheck prints per map path."""
-        lines = [line for line in out.splitlines() if ": max gap to the mean of " in line]
-        return {line.split(", ")[0]: float(line.split("= ")[1].split()[0])
-                for line in lines}
-
-    def test_forty_trials_reach_both_map_paths(self, capsys):
-        rc = main(["gradcheck", "--trials", "40", "--seed", "1"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        gaps = self._map_path_lines(out)
-        assert set(gaps) == {"gain first", "phase map"}
-        assert all(gap <= 1e-12 for gap in gaps.values())
-
-    def test_batch_gradient_off_by_more_than_round_off_fails(self, monkeypatch, capsys):
-        # 1e-9 on every one-window kernel gradient, which grad_check never
-        # differences, fails only the gate against the batch's single windows
-        module = importlib.import_module("mixlinear.training.backward")
-        original = module.backward
-
-        def shifted(x, *args):
-            loss, grads = original(x, *args)
-            if len(x) == 1:
-                grads = {**grads, "conv_kernel": grads["conv_kernel"] + 1e-9}
-            return loss, grads
-
-        monkeypatch.setattr(module, "backward", shifted)
-        rc = main(["gradcheck", "--trials", "2", "--seed", "1"])
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "max relative discrepancy" in captured.out
-        assert "gradient check failed" not in captured.err
-        assert "from the mean of single windows (gate 1e-12)" in captured.err
+    def test_forty_trials_reach_both_map_paths(self):
+        # CI's --seed 1 --trials 40 run differences configs on both map paths
+        assert {choose_path(config) for config, *_ in gradcheck_trials(1, 40)} == set(Path)
 
     @pytest.mark.parametrize("flag,value", [("--trials", "0")])
     def test_setting_that_checks_nothing_exits_2(self, flag, value, capsys):

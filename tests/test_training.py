@@ -39,8 +39,10 @@ from mixlinear.training import (
     TrainConfig,
     adam_step,
     backward,
+    draw_biases,
     evaluate,
     grad_check,
+    gradcheck_trials,
     init_adam,
     random_small_config,
     train,
@@ -123,26 +125,6 @@ class TestBackward:
         assert backward(x, y[:, :, None], params, config)[0] == backward(x, y, params, config)[0]
 
 
-def _draw_biases(params, rng):
-    """``params`` with conv_bias and every b_* drawn at standard deviation 0.1,
-    as ``mixlinear gradcheck`` draws them."""
-    for name, arr in params.named_arrays():
-        if name == "conv_bias" or name.startswith("b_"):
-            arr[...] = 0.1 * rng.normal(size=arr.shape)
-    return params
-
-
-def _gradcheck_draws(seed, trials):
-    """(config, params, x, y) of each trial of ``mixlinear gradcheck --seed``."""
-    rng = np.random.default_rng(seed)
-    for trial in range(trials):
-        config = random_small_config(rng)
-        params = init_params(config, seed=int(rng.integers(0, 2**31)))
-        _draw_biases(params, np.random.default_rng((seed, trial, 1)))
-        yield config, params, rng.normal(size=(3, config.lookback)), rng.normal(
-            size=(3, config.horizon))
-
-
 def _third_difference(params, x, y, config):
     """The largest |L(t+2) - 3L(t+1) + 3L(t) - L(t-1)| of the loss along any
     one parameter entry t, relative to the largest of the four losses."""
@@ -199,6 +181,18 @@ class TestGradCheck:
         result = grad_check(params, np.zeros((2, 8)), np.zeros((2, 4)), config)
         assert result.max_rel_error == 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 202])
+    def test_gradcheck_draws_every_bias_nonzero(self, seed):
+        # a gradient term proportional to a bias is differenced only when the
+        # biases are nonzero, and init_params zeroes them
+        seen = set()
+        for config, params, _, _ in gradcheck_trials(seed, 20):
+            biases = {name: arr for name, arr in params.named_arrays()
+                      if name == "conv_bias" or name.startswith("b_")}
+            assert all(np.all(arr != 0.0) for arr in biases.values()), config
+            seen |= set(biases)
+        assert seen == {"conv_bias", "b_intra", "b_inter"}
+
     def test_loss_is_quadratic_along_each_coordinate(self):
         # grad_check's central difference at step 1 is exact only because the
         # prediction is affine in each parameter on its own, so the loss is
@@ -207,11 +201,11 @@ class TestGradCheck:
         # on level-30 walks.  Over seeds 0-199 of gradcheck's draws (4000
         # configs) the worst was 2.6e-15, and over 50 draws of the L=720
         # cases 1.9e-15; the gate is a decade above
-        cases = list(_gradcheck_draws(0, 20))
+        cases = list(gradcheck_trials(0, 20))
         rng = np.random.default_rng(9)
         for mode, horizon in itertools.product(Mode, (96, 720)):
             config = ModelConfig(720, horizon, 24, mode=mode)
-            params = _draw_biases(init_params(config, int(rng.integers(0, 2**31))), rng)
+            params = draw_biases(init_params(config, int(rng.integers(0, 2**31))), rng)
             cases.append((config, params, *_level_walks(rng, 3, config)))
         for config, params, x, y in cases:
             assert _third_difference(params, x, y, config) <= 3e-14, config
