@@ -102,8 +102,9 @@ def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.
 
 
 def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
-                  series_setup: "SeriesSetup | None" = None) -> np.ndarray:
-    """Predict (B, horizon) from (B, lookback).
+                  series_setup: "SeriesSetup | None" = None,
+                  targets: np.ndarray | None = None) -> np.ndarray:
+    """Predict (B, horizon) from (B, lookback), or, given (B, horizon) targets, the residual.
 
     ``series_setup`` is the ``SeriesSetup`` an ``evaluate`` made once for
     all its blocks, sized for the largest: rows of consecutive windows
@@ -111,6 +112,11 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
     forecast buffer, so the result holds until the next forward through
     it.  Without one the forward makes its own.  Other rows run
     ``forward_batch_with_trace`` through a ``StepSetup`` of their own.
+    With ``targets`` the result is forecast - targets, written where the
+    forecast would be: targets that are the consecutive windows of a
+    series as wide as the rows' are subtracted from the series path's VG,
+    at about 1/w of the forecast's size (``_series_group``); any others
+    from the forecast.
     """
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
@@ -118,12 +124,23 @@ def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
             f"expected input of shape (batch, {config.lookback}), got {x2d.shape}"
         )
     rows = x2d.shape[0]
+    if targets is not None:
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.shape != (rows, config.horizon):
+            raise ValueError(f"expected targets of shape ({rows}, {config.horizon}), "
+                             f"got {targets.shape}")
     channels = series_channels(x2d)
     if channels:
         if series_setup is None:
             series_setup = SeriesSetup(params, config, rows // channels, channels)
-        return _series_forward(x2d, channels, series_setup, config)
-    return forward_batch_with_trace(x2d, config, StepSetup(params, config, rows))
+        if targets is not None and series_channels(targets) == channels:
+            return _series_forward(x2d, channels, series_setup, config, targets)
+        pred = _series_forward(x2d, channels, series_setup, config)
+    else:
+        pred = forward_batch_with_trace(x2d, config, StepSetup(params, config, rows))
+    if targets is not None:
+        pred -= targets
+    return pred
 
 
 def forward_batch_with_trace(x2d: np.ndarray, config: ModelConfig,
@@ -351,7 +368,7 @@ class SeriesSetup:
 
 
 def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
-                    config: ModelConfig) -> np.ndarray:
+                    config: ModelConfig, targets: np.ndarray | None = None) -> np.ndarray:
     """Predict b >= 2 consecutive windows of a C-channel series from the series.
 
     With kappa the ``aggregation_kernel``, S the series convolved once
@@ -370,18 +387,25 @@ def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
     and of the phase map, which the ``setup`` built once; the window map
     costs L*H.  Every channel of the rows is predicted at once, so the
     series-length arrays grow with C: ``evaluate``'s block rule bounds them.
-    Returns the ``.T`` of a C-contiguous (H, b*C) array in the setup's
+    ``targets``, (B, H) rows with the same ``series_channels``, are the
+    windows of a (b + H - 1, C) target series, whose step k + h window k's
+    output h predicts; the result is then the residual, the target series
+    taken off VG.  Returns the ``.T`` of a C-contiguous (H, b*C) array in the setup's
     forecast buffer.
     """
     rows, length = x2d.shape
     windows = rows // channels
-    step = x2d.strides[0]
-    series = as_strided(x2d, (windows + length - 1, channels), (channels * step, step),
+    series = as_strided(x2d, (windows + length - 1, channels), x2d.strides[::-1],
                         writeable=False)
-    return _series_group(series, setup, config).reshape(-1, rows)[:config.horizon].T
+    if targets is not None:
+        targets = as_strided(targets, (windows + config.horizon - 1, channels),
+                             targets.strides[::-1], writeable=False)
+    out = _series_group(series, setup, config, targets)
+    return out.reshape(-1, rows)[:config.horizon].T
 
 
-def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig) -> np.ndarray:
+def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig,
+                  targets: np.ndarray | None) -> np.ndarray:
     """The C-contiguous (m, w, b, C) phase-major forecast of the b windows of a (U, C) series.
 
     The series is centred on its first window's mean, its level.  Output q
@@ -389,7 +413,11 @@ def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig) -
     one GEMM per phase writes, the setup's ``coefs`` times the phase's
     terms: the window means and the edge terms.  So the output, in the
     setup's forecast buffer, is written once and added to once, from
-    arrays the size of the series, with no temporary of its size.
+    arrays the size of the series, with no temporary of its size.  Given
+    the (b + H - 1, C) ``targets`` series, whose step
+    k + q*w + p output q at phase p of window k predicts, that step is a
+    function of u = k + p as VG is, so it is taken off VG, and the buffer
+    holds the residual instead.
     """
     length, w, n = config.lookback, config.period, config.plan.n
     windows, width = series.shape[0] - length + 1, series.shape[1]
@@ -419,6 +447,14 @@ def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig) -
         np.matmul(setup.gain.T, conv[block:block + n], out=sums[:, block * step:(block + 1) * step])
     vg = sums.reshape(sums.shape[0], -1, width)
     vg += setup.const[:, None, None] + level
+    if targets is not None:
+        # VG[q, u] less targets[u + q*w]: on rows q < m-1 for u < b + w - 1,
+        # on the last for u < b + H - 1 - (m-1)*w, the u its phases below H read
+        m, (row, item) = sums.shape[0], targets.strides
+        span, last = windows + w - 1, windows + config.horizon - 1 - (m - 1) * w
+        vg[:m - 1, :span] -= as_strided(targets, (m - 1, span, width), (w * row, row, item),
+                                        writeable=False)
+        vg[m - 1, :last] -= targets[(m - 1) * w:]
 
     # the edge terms, from the conv buffer's or the series conv's steps
     for start, taps, term, phase, count in setup.runs:

@@ -219,8 +219,10 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     its forecast is C-contiguous.  One ``SeriesSetup``, sized for the
     largest block, holds what the blocks share: the phase map, the
     constants built from it, and the buffers each block's forecast is
-    written to.  The targets are subtracted in the forecast's own
-    time-major (H, b*G) layout, which numpy iterates along its rows.  Each
+    written to.  Each block's targets go to ``forward_batch`` with its
+    inputs, so its result is the residual; a block's targets are the
+    windows of its series too, so the series path takes them off VG, at
+    about 1/w of the forecast's size, and writes no forecast.  Each
     block's squared errors are summed by ``einsum``, whose result, unlike
     a BLAS dot product's, does not depend on the thread count.
     Raises ``ConfigError`` when the windows' (lookback, horizon) is not
@@ -239,10 +241,9 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     for lo, hi, first, last in blocks:
         block = WindowSet(windows.base[lo:hi + length + horizon - 1, first:last], length, horizon)
         x, y = block.batch(np.arange(hi - lo))
-        err = forward_batch(_flatten_windows(x, length, "inputs"), params, config, setup)
-        # in the forecast's time-major (H, b*G) layout
-        np.subtract(err.T, _flatten_windows(y, horizon, "targets").T, out=err.T)
-        flat = err.ravel(order="K")  # a view of that layout
+        err = forward_batch(_flatten_windows(x, length, "inputs"), params, config, setup,
+                            _flatten_windows(y, horizon, "targets"))
+        flat = err.ravel(order="K")  # a view of its time-major (H, b*G) layout
         # an overflow is reported as the NumericError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             sq_sum += float(np.einsum("i,i->", flat, flat))

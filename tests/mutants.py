@@ -82,6 +82,14 @@ MUTANTS = [
      "                            - loss_at(flat, idx, original - 1e-5)) / 2e-5"),
     ("gradcheck draws its biases at 0", BACKWARD,
      "arr[...] = 0.1 * rng.normal(size=arr.shape)", "arr[...] = 0.0 * rng.normal(size=arr.shape)"),
+    ("VG's target view one step late", FORWARD,
+     "as_strided(targets, (m - 1, span, width)", "as_strided(targets[1:], (m - 1, span, width)"),
+    ("every VG row cut at the last row's span", FORWARD,
+     "span, last = windows + w - 1,", "span, last = windows + config.horizon - 1 - (m - 1) * w,"),
+    ("train stops one stale epoch late", LOOP,
+     "if stale_epochs >= train_config.patience:", "if stale_epochs > train_config.patience:"),
+    ("batch size steps down at 99 channels", LOOP,
+     "if channels < 100:", "if channels < 99:"),
     ("forward quadratic in b_inter", FORWARD,
      "params.w_inter.sum(axis=1)) + params.b_inter",
      "params.w_inter.sum(axis=1)) + params.b_inter * (1 + params.b_inter)"),

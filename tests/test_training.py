@@ -316,6 +316,22 @@ class TestTrainLoop:
         _, history = train(train_ws, val_ws, config, tc)
         assert history.epochs == 4
 
+    def test_stops_patience_epochs_after_the_best(self, monkeypatch):
+        # validation MSE improves until epoch 2, then never again: the run
+        # stops after its patience of 3 stale epochs, at epoch 5
+        config, train_ws, val_ws = self._tiny_setup()
+        scores = iter([3.0, 2.0, 1.0, 1.5, 1.2, 1.1, 1.05, 0.5, 0.4])
+        monkeypatch.setattr(loop_module, "evaluate", lambda *_: (next(scores), 0.0))
+        tc = TrainConfig(max_epochs=9, patience=3, batch_size=32, seed=2)
+        _, history = train(train_ws, val_ws, config, tc)
+        assert history.best_epoch == 2
+        assert history.epochs == history.best_epoch + tc.patience + 1
+
+    @pytest.mark.parametrize("channels, batch", [(1, 256), (99, 256), (100, 128), (299, 128),
+                                                 (300, 64), (862, 64)])
+    def test_batch_size_steps_down_at_100_and_300_channels(self, channels, batch):
+        assert loop_module.batch_size_for_channels(channels) == batch
+
     def test_deterministic_given_seed(self):
         config, train_ws, val_ws = self._tiny_setup()
         tc = TrainConfig(max_epochs=3, patience=10, batch_size=32, seed=3)
@@ -1367,9 +1383,15 @@ def _with_period(config: ModelConfig, period: int) -> ModelConfig:
 def _drawn_config(rng, mode: Mode, period: str) -> ModelConfig:
     """A ``random_small_config`` of ``mode`` at the named period: as drawn,
     1, L, even, or L - 1, which does not divide L once L > 2; "H=96" and
-    "H=720" name the L=720, w=24 config of the benchmark shapes."""
+    "H=720" name the L=720, w=24 config of the benchmark shapes, and
+    "L=3, H=4" (w=3) and "L=40, H=13" (w=7, which does not divide L) two
+    with m*w > H, whose last output drops its later phases."""
     if period in ("H=96", "H=720"):
         return ModelConfig(720, int(period[2:]), 24, mode=mode)
+    if period == "L=3, H=4":
+        return ModelConfig(3, 4, 3, lpf_cutoff=1, latent_width=1, mode=mode)
+    if period == "L=40, H=13":
+        return ModelConfig(40, 13, 7, lpf_cutoff=3, latent_width=2, mode=mode)
     config = replace(random_small_config(rng), mode=mode)
     lookback = config.lookback
     chosen = {"drawn": config.period, "one": 1, "lookback": lookback,
@@ -1380,27 +1402,35 @@ def _drawn_config(rng, mode: Mode, period: str) -> ModelConfig:
 
 class TestSeriesPath:
     """Two or more consecutive windows of one series are predicted from the
-    series, exactly, and no other layout takes that path."""
+    series, exactly, and no other layout takes that path; given targets, the
+    forward returns the residual."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Mode)),
-           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged"]),
+           period=st.sampled_from(["drawn", "one", "lookback", "even", "ragged", "L=3, H=4",
+                                   "L=40, H=13"]),
            channels=st.integers(1, 4), count=st.integers(1, 40),
            level=st.sampled_from([0.0, 30.0]))
     def test_series_path_matches_loop_oracle(self, seed, mode, period, channels, count,
                                              level):
+        # given the windows' targets too, the forward returns the residual,
+        # within 1e-12 of its largest entry
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
-        lookback = config.lookback
+        lookback, horizon = config.lookback, config.horizon
         params = _moved_params(rng, config)
-        steps = count + lookback + config.horizon - 1
+        steps = count + lookback + horizon - 1
         # level 30: a random walk around it, so the window means differ
         values = (level + np.cumsum(rng.normal(size=(steps, channels)), axis=0) if level
                   else rng.normal(size=(steps, channels)))
-        ws = WindowSet(values, lookback, config.horizon)
-        x, _ = ws.batch(np.arange(count))
+        ws = WindowSet(values, lookback, horizon)
+        x, y = ws.batch(np.arange(count))
         rows = backward_module._flatten_windows(x, lookback, "inputs")
+        targets = backward_module._flatten_windows(y, horizon, "targets")
         assert series_channels(rows) == (channels if count >= 2 else 0)
+        # at H=1 the targets' column stride is numpy's choice, which may send
+        # them to the forecast's subtract
+        assert series_channels(targets) == series_channels(rows) or horizon == 1
         # through a setup whose buffers hold NaN: a forward writes every entry it reads
         setup = forward_module.SeriesSetup(params, config, count, channels)
         for buffer in setup._buffers.values():
@@ -1411,6 +1441,41 @@ class TestSeriesPath:
         want = np.array([forward_loop(row, params, config, config.plan) for row in rows])
         error = np.max(np.abs(pred - want))
         assert error <= 1e-12 * max(1.0, np.max(np.abs(want))), (config, channels, count)
+        residual = pred - targets
+        error = np.max(np.abs(forward_batch(rows, params, config, setup, targets) - residual))
+        assert error <= 1e-12 * np.max(np.abs(residual)), (config, channels, count)
+
+    def test_targets_of_any_layout_give_the_residual(self):
+        # targets that are a series' windows but step 16 bytes (every other
+        # column of a 6-column series), so they are taken off VG too; and
+        # targets that are not a series as wide as the rows (a C-ordered
+        # copy, a series of another width), or those of a single window,
+        # which runs a map path, subtracted from the forecast
+        rng = np.random.default_rng(42)
+        config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
+        params = _moved_params(rng, config, seed=42)
+        values = rng.normal(size=(60, 6))
+        every_other = np.ndarray((24, 17, 3), values.dtype, values, 0, (48, 48, 16))
+        x, y = WindowSet(values[:, :3], 16, 8).batch(np.arange(20))
+        rows = backward_module._flatten_windows(x, 16, "inputs")
+        targets = backward_module._flatten_windows(y, 8, "targets")
+        wide = WindowSet(values, 16, 8).batch(np.arange(10))[1]
+        cases = {
+            "a strided series": tuple(backward_module._flatten_windows(
+                part.transpose(1, 0, 2), part.shape[0], "windows")
+                for part in (every_other[:16], every_other[16:])),
+            "C-ordered targets": (rows, np.ascontiguousarray(targets)),
+            "targets of another width": (rows, backward_module._flatten_windows(wide, 8, "targets")),
+            "a single window": (rows[7 * 3:8 * 3], targets[7 * 3:8 * 3]),
+        }
+        assert cases["a strided series"][1].strides[0] == 16
+        assert [series_channels(t) for _, t in cases.values()] == [3, 0, 6, 0]
+        for name, (inputs, wanted) in cases.items():
+            want = forward_batch(inputs, params, config) - wanted
+            got = forward_batch(inputs, params, config, None, wanted)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        with pytest.raises(ValueError, match=re.escape("targets of shape (60, 8), got (60, 7)")):
+            forward_batch(rows, params, config, None, targets[:, :7])
 
     def test_other_layouts_do_not_take_series_path(self):
         rng = np.random.default_rng(40)
