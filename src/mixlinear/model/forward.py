@@ -61,17 +61,6 @@ def choose_path(config: ModelConfig) -> Path:
     return Path.PHASE_MAP
 
 
-def aggregation_kernel(conv_kernel: np.ndarray) -> np.ndarray:
-    """kappa: the conv kernel plus the identity in its centre tap.
-
-    The centre tap maps each step onto itself, so the conv by kappa is the
-    aggregation conv(x) + x as one conv.
-    """
-    kernel = conv_kernel.copy()
-    kernel[conv_pad_split(kernel.size)[0]] += 1.0
-    return kernel
-
-
 def _conv_buffer(steps: np.ndarray, level: np.ndarray, padded: np.ndarray, w: int) -> np.ndarray:
     """Fill ``padded`` as the zero-padded time-major buffer Z that ``conv1d_same_batch`` reads.
 
@@ -90,7 +79,7 @@ def _conv_buffer(steps: np.ndarray, level: np.ndarray, padded: np.ndarray, w: in
 
 
 def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(m, w*B) phase outputs and the B window means -> the (B, H) forecast.
+    """(m, w, B) phase outputs and the B window means -> the (B, H) forecast.
 
     sequence[j*w + p] is out[j] of phase p, so the block read as (m*w, B)
     is the time-major forecast; the steps past H are dropped and the means
@@ -152,7 +141,9 @@ def forward_batch_with_trace(x2d: np.ndarray, config: ModelConfig,
     leaves in its workspace what the reverse pass reads, the conv buffer
     Z (``step.buffer(B)``) and the phase block or U (``step.block(B)``).
     Z is centred in place when ``x2d`` is the ``.T`` of the step's
-    ``inputs``, where ``backward`` gathers a block.  The parameters reach
+    ``inputs``, where ``backward`` gathers a block.  The paths differ only
+    in their linear part, W' times the phase block or ``_gain_first``;
+    every output then gets the step's constant C.  The parameters reach
     the forward only through the step, which was made from them.
     """
     rows = x2d.shape[0]
@@ -161,20 +152,45 @@ def forward_batch_with_trace(x2d: np.ndarray, config: ModelConfig,
     mean /= config.lookback
     padded = _conv_buffer(x2d.T, mean, step.buffer(rows), config.period)
     if step.path is Path.GAIN_FIRST:
-        return _gain_first(padded, mean, config, step)
-
-    # the graph: the phase block is the band conv's output, the n*w - L
-    # padded steps zeroed
-    length, n = config.lookback, config.plan.n
-    block = conv1d_same_batch(padded.T, step.kernel, step.block(rows)).reshape(n, -1)
-    block += step.conv_bias
-    block.reshape(-1, rows)[length:] = 0.0
-    out = step.gain.T @ block
-    out += step.offset[:, None]
+        out = _gain_first(padded, config, step)
+    else:
+        # the graph: the phase block is the band conv's output, the n*w - L
+        # padded steps zeroed
+        length, n = config.lookback, config.plan.n
+        block = conv1d_same_batch(padded.T, step.kernel, step.block(rows)).reshape(n, -1)
+        block.reshape(-1, rows)[length:] = 0.0
+        out = step.gain.T @ block
+    out = out.reshape(config.plan.m, config.period, rows)
+    out += step.const[:, :, None]
     return _reinterleave(out, mean, config)
 
 
-class StepSetup:
+class _MapConstants:
+    """kappa, conv_bias, the gain W of ``phase_map``'s (W, b), and the output constant C.
+
+    - ``kernel``, kappa: the conv kernel plus the identity in its centre
+      tap, so the conv by kappa is the aggregation conv(x) + x;
+    - ``padded``, the (w,) phases p whose last-block step (n-1)*w + p is
+      past L, the graph's zero padding (none where w divides L);
+    - ``counted``, the (m, w) sums of W[j, q] over the blocks j whose step
+      j*w + p is before L;
+    - ``const``, C[q, p] = conv_bias counted[q, p] + b[q], what output q at
+      phase p gets after either map path's linear part.
+    """
+
+    def __init__(self, params: MixLinearParams, config: ModelConfig):
+        w, n = config.period, config.plan.n
+        self.kernel = params.conv_kernel.copy()
+        self.kernel[conv_pad_split(self.kernel.size)[0]] += 1.0
+        self.conv_bias = float(params.conv_bias)
+        self.gain, offset = phase_map(params, config)
+        self.padded = np.arange(w) >= config.lookback - (n - 1) * w
+        self.counted = (self.gain.sum(axis=0)[:, None]
+                        - np.multiply.outer(self.gain[-1], self.padded))
+        self.const = self.conv_bias * self.counted + offset[:, None]
+
+
+class StepSetup(_MapConstants):
     """What every forward of one step shares: its constants and one workspace.
 
     A training step makes one for all its blocks (``backward``); any other
@@ -183,11 +199,9 @@ class StepSetup:
     flattened windows, the most a forward through it takes, it holds:
 
     - ``path``, what ``choose_path`` names for the config;
-    - kappa, the ``aggregation_kernel``, and conv_bias;
-    - the phase map (W, b) of ``phase_map``;
-    - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``), the
-      stacked map [W 0; 0 W]' and the (m,) constant conv_bias sum_j W + b
-      that every output gets;
+    - the ``_MapConstants``;
+    - on ``Path.GAIN_FIRST``, kappa's (w, 2w) band T (``band_taps``) and the
+      stacked map [W 0; 0 W]';
     - the workspace: the conv buffer Z of (n+1)*w steps and the block the
       conv's output (graph) or U (gain-first) is written to, both flat, so
       that a forward of R <= ``rows`` rows uses their first entries as
@@ -200,12 +214,10 @@ class StepSetup:
     """
 
     def __init__(self, params: MixLinearParams, config: ModelConfig, rows: int):
+        super().__init__(params, config)
         plan, w = config.plan, config.period
         n, m = plan.n, plan.m
         self.path = choose_path(config)
-        self.kernel = aggregation_kernel(params.conv_kernel)
-        self.conv_bias = float(params.conv_bias)
-        self.gain, self.offset = phase_map(params, config)
         lead = n
         if self.path is Path.GAIN_FIRST:
             self.band = np.append(self.kernel, 0.0)[band_taps(w)]
@@ -213,7 +225,6 @@ class StepSetup:
             stacked[:, 0, :n] = self.gain.T
             stacked[:, 1, 1:] = self.gain.T
             self.stacked = stacked.reshape(2 * m, n + 1)
-            self.const = self.conv_bias * self.gain.sum(axis=0) + self.offset
             lead = 2 * m
         self._config, self._lead = config, lead
         self._padded = np.empty((n + 1) * w * rows)
@@ -274,15 +285,14 @@ def basis_spectra(config: ModelConfig) -> np.ndarray:
     return rfft_batch(np.eye(plan.n, plan.n_hat))[:, :config.lpf_cutoff]
 
 
-class SeriesSetup:
+class SeriesSetup(_MapConstants):
     """What every series-path forward of one ``evaluate`` shares: its constants and buffers.
 
     ``evaluate`` makes one for all its blocks, sized for the most
     ``windows`` and ``channels`` any of them holds; a forward given none
-    makes its own.  With kappa the ``aggregation_kernel`` and (W, b) the
-    phase map, it holds kappa, conv_bias, W, and:
+    makes its own.  Besides the ``_MapConstants``, of which the forward
+    reads C at phase 0, conv_bias sum_j W + b, it holds:
 
-    - ``const`` = conv_bias sum_j W + b, which every output gets;
     - the edge terms.  A window's first (w-1)//2 steps and its last
       w-1-(w-1)//2 read the series across its edges, where its own conv
       reads zeros, and its n*w - L padded steps, zero in the graph, read
@@ -301,13 +311,9 @@ class SeriesSetup:
 
     def __init__(self, params: MixLinearParams, config: ModelConfig, windows: int,
                  channels: int):
+        super().__init__(params, config)
         length, w, n = config.lookback, config.period, config.plan.n
         left, right = conv_pad_split(w)
-        self.gain, offset = phase_map(params, config)
-        self.kernel = aggregation_kernel(params.conv_kernel)
-        self.conv_bias = float(params.conv_bias)
-        gain_sums = self.gain.sum(axis=0)
-        self.const = offset + self.conv_bias * gain_sums
         taps = np.append(self.kernel, 0.0)
         index = np.arange(left)
         # step t < left of window k read kernel[i - t] * centred[k - left + i], t <= i < left
@@ -325,7 +331,7 @@ class SeriesSetup:
         taken = np.bincount([t % w for _, t, _, _ in edges], minlength=w)
         self.coefs = np.zeros((w, config.plan.m, 1 + taken.max(initial=0)))
         # away from its edges, a window's mean weighs 1 - sum(kappa) sum_j W[j]
-        self.coefs[:, :, 0] = 1.0 - self.kernel.sum() * gain_sums
+        self.coefs[:, :, 0] = 1.0 - self.kernel.sum() * self.gain.sum(axis=0)
         self.gaps = [(term, phase) for phase in range(w)
                      for term in range(1 + taken[phase], self.coefs.shape[2])]
         runs = []   # [source, start, taps rows, term, first phase, count]
@@ -371,9 +377,9 @@ def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
                     config: ModelConfig, targets: np.ndarray | None = None) -> np.ndarray:
     """Predict b >= 2 consecutive windows of a C-channel series from the series.
 
-    With kappa the ``aggregation_kernel``, S the series convolved once
-    with kappa, and (W, b) the phase map, window k's
-    forecast at h = q*w + p is, for windows away from the series' edges,
+    With kappa, conv_bias and (W, b) the setup's ``_MapConstants`` and S
+    the series convolved once with kappa, window k's forecast at
+    h = q*w + p is, for windows away from the series' edges,
 
         sum_j S[k + p + j*w] W[j, q] + mean_k (1 - sum(kappa) sum_j W[j, q])
             + conv_bias sum_j W[j, q] + b[q],
@@ -446,7 +452,7 @@ def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig,
     for block in range(sums.shape[1] // step):
         np.matmul(setup.gain.T, conv[block:block + n], out=sums[:, block * step:(block + 1) * step])
     vg = sums.reshape(sums.shape[0], -1, width)
-    vg += setup.const[:, None, None] + level
+    vg += setup.const[:, 0, None, None] + level
     if targets is not None:
         # VG[q, u] less targets[u + q*w]: on rows q < m-1 for u < b + w - 1,
         # on the last for u < b + H - 1 - (m-1)*w, the u its phases below H read
@@ -486,28 +492,24 @@ def _steps(steps: np.ndarray, start: int, count: int, windows: int) -> np.ndarra
                       (row, steps.itemsize))
 
 
-def _gain_first(padded, mean, config, step: StepSetup):
-    """Predict (B, L) windows by the phase map on their period blocks, then the conv.
+def _gain_first(padded, config, step: StepSetup):
+    """The (m, w, B) linear part of B windows' outputs: W on their period blocks, then the conv.
 
-    ``padded`` is the windows' conv buffer Z of (n+1)*w steps, centred by
-    their ``mean``, cut into n+1 blocks of w steps; w divides L, so n*w = L
-    and no step of the phase block is padding.  The graph's phase block at
-    block j is the band T[p, c] = kappa[c - p] (``band_taps``), with kappa
-    the ``aggregation_kernel``, times Z's blocks j and j+1
+    ``padded`` is the windows' centred conv buffer Z of (n+1)*w steps, cut
+    into n+1 blocks of w steps; w divides L, so n*w = L and no step of the
+    phase block is padding.  The graph's phase block at block j is the
+    band T[p, c] = kappa[c - p] (``band_taps``) times Z's blocks j and j+1
     (``conv1d_same_batch``), so W commutes past T.  U = [W 0; 0 W]' Z, the
     phase map W on both blocks, is one (2m, n+1) @ (n+1, w*B) GEMM, with
     row 2q + h the image of blocks j+h, and output q at phase p is then
-    sum_c T[p, c] U[q, c].  The conv's bias and the phase offset add
-    conv_bias sum_j W[j, q] + b[q].  The map, T and the constant are the
-    ``step``'s.  Costs about 2*L*m + 2*H*w multiply-adds per row.
+    sum_c T[p, c] U[q, c].  The map and T are the ``step``'s.  Costs about
+    2*L*m + 2*H*w multiply-adds per row.
     """
     rows, w = padded.shape[1], config.period
     n, m = config.plan.n, config.plan.m
     images = np.matmul(step.stacked, padded.reshape(n + 1, w * rows),
                        out=step.block(rows).reshape(2 * m, w * rows))
-    out = step.band @ images.reshape(m, 2 * w, rows)
-    out += step.const[:, None, None]
-    return _reinterleave(out, mean, config)
+    return step.band @ images.reshape(m, 2 * w, rows)
 
 
 # ---------------------------------------------------------------------------

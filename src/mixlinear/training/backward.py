@@ -74,20 +74,19 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     The squared errors are summed block by block, in a fixed order and by
     ``einsum``, whose result does not depend on the BLAS thread count.
 
-    Each block's reverse pass (``_add_block``) mirrors the step's path and
-    reads what the forward left in the step's workspace; it adds raw sums
-    only, and ``_step_grads`` finishes them once per step.  Both map paths
-    run time-major on the block's rows, and the (H, B) prediction gradient
-    read as the (m, w, B) phase outputs G undoes the re-interleave.  On
+    Each block's reverse pass (``_add_block``) mirrors the step's forward
+    and reads what it left in the step's workspace; it adds raw sums only,
+    and ``_step_grads`` finishes them once per step.  Both map paths run
+    time-major on the block's rows.  The (H, B) prediction gradient read
+    as the (m, w, B) outputs' G undoes the re-interleave; its row sums
+    give the gradients of the constant C both paths add.  On
     ``Path.GAIN_FIRST`` the block runs the forward's GEMMs transposed: it
     adds sum_q G_q U_q', the band's gradient, and G_U Z', the stacked
     map's.  On ``Path.PHASE_MAP`` it flows back through the phase map, one
     GEMM each for the map's gradient and the phase block's, onto the phase
     block, the band conv's output, and adds the band's gradient
-    sum_j G_j pairs_j' over the buffer's block pairs.  Each block also adds
-    G summed over its rows, from which the step gets the offset's and
-    conv_bias's gradients, and the kernel's is the band's summed along its
-    diagonals.
+    sum_j G_j pairs_j' over the buffer's block pairs.  The kernel's
+    gradient is the band's summed along its diagonals.
     """
     if isinstance(x_batch, WindowSet):
         _check_windows(x_batch, config)
@@ -204,11 +203,16 @@ def _add_block(grad_pred, step: StepSetup, sums: _StepSums, config):
 
     ``grad_pred`` is the (B, H) gradient on the prediction of the block's
     forward through ``step``, whose workspace still holds what it left.
+    Read as the (m, w, B) output gradient G, its row sums are the constant
+    C's; the path's adjoint takes G back through its linear part.
     """
+    grad_out = _reinterleave_adjoint(grad_pred, config).reshape(
+        config.plan.m, config.period, grad_pred.shape[0])
+    sums.outputs += grad_out.sum(axis=2)
     if step.path is Path.GAIN_FIRST:
-        _add_gain_first(grad_pred, step, sums, config)
+        _add_gain_first(grad_out, step, sums, config)
     else:
-        _add_graph(grad_pred, step, sums, config)
+        _add_graph(grad_out, step, sums, config)
 
 
 def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -224,72 +228,58 @@ def _reinterleave_adjoint(grad_pred: np.ndarray, config: ModelConfig) -> np.ndar
     return grad_seq
 
 
-def _add_graph(grad_pred, step: StepSetup, sums: _StepSums, config):
-    """``_add_block`` on ``Path.PHASE_MAP``."""
-    batch = grad_pred.shape[0]
+def _add_graph(grad_out, step: StepSetup, sums: _StepSums, config):
+    """``_add_block``'s linear part on ``Path.PHASE_MAP``, given the (m, w, B) G."""
+    batch = grad_out.shape[2]
     length, w, n, m = config.lookback, config.period, config.plan.n, config.plan.m
-    grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, -1)
-    # the (n, w*B) phase block saw only gain' @ phase + offset; once read,
-    # its workspace takes its gradient
+    grad_out = grad_out.reshape(m, -1)
+    # the (n, w*B) phase block saw only gain' @ phase; once read, its
+    # workspace takes its gradient
     phase = step.block(batch).reshape(n, -1)
     sums.map += phase @ grad_out.T
-    sums.outputs += grad_out.reshape(m, w, batch).sum(axis=2)
     grad_phase = np.matmul(step.gain, grad_out, out=phase)
 
-    # the phase block is the band conv of the buffer plus conv_bias, with the
-    # n*w - L padded steps zeroed, so those steps pass no gradient back
+    # the phase block is the band conv of the buffer, with the n*w - L
+    # padded steps zeroed, so those steps pass no gradient back
     grad_phase.reshape(n * w, -1)[length:] = 0.0
     sums.band += _band_grad(grad_phase.reshape(n, w, -1), band_pairs(step.buffer(batch), w))
 
 
-def _add_gain_first(grad_pred, step: StepSetup, sums: _StepSums, config):
-    """``_add_block`` on ``Path.GAIN_FIRST``: the adjoint of ``_gain_first``'s GEMMs.
+def _add_gain_first(grad_out, step: StepSetup, sums: _StepSums, config):
+    """``_add_block``'s linear part on ``Path.GAIN_FIRST``: the adjoint of ``_gain_first``.
 
     With G the (m, w, B) gradient on the outputs, the band T gets
     sum_q G_q U_q', U gets G_U = T'G, and the stacked phase map
     [W 0; 0 W]' gets G_U Z'.
     """
-    batch = grad_pred.shape[0]
+    batch = grad_out.shape[2]
     w, n, m = config.period, config.plan.n, config.plan.m
-    grad_out = _reinterleave_adjoint(grad_pred, config).reshape(m, w, batch)
     sums.band += _band_grad(grad_out, step.block(batch).reshape(m, 2 * w, batch))
     grad_images = step.band.T @ grad_out                                # (m, 2w, B)
     sums.map += grad_images.reshape(2 * m, w * batch) @ step.buffer(batch).reshape(n + 1, -1).T
-    sums.outputs += grad_out.sum(axis=2)
-
-
-def _counted_gain(gain: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """(m, w): sum_j W[j, q] over the blocks j whose step j*w + p is before L.
-
-    The phases p whose step (n-1)*w + p in the last block is past L are the
-    graph's zero padding; where w divides L there are none.
-    """
-    w = config.period
-    padded = np.arange(w) >= config.lookback - (config.plan.n - 1) * w
-    return gain.sum(axis=0)[:, None] - np.multiply.outer(gain[-1], padded)
 
 
 def _step_grads(sums: _StepSums, step: StepSetup, config: ModelConfig):
     """Finish a step's ``sums``: the conv's gradients, and the gradients on the phase map (W, b).
 
     Returns (grads, grad_gain, grad_offset), with the kernel's and
-    conv_bias's gradients in ``grads``.  The output sums give b's gradient,
-    summed over the phases, and conv_bias's, weighted by ``_counted_gain``:
-    on the graph conv_bias rides every phase step before L into W.
-    Gain-first, which runs only where w divides L, adds the constant
-    conv_bias sum_j W + b to every output, which gives W the further term
-    below.
+    conv_bias's gradients in ``grads``.  W's gradient is its path's linear
+    part's plus that of C = conv_bias counted + b: conv_bias times b's
+    gradient, less the last block's padded phases.  The output sums give
+    b's gradient, summed over the phases, and conv_bias's, weighted by
+    ``counted``.
     """
     n, m = config.plan.n, config.plan.m
     grads = {"conv_kernel": _band_kernel_grad(sums.band)}
     grad_offset = sums.outputs.sum(axis=1)
-    grads["conv_bias"] = np.asarray(np.sum(sums.outputs * _counted_gain(step.gain, config)))
-    if step.path is Path.PHASE_MAP:
-        return grads, sums.map, grad_offset
-    stacked = sums.map.reshape(m, 2, n + 1)
-    grad_gain = (stacked[:, 0, :n] + stacked[:, 1, 1:]).T
-    # the constant conv_bias sum_j W + b at every (q, p)
+    grads["conv_bias"] = np.asarray(np.sum(sums.outputs * step.counted))
+    if step.path is Path.GAIN_FIRST:
+        stacked = sums.map.reshape(m, 2, n + 1)
+        grad_gain = (stacked[:, 0, :n] + stacked[:, 1, 1:]).T
+    else:
+        grad_gain = sums.map
     grad_gain += step.conv_bias * grad_offset
+    grad_gain[-1] -= step.conv_bias * sums.outputs[:, step.padded].sum(axis=1)
     return grads, grad_gain, grad_offset
 
 
@@ -366,8 +356,8 @@ def draw_biases(params: MixLinearParams, rng: np.random.Generator) -> MixLinearP
     """``params`` with conv_bias and every b_* drawn at standard deviation 0.1.
 
     ``init_params`` zeroes the biases, and a gradient term proportional to
-    a bias, such as gain-first's ``conv_bias * G_b``, is differenced only
-    when they are nonzero.
+    a bias, such as W's ``conv_bias * G_b``, is differenced only when they
+    are nonzero.
     """
     for name, arr in params.named_arrays():
         if name == "conv_bias" or name.startswith("b_"):

@@ -45,23 +45,27 @@ MUTANTS = [
      "np.outer(params.b_intra, params.w_inter.sum(axis=0))"),
     ("inverse DFT untransposed", FORWARD,
      "(recon @ idft_matrix(plan.m_hat).T)", "(recon @ idft_matrix(plan.m_hat))"),
-    ("_counted_gain without its padded-step term", BACKWARD,
-     "- np.multiply.outer(gain[-1], padded)", "- 0.0 * np.multiply.outer(gain[-1], padded)"),
+    ("counted W without its padded-step term", FORWARD,
+     "- np.multiply.outer(self.gain[-1], self.padded)",
+     "- 0.0 * np.multiply.outer(self.gain[-1], self.padded)"),
     ("_band_kernel_grad on the next diagonal", BACKWARD,
      "minlength=width + 1)[:width]", "minlength=width + 1)[1:]"),
     ("conv_bias gradient times 1 + 1e-6", BACKWARD,
-     "np.asarray(np.sum(sums.outputs * _counted_gain(step.gain, config)))",
-     "np.asarray(np.sum(sums.outputs * _counted_gain(step.gain, config)) * (1 + 1e-6))"),
-    ("gain-first W gradient without conv_bias * G_b", BACKWARD,
+     "np.asarray(np.sum(sums.outputs * step.counted))",
+     "np.asarray(np.sum(sums.outputs * step.counted) * (1 + 1e-6))"),
+    ("W gradient without conv_bias * G_b", BACKWARD,
      "grad_gain += step.conv_bias * grad_offset", "grad_gain += 0.0 * grad_offset"),
+    ("W gradient keeps the padded phases' conv_bias term", BACKWARD,
+     "grad_gain[-1] -= step.conv_bias *", "grad_gain[-1] -= 0.0 *"),
+    ("output constant without conv_bias", FORWARD,
+     "self.const = self.conv_bias * self.counted", "self.const = 0.0 * self.counted"),
     ("graph forward keeps its padded steps", FORWARD,
      "block.reshape(-1, rows)[length:] = 0.0", "block.reshape(-1, rows)[length:] *= 1.0"),
     ("_add_graph passes the padded steps' gradient", BACKWARD,
      "grad_phase.reshape(n * w, -1)[length:] = 0.0",
      "grad_phase.reshape(n * w, -1)[length:] *= 1.0"),
-    ("graph output sums scaled by 0.999", BACKWARD,
-     "sums.outputs += grad_out.reshape(m, w, batch).sum(axis=2)",
-     "sums.outputs += 0.999 * grad_out.reshape(m, w, batch).sum(axis=2)"),
+    ("output sums scaled by 0.999", BACKWARD,
+     "sums.outputs += grad_out.sum(axis=2)", "sums.outputs += 0.999 * grad_out.sum(axis=2)"),
     ("series gaps not zeroed", FORWARD, "terms[phase, term] = 0.0", "terms[phase, term] *= 1.0"),
     ("series runs merged across terms", FORWARD,
      "runs[-1][0] == source and runs[-1][3] == term", "runs[-1][0] == source"),

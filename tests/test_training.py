@@ -624,9 +624,21 @@ class TestAffineMap:
                                                  level, monkeypatch):
         # a 1024-value budget makes blocks of tens of windows on these configs
         monkeypatch.setattr(loop_module, "EVAL_BLOCK_VALUES", 1024)
+
+        class NaNFilled(forward_module.SeriesSetup):
+            # buffers that hold NaN: each block writes every entry it reads,
+            # though the blocks differ in their window counts
+            def __init__(self, *args):
+                super().__init__(*args)
+                for buffer in self._buffers.values():
+                    buffer.fill(np.nan)
+
+        monkeypatch.setattr(loop_module, "SeriesSetup", NaNFilled)
         for config, seed in configs():
-            params = init_params(config, seed)
+            # every parameter moved, so that conv_bias, which init_params
+            # zeroes, reaches the series path's tail terms
             rng = np.random.default_rng(seed)
+            params = _moved_params(rng, config, seed)
             # from L windows on, the block shape does not depend on the count
             most, group = loop_module._eval_block_shape(config.lookback, channels, config)
             count = blocks * most + extra
@@ -1411,6 +1423,10 @@ class TestSeriesPath:
                                    "L=40, H=13"]),
            channels=st.integers(1, 4), count=st.integers(1, 40),
            level=st.sampled_from([0.0, 30.0]))
+    # w does not divide L there, so some phases have fewer terms than others
+    # (gaps) and the padded steps read the series conv plus conv_bias (tails)
+    @example(seed=0, mode=Mode.MIX, period="L=40, H=13", channels=2, count=2, level=30.0)
+    @example(seed=1, mode=Mode.TIME_ONLY, period="L=40, H=13", channels=3, count=9, level=30.0)
     def test_series_path_matches_loop_oracle(self, seed, mode, period, channels, count,
                                              level):
         # given the windows' targets too, the forward returns the residual,
@@ -1634,9 +1650,10 @@ class TestAdjoints:
     @settings(max_examples=100, deadline=None)
     def test_conv_through_folded_phase_block(self, seed, mode, period, rows, level):
         # the identity rides in the centre tap, so the graph's phase block is
-        # the band conv by kernel + e_centre plus conv_bias, zero past L; the
-        # prediction is affine in each of kernel and conv_bias, and a block's
-        # sums, finished, give their gradients
+        # the band conv by kernel + e_centre, zero past L, and conv_bias
+        # reaches the outputs through the constant C; the prediction is affine
+        # in each of kernel and conv_bias, and a block's sums, finished, give
+        # their gradients
         rng = np.random.default_rng(seed)
         config = _drawn_config(rng, mode, period)
         params = _moved_params(rng, config)
