@@ -17,14 +17,14 @@ class WindowSet:
     target; windows never cross the segment's bounds.
     """
 
-    base: np.ndarray  # (rows, C), made C-contiguous
+    base: np.ndarray  # (rows, C), made C-contiguous float64
     lookback: int
     horizon: int
 
     def __post_init__(self):
-        # consecutive windows of a C-contiguous base are views that
+        # consecutive windows of a C-contiguous float64 base are views that
         # ``evaluate`` predicts from their series; a no-op for ``make_windows``
-        self.base = np.ascontiguousarray(self.base)
+        self.base = np.ascontiguousarray(self.base, dtype=np.float64)
 
     @property
     def count(self) -> int:
@@ -43,45 +43,49 @@ class WindowSet:
         return x, y
 
     def batch(self, indices, out=None) -> tuple[np.ndarray, np.ndarray]:
-        """Stack windows into (b, L, C) and (b, H, C) arrays.
+        """The (b*C, L) input and (b*C, H) target rows of windows ``indices``.
 
-        Both are the (1, 0, 2) transposes of time-major (L, b, C) and
-        (H, b, C) arrays with x[t, k, c] = base[idx[k] + t, c].  A run of
+        Row k*C + c is channel c of window idx[k], the univariate row the
+        forward reads: both are the ``.T`` of time-major (L, b*C) and
+        (H, b*C) arrays, [t, k*C + c] = base[idx[k] + t, c].  A run of
         consecutive indices i, i+1, ..., which is what ``evaluate`` asks
-        for, is a slice of the windows' steps in ``_view``: read-only views
-        of ``base``.  Any other indices are gathered, one ``take`` of base
-        rows each, into ``out``, a pair of writable C-contiguous (L, b, C)
-        and (H, b, C) arrays, or into a fresh pair of them: ``backward``
-        passes the rows of its step's conv buffer and target block, so a
-        block of a training step is never copied again.  Over a
-        C-contiguous base the flattened (b*C, L) and (b*C, H) rows are then
-        the ``.T`` of time-major (L, b*C) and (H, b*C) arrays either way,
-        which the forward reads as they stand.
+        for, is a slice of ``_view``: read-only views of ``base``.  Any
+        other indices are gathered, one ``take`` of base rows each, into
+        ``out``, a pair of writable C-contiguous (L, b*C) and (H, b*C)
+        arrays, or into a fresh pair of them: ``backward`` passes its step's
+        ``inputs`` and target block, so a block of a training step is never
+        copied again.  ``indices`` must be a 1-D integer array, or empty;
+        anything else, or an index out of range, raises ``IndexError``.
         """
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise IndexError(f"window indices must be a 1-D integer array, got "
+                             f"{idx.dtype} of shape {idx.shape}")
+        idx = idx.astype(np.intp, copy=False)
         bad = idx[(idx < 0) | (idx >= self.count)]
         if bad.size:
             raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
-        length, horizon = self.lookback, self.horizon
+        length, horizon, channels = self.lookback, self.horizon, self.channels
         if out is None and idx.size and (np.diff(idx) == 1).all():
-            block = self._view[:, idx[0]:idx[-1] + 1]
+            block = self._view[:, idx[0] * channels:(idx[-1] + 1) * channels]
             x, y = block[:length], block[length:]
         else:
-            x, y = out if out is not None else (
-                np.empty((length, idx.size, self.channels), self.base.dtype),
-                np.empty((horizon, idx.size, self.channels), self.base.dtype))
+            x, y = out if out is not None else (np.empty((length, idx.size * channels)),
+                                                np.empty((horizon, idx.size * channels)))
             at = np.add.outer(np.arange(length + horizon), idx)
             # indices checked above, so no step reads past base
-            self.base.take(at[:length], axis=0, out=x, mode="clip")
-            self.base.take(at[length:], axis=0, out=y, mode="clip")
-        return x.transpose(1, 0, 2), y.transpose(1, 0, 2)
+            self.base.take(at[:length], axis=0, out=x.reshape(length, idx.size, channels),
+                           mode="clip")
+            self.base.take(at[length:], axis=0, out=y.reshape(horizon, idx.size, channels),
+                           mode="clip")
+        return x.T, y.T
 
     @property
     def _view(self) -> np.ndarray:
-        """Read-only (L+H, count, C) view of every window: [t, k, c] = base[k+t, c]."""
+        """Read-only (L+H, count*C) view of every window: [t, k*C + c] = base[k+t, c]."""
         step, across = self.base.strides
-        view = np.ndarray((self.lookback + self.horizon, self.count, self.channels),
-                          self.base.dtype, self.base, 0, (step, step, across))
+        view = np.ndarray((self.lookback + self.horizon, self.count * self.channels),
+                          self.base.dtype, self.base, 0, (step, across))
         view.flags.writeable = False
         return view
 

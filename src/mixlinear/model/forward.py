@@ -90,34 +90,45 @@ def _reinterleave(out: np.ndarray, mean: np.ndarray, config: ModelConfig) -> np.
     return sequence.T
 
 
-def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
-                  series_setup: "SeriesSetup | None" = None,
-                  targets: np.ndarray | None = None) -> np.ndarray:
-    """Predict (B, horizon) from (B, lookback), or, given (B, horizon) targets, the residual.
+def _check_rows(x2d, config: ModelConfig, targets=None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(B, L) input rows and their (B, H) target rows, or None, as float64 arrays.
 
-    ``series_setup`` is the ``SeriesSetup`` an ``evaluate`` made once for
-    all its blocks, sized for the largest: rows of consecutive windows
-    (``series_channels``) read its constants and are predicted into its
-    forecast buffer, so the result holds until the next forward through
-    it.  Without one the forward makes its own.  Other rows run
-    ``forward_batch_with_trace`` through a ``StepSetup`` of their own.
-    With ``targets`` the result is forecast - targets, written where the
-    forecast would be: targets that are the consecutive windows of a
-    series as wide as the rows' are subtracted from the series path's VG,
-    at about 1/w of the forecast's size (``_series_group``); any others
-    from the forecast.
+    Raises ``ValueError`` unless the inputs are 2-D rows of the config's
+    lookback and the targets, if given, as many rows of its horizon.
     """
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 2 or x2d.shape[1] != config.lookback:
         raise ValueError(
             f"expected input of shape (batch, {config.lookback}), got {x2d.shape}"
         )
-    rows = x2d.shape[0]
     if targets is not None:
         targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != (rows, config.horizon):
-            raise ValueError(f"expected targets of shape ({rows}, {config.horizon}), "
+        if targets.shape != (x2d.shape[0], config.horizon):
+            raise ValueError(f"expected targets of shape ({x2d.shape[0]}, {config.horizon}), "
                              f"got {targets.shape}")
+    return x2d, targets
+
+
+def forward_batch(x2d: np.ndarray, params: MixLinearParams, config: ModelConfig,
+                  series_setup: "SeriesSetup | None" = None,
+                  targets: np.ndarray | None = None) -> np.ndarray:
+    """Predict (B, horizon) from (B, lookback) rows, or, given (B, horizon) targets, the residual.
+
+    Row k*C + c of rows that ``WindowSet.batch`` gives is channel c of
+    window k.  ``series_setup`` is the ``SeriesSetup`` an ``evaluate`` made
+    once for all its blocks, sized for the largest: rows of consecutive
+    windows (``series_channels``) read its constants and are predicted
+    into its forecast buffer, so the result holds until the next forward
+    through it.  Without one the forward makes its own.  Other rows run
+    ``forward_batch_with_trace`` through a ``StepSetup`` of their own.
+    With ``targets`` the result is forecast - targets, written where the
+    forecast would be: targets that are the consecutive windows of a
+    series as wide as the rows' are subtracted from the series path's VG,
+    at about 1/w of the forecast's size (``_series_forward``); any others
+    from the forecast.
+    """
+    x2d, targets = _check_rows(x2d, config, targets)
+    rows = x2d.shape[0]
     channels = series_channels(x2d)
     if channels:
         if series_setup is None:
@@ -196,7 +207,7 @@ class StepSetup(_MapConstants):
     A training step makes one for all its blocks (``backward``); any other
     map-path forward makes its own.  It is the only record of a forward:
     the reverse pass reads the path and the workspace.  Made for ``rows``
-    flattened windows, the most a forward through it takes, it holds:
+    window rows, the most a forward through it takes, it holds:
 
     - ``path``, what ``choose_path`` names for the config;
     - the ``_MapConstants``;
@@ -375,60 +386,43 @@ class SeriesSetup(_MapConstants):
 
 def _series_forward(x2d: np.ndarray, channels: int, setup: SeriesSetup,
                     config: ModelConfig, targets: np.ndarray | None = None) -> np.ndarray:
-    """Predict b >= 2 consecutive windows of a C-channel series from the series.
+    """Predict (B, H) rows of b >= 2 consecutive windows of a C-channel series from the series.
 
-    With kappa, conv_bias and (W, b) the setup's ``_MapConstants`` and S
-    the series convolved once with kappa, window k's forecast at
-    h = q*w + p is, for windows away from the series' edges,
+    Row k*C + c of ``x2d`` reads steps k .. k+L-1 of channel c, so the
+    rows are a (b + L - 1, C) series (``series_channels``).  With kappa,
+    conv_bias and (W, b) the setup's ``_MapConstants`` and S the series
+    convolved once with kappa, window k's forecast at h = q*w + p is, for
+    windows away from the series' edges,
 
         sum_j S[k + p + j*w] W[j, q] + mean_k (1 - sum(kappa) sum_j W[j, q])
             + conv_bias sum_j W[j, q] + b[q],
 
-    and VG[u] = sum_j S[u + j*w] W[j] serves every window and phase with
-    k + p = u.  What S read across each window's edges (the (w-1)//2 first
-    and w-1-(w-1)//2 last steps, and the n*w - L padded ones) is taken back
-    per window.  Each window and channel costs about n*m + (w-1)*w/2 + K*m*w
-    multiply-adds, K the terms per phase (at most 2 when w divides L), and
-    m*w adds, plus its share of the conv of the series, 2w(b + L + w)/b,
-    and of the phase map, which the ``setup`` built once; the window map
-    costs L*H.  Every channel of the rows is predicted at once, so the
-    series-length arrays grow with C: ``evaluate``'s block rule bounds them.
-    ``targets``, (B, H) rows with the same ``series_channels``, are the
-    windows of a (b + H - 1, C) target series, whose step k + h window k's
-    output h predicts; the result is then the residual, the target series
-    taken off VG.  Returns the ``.T`` of a C-contiguous (H, b*C) array in the setup's
-    forecast buffer.
+    and VG[q, u] = sum_j S[u + j*w] W[j, q] serves every window and phase
+    with k + p = u.  The series is centred on its first window's mean, its
+    level.  What S read across each window's edges (the (w-1)//2 first and
+    w-1-(w-1)//2 last steps, and the n*w - L padded ones) is taken back per
+    window: one GEMM per phase writes the setup's ``coefs`` times the
+    phase's terms, the window means and the edge terms, and VG is added to
+    it.  So the forecast, in the setup's forecast buffer, is written once
+    and added to once, from arrays the size of the series, with no
+    temporary of its size.  Each window and channel costs about n*m +
+    (w-1)*w/2 + K*m*w multiply-adds, K the terms per phase (at most 2 when
+    w divides L), and m*w adds, plus its share of the conv of the series,
+    2w(b + L + w)/b, and of the phase map, which the ``setup`` built once;
+    the window map costs L*H.  Every channel of the rows is predicted at
+    once, so the series-length arrays grow with C: ``evaluate``'s block
+    rule bounds them.  ``targets``, (B, H) rows with the same
+    ``series_channels``, are the windows of a (b + H - 1, C) target series,
+    whose step k + q*w + p output q at phase p of window k predicts; that
+    step is a function of u = k + p as VG is, so it is taken off VG, and
+    the result is the residual instead.  Returns the ``.T`` of a
+    C-contiguous (H, b*C) array in the setup's forecast buffer.
     """
     rows, length = x2d.shape
-    windows = rows // channels
+    w, n, windows = config.period, config.plan.n, rows // channels
     series = as_strided(x2d, (windows + length - 1, channels), x2d.strides[::-1],
                         writeable=False)
-    if targets is not None:
-        targets = as_strided(targets, (windows + config.horizon - 1, channels),
-                             targets.strides[::-1], writeable=False)
-    out = _series_group(series, setup, config, targets)
-    return out.reshape(-1, rows)[:config.horizon].T
-
-
-def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig,
-                  targets: np.ndarray | None) -> np.ndarray:
-    """The C-contiguous (m, w, b, C) phase-major forecast of the b windows of a (U, C) series.
-
-    The series is centred on its first window's mean, its level.  Output q
-    at phase p of window k is VG[q, (k + p)*C + c] plus a correction that
-    one GEMM per phase writes, the setup's ``coefs`` times the phase's
-    terms: the window means and the edge terms.  So the output, in the
-    setup's forecast buffer, is written once and added to once, from
-    arrays the size of the series, with no temporary of its size.  Given
-    the (b + H - 1, C) ``targets`` series, whose step
-    k + q*w + p output q at phase p of window k predicts, that step is a
-    function of u = k + p as VG is, so it is taken off VG, and the buffer
-    holds the residual instead.
-    """
-    length, w, n = config.lookback, config.period, config.plan.n
-    windows, width = series.shape[0] - length + 1, series.shape[1]
-    rows = windows * width
-    buffers = setup.buffers(windows, width)
+    buffers = setup.buffers(windows, channels)
     left = conv_pad_split(w)[0]
     level = series[:length].mean(axis=0)
     # the series less its level; the conv of its buffer has every step VG
@@ -438,27 +432,30 @@ def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig,
     # the (w, K, rows) terms, each phase's first row the window means, from
     # running sums: window k+1 adds step k+L and drops step k
     terms = buffers["terms"]
-    mean = terms[0, 0].reshape(windows, width)
+    mean = terms[0, 0].reshape(windows, channels)
     mean[0] = 0.0
     np.subtract(centred[length:length + windows - 1], centred[:windows - 1], out=mean[1:])
     np.cumsum(mean, axis=0, out=mean)
     mean /= length
     terms[1:, 0] = terms[0, 0]
 
-    conv = conv1d_same_batch(padded.T, setup.kernel, buffers["conv"]).reshape(-1, w * width)
+    conv = conv1d_same_batch(padded.T, setup.kernel, buffers["conv"]).reshape(-1, w * channels)
     # VG[q, u*C + c] = sum_j conv[u + j*w, c] W[j, q], one GEMM per w-step block of u
     sums = buffers["vg"]
-    step = w * width
+    step = w * channels
     for block in range(sums.shape[1] // step):
         np.matmul(setup.gain.T, conv[block:block + n], out=sums[:, block * step:(block + 1) * step])
-    vg = sums.reshape(sums.shape[0], -1, width)
+    vg = sums.reshape(sums.shape[0], -1, channels)
     vg += setup.const[:, 0, None, None] + level
     if targets is not None:
-        # VG[q, u] less targets[u + q*w]: on rows q < m-1 for u < b + w - 1,
-        # on the last for u < b + H - 1 - (m-1)*w, the u its phases below H read
+        # VG[q, u] less the target series' step u + q*w: on rows q < m-1 for
+        # u < b + w - 1, on the last for u < b + H - 1 - (m-1)*w, the u its
+        # phases below H read
+        targets = as_strided(targets, (windows + config.horizon - 1, channels),
+                             targets.strides[::-1], writeable=False)
         m, (row, item) = sums.shape[0], targets.strides
         span, last = windows + w - 1, windows + config.horizon - 1 - (m - 1) * w
-        vg[:m - 1, :span] -= as_strided(targets, (m - 1, span, width), (w * row, row, item),
+        vg[:m - 1, :span] -= as_strided(targets, (m - 1, span, channels), (w * row, row, item),
                                         writeable=False)
         vg[m - 1, :last] -= targets[(m - 1) * w:]
 
@@ -466,7 +463,7 @@ def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig,
     for start, taps, term, phase, count in setup.runs:
         target = terms[phase:phase + count, term]
         if taps is None:
-            np.add(_steps(conv.reshape(-1, width), start, count, windows), setup.conv_bias,
+            np.add(_steps(conv.reshape(-1, channels), start, count, windows), setup.conv_bias,
                    out=target)
         else:
             np.matmul(taps, _steps(padded, start, taps.shape[1], windows), out=target)
@@ -478,8 +475,8 @@ def _series_group(series: np.ndarray, setup: SeriesSetup, config: ModelConfig,
     np.matmul(setup.coefs, terms, out=out.reshape(out.shape[0], w, rows).transpose(1, 0, 2))
     item = sums.itemsize
     out += np.ndarray(out.shape, sums.dtype, sums, 0,
-                      (sums.strides[0], width * item, width * item, item))
-    return out
+                      (sums.strides[0], channels * item, channels * item, item))
+    return out.reshape(-1, rows)[:config.horizon].T
 
 
 def _steps(steps: np.ndarray, start: int, count: int, windows: int) -> np.ndarray:

@@ -19,7 +19,8 @@ import numpy as np
 from ..data.windows import WindowSet, window_runs
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
-from ..model.forward import Path, StepSetup, basis_spectra, forward_batch, forward_batch_with_trace
+from ..model.forward import (Path, StepSetup, _check_rows, basis_spectra, forward_batch,
+                             forward_batch_with_trace)
 from ..model.params import MixLinearParams, init_params
 from ..numerics import band_pairs, band_taps, idft_matrix
 
@@ -27,18 +28,6 @@ GradientSet = dict[str, np.ndarray]
 
 # floats one block of a training step gathers; see _train_blocks
 TRAIN_BLOCK_FLOATS = 1 << 16
-
-
-def _flatten_windows(batch: np.ndarray, length: int, what: str) -> np.ndarray:
-    """(B, T) or (B, T, C) -> (B*C, T) univariate rows."""
-    arr = np.asarray(batch, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3 or arr.shape[1] != length:
-        raise ValueError(
-            f"{what} must have shape (B, {length}) or (B, {length}, C), got {arr.shape}"
-        )
-    return arr.transpose(0, 2, 1).reshape(-1, length)
 
 
 def _check_windows(windows: WindowSet, config: ModelConfig) -> None:
@@ -54,10 +43,11 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     """Mean-squared-error loss of a window batch and its parameter gradients.
 
     Takes the step either as a ``WindowSet`` of the config's (L, H) and the
-    indices of its windows, as ``train`` does, or as (B, L[, C]) inputs and
-    (B, H[, C]) targets of the same B and C; channels are flattened into the
-    batch under the channel-independent strategy.  Gradients are averaged over every predicted scalar, matching
-    the returned loss = mean((forward(x) - y)^2).
+    indices of its windows, as ``train`` does, or as (B, L) input rows and
+    (B, H) target rows, such as ``WindowSet.batch`` gives: under the
+    channel-independent strategy each channel of each window is one row.
+    Gradients are averaged over every predicted scalar, matching the
+    returned loss = mean((forward(x) - y)^2).
 
     The step streams its windows: ``_train_blocks`` cuts them into runs of
     whole windows, and each block is run forward
@@ -66,9 +56,9 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     constants and a workspace sized for the largest block, and one
     ``_StepSums`` the gradient sums.  A ``WindowSet`` block is gathered
     (``WindowSet.batch``) straight into the workspace's conv buffer and
-    target block, where the forward centres it in place; an array block is
-    centred into the buffer from the arrays.  Every block
-    applies the one phase map on the path ``choose_path`` names:
+    target block, where the forward centres it in place; a block of rows is
+    centred into the buffer from the rows.  Every block applies the one
+    phase map on the path ``choose_path`` names:
     ``phase_map`` writes it from the weights once per step, and
     ``_phase_map_grads`` takes its gradient back to them once at the end.
     The squared errors are summed block by block, in a fixed order and by
@@ -90,17 +80,11 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     """
     if isinstance(x_batch, WindowSet):
         _check_windows(x_batch, config)
-        windows, idx = x_batch, np.asarray(y_batch, dtype=np.intp)
+        windows, idx = x_batch, np.asarray(y_batch)
         count, channels = idx.size, windows.channels
     else:
-        x2d = _flatten_windows(x_batch, config.lookback, "inputs")
-        y2d = _flatten_windows(y_batch, config.horizon, "targets")
-        # rows pair only when the (B, C) match, a 2-D batch one channel wide
-        x_shape, y_shape = np.shape(x_batch), np.shape(y_batch)
-        count, channels = x_shape[::2] if len(x_shape) == 3 else (x_shape[0], 1)
-        if (count, channels) != (y_shape[::2] if len(y_shape) == 3 else (y_shape[0], 1)):
-            raise ValueError(f"inputs of shape {x_shape} and targets of shape {y_shape} "
-                             "differ in batch size or channels")
+        x2d, y2d = _check_rows(x_batch, config, y_batch)
+        count, channels = x2d.shape[0], 1
     if count == 0:
         raise ValueError("empty batch")
 
@@ -109,18 +93,15 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     step = StepSetup(params, config, most)
     sums = _StepSums(step, config)
     if isinstance(x_batch, WindowSet):
-        length, horizon = config.lookback, config.horizon
-        targets = np.empty(horizon * most)
+        targets = np.empty(config.horizon * most)
 
         def gather(lo, hi):
             rows = (hi - lo) * channels
-            x, y = windows.batch(idx[lo:hi], out=(
-                step.inputs(rows).reshape(length, hi - lo, channels),
-                targets[:horizon * rows].reshape(horizon, hi - lo, channels)))
-            return _flatten_windows(x, length, "inputs"), _flatten_windows(y, horizon, "targets")
+            return windows.batch(idx[lo:hi], out=(
+                step.inputs(rows), targets[:config.horizon * rows].reshape(-1, rows)))
     else:
         def gather(lo, hi):
-            return x2d[lo * channels:hi * channels], y2d[lo * channels:hi * channels]
+            return x2d[lo:hi], y2d[lo:hi]
 
     values = count * channels * config.horizon
     sq_sum = 0.0
@@ -384,22 +365,23 @@ def gradcheck_trials(seed: int, trials: int):
 def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -> GradCheckResult:
     """Compare every analytic gradient entry against central differences.
 
-    The prediction is affine in each parameter on its own, so the loss is
-    quadratic along each coordinate, and its central difference at step 1
-    is its derivative up to round-off.  An entry's discrepancy is
+    ``x_batch`` and ``y_batch`` are (B, L) input rows and (B, H) target
+    rows, as ``backward``'s array form takes them.  The prediction is
+    affine in each parameter on its own, so the loss is quadratic along
+    each coordinate, and its central difference at step 1 is its
+    derivative up to round-off.  An entry's discrepancy is
     |analytic - numeric| over the largest |analytic| or |numeric| of any
     entry of any array; it is 0 when every entry is 0, and a non-finite
     discrepancy counts as infinite, so it fails any gate.
     """
-    x2d = _flatten_windows(x_batch, config.lookback, "inputs")
-    y2d = _flatten_windows(y_batch, config.horizon, "targets")
+    x2d, y2d = _check_rows(x_batch, config, y_batch)
 
     def loss_at(flat, idx, value) -> float:
         flat[idx] = value
         d = forward_batch(x2d, params, config) - y2d
         return float(np.mean(d * d))
 
-    _, grads = backward(x_batch, y_batch, params, config)
+    _, grads = backward(x2d, y2d, params, config)
 
     pairs = {}  # name -> (analytic, numeric)
     for name, arr in params.named_arrays():

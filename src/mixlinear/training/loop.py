@@ -13,7 +13,7 @@ from ..model.config import ModelConfig
 from ..model.forward import SeriesSetup, forward_batch
 from ..model.params import MixLinearParams, init_params
 from .adam import adam_step, init_adam
-from .backward import _check_windows, _flatten_windows, backward
+from .backward import _check_windows, backward
 
 HISTORY_HEADER = ("epoch", "train_mse", "val_mse", "seconds")
 
@@ -214,9 +214,10 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     channels, so the memory in use is bounded by the block, not by the
     split's length or width.  Each block is a ``WindowSet`` over its steps
     of its channels, a C-contiguous copy when the group is narrower than
-    the split, so its windows are views of their series: each block of two
-    or more windows is predicted from its series (``series_channels``), and
-    its forecast is C-contiguous.  One ``SeriesSetup``, sized for the
+    the split, so the input and target rows ``WindowSet.batch`` gives of
+    its windows are views of their series: each block of two or more
+    windows is predicted from its series (``series_channels``), and its
+    forecast is C-contiguous.  One ``SeriesSetup``, sized for the
     largest block, holds what the blocks share: the phase map, the
     constants built from it, and the buffers each block's forecast is
     written to.  Each block's targets go to ``forward_batch`` with its
@@ -241,8 +242,7 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     for lo, hi, first, last in blocks:
         block = WindowSet(windows.base[lo:hi + length + horizon - 1, first:last], length, horizon)
         x, y = block.batch(np.arange(hi - lo))
-        err = forward_batch(_flatten_windows(x, length, "inputs"), params, config, setup,
-                            _flatten_windows(y, horizon, "targets"))
+        err = forward_batch(x, params, config, setup, y)
         flat = err.ravel(order="K")  # a view of its time-major (H, b*G) layout
         # an overflow is reported as the NumericError below, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):

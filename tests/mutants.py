@@ -23,6 +23,7 @@ PYTEST = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-se
 FORWARD = "src/mixlinear/model/forward.py"
 BACKWARD = "src/mixlinear/training/backward.py"
 LOOP = "src/mixlinear/training/loop.py"
+WINDOWS = "src/mixlinear/data/windows.py"
 
 MUTANTS = [
     ("w_inter without its b_intra term", BACKWARD,
@@ -87,7 +88,8 @@ MUTANTS = [
     ("gradcheck draws its biases at 0", BACKWARD,
      "arr[...] = 0.1 * rng.normal(size=arr.shape)", "arr[...] = 0.0 * rng.normal(size=arr.shape)"),
     ("VG's target view one step late", FORWARD,
-     "as_strided(targets, (m - 1, span, width)", "as_strided(targets[1:], (m - 1, span, width)"),
+     "as_strided(targets, (m - 1, span, channels)",
+     "as_strided(targets[1:], (m - 1, span, channels)"),
     ("every VG row cut at the last row's span", FORWARD,
      "span, last = windows + w - 1,", "span, last = windows + config.horizon - 1 - (m - 1) * w,"),
     ("train stops one stale epoch late", LOOP,
@@ -97,6 +99,15 @@ MUTANTS = [
     ("forward quadratic in b_inter", FORWARD,
      "params.w_inter.sum(axis=1)) + params.b_inter",
      "params.w_inter.sum(axis=1)) + params.b_inter * (1 + params.b_inter)"),
+    ("batch's target rows scrambled", WINDOWS,
+     "return x.T, y.T", "return x.T, y.reshape(-1, horizon)"),
+    ("rows check comparing only the targets' width", FORWARD,
+     "if targets.shape != (x2d.shape[0], config.horizon):",
+     "if targets.shape[1:] != (config.horizon,):"),
+    ("batch accepting float indices", WINDOWS,
+     "idx.size and not np.issubdtype(idx.dtype, np.integer)", "idx.size and False"),
+    ("WindowSet keeping an integer base", WINDOWS,
+     "np.ascontiguousarray(self.base, dtype=np.float64)", "np.ascontiguousarray(self.base)"),
 ]
 
 

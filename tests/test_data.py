@@ -25,8 +25,7 @@ from mixlinear.data import (
 from mixlinear.data.windows import WindowSet
 from mixlinear.errors import ConfigError, DataError
 from mixlinear.model import ModelConfig, init_params
-from mixlinear.training import evaluate
-from mixlinear.training.backward import _flatten_windows
+from mixlinear.training import backward, evaluate
 
 
 def write_csv(path, header, rows):
@@ -376,12 +375,14 @@ class TestMakeWindows:
         ws = make_windows(Segment(values, "s", standardized=True), 9, 5)
         idx = [0, ws.count - 1, 7, 7, 3]
         x, y = ws.batch(idx)
-        assert x.shape == (5, 9, 3) and y.shape == (5, 5, 3)
+        # row out*C + c is channel c of window idx[out]
+        assert x.shape == (15, 9) and y.shape == (15, 5)
         for out, k in enumerate(idx):
             wx, wy = ws.window(k)
-            assert np.array_equal(x[out], wx) and np.array_equal(y[out], wy)
+            rows = slice(3 * out, 3 * out + 3)
+            assert np.array_equal(x[rows], wx.T) and np.array_equal(y[rows], wy.T)
         x, y = ws.batch([])
-        assert x.shape == (0, 9, 3) and y.shape == (0, 5, 3)
+        assert x.shape == (0, 9) and y.shape == (0, 5)
 
     @pytest.mark.parametrize("bad", [-1, 27])
     def test_batch_index_out_of_range(self, bad):
@@ -389,6 +390,35 @@ class TestMakeWindows:
         assert ws.count == 27
         with pytest.raises(IndexError):
             ws.batch([0, bad])
+
+    @pytest.mark.parametrize("indices", [
+        pytest.param([1.7, 2.2], id="floats"),
+        pytest.param(np.array([1.0, 2.0]), id="whole-floats"),
+        pytest.param([[1, 2]], id="nested"), pytest.param(np.zeros((2, 2), int), id="2-D"),
+        pytest.param(np.array([True, False]), id="bools"), pytest.param(3, id="scalar")])
+    def test_batch_rejects_indices_not_1d_integers(self, indices):
+        # numpy's int cast would truncate [1.7, 2.2] to windows 1 and 2
+        config = ModelConfig(9, 5, 3, lpf_cutoff=2, latent_width=1)
+        ws = WindowSet(np.random.default_rng(4).normal(size=(40, 2)), 9, 5)
+        with pytest.raises(IndexError, match="1-D integer array"):
+            ws.batch(indices)
+        with pytest.raises(IndexError):
+            backward(ws, indices, init_params(config, 0), config)
+
+    def test_integer_base_reads_as_float64(self):
+        # an integer base is read as its float64 copy: by the series path,
+        # and by a training step's gather into its float64 workspace
+        config = ModelConfig(8, 4, 2, lpf_cutoff=2, latent_width=1)
+        params = init_params(config, 0)
+        ints = np.arange(80).reshape(40, 2) % 7
+        got, want = (WindowSet(base, 8, 4) for base in (ints, ints.astype(np.float64)))
+        assert got.base.dtype == np.float64
+        assert evaluate(params, got, config) == evaluate(params, want, config)
+        (loss, grads), (want_loss, want_grads) = (backward(ws, np.arange(5), params, config)
+                                                  for ws in (got, want))
+        assert loss == want_loss
+        for name, grad in want_grads.items():
+            assert grads[name].tobytes() == grad.tobytes(), name
 
     def test_too_short_segment_rejected(self):
         seg = Segment(np.zeros((5, 1)), "s", standardized=True)
@@ -423,33 +453,32 @@ class TestBatchViews:
         assert np.array_equal(ws.base, base)
         idx = np.arange(first, first + count)
         views, gathered = ws.batch(idx), ws.batch(idx[::-1])
-        for view, copy, length in zip(views, gathered, (9, 5)):
-            copy = copy[::-1]
+        for view, copy in zip(views, gathered):
+            copy = copy.reshape(count, 3, -1)[::-1].reshape(copy.shape)
             assert np.shares_memory(view, ws.base) and not view.flags.writeable
             assert view.shape == copy.shape
             assert view.tobytes() == copy.tobytes()
-            rows = _flatten_windows(view, length, "windows")
-            assert rows.tobytes() == _flatten_windows(copy, length, "windows").tobytes()
-            # the flattened rows are the .T of a time-major view
-            assert np.shares_memory(rows, ws.base)
+            # the rows are the .T of a time-major view: row k*C + c is one
+            # item past row k*C + c - 1, and each step one base row on
+            assert view.strides == (ws.base.itemsize, ws.base.strides[0])
 
     @pytest.mark.parametrize("idx", [[3, 5, 6], [2, 2, 3], [7, 6, 5], [1, 0], [4, 4]])
     def test_other_indices_gather_writable_copies(self, idx):
         base = _view_bases()["contiguous"]
         ws = WindowSet(base, 9, 5)
-        for got, want, length in zip(ws.batch(idx), zip(*(ws.window(k) for k in idx)), (9, 5)):
+        for got, want in zip(ws.batch(idx), zip(*(ws.window(k) for k in idx))):
             assert got.flags.writeable and not np.shares_memory(got, base)
-            assert got.tobytes() == np.stack(want).tobytes()
-            # gathered time-major: the flattened rows are the .T of C-contiguous
+            assert got.tobytes() == np.concatenate([part.T for part in want]).tobytes()
+            # gathered time-major: the rows are the .T of C-contiguous
             # (T, b*C) steps, as the forward reads them
-            rows = _flatten_windows(got, length, "windows")
-            assert np.shares_memory(rows, got) and rows.T.flags.c_contiguous
+            assert got.T.flags.c_contiguous
 
     @pytest.mark.parametrize("idx", [[3, 4, 5], [7, 6, 5], []])
     def test_gather_into_given_arrays(self, idx):
-        # with out, even a consecutive run is gathered, into the caller's rows
+        # with out, even a consecutive run is gathered, into the caller's
+        # time-major arrays
         ws = WindowSet(_view_bases()["contiguous"], 9, 5)
-        out = np.full((9, len(idx), 3), np.nan), np.full((5, len(idx), 3), np.nan)
+        out = np.full((9, len(idx) * 3), np.nan), np.full((5, len(idx) * 3), np.nan)
         for got, given, want in zip(ws.batch(idx, out=out), out, ws.batch(idx)):
             assert got.base is given
             assert got.tobytes() == np.asarray(want).tobytes()

@@ -94,15 +94,15 @@ class TestBackward:
                 assert np.allclose(grad, 0.0, atol=1e-12), name
 
     def test_loss_equals_mse_of_forward(self):
+        # a step of 2-channel windows, and the rows WindowSet.batch gives of them
         config = ModelConfig(12, 8, 3, lpf_cutoff=2, latent_width=1)
         params = init_params(config, 3)
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(4, 12, 2))
-        y = rng.normal(size=(4, 8, 2))
-        loss, _ = backward(x, y, params, config)
-        rows = x.transpose(0, 2, 1).reshape(-1, 12)
-        targets = y.transpose(0, 2, 1).reshape(-1, 8)
+        ws = WindowSet(np.random.default_rng(3).normal(size=(30, 2)), 12, 8)
+        idx = np.array([4, 0, 9, 2])
+        loss, _ = backward(ws, idx, params, config)
+        rows, targets = ws.batch(idx)
         assert loss == pytest.approx(loop_mse(forward_batch(rows, params, config), targets))
+        assert backward(rows, targets, params, config)[0] == pytest.approx(loss)
 
     def test_empty_batch_rejected(self):
         config = ModelConfig(8, 4, 2, lpf_cutoff=2, latent_width=1)
@@ -111,18 +111,22 @@ class TestBackward:
             backward(np.zeros((0, 8)), np.zeros((0, 4)), params, config)
 
     def test_inputs_and_targets_of_other_windows_rejected(self):
-        # each pair flattens to 6 rows, but row r of the inputs and of the
-        # targets are other windows or channels, so the loss would mis-pair them
+        # rows only, in pairs of one count: 3-D windows are not rows, and
+        # targets of another count would pair row r with another window's,
+        # or, one row of them, broadcast over every input row
         config = ModelConfig(16, 4, 4, lpf_cutoff=2, latent_width=1)
         params = init_params(config, 0)
         rng = np.random.default_rng(1)
-        for x_shape, y_shape in (((2, 16, 3), (3, 4, 2)), ((6, 16), (2, 4, 3))):
-            message = f"inputs of shape {x_shape} and targets of shape {y_shape}"
-            with pytest.raises(ValueError, match=re.escape(message)):
-                backward(rng.normal(size=x_shape), rng.normal(size=y_shape), params, config)
-        # a 2-D batch is one channel wide
-        x, y = rng.normal(size=(3, 16)), rng.normal(size=(3, 4))
-        assert backward(x, y[:, :, None], params, config)[0] == backward(x, y, params, config)[0]
+        for x_shape, y_shape, message in (
+                ((2, 16, 3), (6, 4), "expected input of shape (batch, 16), got (2, 16, 3)"),
+                ((6, 16), (2, 4, 3), "expected targets of shape (6, 4), got (2, 4, 3)"),
+                ((6, 16), (3, 4), "expected targets of shape (6, 4), got (3, 4)"),
+                ((6, 16), (1, 4), "expected targets of shape (6, 4), got (1, 4)")):
+            x, y = rng.normal(size=x_shape), rng.normal(size=y_shape)
+            for check in (backward, grad_check):
+                args = (x, y, params, config) if check is backward else (params, x, y, config)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    check(*args)
 
 
 def _third_difference(params, x, y, config):
@@ -1128,8 +1132,11 @@ class TestStreamedStep:
             most = size
         parts = -(-count // most)
         width = config.lookback + config.horizon
+        # the rows of count windows of a C-channel series: row k*C + c is
+        # channel c of window k
         x = level + rng.normal(size=(count, config.lookback, channels))
         y = level + rng.normal(size=(count, config.horizon, channels))
+        x, y = (part.transpose(0, 2, 1).reshape(count * channels, -1) for part in (x, y))
 
         with pytest.MonkeyPatch.context() as patch:
             _map_paths_as(patch, path)
@@ -1373,8 +1380,7 @@ class TestViewRows:
     def test_forward_on_view_rows_matches_contiguous_rows(self, count, channels):
         rng = np.random.default_rng(37)
         ws = WindowSet(rng.normal(size=(count + 23, channels)), 16, 8)
-        x, _ = ws.batch(np.arange(count))
-        rows = backward_module._flatten_windows(x, 16, "inputs")
+        rows, _ = ws.batch(np.arange(count))
         assert np.shares_memory(rows, ws.base)
         for mode in Mode:
             config = ModelConfig(16, 1, 1, lpf_cutoff=3, latent_width=2, mode=mode)
@@ -1440,9 +1446,7 @@ class TestSeriesPath:
         values = (level + np.cumsum(rng.normal(size=(steps, channels)), axis=0) if level
                   else rng.normal(size=(steps, channels)))
         ws = WindowSet(values, lookback, horizon)
-        x, y = ws.batch(np.arange(count))
-        rows = backward_module._flatten_windows(x, lookback, "inputs")
-        targets = backward_module._flatten_windows(y, horizon, "targets")
+        rows, targets = ws.batch(np.arange(count))
         assert series_channels(rows) == (channels if count >= 2 else 0)
         # at H=1 the targets' column stride is numpy's choice, which may send
         # them to the forecast's subtract
@@ -1471,17 +1475,15 @@ class TestSeriesPath:
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
         params = _moved_params(rng, config, seed=42)
         values = rng.normal(size=(60, 6))
-        every_other = np.ndarray((24, 17, 3), values.dtype, values, 0, (48, 48, 16))
-        x, y = WindowSet(values[:, :3], 16, 8).batch(np.arange(20))
-        rows = backward_module._flatten_windows(x, 16, "inputs")
-        targets = backward_module._flatten_windows(y, 8, "targets")
+        # row k*3 + c, step t of 17 windows is values[start + k + t, 2c]
+        every_other = tuple(np.ndarray((51, length), values.dtype, values, start * 48, (16, 48))
+                            for start, length in ((0, 16), (16, 8)))
+        rows, targets = WindowSet(values[:, :3], 16, 8).batch(np.arange(20))
         wide = WindowSet(values, 16, 8).batch(np.arange(10))[1]
         cases = {
-            "a strided series": tuple(backward_module._flatten_windows(
-                part.transpose(1, 0, 2), part.shape[0], "windows")
-                for part in (every_other[:16], every_other[16:])),
+            "a strided series": every_other,
             "C-ordered targets": (rows, np.ascontiguousarray(targets)),
-            "targets of another width": (rows, backward_module._flatten_windows(wide, 8, "targets")),
+            "targets of another width": (rows, wide),
             "a single window": (rows[7 * 3:8 * 3], targets[7 * 3:8 * 3]),
         }
         assert cases["a strided series"][1].strides[0] == 16
@@ -1498,9 +1500,8 @@ class TestSeriesPath:
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
         params = _moved_params(rng, config, seed=40)
         ws = WindowSet(rng.normal(size=(60, 3)), 16, 8)
-        view = backward_module._flatten_windows(ws.batch(np.arange(20))[0], 16, "inputs")
-        gathered = backward_module._flatten_windows(
-            ws.batch(rng.permutation(20))[0], 16, "inputs")
+        view = ws.batch(np.arange(20))[0]
+        gathered = ws.batch(rng.permutation(20))[0]
         layouts = {
             "C-contiguous": np.ascontiguousarray(view),
             "training gather": gathered,
@@ -1552,7 +1553,7 @@ class TestChoosePath:
         config = ModelConfig(12, 8, 4, lpf_cutoff=2, latent_width=2)
         for channels in (1, 3):
             ws = WindowSet(np.zeros((config.lookback + config.horizon + 1, channels)), 12, 8)
-            rows = backward_module._flatten_windows(ws.batch(np.arange(2))[0], 12, "inputs")
+            rows = ws.batch(np.arange(2))[0]
             assert series_channels(rows) == channels
             assert series_channels(rows[:2 * channels - 1]) == series_channels(rows[:1]) == 0
         assert choose_path(config) is Path.GAIN_FIRST
