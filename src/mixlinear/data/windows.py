@@ -51,27 +51,25 @@ class WindowSet:
         consecutive indices i, i+1, ..., which is what ``evaluate`` asks
         for, is a slice of ``_view``: read-only views of ``base``.  Any
         other indices are gathered, one ``take`` of base rows each, into
-        ``out``, a pair of writable C-contiguous (L, b*C) and (H, b*C)
-        arrays, or into a fresh pair of them: ``backward`` passes its step's
-        ``inputs`` and target block, so a block of a training step is never
-        copied again.  ``indices`` must be a 1-D integer array, or empty;
-        anything else, or an index out of range, raises ``IndexError``.
+        ``out``, a pair of writable (L, b*C) and (H, b*C) arrays (another
+        shape raises ``ValueError``), or into a fresh C-contiguous pair:
+        ``backward`` passes its step's ``inputs`` and target block, so a
+        block of a training step is never copied again.  ``indices`` must be
+        a 1-D integer array, or empty; anything else, or an index out of
+        range, raises ``IndexError``.
         """
-        idx = np.asarray(indices)
-        if idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer):
-            raise IndexError(f"window indices must be a 1-D integer array, got "
-                             f"{idx.dtype} of shape {idx.shape}")
-        idx = idx.astype(np.intp, copy=False)
-        bad = idx[(idx < 0) | (idx >= self.count)]
-        if bad.size:
-            raise IndexError(f"window {bad[0]} out of range [0, {self.count})")
+        idx = _check_indices(indices, self.count)
         length, horizon, channels = self.lookback, self.horizon, self.channels
         if out is None and idx.size and (np.diff(idx) == 1).all():
             block = self._view[:, idx[0] * channels:(idx[-1] + 1) * channels]
             x, y = block[:length], block[length:]
         else:
-            x, y = out if out is not None else (np.empty((length, idx.size * channels)),
-                                                np.empty((horizon, idx.size * channels)))
+            width = idx.size * channels
+            x, y = out if out is not None else (np.empty((length, width)),
+                                                np.empty((horizon, width)))
+            # of these shapes, whatever the strides, take's reshaped outs are views
+            if x.shape != (length, width) or y.shape != (horizon, width):
+                raise ValueError(f"out must be ({length}, {width}) and ({horizon}, {width}) arrays")
             at = np.add.outer(np.arange(length + horizon), idx)
             # indices checked above, so no step reads past base
             self.base.take(at[:length], axis=0, out=x.reshape(length, idx.size, channels),
@@ -83,9 +81,9 @@ class WindowSet:
     @property
     def _view(self) -> np.ndarray:
         """Read-only (L+H, count*C) view of every window: [t, k*C + c] = base[k+t, c]."""
-        step, across = self.base.strides
+        item = self.base.itemsize  # not base.strides: a size-1 axis may have any stride
         view = np.ndarray((self.lookback + self.horizon, self.count * self.channels),
-                          self.base.dtype, self.base, 0, (step, across))
+                          self.base.dtype, self.base, 0, (self.channels * item, item))
         view.flags.writeable = False
         return view
 
@@ -97,6 +95,19 @@ class WindowSet:
         )
         digest.update(np.ascontiguousarray(self.base, dtype="<f8").tobytes())
         return digest.hexdigest()
+
+
+def _check_indices(indices, count: int) -> np.ndarray:
+    """``indices`` as ``intp``, or ``IndexError`` unless 1-D integer windows in [0, count)."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise IndexError(f"window indices must be a 1-D integer array, got "
+                         f"{idx.dtype} of shape {idx.shape}")
+    idx = idx.astype(np.intp, copy=False)
+    bad = idx[(idx < 0) | (idx >= count)]
+    if bad.size:
+        raise IndexError(f"window {bad[0]} out of range [0, {count})")
+    return idx
 
 
 def window_runs(count: int, most: int, fewest: int) -> list[tuple[int, int]]:

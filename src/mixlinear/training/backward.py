@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.windows import WindowSet, window_runs
+from ..data.windows import WindowSet, _check_indices, window_runs
 from ..errors import ConfigError
 from ..model.config import Mode, ModelConfig
 from ..model.forward import (Path, StepSetup, _check_rows, basis_spectra, forward_batch,
@@ -43,11 +43,12 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     """Mean-squared-error loss of a window batch and its parameter gradients.
 
     Takes the step either as a ``WindowSet`` of the config's (L, H) and the
-    indices of its windows, as ``train`` does, or as (B, L) input rows and
-    (B, H) target rows, such as ``WindowSet.batch`` gives: under the
-    channel-independent strategy each channel of each window is one row.
-    Gradients are averaged over every predicted scalar, matching the
-    returned loss = mean((forward(x) - y)^2).
+    indices of its windows, a 1-D integer array, as ``train`` does, or as
+    (B, L) input rows and (B, H) target rows, such as ``WindowSet.batch``
+    gives: under the channel-independent strategy each channel of each
+    window is one row, and targets are required.  Gradients are averaged
+    over every predicted scalar, matching the returned
+    loss = mean((forward(x) - y)^2).
 
     The step streams its windows: ``_train_blocks`` cuts them into runs of
     whole windows, and each block is run forward
@@ -80,10 +81,10 @@ def backward(x_batch, y_batch, params: MixLinearParams,
     """
     if isinstance(x_batch, WindowSet):
         _check_windows(x_batch, config)
-        windows, idx = x_batch, np.asarray(y_batch)
+        windows, idx = x_batch, _check_indices(y_batch, x_batch.count)
         count, channels = idx.size, windows.channels
     else:
-        x2d, y2d = _check_rows(x_batch, config, y_batch)
+        x2d, y2d = _check_rows(x_batch, config, np.asarray(y_batch, dtype=np.float64))
         count, channels = x2d.shape[0], 1
     if count == 0:
         raise ValueError("empty batch")
@@ -374,7 +375,7 @@ def grad_check(params: MixLinearParams, x_batch, y_batch, config: ModelConfig) -
     entry of any array; it is 0 when every entry is 0, and a non-finite
     discrepancy counts as infinite, so it fails any gate.
     """
-    x2d, y2d = _check_rows(x_batch, config, y_batch)
+    x2d, y2d = _check_rows(x_batch, config, np.asarray(y_batch, dtype=np.float64))
 
     def loss_at(flat, idx, value) -> float:
         flat[idx] = value

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -402,7 +403,7 @@ class TestMakeWindows:
         ws = WindowSet(np.random.default_rng(4).normal(size=(40, 2)), 9, 5)
         with pytest.raises(IndexError, match="1-D integer array"):
             ws.batch(indices)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="1-D integer array"):
             backward(ws, indices, init_params(config, 0), config)
 
     def test_integer_base_reads_as_float64(self):
@@ -482,6 +483,38 @@ class TestBatchViews:
         for got, given, want in zip(ws.batch(idx, out=out), out, ws.batch(idx)):
             assert got.base is given
             assert got.tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("layout", [
+        pytest.param(lambda x, y: (np.asfortranarray(x), y), id="fortran"),
+        pytest.param(lambda x, y: (x, np.full((5, 12), np.nan)[:, ::-2]), id="reversed")])
+    def test_gather_into_out_of_any_layout(self, layout):
+        # take writes through a reshape of out, a view for any strides
+        ws = WindowSet(_view_bases()["contiguous"], 9, 5)
+        out = layout(np.full((9, 6), np.nan), np.full((5, 6), np.nan))
+        for got, given, want in zip(ws.batch([3, 1], out=out), out, ws.batch([3, 1])):
+            assert np.array_equal(got, want) and np.array_equal(given.T, want)
+
+    @pytest.mark.parametrize("shapes", [
+        pytest.param(((6, 9), (6, 5)), id="rows"), pytest.param(((9, 2, 3), (5, 2, 3)), id="3-D")])
+    def test_gather_rejects_out_of_other_shape(self, shapes):
+        # the reshape take writes through could be a copy, or mix up the rows
+        ws = WindowSet(_view_bases()["contiguous"], 9, 5)
+        with pytest.raises(ValueError, match=re.escape("out must be (9, 6) and (5, 6) arrays")):
+            ws.batch([3, 1], out=tuple(np.empty(shape) for shape in shapes))
+
+    @pytest.mark.parametrize("row_stride", [0, 8, 480])
+    def test_one_channel_base_of_any_row_stride(self, row_stride):
+        # numpy counts a (rows, 1) array as C-contiguous whatever the stride
+        # of its channel axis, so the set keeps that stride
+        config = ModelConfig(12, 6, 3, lpf_cutoff=2, latent_width=1)
+        series = np.random.default_rng(7).normal(size=60)
+        base = np.lib.stride_tricks.as_strided(series, (60, 1), (8, row_stride))
+        got, want = WindowSet(base, 12, 6), WindowSet(base.copy(), 12, 6)
+        for idx in (np.arange(4, 20), [7, 2, 30]):
+            for part, copy in zip(got.batch(idx), want.batch(idx)):
+                assert part.tobytes() == copy.tobytes()
+        params = init_params(config, 0)
+        assert evaluate(params, got, config) == evaluate(params, want, config)
 
     @pytest.mark.parametrize("channels", [1, 300])
     def test_window_set_keeps_no_copy(self, channels):

@@ -111,9 +111,9 @@ class TestBackward:
             backward(np.zeros((0, 8)), np.zeros((0, 4)), params, config)
 
     def test_inputs_and_targets_of_other_windows_rejected(self):
-        # rows only, in pairs of one count: 3-D windows are not rows, and
-        # targets of another count would pair row r with another window's,
-        # or, one row of them, broadcast over every input row
+        # rows only, in pairs of one count, targets required: 3-D windows
+        # are not rows, and targets of another count would pair row r with
+        # another window's, or, one row of them, broadcast over every input row
         config = ModelConfig(16, 4, 4, lpf_cutoff=2, latent_width=1)
         params = init_params(config, 0)
         rng = np.random.default_rng(1)
@@ -121,8 +121,10 @@ class TestBackward:
                 ((2, 16, 3), (6, 4), "expected input of shape (batch, 16), got (2, 16, 3)"),
                 ((6, 16), (2, 4, 3), "expected targets of shape (6, 4), got (2, 4, 3)"),
                 ((6, 16), (3, 4), "expected targets of shape (6, 4), got (3, 4)"),
-                ((6, 16), (1, 4), "expected targets of shape (6, 4), got (1, 4)")):
-            x, y = rng.normal(size=x_shape), rng.normal(size=y_shape)
+                ((6, 16), (1, 4), "expected targets of shape (6, 4), got (1, 4)"),
+                ((6, 16), None, "expected targets of shape (6, 4), got ()")):
+            x = rng.normal(size=x_shape)
+            y = None if y_shape is None else rng.normal(size=y_shape)
             for check in (backward, grad_check):
                 args = (x, y, params, config) if check is backward else (params, x, y, config)
                 with pytest.raises(ValueError, match=re.escape(message)):
