@@ -137,21 +137,32 @@ def save_csv(series: RawSeries, path) -> None:
 
     Values are written with shortest round-trip precision, so
     load_csv(save_csv(s)) recovers the numeric content exactly.  A
-    non-finite value, which load_csv would reject, is refused before any
-    file is written.  The bytes are those ``csv.writer`` writes, but each
-    row is one join: the date cell, quoted as the writer quotes it, and
-    the ``repr`` of each value, which never needs quoting.
+    timestamp or channel-name count that differs from the table's rows or
+    columns, and a non-finite value, which load_csv would reject, are
+    refused before any file is written.  The bytes are those
+    ``csv.writer`` writes, but each row is one join: the date cell, quoted
+    as the writer quotes it, and the ``repr`` of each value, which never
+    needs quoting.  Rows are converted and written one at a time, so no
+    Python copy of the table is built.
     """
     path = Path(path)
-    bad = _first_non_finite(series.values)
+    values = np.asarray(series.values, np.float64)
+    rows, columns = values.shape
+    if len(series.timestamps) != rows:
+        raise DataError(f"cannot write {path}: {len(series.timestamps)} timestamps "
+                        f"for {rows} rows")
+    if len(series.channel_names) != columns:
+        raise DataError(f"cannot write {path}: {len(series.channel_names)} channel names "
+                        f"for {columns} columns")
+    bad = _first_non_finite(values)
     if bad is not None:
         raise DataError(f"cannot write {path}: non-finite value at row {bad[0] + 1}, "
                         f"col {bad[1] + 2}")
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(["date", *series.channel_names])
-            for ts, row in zip(series.timestamps, np.asarray(series.values, np.float64).tolist()):
-                fh.write(",".join([_csv_cell(ts), *map(repr, row)]) + "\r\n")
+            for ts, row in zip(series.timestamps, values):
+                fh.write(",".join([_csv_cell(ts), *map(repr, row.tolist())]) + "\r\n")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

@@ -55,11 +55,16 @@ class SplitSpec:
 
 @dataclass
 class Segment:
-    """One contiguous slice of the timeline."""
+    """One contiguous slice of the timeline: rows [start, start + rows) of its series.
+
+    ``values`` is that row slice, a view of the series (``split_series``) or
+    of its one standardized copy (``standardize``).
+    """
 
     values: np.ndarray  # (rows, C)
     name: str = ""
     standardized: bool = False
+    start: int = 0
 
     @property
     def rows(self) -> int:
@@ -74,9 +79,10 @@ def split_series(series: RawSeries, spec: SplitSpec, lookback: int = 0,
                  horizon: int = 0) -> tuple[Segment, Segment, Segment]:
     """Cut train/val/test segments at floor-of-cumulative-fraction indices.
 
-    ``lookback`` rows are prepended (read-only overlap) to val and test;
-    when ``horizon`` is given, every segment must fit at least one
-    (lookback, horizon) window.
+    Each segment is a row slice (a view) of ``series.values`` and records
+    its first row as ``start``.  ``lookback`` rows are prepended (read-only
+    overlap) to val and test; when ``horizon`` is given, every segment must
+    fit at least one (lookback, horizon) window.
     """
     total = series.length
     b1, b2 = spec.boundaries(total)
@@ -87,8 +93,8 @@ def split_series(series: RawSeries, spec: SplitSpec, lookback: int = 0,
         )
     segments = (
         Segment(series.values[0:b1], "train"),
-        Segment(series.values[b1 - lookback:b2], "val"),
-        Segment(series.values[b2 - lookback:total], "test"),
+        Segment(series.values[b1 - lookback:b2], "val", start=b1 - lookback),
+        Segment(series.values[b2 - lookback:total], "test", start=b2 - lookback),
     )
     minimum = lookback + horizon
     if minimum > 0:
@@ -115,15 +121,21 @@ class NormalizationStats:
     mean: np.ndarray  # (C,)
     std: np.ndarray   # (C,)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
 
+def standardize(series: RawSeries, splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
+    """Z-score ``series`` once with the first (train) split's statistics.
 
-def standardize(splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
-    """Z-score every split with the first (train) split's statistics.
+    ``splits`` are segments of ``series`` as ``split_series`` cuts them;
+    of each, only its name, flag, ``start`` row and row count are read.
+    The series is standardized into one C-contiguous array, whatever its
+    memory order, as ``(x - mean) / std`` rounds it but in place, and each
+    returned segment is its rows of that array: a view, so the splits and
+    their look-back overlaps hold no copy of their own.
 
-    Rejects a channel that is constant on the train split up to round-off:
-    std <= ``CONSTANT_CHANNEL_TOLERANCE`` * max|x|, which includes std == 0.
+    Rejects a segment that is already standardized or lies outside the
+    series, and a channel that is constant on the train split up to
+    round-off: std <= ``CONSTANT_CHANNEL_TOLERANCE`` * max|x|, which
+    includes std == 0.
     """
     splits = tuple(splits)
     if not splits:
@@ -131,10 +143,15 @@ def standardize(splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
     for seg in splits:
         if seg.standardized:
             raise DataError(f"segment {seg.name!r} is already standardized")
-    train = splits[0]
-    mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0)
-    scale = np.abs(train.values).max(axis=0)
+        if seg.start < 0 or seg.start + seg.rows > series.length:
+            raise ConfigError(f"segment {seg.name!r} (rows {seg.start} to "
+                              f"{seg.start + seg.rows}) lies outside a series of "
+                              f"{series.length} rows")
+    first = splits[0]
+    train = series.values[first.start:first.start + first.rows]
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
+    scale = np.abs(train).max(axis=0)
     flat = np.flatnonzero(std <= CONSTANT_CHANNEL_TOLERANCE * scale)
     if flat.size:
         raise DataError(
@@ -142,9 +159,11 @@ def standardize(splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
             f"(std at most {CONSTANT_CHANNEL_TOLERANCE:g} of the channel's largest "
             "magnitude); constant channels cannot be standardized"
         )
-    stats = NormalizationStats(mean, std)
+    # (x - mean) / std would hold two series-sized arrays at once
+    values = np.subtract(series.values, mean, order="C")
+    values /= std
     out = tuple(
-        replace(seg, values=stats.apply(seg.values), standardized=True)
+        replace(seg, values=values[seg.start:seg.start + seg.rows], standardized=True)
         for seg in splits
     )
-    return out, stats
+    return out, NormalizationStats(mean, std)

@@ -14,7 +14,9 @@ class WindowSet:
     """Index pairs into one standardized segment.
 
     Window k reads rows [k, k+L) as input and rows [k+L, k+L+H) as
-    target; windows never cross the segment's bounds.
+    target; windows never cross the segment's bounds.  A C-contiguous
+    float64 base, such as a split of ``standardize``'s one array, is kept
+    as the view it is.
     """
 
     base: np.ndarray  # (rows, C), made C-contiguous float64
@@ -88,12 +90,16 @@ class WindowSet:
         return view
 
     def content_hash(self) -> str:
-        """Digest of the window geometry and the underlying data."""
+        """Digest of the window geometry and the underlying data.
+
+        The data are hashed as little-endian float64 bytes, read in place
+        from the C-contiguous base: no copy on a little-endian machine.
+        """
         digest = hashlib.sha256()
         digest.update(
             f"{self.base.shape};{self.lookback};{self.horizon};".encode()
         )
-        digest.update(np.ascontiguousarray(self.base, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(self.base, dtype="<f8"))
         return digest.hexdigest()
 
 
@@ -121,6 +127,7 @@ def window_runs(count: int, most: int, fewest: int) -> list[tuple[int, int]]:
 
 
 def make_windows(segment: Segment, lookback: int, horizon: int) -> WindowSet:
+    """The windows of ``segment``, over its values as they are (a view, if C-contiguous float64)."""
     if lookback < 1 or horizon < 1:
         raise ConfigError(
             f"lookback and horizon must be >= 1, got ({lookback}, {horizon})"

@@ -36,11 +36,15 @@ def _split_name(spec: SplitSpec) -> str:
 
 def prepare_windows(series: RawSeries, split_spec: SplitSpec,
                     config: ModelConfig) -> tuple[WindowSet, WindowSet, WindowSet, str]:
-    """load -> split -> standardize -> window, plus the pipeline digest."""
+    """load -> split -> standardize -> window, plus the pipeline digest.
+
+    The series is standardized into one array, and the three window sets'
+    bases are row views of it, the overlaps of val and test held once.
+    """
     with _stage("split"):
         segments = split_series(series, split_spec, config.lookback, config.horizon)
     with _stage("standardize"):
-        (train_seg, val_seg, test_seg), _ = standardize(segments)
+        (train_seg, val_seg, test_seg), _ = standardize(series, segments)
     with _stage("window"):
         train_ws = make_windows(train_seg, config.lookback, config.horizon)
         val_ws = make_windows(val_seg, config.lookback, config.horizon)

@@ -24,6 +24,8 @@ FORWARD = "src/mixlinear/model/forward.py"
 BACKWARD = "src/mixlinear/training/backward.py"
 LOOP = "src/mixlinear/training/loop.py"
 WINDOWS = "src/mixlinear/data/windows.py"
+SPLIT = "src/mixlinear/data/split.py"
+SERIES = "src/mixlinear/data/series.py"
 
 MUTANTS = [
     ("w_inter without its b_intra term", BACKWARD,
@@ -108,6 +110,17 @@ MUTANTS = [
      "idx.size and not np.issubdtype(idx.dtype, np.integer)", "idx.size and False"),
     ("WindowSet keeping an integer base", WINDOWS,
      "np.ascontiguousarray(self.base, dtype=np.float64)", "np.ascontiguousarray(self.base)"),
+    ("val's start one row late", SPLIT,
+     '"val", start=b1 - lookback)', '"val", start=b1 - lookback + 1)'),
+    ("standardize multiplying by 1 / std", SPLIT, "values /= std", "values *= 1.0 / std"),
+    ("standardize accepting a segment past the series' end", SPLIT,
+     "if seg.start < 0 or seg.start + seg.rows > series.length:", "if seg.start < 0:"),
+    ("content_hash of the base's first row", WINDOWS,
+     'np.ascontiguousarray(self.base, dtype="<f8")', 'np.ascontiguousarray(self.base[:1], dtype="<f8")'),
+    ("save_csv accepting mismatched timestamps", SERIES,
+     "if len(series.timestamps) != rows:", "if False:"),
+    ("save_csv accepting mismatched channel names", SERIES,
+     "if len(series.channel_names) != columns:", "if False:"),
 ]
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,36 @@ class TestLoadCsv:
         assert str(excinfo.value) == f"cannot write {path}: non-finite value at row 3, col 3"
         assert not path.exists()
 
+    @pytest.mark.parametrize("timestamps, names, message", [
+        # zip stopped at the shorter list and dropped the third row
+        pytest.param(["t0", "t1"], ["a", "b"], "2 timestamps for 3 rows", id="timestamps"),
+        # a 2-field header over 3-field rows, which load_csv rejects as ragged
+        pytest.param(["t0", "t1", "t2"], ["a"], "1 channel names for 2 columns", id="names"),
+    ])
+    def test_save_refuses_mismatched_labels_and_writes_nothing(self, timestamps, names,
+                                                               message, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(DataError) as excinfo:
+            save_csv(RawSeries(timestamps, np.zeros((3, 2)), names), path)
+        assert str(excinfo.value) == f"cannot write {path}: {message}"
+        assert not path.exists()
+
+    def test_save_streams_its_rows(self, tmp_path):
+        # a Python float list of the whole table peaked at 5.2 MB here (21 MB
+        # at 2000 rows); short reprs and few rows keep the traced run quick
+        values = np.arange(500 * 321).reshape(500, 321) % 1000 / 8
+        series = RawSeries([f"t{i}" for i in range(500)], values,
+                           [f"c{j}" for j in range(321)])
+        save_csv(RawSeries(series.timestamps[:2], values[:2], series.channel_names),
+                 tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            save_csv(series, tmp_path / "series.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
+
     @given(csv_texts())
     @settings(max_examples=300, deadline=None)
     def test_matches_cell_by_cell_reference(self, tmp_path_factory, text):
@@ -252,6 +283,7 @@ class TestSplitSeries:
         assert train.rows == 10452
         assert val.rows == (13936 - 10452) + 720
         assert test.rows == (17420 - 13936) + 720
+        assert (train.start, val.start, test.start) == (0, 10452 - 720, 13936 - 720)
         # lookback overlap is read-only context: val starts 720 rows early
         assert np.array_equal(val.values[:720], series.values[10452 - 720:10452])
 
@@ -284,7 +316,7 @@ class TestStandardize:
     def test_train_split_becomes_zero_mean_unit_std(self):
         series = _series_of_length(500, channels=3)
         splits = split_series(series, SplitSpec.default(), lookback=10)
-        (train, val, test), stats = standardize(splits)
+        (train, val, test), stats = standardize(series, splits)
         assert np.max(np.abs(train.values.mean(axis=0))) < 1e-9
         assert np.max(np.abs(train.values.std(axis=0) - 1.0)) < 1e-9
         assert train.standardized and val.standardized and test.standardized
@@ -292,15 +324,15 @@ class TestStandardize:
     def test_double_standardization_guarded(self):
         series = _series_of_length(100)
         splits = split_series(series, SplitSpec.default(), lookback=0)
-        standardized, _ = standardize(splits)
+        standardized, _ = standardize(series, splits)
         with pytest.raises(DataError, match="already standardized"):
-            standardize(standardized)
+            standardize(series, standardized)
 
     def test_round_trip(self):
         # the returned statistics are the ones every split was scaled with
         series = _series_of_length(200, channels=2)
         splits = split_series(series, SplitSpec.default(), lookback=0)
-        standardized, stats = standardize(splits)
+        standardized, stats = standardize(series, splits)
         for seg, raw in zip(standardized, splits):
             back = seg.values * stats.std + stats.mean
             assert np.max(np.abs(back - raw.values)) < 1e-10
@@ -308,11 +340,11 @@ class TestStandardize:
     def test_stats_depend_only_on_train(self):
         series = _series_of_length(400, channels=2)
         splits = split_series(series, SplitSpec.default(), lookback=0)
-        _, stats_a = standardize(splits)
+        _, stats_a = standardize(series, splits)
         perturbed = _series_of_length(400, channels=2)
         perturbed.values[300:] += 100.0  # test region only
         splits_b = split_series(perturbed, SplitSpec.default(), lookback=0)
-        _, stats_b = standardize(splits_b)
+        _, stats_b = standardize(perturbed, splits_b)
         assert np.array_equal(stats_a.mean, stats_b.mean)
         assert np.array_equal(stats_a.std, stats_b.std)
 
@@ -322,7 +354,7 @@ class TestStandardize:
         series = RawSeries([str(i) for i in range(100)], values, ["a", "b"])
         splits = split_series(series, SplitSpec.default(), lookback=0)
         with pytest.raises(DataError, match="zero-variance"):
-            standardize(splits)
+            standardize(series, splits)
 
     def test_channel_constant_up_to_round_off_rejected(self):
         # period-1 harmonics sampled at integer t: a level with ~1e-16 wobble
@@ -332,13 +364,20 @@ class TestStandardize:
         series = RawSeries([str(i) for i in range(100)], values, ["a", "b"])
         splits = split_series(series, SplitSpec.default(), lookback=0)
         with pytest.raises(DataError, match=r"channel\(s\) \[1\]"):
-            standardize(splits)
+            standardize(series, splits)
+
+    def test_segment_outside_series_rejected(self):
+        # its rows would be cut short silently: [90, 110) of 100 rows reads 10
+        series = _series_of_length(100)
+        train, _, test = split_series(series, SplitSpec.default(), lookback=0)
+        with pytest.raises(ConfigError, match="outside a series of 100 rows"):
+            standardize(series, (train, Segment(test.values, "test", start=90)))
 
     def test_large_offset_with_unit_variation_standardizes(self):
         values = 1e6 + np.random.default_rng(4).normal(size=(100, 1))
         series = RawSeries([str(i) for i in range(100)], values, ["a"])
         splits = split_series(series, SplitSpec.default(), lookback=0)
-        (train, _, _), _ = standardize(splits)
+        (train, _, _), _ = standardize(series, splits)
         assert abs(train.values.std() - 1.0) < 1e-9
 
 

@@ -1,8 +1,11 @@
 """MAC accounting, report serialization, and the benchmark runners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mixlinear.data.series import RawSeries
 from mixlinear.data.split import SplitSpec
 from mixlinear.data.synth import synth_generate
 from mixlinear.errors import ConfigError, DataError
@@ -17,6 +20,7 @@ from mixlinear.evalbench import (
     write_report,
     write_sweep,
 )
+from mixlinear.evalbench.runner import prepare_windows
 from mixlinear.model import Mode, ModelConfig, param_count
 from mixlinear.training import TrainConfig
 
@@ -87,6 +91,61 @@ class TestCountMacs:
 def benchmark_report():
     return run_benchmark(tiny_series(), "synthtiny", SPLIT, tiny_config(),
                          tiny_train_config())
+
+
+class TestPrepareWindows:
+    CONFIG = ModelConfig(24, 8, 4, lpf_cutoff=2, latent_width=1)
+
+    @staticmethod
+    def fixed_series(order="C"):
+        # only correctly rounded arithmetic, so the values are the same anywhere
+        t = np.arange(400.0)[:, None]
+        values = ((t * 37 + np.arange(3.0) * 11) % 101) / 7.0 + 0.001 * t
+        return RawSeries([f"t{i}" for i in range(400)], np.array(values, order=order),
+                         ["a", "b", "c"])
+
+    def test_bases_view_one_standardized_array(self):
+        lookback = self.CONFIG.lookback
+        train, val, test, _ = prepare_windows(self.fixed_series(), SplitSpec.ett(), self.CONFIG)
+        owner = train.base.base
+        assert owner.shape == (400, 3) and owner.flags.c_contiguous
+        assert all(np.shares_memory(ws.base, owner) for ws in (val, test))
+        # each look-back overlap is the previous split's last rows, held once
+        assert val.base[:lookback].ctypes.data == train.base[-lookback:].ctypes.data
+        assert test.base[:lookback].ctypes.data == val.base[-lookback:].ctypes.data
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bases_are_each_split_standardized(self, order):
+        series = self.fixed_series(order)
+        b1, b2 = SplitSpec.ett().boundaries(series.length)
+        lookback = self.CONFIG.lookback
+        splits = (series.values[:b1], series.values[b1 - lookback:b2],
+                  series.values[b2 - lookback:])
+        mean, std = splits[0].mean(axis=0), splits[0].std(axis=0)
+        windows = prepare_windows(series, SplitSpec.ett(), self.CONFIG)[:3]
+        for ws, split in zip(windows, splits):
+            assert ws.base.tobytes() == ((split - mean) / std).tobytes()
+
+    def test_pipeline_digest_is_pinned(self):
+        # the digest of the three splits standardized one by one
+        *_, digest = prepare_windows(self.fixed_series(), SplitSpec.ett(), self.CONFIG)
+        assert digest == "f6dd03b64de4eda4130dc99bfbbafe28c507cbbb9692765dd47222c800ac621b"
+
+    def test_peak_memory_is_one_series(self):
+        # three standardized splits and a tobytes() copy per hash peaked at 1.65x;
+        # the 64 KiB are numpy's iteration buffer
+        values = np.random.default_rng(8).normal(size=(4000, 64))
+        series = RawSeries([f"t{i}" for i in range(4000)], values,
+                           [f"c{j}" for j in range(64)])
+        config = ModelConfig(96, 24, 12, lpf_cutoff=2, latent_width=1)
+        prepare_windows(series, SplitSpec.ett(), config)
+        tracemalloc.start()
+        try:
+            prepare_windows(series, SplitSpec.ett(), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * values.nbytes + 64 * 1024
 
 
 class TestRunBenchmark:
