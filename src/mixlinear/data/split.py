@@ -1,17 +1,16 @@
 """Chronological splitting and train-statistics standardization.
 
-Validation and test segments are extended backward by the look-back
+Validation and test splits are extended backward by the look-back
 length so their first windows see a full history; labels never cross the
 boundary, matching the protocol the public benchmarks inherit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .series import RawSeries
 
 
 @dataclass(frozen=True)
@@ -53,58 +52,25 @@ class SplitSpec:
         return b1, b2
 
 
-@dataclass
-class Segment:
-    """One contiguous slice of the timeline: rows [start, start + rows) of its series.
+def split_rows(total: int, spec: SplitSpec, lookback: int,
+               horizon: int) -> tuple[slice, slice, slice]:
+    """The train, val and test row ranges of a ``total``-row series.
 
-    ``values`` is that row slice, a view of the series (``split_series``) or
-    of its one standardized copy (``standardize``).
+    They are [0, b1), [b1 - lookback, b2) and [b2 - lookback, total), cut at
+    ``spec``'s boundaries: val and test start ``lookback`` rows early, a
+    read-only overlap.  Raises ``ConfigError``, naming the split, when one
+    holds fewer than lookback + horizon rows, too few for one window.
     """
-
-    values: np.ndarray  # (rows, C)
-    name: str = ""
-    standardized: bool = False
-    start: int = 0
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[1]
-
-
-def split_series(series: RawSeries, spec: SplitSpec, lookback: int = 0,
-                 horizon: int = 0) -> tuple[Segment, Segment, Segment]:
-    """Cut train/val/test segments at floor-of-cumulative-fraction indices.
-
-    Each segment is a row slice (a view) of ``series.values`` and records
-    its first row as ``start``.  ``lookback`` rows are prepended (read-only
-    overlap) to val and test; when ``horizon`` is given, every segment must
-    fit at least one (lookback, horizon) window.
-    """
-    total = series.length
     b1, b2 = spec.boundaries(total)
-    if b1 - lookback < 0 or b2 - lookback < 0:
-        raise ConfigError(
-            f"dataset of {total} rows is too short for lookback {lookback} "
-            f"with boundaries ({b1}, {b2})"
-        )
-    segments = (
-        Segment(series.values[0:b1], "train"),
-        Segment(series.values[b1 - lookback:b2], "val", start=b1 - lookback),
-        Segment(series.values[b2 - lookback:total], "test", start=b2 - lookback),
-    )
+    rows = (slice(0, b1), slice(b1 - lookback, b2), slice(b2 - lookback, total))
     minimum = lookback + horizon
-    if minimum > 0:
-        for seg in segments:
-            if seg.rows < minimum:
-                raise ConfigError(
-                    f"{seg.name} segment has {seg.rows} rows, need at least "
-                    f"{minimum} for lookback {lookback} + horizon {horizon}"
-                )
-    return segments
+    for name, part in zip(("train", "val", "test"), rows):
+        if part.stop - part.start < minimum:
+            raise ConfigError(
+                f"{name} split of a {total}-row series has {part.stop - part.start} "
+                f"rows, need at least {minimum} for lookback {lookback} + horizon {horizon}"
+            )
+    return rows
 
 
 # A channel whose train std is at most this fraction of its largest |x| is
@@ -122,33 +88,17 @@ class NormalizationStats:
     std: np.ndarray   # (C,)
 
 
-def standardize(series: RawSeries, splits) -> tuple[tuple[Segment, ...], NormalizationStats]:
-    """Z-score ``series`` once with the first (train) split's statistics.
+def standardize(values: np.ndarray,
+                train_rows: slice) -> tuple[np.ndarray, NormalizationStats]:
+    """Z-score ``values`` once with the statistics of its ``train_rows``.
 
-    ``splits`` are segments of ``series`` as ``split_series`` cuts them;
-    of each, only its name, flag, ``start`` row and row count are read.
-    The series is standardized into one C-contiguous array, whatever its
-    memory order, as ``(x - mean) / std`` rounds it but in place, and each
-    returned segment is its rows of that array: a view, so the splits and
-    their look-back overlaps hold no copy of their own.
-
-    Rejects a segment that is already standardized or lies outside the
-    series, and a channel that is constant on the train split up to
-    round-off: std <= ``CONSTANT_CHANNEL_TOLERANCE`` * max|x|, which
-    includes std == 0.
+    Returns one C-contiguous array, whatever the input's memory order,
+    rounded as ``(x - mean) / std`` rounds it but written in place, so the
+    splits are row views of it.  Rejects a channel that is constant on the
+    train rows up to round-off: std <= ``CONSTANT_CHANNEL_TOLERANCE`` *
+    max|x|, which includes std == 0.
     """
-    splits = tuple(splits)
-    if not splits:
-        raise ConfigError("no splits to standardize")
-    for seg in splits:
-        if seg.standardized:
-            raise DataError(f"segment {seg.name!r} is already standardized")
-        if seg.start < 0 or seg.start + seg.rows > series.length:
-            raise ConfigError(f"segment {seg.name!r} (rows {seg.start} to "
-                              f"{seg.start + seg.rows}) lies outside a series of "
-                              f"{series.length} rows")
-    first = splits[0]
-    train = series.values[first.start:first.start + first.rows]
+    train = values[train_rows]
     mean = train.mean(axis=0)
     std = train.std(axis=0)
     scale = np.abs(train).max(axis=0)
@@ -160,10 +110,6 @@ def standardize(series: RawSeries, splits) -> tuple[tuple[Segment, ...], Normali
             "magnitude); constant channels cannot be standardized"
         )
     # (x - mean) / std would hold two series-sized arrays at once
-    values = np.subtract(series.values, mean, order="C")
-    values /= std
-    out = tuple(
-        replace(seg, values=values[seg.start:seg.start + seg.rows], standardized=True)
-        for seg in splits
-    )
+    out = np.subtract(values, mean, order="C")
+    out /= std
     return out, NormalizationStats(mean, std)

@@ -1,4 +1,4 @@
-"""Stride-1 sliding (look-back, horizon) windows over one segment."""
+"""Stride-1 sliding (look-back, horizon) windows over one split."""
 
 import hashlib
 from dataclasses import dataclass
@@ -6,17 +6,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .split import Segment
 
 
 @dataclass
 class WindowSet:
-    """Index pairs into one standardized segment.
+    """Index pairs into one standardized split.
 
     Window k reads rows [k, k+L) as input and rows [k+L, k+L+H) as
-    target; windows never cross the segment's bounds.  A C-contiguous
+    target; windows never cross the split's bounds.  A C-contiguous
     float64 base, such as a split of ``standardize``'s one array, is kept
-    as the view it is.
+    as the view it is.  A set with no window, L < 1 or H < 1, a base that
+    is not 2-D or one of fewer than L+H rows, raises ``ConfigError``.
     """
 
     base: np.ndarray  # (rows, C), made C-contiguous float64
@@ -25,8 +25,11 @@ class WindowSet:
 
     def __post_init__(self):
         # consecutive windows of a C-contiguous float64 base are views that
-        # ``evaluate`` predicts from their series; a no-op for ``make_windows``
+        # ``evaluate`` predicts from their series; a no-op for a split's rows
         self.base = np.ascontiguousarray(self.base, dtype=np.float64)
+        if min(self.lookback, self.horizon) < 1 or self.base.ndim != 2 or self.count < 1:
+            raise ConfigError(f"a base of shape {self.base.shape} holds no window of lookback "
+                              f"{self.lookback} + horizon {self.horizon} rows, each at least 1")
 
     @property
     def count(self) -> int:
@@ -124,17 +127,3 @@ def window_runs(count: int, most: int, fewest: int) -> list[tuple[int, int]]:
     """
     parts = max(1, min(-(-count // most), count // fewest))
     return [(i * count // parts, (i + 1) * count // parts) for i in range(parts)]
-
-
-def make_windows(segment: Segment, lookback: int, horizon: int) -> WindowSet:
-    """The windows of ``segment``, over its values as they are (a view, if C-contiguous float64)."""
-    if lookback < 1 or horizon < 1:
-        raise ConfigError(
-            f"lookback and horizon must be >= 1, got ({lookback}, {horizon})"
-        )
-    if segment.rows < lookback + horizon:
-        raise ConfigError(
-            f"segment {segment.name!r} has {segment.rows} rows; too short for "
-            f"lookback {lookback} + horizon {horizon}"
-        )
-    return WindowSet(segment.values, lookback, horizon)

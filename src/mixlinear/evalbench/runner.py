@@ -7,8 +7,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from ..data.series import RawSeries
-from ..data.split import SplitSpec, split_series, standardize
-from ..data.windows import WindowSet, make_windows
+from ..data.split import SplitSpec, split_rows, standardize
+from ..data.windows import WindowSet
 from ..errors import ConfigError, MixLinearError
 from ..model.config import Mode, ModelConfig
 from ..model.params import config_to_dict, param_count
@@ -38,21 +38,22 @@ def prepare_windows(series: RawSeries, split_spec: SplitSpec,
                     config: ModelConfig) -> tuple[WindowSet, WindowSet, WindowSet, str]:
     """load -> split -> standardize -> window, plus the pipeline digest.
 
-    The series is standardized into one array, and the three window sets'
-    bases are row views of it, the overlaps of val and test held once.
+    ``split_rows`` cuts the train, val and test row ranges, ``standardize``
+    z-scores the series once with the train rows' statistics, and the three
+    window sets' bases are those rows of its one array: views, the
+    overlaps of val and test held once.  A split too short for one window
+    raises a ``[split]`` ``ConfigError`` that names it.
     """
+    length, horizon = config.lookback, config.horizon
     with _stage("split"):
-        segments = split_series(series, split_spec, config.lookback, config.horizon)
+        rows = split_rows(series.length, split_spec, length, horizon)
     with _stage("standardize"):
-        (train_seg, val_seg, test_seg), _ = standardize(series, segments)
-    with _stage("window"):
-        train_ws = make_windows(train_seg, config.lookback, config.horizon)
-        val_ws = make_windows(val_seg, config.lookback, config.horizon)
-        test_ws = make_windows(test_seg, config.lookback, config.horizon)
+        values, _ = standardize(series.values, rows[0])
+    windows = tuple(WindowSet(values[part], length, horizon) for part in rows)
     digest = hashlib.sha256()
-    for ws in (train_ws, val_ws, test_ws):
+    for ws in windows:
         digest.update(ws.content_hash().encode())
-    return train_ws, val_ws, test_ws, digest.hexdigest()
+    return (*windows, digest.hexdigest())
 
 
 def run_benchmark(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
@@ -79,7 +80,7 @@ def run_benchmark(series: RawSeries, dataset_id: str, split_spec: SplitSpec,
         mac_count=count_macs(config),
         mac_convention=MAC_CONVENTION,
         pipeline_hash=pipeline_hash,
-        train_seconds_per_epoch=float(np.mean(history.seconds)) if history.epochs else 0.0,
+        train_seconds_per_epoch=float(np.mean(history.seconds)),
         total_seconds=float(np.sum(history.total_seconds)),
         history=history,
         params=params,

@@ -96,14 +96,11 @@ def train(train_windows: WindowSet, val_windows: WindowSet, config: ModelConfig,
     of windows, not the whole batch.
     Training stops after ``patience`` epochs without validation
     improvement or at ``max_epochs``.  Either set cut at another
-    (lookback, horizon) than the config's raises ``ConfigError`` at once.
+    (lookback, horizon) than the config's raises ``ConfigError`` at once;
+    neither can be empty, since a ``WindowSet`` holds at least one window.
     """
     _check_windows(train_windows, config)
     _check_windows(val_windows, config)
-    if train_windows.count < 1:
-        raise ConfigError("train split yields no windows")
-    if val_windows.count < 1:
-        raise ConfigError("validation split yields no windows")
 
     batch_size = train_config.batch_size or batch_size_for_channels(train_windows.channels)
     params = init_params(config, train_config.seed)
@@ -226,13 +223,12 @@ def evaluate(params: MixLinearParams, windows: WindowSet,
     about 1/w of the forecast's size, and writes no forecast.  Each
     block's squared errors are summed by ``einsum``, whose result, unlike
     a BLAS dot product's, does not depend on the thread count.
-    Raises ``ConfigError`` when the windows' (lookback, horizon) is not
-    the config's, and ``NumericError`` at the first block whose error sums
-    are not finite, such as one that reads a NaN.
+    A ``WindowSet`` holds at least one window, so there is always one
+    block.  Raises ``ConfigError`` when the windows' (lookback, horizon)
+    is not the config's, and ``NumericError`` at the first block whose
+    error sums are not finite, such as one that reads a NaN.
     """
     _check_windows(windows, config)
-    if windows.count < 1:
-        raise ConfigError("window set is empty")
     length, horizon = config.lookback, config.horizon
     sq_sum = 0.0
     abs_sum = 0.0

@@ -111,10 +111,15 @@ MUTANTS = [
     ("WindowSet keeping an integer base", WINDOWS,
      "np.ascontiguousarray(self.base, dtype=np.float64)", "np.ascontiguousarray(self.base)"),
     ("val's start one row late", SPLIT,
-     '"val", start=b1 - lookback)', '"val", start=b1 - lookback + 1)'),
-    ("standardize multiplying by 1 / std", SPLIT, "values /= std", "values *= 1.0 / std"),
-    ("standardize accepting a segment past the series' end", SPLIT,
-     "if seg.start < 0 or seg.start + seg.rows > series.length:", "if seg.start < 0:"),
+     'slice(b1 - lookback, b2)', 'slice(b1 - lookback + 1, b2)'),
+    ("standardize multiplying by 1 / std", SPLIT, "out /= std", "out *= 1.0 / std"),
+    ("split_rows accepting a split one row short", SPLIT,
+     "if part.stop - part.start < minimum:", "if part.stop - part.start < minimum - 1:"),
+    ("WindowSet accepting a base with no window", WINDOWS,
+     "or self.count < 1:", "or self.count < 0:"),
+    ("WindowSet accepting a base that is not 2-D", WINDOWS, "self.base.ndim != 2 or ", ""),
+    ("WindowSet accepting lookback or horizon 0", WINDOWS,
+     "min(self.lookback, self.horizon) < 1", "min(self.lookback, self.horizon) < 0"),
     ("content_hash of the base's first row", WINDOWS,
      'np.ascontiguousarray(self.base, dtype="<f8")', 'np.ascontiguousarray(self.base[:1], dtype="<f8")'),
     ("save_csv accepting mismatched timestamps", SERIES,

@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -374,6 +375,24 @@ class TestMisc:
         rc = main([])
         assert rc == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+    def test_every_exported_name_resolves(self):
+        package = importlib.import_module("mixlinear")
+        modules = [package] + [importlib.import_module(f"mixlinear.{info.name}")
+                               for info in pkgutil.iter_modules(package.__path__) if info.ispkg]
+        assert len(modules) == 5
+        for module in modules:
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert not missing, f"{module.__name__}.__all__ names {missing}"
+
+    def test_dataset_too_short_for_its_window_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        assert main(["synth", "--out", str(data), "--length", "50", "--period", "4"]) == 0
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), "--lookback", "16",
+                   "--horizon", "8", "--period", "4", "--cutoff", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err == ("error: [split] val split of a 50-row series has 21 "
+                                           "rows, need at least 24 for lookback 16 + horizon 8\n")
 
     def test_synth_io_error_exits_3(self, tmp_path):
         blocker = tmp_path / "blocker"

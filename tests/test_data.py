@@ -15,16 +15,14 @@ from conftest import etth1_path
 from oracles import load_csv_loop
 from mixlinear.data import (
     RawSeries,
-    Segment,
     SplitSpec,
+    WindowSet,
     load_csv,
-    make_windows,
     save_csv,
-    split_series,
+    split_rows,
     standardize,
     synth_generate,
 )
-from mixlinear.data.windows import WindowSet
 from mixlinear.errors import ConfigError, DataError
 from mixlinear.model import ModelConfig, init_params
 from mixlinear.training import backward, evaluate
@@ -270,40 +268,49 @@ def _series_of_length(total, channels=1):
     )
 
 
+def _rows(part: slice) -> int:
+    return part.stop - part.start
+
+
 class TestSplitSeries:
     def test_six_two_two_on_ten_rows(self):
-        series = _series_of_length(10)
-        train, val, test = split_series(series, SplitSpec.ett(), lookback=0)
-        assert (train.rows, val.rows, test.rows) == (6, 2, 2)
+        train, val, test = split_rows(10, SplitSpec.ett(), lookback=0, horizon=0)
+        assert (_rows(train), _rows(val), _rows(test)) == (6, 2, 2)
 
     def test_ett_preset_boundaries_17420(self):
         assert SplitSpec.ett().boundaries(17420) == (10452, 13936)
-        series = _series_of_length(17420)
-        train, val, test = split_series(series, SplitSpec.ett(), lookback=720)
-        assert train.rows == 10452
-        assert val.rows == (13936 - 10452) + 720
-        assert test.rows == (17420 - 13936) + 720
-        assert (train.start, val.start, test.start) == (0, 10452 - 720, 13936 - 720)
-        # lookback overlap is read-only context: val starts 720 rows early
-        assert np.array_equal(val.values[:720], series.values[10452 - 720:10452])
+        # lookback overlap is read-only context: val and test start 720 rows early
+        assert split_rows(17420, SplitSpec.ett(), lookback=720, horizon=96) == (
+            slice(0, 10452), slice(10452 - 720, 13936), slice(13936 - 720, 17420))
 
     def test_default_preset_boundaries_26304(self):
         assert SplitSpec.default().boundaries(26304) == (18412, 21043)
 
     def test_no_leakage_past_boundaries(self):
-        series = _series_of_length(300)
-        train, val, test = split_series(series, SplitSpec.default(), lookback=20)
+        train, val, test = split_rows(300, SplitSpec.default(), lookback=20, horizon=1)
         b1, b2 = SplitSpec.default().boundaries(300)
-        assert np.array_equal(train.values, series.values[:b1])
-        assert np.array_equal(test.values, series.values[b2 - 20:])
-        # every test row beyond the overlap sits after every train row
-        assert np.array_equal(test.values[20:], series.values[b2:])
+        assert (train, val.stop, test.stop) == (slice(0, b1), b2, 300)
+        # only the 20 look-back rows of val and test precede their borders
+        assert (val.start, test.start) == (b1 - 20, b2 - 20)
 
     def test_too_short_for_window_rejected(self):
-        series = _series_of_length(50)
-        # val segment carries 10 + 8 overlap rows, below lookback + horizon
-        with pytest.raises(ConfigError):
-            split_series(series, SplitSpec.ett(), lookback=8, horizon=12)
+        # the val split carries 10 + 8 overlap rows, below lookback + horizon
+        with pytest.raises(ConfigError, match="^val split of a 50-row series has 18 rows"):
+            split_rows(50, SplitSpec.ett(), lookback=8, horizon=12)
+
+    @pytest.mark.parametrize("fracs, name", [
+        pytest.param((0.2, 0.4, 0.4), "train", id="train"),
+        pytest.param((0.6, 0.15, 0.25), "val", id="val"),
+        pytest.param((0.6, 0.25, 0.15), "test", id="test")])
+    def test_split_of_one_window_accepted_one_row_short_rejected(self, fracs, name):
+        spec, lookback = SplitSpec(*fracs), 10
+        sizes = dict(zip(("train", "val", "test"), map(_rows, split_rows(100, spec, lookback, 1))))
+        size = sizes.pop(name)
+        assert size < min(sizes.values())  # the split that runs out first
+        split_rows(100, spec, lookback, size - lookback)
+        with pytest.raises(ConfigError, match=f"^{name} split of a 100-row series has "
+                                              f"{size} rows, need at least {size + 1}"):
+            split_rows(100, spec, lookback, size - lookback + 1)
 
     def test_invalid_fractions_rejected(self):
         with pytest.raises(ConfigError):
@@ -315,87 +322,63 @@ class TestSplitSeries:
 class TestStandardize:
     def test_train_split_becomes_zero_mean_unit_std(self):
         series = _series_of_length(500, channels=3)
-        splits = split_series(series, SplitSpec.default(), lookback=10)
-        (train, val, test), stats = standardize(series, splits)
-        assert np.max(np.abs(train.values.mean(axis=0))) < 1e-9
-        assert np.max(np.abs(train.values.std(axis=0) - 1.0)) < 1e-9
-        assert train.standardized and val.standardized and test.standardized
-
-    def test_double_standardization_guarded(self):
-        series = _series_of_length(100)
-        splits = split_series(series, SplitSpec.default(), lookback=0)
-        standardized, _ = standardize(series, splits)
-        with pytest.raises(DataError, match="already standardized"):
-            standardize(series, standardized)
+        train_rows = split_rows(500, SplitSpec.default(), lookback=10, horizon=1)[0]
+        values, stats = standardize(series.values, train_rows)
+        assert values.shape == series.values.shape and values.flags.c_contiguous
+        train = values[train_rows]
+        assert np.max(np.abs(train.mean(axis=0))) < 1e-9
+        assert np.max(np.abs(train.std(axis=0) - 1.0)) < 1e-9
 
     def test_round_trip(self):
-        # the returned statistics are the ones every split was scaled with
+        # the returned statistics are the ones every row was scaled with
         series = _series_of_length(200, channels=2)
-        splits = split_series(series, SplitSpec.default(), lookback=0)
-        standardized, stats = standardize(series, splits)
-        for seg, raw in zip(standardized, splits):
-            back = seg.values * stats.std + stats.mean
-            assert np.max(np.abs(back - raw.values)) < 1e-10
+        values, stats = standardize(series.values, slice(0, 140))
+        back = values * stats.std + stats.mean
+        assert np.max(np.abs(back - series.values)) < 1e-10
 
     def test_stats_depend_only_on_train(self):
         series = _series_of_length(400, channels=2)
-        splits = split_series(series, SplitSpec.default(), lookback=0)
-        _, stats_a = standardize(series, splits)
+        _, stats_a = standardize(series.values, slice(0, 280))
         perturbed = _series_of_length(400, channels=2)
         perturbed.values[300:] += 100.0  # test region only
-        splits_b = split_series(perturbed, SplitSpec.default(), lookback=0)
-        _, stats_b = standardize(perturbed, splits_b)
+        _, stats_b = standardize(perturbed.values, slice(0, 280))
         assert np.array_equal(stats_a.mean, stats_b.mean)
         assert np.array_equal(stats_a.std, stats_b.std)
 
     def test_zero_variance_channel_rejected(self):
         values = np.ones((100, 2))
         values[:, 0] = np.random.default_rng(1).normal(size=100)
-        series = RawSeries([str(i) for i in range(100)], values, ["a", "b"])
-        splits = split_series(series, SplitSpec.default(), lookback=0)
         with pytest.raises(DataError, match="zero-variance"):
-            standardize(series, splits)
+            standardize(values, slice(0, 70))
 
     def test_channel_constant_up_to_round_off_rejected(self):
         # period-1 harmonics sampled at integer t: a level with ~1e-16 wobble
         values = np.empty((100, 2))
         values[:, 0] = np.random.default_rng(2).normal(size=100)
         values[:, 1] = 0.51 + 4e-14 * np.random.default_rng(3).normal(size=100)
-        series = RawSeries([str(i) for i in range(100)], values, ["a", "b"])
-        splits = split_series(series, SplitSpec.default(), lookback=0)
         with pytest.raises(DataError, match=r"channel\(s\) \[1\]"):
-            standardize(series, splits)
-
-    def test_segment_outside_series_rejected(self):
-        # its rows would be cut short silently: [90, 110) of 100 rows reads 10
-        series = _series_of_length(100)
-        train, _, test = split_series(series, SplitSpec.default(), lookback=0)
-        with pytest.raises(ConfigError, match="outside a series of 100 rows"):
-            standardize(series, (train, Segment(test.values, "test", start=90)))
+            standardize(values, slice(0, 70))
 
     def test_large_offset_with_unit_variation_standardizes(self):
         values = 1e6 + np.random.default_rng(4).normal(size=(100, 1))
-        series = RawSeries([str(i) for i in range(100)], values, ["a"])
-        splits = split_series(series, SplitSpec.default(), lookback=0)
-        (train, _, _), _ = standardize(series, splits)
-        assert abs(train.values.std() - 1.0) < 1e-9
+        standardized, _ = standardize(values, slice(0, 70))
+        assert abs(standardized[:70].std() - 1.0) < 1e-9
 
 
 class TestMakeWindows:
     def test_count_formula(self):
-        seg = Segment(np.zeros((10, 1)), "train", standardized=True)
-        ws = make_windows(seg, 4, 3)
+        ws = WindowSet(np.zeros((10, 1)), 4, 3)
         assert ws.count == 4
 
     def test_first_target_starts_at_lookback(self):
         values = np.arange(20.0)[:, None]
-        ws = make_windows(Segment(values, "s", standardized=True), 4, 3)
+        ws = WindowSet(values, 4, 3)
         x, y = ws.window(0)
         assert y[0, 0] == 4.0
 
     def test_windows_tile_correctly(self):
         values = np.arange(30.0)[:, None]
-        ws = make_windows(Segment(values, "s", standardized=True), 7, 5)
+        ws = WindowSet(values, 7, 5)
         x, y = ws.window(0)
         assert np.array_equal(np.concatenate([x, y]), values[:12])
 
@@ -406,13 +389,12 @@ class TestMakeWindows:
             horizon = int(rng.integers(1, 20))
             extra = int(rng.integers(0, 30))
             length = lookback + horizon + extra
-            seg = Segment(np.zeros((length, 1)), "s", standardized=True)
-            assert make_windows(seg, lookback, horizon).count == extra + 1
+            assert WindowSet(np.zeros((length, 1)), lookback, horizon).count == extra + 1
 
     def test_batch_stacks_windows(self):
         rng = np.random.default_rng(4)
         values = rng.normal(size=(40, 3))
-        ws = make_windows(Segment(values, "s", standardized=True), 9, 5)
+        ws = WindowSet(values, 9, 5)
         idx = [0, ws.count - 1, 7, 7, 3]
         x, y = ws.batch(idx)
         # row out*C + c is channel c of window idx[out]
@@ -426,7 +408,7 @@ class TestMakeWindows:
 
     @pytest.mark.parametrize("bad", [-1, 27])
     def test_batch_index_out_of_range(self, bad):
-        ws = make_windows(Segment(np.zeros((40, 1)), "s", standardized=True), 9, 5)
+        ws = WindowSet(np.zeros((40, 1)), 9, 5)
         assert ws.count == 27
         with pytest.raises(IndexError):
             ws.batch([0, bad])
@@ -461,15 +443,27 @@ class TestMakeWindows:
             assert grads[name].tobytes() == grad.tobytes(), name
 
     def test_too_short_segment_rejected(self):
-        seg = Segment(np.zeros((5, 1)), "s", standardized=True)
-        with pytest.raises(ConfigError):
-            make_windows(seg, 4, 3)
+        with pytest.raises(ConfigError, match=r"shape \(5, 1\) holds no window"):
+            WindowSet(np.zeros((5, 1)), 4, 3)
+
+    def test_exactly_one_window_and_one_row_short(self):
+        ws = WindowSet(np.arange(7.0)[:, None], 4, 3)
+        assert ws.count == 1 and ws.batch([0])[1].tolist() == [[4.0, 5.0, 6.0]]
+        with pytest.raises(ConfigError, match="holds no window"):
+            WindowSet(np.zeros((6, 1)), 4, 3)
+
+    @pytest.mark.parametrize("shape, lookback, horizon", [
+        pytest.param((10, 1), 0, 3, id="no-lookback"), pytest.param((10, 1), 4, 0, id="no-horizon"),
+        pytest.param((10,), 4, 3, id="1-D"), pytest.param((10, 1, 1), 4, 3, id="3-D")])
+    def test_geometry_without_windows_rejected(self, shape, lookback, horizon):
+        with pytest.raises(ConfigError, match="holds no window"):
+            WindowSet(np.zeros(shape), lookback, horizon)
 
     def test_content_hash_tracks_data(self):
-        a = make_windows(Segment(np.ones((12, 1)), "s", standardized=True), 4, 3)
-        b = make_windows(Segment(np.ones((12, 1)), "s", standardized=True), 4, 3)
+        a = WindowSet(np.ones((12, 1)), 4, 3)
+        b = WindowSet(np.ones((12, 1)), 4, 3)
         assert a.content_hash() == b.content_hash()
-        c = make_windows(Segment(np.ones((12, 1)) * 2, "s", standardized=True), 4, 3)
+        c = WindowSet(np.ones((12, 1)) * 2, 4, 3)
         assert a.content_hash() != c.content_hash()
 
 

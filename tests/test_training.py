@@ -15,9 +15,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mixlinear.data.split import Segment
 from mixlinear.data.synth import synth_generate
-from mixlinear.data.windows import WindowSet, make_windows
+from mixlinear.data.windows import WindowSet
 from mixlinear.errors import ConfigError, NumericError
 from mixlinear.model import (
     Mode,
@@ -294,18 +293,14 @@ class TestAdam:
             assert np.array_equal(da, db), name
 
 
-def _window_set(values: np.ndarray, lookback: int, horizon: int) -> WindowSet:
-    return make_windows(Segment(values, "test", standardized=True), lookback, horizon)
-
-
 class TestTrainLoop:
     def _tiny_setup(self, seed=0):
         series = synth_generate(200, 4, amplitudes=(1.0, 0.4), noise_std=0.05,
                                 seed=seed, channels=2)
         config = ModelConfig(16, 8, 4, lpf_cutoff=3, latent_width=2)
         split = int(0.7 * 200)
-        train_ws = _window_set(series.values[:split], 16, 8)
-        val_ws = _window_set(series.values[split - 16:], 16, 8)
+        train_ws = WindowSet(series.values[:split], 16, 8)
+        val_ws = WindowSet(series.values[split - 16:], 16, 8)
         return config, train_ws, val_ws
 
     def test_returns_best_validation_params(self):
@@ -371,13 +366,11 @@ class TestTrainLoop:
                 train(*windows, config, TrainConfig(max_epochs=1))
 
     def test_empty_split_rejected(self):
-        config, train_ws, _ = self._tiny_setup()
-        too_short = Segment(np.zeros((10, 1)), "val", standardized=True)
-        with pytest.raises(ConfigError):
-            make_windows(too_short, 16, 8)
-        with pytest.raises(ConfigError):
-            train(train_ws, WindowSet(np.zeros((20, 1)), 16, 8), config,
-                  TrainConfig(max_epochs=1))
+        # a split with no window cannot become a WindowSet, so train and
+        # evaluate never see one
+        for rows in (10, 23):
+            with pytest.raises(ConfigError, match="holds no window"):
+                WindowSet(np.zeros((rows, 1)), 16, 8)
 
     @pytest.mark.parametrize("rate", [0.0, -0.02, np.nan, np.inf])
     def test_invalid_learning_rate_rejected(self, rate):
@@ -406,7 +399,7 @@ class TestTrainLoop:
         # 50 full-batch Adam steps at lr 0.02 on noiseless periodic data
         series = synth_generate(120, 8, amplitudes=(1.0,), noise_std=0.0, seed=9)
         config = ModelConfig(24, 8, 8, lpf_cutoff=3, latent_width=2)
-        ws = _window_set(series.values, 24, 8)
+        ws = WindowSet(series.values, 24, 8)
         idx = np.arange(0, 16)
         x, y = ws.batch(idx)
         params = init_params(config, 0)
@@ -444,7 +437,7 @@ class TestEvaluate:
         params.w_inter[:, :5] = 1.0 / 5.0
         pattern = np.random.default_rng(20).normal(size=24)
         values = np.tile(pattern, 90)[:, None]  # 2160 rows, 1 channel
-        ws = _window_set(values, 720, 720)
+        ws = WindowSet(values, 720, 720)
         mse, mae = evaluate(params, ws, config)
         assert mse < 1e-20
         assert mae < 1e-10
@@ -455,7 +448,7 @@ class TestEvaluate:
         values = (values - values.mean()) / values.std()
         config = ModelConfig(64, 16, 8, lpf_cutoff=4, latent_width=2)
         params = zeroed(init_params(config, 0))
-        mse, _ = evaluate(params, _window_set(values, 64, 16), config)
+        mse, _ = evaluate(params, WindowSet(values, 64, 16), config)
         assert 0.9 < mse < 1.15
 
     def test_matches_scalar_loop_recomputation(self):
@@ -463,7 +456,7 @@ class TestEvaluate:
         params = init_params(config, 22)
         rng = np.random.default_rng(22)
         values = rng.normal(size=(30, 2))
-        ws = _window_set(values, 12, 6)
+        ws = WindowSet(values, 12, 6)
         mse, mae = evaluate(params, ws, config)
         preds, targets = [], []
         for k in range(ws.count):
@@ -493,7 +486,7 @@ class TestEvaluate:
         assert block == f"[{first[0]}, {first[1]})" and first[0] <= count - 10
         message = f"windows {block} of channels [0, {first[3]})"
         with pytest.raises(NumericError, match=re.escape(message)):
-            evaluate(init_params(config, 23), _window_set(values, lookback, horizon),
+            evaluate(init_params(config, 23), WindowSet(values, lookback, horizon),
                      config)
 
 
@@ -654,7 +647,7 @@ class TestAffineMap:
                 values = level + np.cumsum(0.3 * rng.normal(size=(steps, channels)), axis=0)
             else:
                 values = rng.normal(size=(steps, channels))
-            ws = _window_set(values, config.lookback, config.horizon)
+            ws = WindowSet(values, config.lookback, config.horizon)
             assert ws.count == count
             mse, mae = evaluate(params, ws, config)
             errors = []
@@ -706,7 +699,7 @@ class TestAffineMap:
         values = rng.normal(size=(config.lookback + config.horizon + count - 1, channels))
         with monkeypatch.context() as patch:
             patch.setattr(loop_module, "forward_batch", recording)
-            evaluate(init_params(config, 0), _window_set(values, config.lookback,
+            evaluate(init_params(config, 0), WindowSet(values, config.lookback,
                                                          config.horizon), config)
         return seen
 
@@ -814,7 +807,7 @@ class TestAffineMap:
         # at 11.1 MB; blocks keep the peak near one block's prediction
         config = ModelConfig(48, 12, 12, lpf_cutoff=2, latent_width=2)
         values = np.random.default_rng(32).normal(size=(48 + 12 + 300 - 1, 64))
-        ws = _window_set(values, 48, 12)
+        ws = WindowSet(values, 48, 12)
         tracemalloc.start()
         try:
             evaluate(init_params(config, 32), ws, config)
@@ -838,7 +831,7 @@ class TestAffineMap:
         config = ModelConfig(720, horizon, 24)
         rows = length if count is None else count + 720 + horizon - 1
         values = np.random.default_rng(39).normal(size=(rows, channels))
-        ws = _window_set(values, 720, horizon)
+        ws = WindowSet(values, 720, horizon)
         params = init_params(config, 39)
         tracemalloc.start()
         try:
