@@ -35,7 +35,12 @@ from .data.series import RawSeries, load_csv, save_csv
 from .data.split import SplitSpec
 from .data.synth import synth_generate
 from .errors import CheckpointError, ConfigError, DataError, NumericError
-from .evalbench.reference import reported_mse
+from .evalbench.reference import (
+    reported_ablation,
+    reported_generalization,
+    reported_mse,
+    reported_sweep,
+)
 from .evalbench.report import write_key_values, write_report, write_reports_csv, write_sweep
 from .evalbench.runner import prepare_windows, run_ablation, run_benchmark, run_lpf_sweep
 from .model.config import Mode, ModelConfig
@@ -254,11 +259,13 @@ def _print_metrics(report) -> None:
     print(f"param_count = {report.param_count}")
     print(f"mac_count = {report.mac_count}")
     print(f"epochs_run = {report.epochs_run} (best epoch {report.best_epoch})")
-    references = reported_mse(report.dataset, report.horizon)
-    if references:
-        print("# reported reference MSE:")
-        for model, value in references.items():
-            print(f"#   {model}: {value}")
+    _print_reported(reported_mse(report.dataset, report.horizon))
+
+
+def _print_reported(rows: dict) -> None:
+    """One ``# reported`` line per published entry; nothing when there is none."""
+    for label, value in rows.items():
+        print(f"# reported {label}: {value}")
 
 
 def _dataset(settings: dict) -> tuple[RawSeries, str, SplitSpec]:
@@ -295,6 +302,7 @@ def cmd_eval(settings: dict) -> int:
     mse, mae = evaluate(params, test_windows, config)
     print(f"test_mse = {mse!r}")
     print(f"test_mae = {mae!r}")
+    _print_reported(reported_generalization(dataset_id, config.horizon))
     if settings["out"]:
         path = _out_dir(settings) / f"eval_{dataset_id}_h{config.horizon}.report"
         write_key_values({
@@ -319,6 +327,9 @@ def cmd_sweep(settings: dict) -> int:
     write_sweep(reports, out / "sweep.report")
     for report in reports:
         print(f"cutoff {report.lpf_cutoff}: test_mse = {report.test_mse!r}")
+    reported = reported_sweep(reports[0].dataset, base.horizon,
+                              [report.lpf_cutoff for report in reports])
+    _print_reported({f"cutoff {cutoff}": value for cutoff, value in reported.items()})
     print(f"wrote {out / 'sweep.report'}, {out / 'sweep.csv'}")
     return 0
 
@@ -332,6 +343,7 @@ def cmd_ablate(settings: dict) -> int:
     for report in reports:
         write_report(report, out / f"{report.basename()}.report")
         print(f"{report.mode}: test_mse = {report.test_mse!r} (seed {report.seed})")
+    _print_reported(reported_ablation(reports[0].dataset, config.horizon))
     print(f"wrote {out / 'ablation.csv'}")
     return 0
 

@@ -96,9 +96,14 @@ def standardize(values: np.ndarray,
     rounded as ``(x - mean) / std`` rounds it but written in place, so the
     splits are row views of it.  Rejects a channel that is constant on the
     train rows up to round-off: std <= ``CONSTANT_CHANNEL_TOLERANCE`` *
-    max|x|, which includes std == 0.
+    max|x|, which includes std == 0, and raises ``ConfigError`` on an empty
+    train range.
     """
     train = values[train_rows]
+    if not train.shape[0]:
+        start, stop, _ = train_rows.indices(values.shape[0])
+        raise ConfigError(f"train rows [{start}, {stop}) of a {values.shape[0]}-row series "
+                          "are empty; standardizing needs at least one")
     mean = train.mean(axis=0)
     std = train.std(axis=0)
     scale = np.abs(train).max(axis=0)

@@ -1,7 +1,8 @@
 """Published benchmark results, embedded as read-only reference constants.
 
-These numbers come from the originating benchmark literature and are used
-only for side-by-side rendering in reports; they are never recomputed.
+These numbers come from the originating benchmark literature.  The CLI
+prints the entries for a run's dataset and horizon beside its fresh
+numbers; they are never recomputed.
 """
 
 # Multivariate test MSE by dataset -> model -> horizon.
@@ -70,11 +71,38 @@ GENERALIZATION_MSE = {
 }
 
 
+def _at_horizon(table: dict, horizon: int) -> dict:
+    """Each row's entry at ``horizon``, for the rows that have one."""
+    return {label: row[horizon] for label, row in table.items() if horizon in row}
+
+
 def reported_mse(dataset_id: str, horizon: int) -> dict[str, float]:
     """Reference MSE rows for a dataset/horizon, empty when unknown."""
-    table = REPORTED_MSE.get(dataset_id.lower(), {})
-    return {
-        model: horizons[horizon]
-        for model, horizons in table.items()
-        if horizon in horizons
-    }
+    return _at_horizon(REPORTED_MSE.get(dataset_id.lower(), {}), horizon)
+
+
+# the ablation table's models under the names of the modes they are, in the
+# order ablate runs them
+_ABLATION_MODES = {"MixLinear": "Mix", "TLinear": "TimeOnly", "FLinear": "FreqOnly"}
+
+
+def reported_ablation(dataset_id: str, horizon: int) -> dict[str, float]:
+    """Ablation MSE by mode name for a dataset/horizon, empty when unknown."""
+    rows = _at_horizon(ABLATION_MSE.get(dataset_id.lower(), {}), horizon)
+    return {mode: rows[model] for model, mode in _ABLATION_MODES.items() if model in rows}
+
+
+def reported_sweep(dataset_id: str, horizon: int, cutoffs) -> dict[int, float]:
+    """ETTh1 sweep MSE of each of ``cutoffs`` the table has, empty on another dataset."""
+    if dataset_id.lower() != "etth1":
+        return {}
+    rows = _at_horizon(LPF_SWEEP_MSE_ETTH1, horizon)
+    return {cutoff: rows[cutoff] for cutoff in cutoffs if cutoff in rows}
+
+
+def reported_generalization(dataset_id: str, horizon: int) -> dict[str, float]:
+    """Transfer MSE onto a dataset/horizon, keyed "<model> trained on <source>"."""
+    return {f"{model} trained on {source}": value
+            for (source, target), table in GENERALIZATION_MSE.items()
+            if target == dataset_id.lower()
+            for model, value in _at_horizon(table, horizon).items()}

@@ -1,7 +1,9 @@
 """End-to-end CLI workflows through main()."""
 
+import contextlib
 import csv
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -45,6 +47,35 @@ def trained_run(synth_csv, tmp_path_factory):
     assert rc == 0
     assert elapsed < 60.0  # smoke config finishes quickly
     return out
+
+
+@pytest.fixture(scope="module")
+def etth1_named_csv(tmp_path_factory):
+    """A small synthetic CSV whose file stem, the dataset id, is ETTh1."""
+    path = tmp_path_factory.mktemp("named") / "ETTh1.csv"
+    assert main(["synth", "--out", str(path), "--length", "1200", "--period", "8",
+                 "--channels", "2", "--seed", "5"]) == 0
+    return path
+
+
+# a horizon the published ETTh1 tables have, at the smoke run's small shape
+REPORTED_SIZES = ["--lookback", "64", "--horizon", "96", "--period", "8", "--epochs", "1",
+                  "--batch", "64"]
+
+
+def _reported_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.startswith("# reported ")]
+
+
+@pytest.fixture(scope="module")
+def etth1_named_run(etth1_named_csv, tmp_path_factory):
+    """(output directory, stdout) of a train run on ``etth1_named_csv`` at H=96."""
+    out = tmp_path_factory.mktemp("runs") / "etth1"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["train", "--data", str(etth1_named_csv), "--out", str(out),
+                     *REPORTED_SIZES]) == 0
+    return out, stdout.getvalue()
 
 
 class TestSynth:
@@ -126,6 +157,18 @@ class TestTrain:
         config, _, params = load_checkpoint(out / "model.ckpt")
         assert config.mode.value == "SparseBaseline"
         assert params.w_point.shape == (2, 8)
+
+    def test_prints_published_rows_for_its_dataset(self, etth1_named_run):
+        assert _reported_lines(etth1_named_run[1]) == [
+            "# reported FEDformer: 0.375", "# reported TimesNet: 0.384",
+            "# reported PatchTST: 0.385", "# reported DLinear: 0.384", "# reported FITS: 0.382",
+            "# reported SparseTSF: 0.362", "# reported MixLinear: 0.351"]
+
+    def test_prints_no_published_row_without_an_entry(self, synth_csv, tmp_path, capsys):
+        rc = main(["train", "--data", str(synth_csv), "--out", str(tmp_path / "run"),
+                   *REPORTED_SIZES])
+        assert rc == 0
+        assert _reported_lines(capsys.readouterr().out) == []
 
     def test_missing_period_exits_2(self, synth_csv, capsys):
         rc = main(["train", "--data", str(synth_csv), "--horizon", "16"])
@@ -320,6 +363,24 @@ class TestEval:
         assert rc == 0
         assert "test_mse" in capsys.readouterr().out
 
+    def test_prints_published_transfer_rows_onto_its_dataset(self, etth1_named_csv,
+                                                             etth1_named_run, capsys):
+        rc = main(["eval", "--checkpoint", str(etth1_named_run[0] / "model.ckpt"),
+                   "--data", str(etth1_named_csv)])
+        assert rc == 0
+        assert _reported_lines(capsys.readouterr().out) == [
+            "# reported SparseTSF trained on etth2: 0.37",
+            "# reported MixLinear trained on etth2: 0.361",
+            "# reported SparseTSF trained on electricity: 0.373",
+            "# reported MixLinear trained on electricity: 0.373",
+        ]
+
+    def test_prints_no_transfer_row_without_an_entry(self, synth_csv, trained_run, capsys):
+        rc = main(["eval", "--checkpoint", str(trained_run / "model.ckpt"),
+                   "--data", str(synth_csv)])
+        assert rc == 0
+        assert _reported_lines(capsys.readouterr().out) == []
+
 
 class TestSweep:
     def test_unsorted_cutoffs_sorted_csv(self, synth_csv, tmp_path, capsys):
@@ -354,6 +415,21 @@ class TestSweep:
         assert float(sweep_row["test_mse"]) == pytest.approx(
             train_report.test_mse, abs=1e-12)
 
+    def test_prints_published_entry_of_each_cutoff_run(self, etth1_named_csv, tmp_path,
+                                                       capsys):
+        # the ETTh1 table has cutoffs 1, 5, 10, 15 and 19, so 3 prints nothing
+        rc = main(["sweep", "--data", str(etth1_named_csv), "--out", str(tmp_path / "sweep"),
+                   *REPORTED_SIZES, "--cutoffs", "5,3,1"])
+        assert rc == 0
+        assert _reported_lines(capsys.readouterr().out) == [
+            "# reported cutoff 1: 0.351", "# reported cutoff 5: 0.356"]
+
+    def test_prints_no_entry_on_another_dataset(self, synth_csv, tmp_path, capsys):
+        rc = main(["sweep", "--data", str(synth_csv), "--out", str(tmp_path / "sweep"),
+                   *REPORTED_SIZES, "--cutoffs", "1,5"])
+        assert rc == 0
+        assert _reported_lines(capsys.readouterr().out) == []
+
 
 class TestAblate:
     def test_three_rows_with_shared_seed(self, synth_csv, tmp_path):
@@ -368,6 +444,21 @@ class TestAblate:
             rows = list(csv.DictReader(fh))
         assert [r["mode"] for r in rows] == ["Mix", "TimeOnly", "FreqOnly"]
         assert {r["seed"] for r in rows} == {"21"}
+
+    def test_prints_published_rows_by_mode_name(self, etth1_named_csv, tmp_path, capsys):
+        rc = main(["ablate", "--data", str(etth1_named_csv), "--out", str(tmp_path / "ablate"),
+                   *REPORTED_SIZES])
+        assert rc == 0
+        assert _reported_lines(capsys.readouterr().out) == [
+            "# reported Mix: 0.351", "# reported TimeOnly: 0.376", "# reported FreqOnly: 0.434"]
+
+    def test_prints_no_row_at_a_horizon_the_table_lacks(self, etth1_named_csv, tmp_path,
+                                                       capsys):
+        rc = main(["ablate", "--data", str(etth1_named_csv), "--out", str(tmp_path / "ablate"),
+                   "--lookback", "64", "--horizon", "16", "--period", "8", "--epochs", "1",
+                   "--batch", "64"])
+        assert rc == 0
+        assert _reported_lines(capsys.readouterr().out) == []
 
 
 class TestMisc:

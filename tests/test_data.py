@@ -4,6 +4,7 @@ import csv
 import io
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,17 @@ class TestStandardize:
         values[:, 1] = 0.51 + 4e-14 * np.random.default_rng(3).normal(size=100)
         with pytest.raises(DataError, match=r"channel\(s\) \[1\]"):
             standardize(values, slice(0, 70))
+
+    @pytest.mark.parametrize("rows, named", [(slice(0, 0), r"\[0, 0\)"),
+                                             (slice(4, 2), r"\[4, 2\)"),
+                                             (slice(12, 20), r"\[10, 10\)")],
+                             ids=["empty", "reversed", "past-the-end"])
+    def test_empty_train_range_rejected(self, rows, named):
+        # raised before any reduction, so numpy warns of no empty slice
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"train rows {named} of a 10-row series"):
+                standardize(np.ones((10, 2)), rows)
 
     def test_large_offset_with_unit_variation_standardizes(self):
         values = 1e6 + np.random.default_rng(4).normal(size=(100, 1))
